@@ -9,6 +9,7 @@ horizon N; otherwise A/B/G are lists of N per-step matrices.  Exit codes:
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,7 +26,6 @@ from .objective import (
     hessian_theta,
 )
 from .problem import Gaussian, SteeringProblem, TimeVaryingLinearSystem, assemble, causality_mask, validate
-from .simulate import _num_threads
 from .solver import (
     SolverOptions,
     count_strict_local_minima,
@@ -36,6 +36,17 @@ from .solver import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
+
+
+def _num_threads():
+    """Parallelism cap from WSTEER_THREADS (default: all cores)."""
+    env = os.environ.get("WSTEER_THREADS", "")
+    if env.strip():
+        try:
+            return max(1, int(env))
+        except ValueError:
+            return 1
+    return max(1, os.cpu_count() or 1)
 
 
 def _fail(msg):
@@ -380,10 +391,11 @@ def cmd_simulate(config_path, solution_path, samples=None, seed=None, out_path=N
             f"solution dimensions {u_ff.shape}/{Theta.shape} do not match config "
             f"({(want_u,)}/{want_T})"
         )
-    if samples < 2:
-        return _fail("need samples >= 2")
 
-    report = sim.rollout(problem, Policy(u_ff, Theta), samples, seed)
+    try:
+        report = sim.rollout(problem, Policy(u_ff, Theta), samples, seed)
+    except (ValueError, WsteerError) as e:
+        return _fail(str(e))
     payload = {
         "samples": report.samples,
         "seed": report.seed,

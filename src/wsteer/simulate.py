@@ -6,13 +6,14 @@ Theta = K (I - Hu K)^(-1) and K = (I + Theta Hu)^(-1) Theta; for causal
 Theta Hu and Hu K are strictly block lower triangular.
 
 Rollouts simulate the step dynamics with the K-form feedback acting on state
-deviations from the analytically propagated mean trajectory.  Noise is drawn
-from counter-based per-sample streams keyed on (seed, sample index), so the
-result is bitwise reproducible and independent of how samples are chunked
-across threads.
+deviations from the analytically propagated mean trajectory.  Noise comes
+from one counter-based Philox stream keyed on the seed, in which sample i owns
+a fixed range of raw counters (see _sample_noise).  The result is bitwise
+reproducible given (seed, samples), and sample i's draws do not depend on how
+many samples are drawn alongside it.
 """
 
-import os
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +21,6 @@ import numpy as np
 from .errors import SingularTransformError
 from .objective import terminal_gaussian, wasserstein_sq_gaussian
 from .problem import Gaussian, assemble
-
-
-def _num_threads():
-    """Parallelism cap from WSTEER_THREADS (default: all cores)."""
-    env = os.environ.get("WSTEER_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return max(1, os.cpu_count() or 1)
 
 
 def theta_to_k(Theta, Hu):
@@ -75,25 +65,43 @@ class RolloutReport:
 
 
 def _sample_noise(seed, n_samples, n_x, N, n_w):
-    """Standard-normal draws, one Philox stream per sample keyed (seed, i).
+    """Standard-normal draws from one Philox stream keyed (seed, 0).
 
     Returns (Z0, Zw) with shapes (n_samples, n_x) and (n_samples, N, n_w).
-    Because every sample owns its stream, the values are independent of how
-    samples are chunked or ordered during generation.
+    Each sample needs per = n_x + N*n_w normals; sample i owns the raw 64-bit
+    words [i*m, (i+1)*m) of the stream, with m = 2*ceil(per/2).  Each word
+    becomes the uniform ((word >> 11) + 0.5) * 2**-53, which is never 0, and
+    consecutive uniforms (u1, u2) become the Box-Muller pair
+    sqrt(-2 log u1) * (cos 2 pi u2, sin 2 pi u2).  The first per normals of
+    the range are the sample's (Z0[i], Zw[i].ravel()); so sample i's values
+    depend only on (seed, i), never on the batch size or on chunking.
     """
     per = n_x + N * n_w
-    Z = np.empty((n_samples, per))
-    keys = np.empty((n_samples, 2), dtype=np.uint64)
-    keys[:, 0] = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    keys[:, 1] = np.arange(n_samples, dtype=np.uint64)
-    for i in range(n_samples):
-        bitgen = np.random.Philox(key=keys[i])
-        Z[i] = np.random.Generator(bitgen).standard_normal(per)
-    return Z[:, :n_x], Z[:, n_x:].reshape(n_samples, N, n_w)
+    half = (per + 1) // 2
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    raw = bitgen.random_raw(n_samples * 2 * half).reshape(n_samples, half, 2)
+    raw >>= 11
+    u = raw.astype(float)
+    del raw
+    u += 0.5
+    u *= 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u[..., 0]))
+    t = (2.0 * np.pi) * u[..., 1]
+    del u
+    Z = np.empty((n_samples, half, 2))
+    np.multiply(r, np.cos(t), out=Z[..., 0])
+    np.multiply(r, np.sin(t), out=Z[..., 1])
+    Z = Z.reshape(n_samples, 2 * half)
+    return Z[:, :n_x], Z[:, n_x:per].reshape(n_samples, N, n_w)
 
 
 def _closed_loop_states(problem, policy, Hu, Z0, Zw):
-    """Forward-simulate all samples; returns the stacked states (S, (N+1)*n_x)."""
+    """Forward-simulate all samples; returns the stacked states (S, (N+1)*n_x).
+
+    The K-form feedback acts on deviations from the mean trajectory xbar.
+    The deviations D are kept state-major, shape ((N+1)*n_x, S), so each
+    step's feedback reads one contiguous row prefix of D.
+    """
     sysm = problem.system
     N, n_x, n_u = sysm.horizon, sysm.n_x, sysm.n_u
     S = Z0.shape[0]
@@ -110,18 +118,15 @@ def _closed_loop_states(problem, policy, Hu, Z0, Zw):
 
     K = theta_to_k(policy.Theta, Hu)
 
-    X = np.empty((S, (N + 1) * n_x))
-    X[:, :n_x] = problem.initial.mean + Z0 @ L0.T
+    D = np.empty(((N + 1) * n_x, S))
+    D[:n_x] = L0 @ Z0.T
     for k in range(N):
-        dev = X[:, :(k + 1) * n_x] - xbar[:k + 1].reshape(-1)
-        Kk = K[k * n_u:(k + 1) * n_u, :(k + 1) * n_x]
-        U = policy.u_ff[k * n_u:(k + 1) * n_u] + dev @ Kk.T
-        Wk = Zw[:, k, :] @ Lw.T
-        X[:, (k + 1) * n_x:(k + 2) * n_x] = (
-            X[:, k * n_x:(k + 1) * n_x] @ sysm.A[k].T
-            + U @ sysm.B[k].T + Wk @ sysm.G[k].T
-        )
-    return X
+        dU = K[k * n_u:(k + 1) * n_u, :(k + 1) * n_x] @ D[:(k + 1) * n_x]
+        Dk = D[(k + 1) * n_x:(k + 2) * n_x]
+        np.matmul(sysm.A[k], D[k * n_x:(k + 1) * n_x], out=Dk)
+        Dk += sysm.B[k] @ dU
+        Dk += (sysm.G[k] @ Lw) @ Zw[:, k, :].T
+    return np.add(D.T, xbar.reshape(-1), order="C")
 
 
 def rollout(problem, policy, samples, seed):
@@ -134,6 +139,9 @@ def rollout(problem, policy, samples, seed):
     """
     if samples < 2:
         raise ValueError("rollout needs samples >= 2")
+    seed = operator.index(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"rollout seed must be in [0, 2**64), got {seed}")
     sysm = problem.system
     N, n_x, n_w = sysm.horizon, sysm.n_x, sysm.n_w
 
@@ -157,7 +165,7 @@ def rollout(problem, policy, samples, seed):
     w2 = wasserstein_sq_gaussian(Gaussian(mean=mean, cov=cov), problem.desired)
 
     return RolloutReport(
-        samples=int(samples), seed=int(seed),
+        samples=int(samples), seed=seed,
         empirical_mean=mean, empirical_cov=cov, predicted=predicted,
         w2_sq_empirical_vs_desired=w2,
         mean_err=mean_err, cov_err=cov_err,

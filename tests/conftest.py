@@ -42,12 +42,12 @@ def rand_system(rng, N, n_x, n_u, n_w):
     return w.TimeVaryingLinearSystem(A, B, G)
 
 
-def rand_problem(rng, N=None, n_x=None, n_u=None, lam=None):
+def rand_problem(rng, N=None, n_x=None, n_u=None, lam=None, n_w=None):
     """Random valid steering problem; n_w >= n_x keeps Stilde PD."""
     n_x = n_x if n_x is not None else int(rng.integers(1, 4))
     n_u = n_u if n_u is not None else int(rng.integers(1, 3))
     N = N if N is not None else int(rng.integers(1, 5))
-    n_w = n_x + int(rng.integers(0, 2))
+    n_w = n_w if n_w is not None else n_x + int(rng.integers(0, 2))
     lam = lam if lam is not None else float(rng.uniform(0.1, 10.0))
     sysm = rand_system(rng, N, n_x, n_u, n_w)
     return w.SteeringProblem(

@@ -187,6 +187,15 @@ def test_simulate_insufficient_samples_exit_one(tmp_path):
     assert main(["simulate", str(cfg), str(sol), "--samples", "1"]) == 1
 
 
+def test_simulate_seed_out_of_range_exit_one(tmp_path, capsys):
+    cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT)
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(cfg), "-o", str(sol)]) == 0
+    assert main(["simulate", str(cfg), str(sol), "--samples", "100",
+                 "--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
 def test_simulate_dimension_mismatch_exit_one(tmp_path, capsys):
     cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT)
     sol = tmp_path / "sol.json"

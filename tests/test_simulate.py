@@ -1,7 +1,11 @@
 """Gain transforms and Monte Carlo rollout validation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -181,3 +185,79 @@ def test_sample_noise_is_chunk_invariant_by_stream():
     Z0b, Zwb = _sample_noise(5, 3, 2, 3, 2)
     assert np.array_equal(Z0a[:3], Z0b)
     assert np.array_equal(Zwa[:3], Zwb)
+
+
+def _philox_normals(seed, first, count):
+    # reference for _sample_noise: raw words [first, first + count) of the
+    # single Philox(seed, 0) stream as 53-bit uniforms, paired by Box-Muller
+    raw = np.random.Philox(key=[seed, 0]).random_raw(first + count)[first:]
+    u = ((raw >> 11) + 0.5) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    t = 2.0 * np.pi * u[1::2]
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1).reshape(-1)
+
+
+def test_sample_noise_counter_addressing():
+    # sample i owns raw words [i*m, (i+1)*m) of one stream, m = 2*ceil(per/2);
+    # per = 3 + 2*2 = 7 is odd, so each range ends with one unused normal
+    seed, S, i, n_x, N, n_w = 9, 6, 3, 3, 2, 2
+    per, m = 7, 8
+    Z0, Zw = _sample_noise(seed, S, n_x, N, n_w)
+    assert Z0.shape == (S, n_x) and Zw.shape == (S, N, n_w)
+    got = np.concatenate([Z0[i], Zw[i].reshape(-1)])
+    assert np.array_equal(got, _philox_normals(seed, i * m, m)[:per])
+    # a batch's first j samples are the j-sample batch
+    for j in (1, 4):
+        Z0j, Zwj = _sample_noise(seed, j, n_x, N, n_w)
+        assert np.array_equal(Z0[:j], Z0j)
+        assert np.array_equal(Zw[:j], Zwj)
+
+
+def test_sample_noise_standard_normal_moments():
+    # 50000 samples x (3 + 9*2) = 1.05e6 normals; each statistic within 5 sigma
+    Z0, Zw = _sample_noise(123, 50000, 3, 9, 2)
+    z = np.concatenate([Z0.reshape(-1), Zw.reshape(-1)])
+    n = z.size
+    assert n >= 10 ** 6
+    assert np.all(np.isfinite(z))
+    assert abs(z.mean()) <= 5.0 / np.sqrt(n)
+    assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
+    p = math.erfc(3.0 / math.sqrt(2.0))
+    assert abs(np.mean(np.abs(z) > 3.0) - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    N=st.integers(1, 6),
+    n_x=st.integers(1, 3),
+    n_u=st.sampled_from([1, 2]),
+    extra_w=st.sampled_from([0, 1]),
+)
+def test_closed_loop_matches_lifted_form_property(seed, N, n_x, n_u, extra_w):
+    # time-varying systems, n_u up to 2 and n_w in {n_x, n_x + 1}
+    rng = np.random.default_rng(seed)
+    prob = rand_problem(rng, N=N, n_x=n_x, n_u=n_u, n_w=n_x + extra_w)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(N, n_u, n_x)
+    Theta = rand_causal_theta(rng, mask, scale=0.6)
+    u = rng.standard_normal(N * n_u)
+    S = 7
+    Z0, Zw = _sample_noise(seed, S, n_x, N, ops.n_w)
+    X = _closed_loop_states(prob, Policy(u, Theta), ops.Hu, Z0, Zw)
+    x0 = prob.initial.mean + Z0 @ np.linalg.cholesky(prob.initial.cov).T
+    wn = (Zw @ np.linalg.cholesky(prob.noise_cov).T).reshape(S, -1)
+    IHuT = np.eye(ops.Hu.shape[0]) + ops.Hu @ Theta
+    lifted = ((x0 - ops.mu0) @ ops.Gamma.T + wn @ ops.Hw.T) @ IHuT.T \
+        + ops.Gamma @ ops.mu0 + ops.Hu @ u
+    assert np.linalg.norm(X - lifted) <= 1e-10 * max(1.0, np.linalg.norm(lifted))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_rollout_rejects_seed_out_of_range(seed):
+    # seeds must lie in [0, 2**64); none may wrap onto another, e.g. -1 onto 2**64 - 1
+    prob = double_integrator_problem(SD_TIGHT)
+    pol = Policy(np.zeros(10), np.zeros((10, 22)))
+    with pytest.raises(ValueError, match="seed"):
+        rollout(prob, pol, 16, seed)
+    assert rollout(prob, pol, 16, 2 ** 64 - 1).seed == 2 ** 64 - 1
