@@ -9,9 +9,7 @@ horizon N; otherwise A/B/G are lists of N per-step matrices.  Exit codes:
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,17 +34,6 @@ from .solver import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
-
-
-def _num_threads():
-    """Parallelism cap from WSTEER_THREADS (default: all cores)."""
-    env = os.environ.get("WSTEER_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return max(1, os.cpu_count() or 1)
 
 
 def _fail(msg):
@@ -230,15 +217,8 @@ def cmd_scan(config_a, config_b, gamma_min, gamma_max, points, lambda_sweep, out
     lams = lambda_sweep if lambda_sweep else [problem_a.lam]
 
     try:
-        if len(lams) > 1 and _num_threads() > 1:
-            with ThreadPoolExecutor(max_workers=min(_num_threads(), len(lams))) as pool:
-                results = list(pool.map(
-                    lambda lam: _scan_one_lambda(problem_a, problem_b, cfg_a, cfg_b, lam, grid),
-                    lams,
-                ))
-        else:
-            results = [_scan_one_lambda(problem_a, problem_b, cfg_a, cfg_b, lam, grid)
-                       for lam in lams]
+        results = [_scan_one_lambda(problem_a, problem_b, cfg_a, cfg_b, lam, grid)
+                   for lam in lams]
     except (ValueError, WsteerError) as e:
         return _fail(str(e))
 

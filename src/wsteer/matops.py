@@ -193,8 +193,6 @@ def geometric_mean(A, B):
             f"geometric_mean operands differ in shape: {A.shape} vs {B.shape}"
         )
     eigvals, V = np.linalg.eigh(A)
-    if eigvals[0] <= 0.0:
-        raise NotPDError("first operand is not positive definite")
     root = np.sqrt(eigvals)
     A_half = (V * root) @ V.T
     A_ihalf = (V / root) @ V.T

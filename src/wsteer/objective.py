@@ -13,10 +13,15 @@ functions; the J4 gradient involves the matrix geometric mean
 Sd # (Omega Stilde Omega^T)^(-1), and the Hessian of J has an exact four-term
 expression assembled here and cross-checked against finite differences in the
 test suite.
+
+Every terminal quantity at an iterate (trace C^(1/2) for J4 and W2, the
+geometric mean, the Hessian's M and Y^(-1)) comes from one kernel, `_terminal`,
+which takes a single eigendecomposition of C = Sd^(1/2) Y Sd^(1/2) with Y the
+terminal covariance.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,10 +32,10 @@ from .errors import (
     WsteerError,
 )
 from .matops import (
+    RCOND_GUARD,
     commutation_apply,
-    geometric_mean,
+    geometric_mean,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
     kron_sum,
-    pd_inverse,
     sqrtm_psd,
     symmetrize,
 )
@@ -126,32 +131,68 @@ def wasserstein_sq_gaussian(g1, g2):
         raise DimensionMismatchError("Gaussians of different dimension")
     R2 = sqrtm_psd(g2.cov)
     cross = sqrtm_psd(symmetrize(R2 @ g1.cov @ R2))
-    val = (
-        float(np.dot(g1.mean - g2.mean, g1.mean - g2.mean))
-        + np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * np.trace(cross)
-    )
-    tol = 1e-10 * max(1.0, abs(np.trace(g1.cov)) + abs(np.trace(g2.cov)))
+    dmu = g1.mean - g2.mean
+    return _w2_sq(float(dmu @ dmu), float(np.trace(g1.cov)), float(np.trace(g2.cov)),
+                  float(np.trace(cross)))
+
+
+def _w2_sq(mean_gap_sq, trace1, trace2, trace_root):
+    """Expanded squared W2 distance, mean_gap_sq + trace1 + trace2 - 2 trace_root,
+    with round-off down to -1e-10 of the trace scale clamped to zero."""
+    val = mean_gap_sq + trace1 + trace2 - 2.0 * trace_root
+    tol = 1e-10 * max(1.0, abs(trace1) + abs(trace2))
     if val < -tol:
         raise WsteerError(f"squared Wasserstein distance {val:.3e} below -{tol:.3e}")
     return max(val, 0.0)
 
 
-def _terminal_cov_inverse(ops, Theta):
-    """Inverse of Omega Stilde Omega^T with the rcond guard."""
-    Y = terminal_covariance(ops, Theta)
-    eigvals = np.linalg.eigvalsh(Y)
-    if eigvals[0] <= 0.0 or eigvals[0] < 1e-13 * eigvals[-1]:
-        raise SingularTerminalCovarianceError(
-            f"terminal covariance has rcond ~ "
-            f"{eigvals[0] / max(eigvals[-1], np.finfo(float).tiny):.3e} < 1e-13"
-        )
-    return Y, pd_inverse(Y)
+class _Terminal(NamedTuple):
+    """Terminal quantities at one Theta; see `_terminal`."""
+
+    Om: np.ndarray          # Omega = F(I + Hu Theta)
+    Y: np.ndarray           # terminal covariance Omega Stilde Omega^T
+    Y_eigvals: np.ndarray   # eigenvalues of Y, ascending
+    trace_root: float       # trace C^(1/2), C = Sd^(1/2) Y Sd^(1/2)
+    M: np.ndarray           # C^(-1/2) = (Sd^(-1/2) Y^(-1) Sd^(-1/2))^(1/2)
+    Mt: np.ndarray          # Sd # Y^(-1) = Sd^(1/2) M Sd^(1/2)
+    Nsim: np.ndarray        # Sd^(1/2) M Sd^(-1/2)
+    Yi: np.ndarray          # Y^(-1) = Sd^(1/2) C^(-1) Sd^(1/2)
 
 
-def _require_sd_roots(ops):
+def _terminal(ops, Theta):
+    """Every terminal quantity of J, its gradient and its Hessian at Theta,
+    from one eigendecomposition of C = Sd^(1/2) Y Sd^(1/2).
+
+    Raises NotPDError when Sd is not positive definite and
+    SingularTerminalCovarianceError when Y fails the rcond guard.
+    """
     if ops.sqrt_Sd is None:
         raise NotPDError("desired covariance Sd is not positive definite")
-    return ops.sqrt_Sd, ops.isqrt_Sd
+    sqrt_Sd, isqrt_Sd = ops.sqrt_Sd, ops.isqrt_Sd
+    Om = omega(ops, Theta)
+    Y = symmetrize(Om @ ops.Stilde @ Om.T)
+    y = np.linalg.eigvalsh(Y)
+    if y[0] <= 0.0 or y[0] < RCOND_GUARD * y[-1]:
+        raise SingularTerminalCovarianceError(
+            f"terminal covariance has rcond ~ "
+            f"{y[0] / max(y[-1], np.finfo(float).tiny):.3e} < {RCOND_GUARD:g}"
+        )
+    c, V = np.linalg.eigh(symmetrize(sqrt_Sd @ Y @ sqrt_Sd))
+    if c[0] <= 0.0:
+        raise SingularTerminalCovarianceError(
+            f"Sd^1/2 Y Sd^1/2 has eigenvalue {c[0]:.3e} <= 0"
+        )
+    root = np.sqrt(c)
+    M = symmetrize((V / root) @ V.T)
+    W = sqrt_Sd @ V
+    return _Terminal(
+        Om=Om, Y=Y, Y_eigvals=y,
+        trace_root=float(np.sum(root)),
+        M=M,
+        Mt=symmetrize(sqrt_Sd @ M @ sqrt_Sd),
+        Nsim=sqrt_Sd @ M @ isqrt_Sd,
+        Yi=symmetrize((W / c) @ W.T),
+    )
 
 
 def grad_uff(ops, lam, u_ff):
@@ -161,30 +202,58 @@ def grad_uff(ops, lam, u_ff):
     return 2.0 * u_ff + 2.0 * lam * (ops.FHu.T @ (mean - ops.mud))
 
 
+def _grad_j4(ops, lam, term):
+    return 2.0 * lam * (ops.FHu.T @ term.Mt @ term.Om @ ops.Stilde)
+
+
 def grad_theta_j4(ops, lam, Theta):
     """Gradient of the concave-side term J4 alone.
 
     Equals 2 lam FHu^T (Sd # (Omega Stilde Omega^T)^(-1)) Omega Stilde.
     """
     if lam == 0.0:
-        Theta = np.asarray(Theta, dtype=float)
-        return np.zeros_like(Theta)
-    _require_sd_roots(ops)
-    Om = omega(ops, Theta)
-    _, Yi = _terminal_cov_inverse(ops, Theta)
-    Mt = geometric_mean(ops.Sd, Yi)
-    return 2.0 * lam * (ops.FHu.T @ Mt @ Om @ ops.Stilde)
+        return np.zeros_like(np.asarray(Theta, dtype=float))
+    return _grad_j4(ops, lam, _terminal(ops, Theta))
+
+
+def _grad_theta(ops, lam, Theta, term):
+    G = 2.0 * Theta @ ops.Stilde
+    if lam != 0.0:
+        G = G + 2.0 * lam * (ops.FHu.T @ term.Om @ ops.Stilde)
+        G = G - _grad_j4(ops, lam, term)
+    return G
 
 
 def grad_theta(ops, lam, Theta):
     """Full (unprojected) gradient of J with respect to Theta."""
     Theta = np.asarray(Theta, dtype=float)
-    G = 2.0 * Theta @ ops.Stilde
+    term = _terminal(ops, Theta) if lam != 0.0 else None
+    return _grad_theta(ops, lam, Theta, term)
+
+
+def _hessian_theta(ops, lam, term):
+    p = ops.N * ops.n_u
+    S = ops.Stilde
+    H = 2.0 * np.kron(S, np.eye(p))
     if lam != 0.0:
-        Om = omega(ops, Theta)
-        G = G + 2.0 * lam * (ops.FHu.T @ Om @ ops.Stilde)
-        G = G - grad_theta_j4(ops, lam, Theta)
-    return G
+        FHu = ops.FHu
+        H = H + 2.0 * lam * np.kron(S, FHu.T @ FHu)
+
+        n_x = ops.n_x
+        A = np.kron(term.Om @ S, FHu)
+        B = A + commutation_apply(A, n_x, n_x)
+        C = np.kron(term.Yi, term.Yi) @ B
+        D = np.linalg.solve(kron_sum(term.Nsim, term.Nsim), C)
+        H = H + 2.0 * lam * (A.T @ D)
+        H = H - 2.0 * lam * np.kron(S, FHu.T @ term.Mt @ FHu)
+
+    scale = np.linalg.norm(H)
+    asym = np.linalg.norm(H - H.T)
+    if asym > 1e-8 * max(scale, np.finfo(float).tiny):
+        raise WsteerError(
+            f"assembled Hessian asymmetry {asym:.3e} exceeds 1e-8 * {scale:.3e}"
+        )
+    return symmetrize(H)
 
 
 def hessian_theta(ops, lam, Theta):
@@ -196,36 +265,8 @@ def hessian_theta(ops, lam, Theta):
     Mtilde = Sd # Y^(-1) with Y the terminal covariance.  The assembled matrix
     is checked to be symmetric to 1e-8 relative and returned symmetrized.
     """
-    Theta = np.asarray(Theta, dtype=float)
-    p = ops.N * ops.n_u
-    S = ops.Stilde
-    H = 2.0 * np.kron(S, np.eye(p))
-    if lam != 0.0:
-        sqrt_Sd, isqrt_Sd = _require_sd_roots(ops)
-        FHu = ops.FHu
-        H = H + 2.0 * lam * np.kron(S, FHu.T @ FHu)
-
-        Om = omega(ops, Theta)
-        _, Yi = _terminal_cov_inverse(ops, Theta)
-        M = sqrtm_psd(symmetrize(isqrt_Sd @ Yi @ isqrt_Sd))
-        Nsim = sqrt_Sd @ M @ isqrt_Sd
-        Mt = symmetrize(sqrt_Sd @ M @ sqrt_Sd)
-
-        n_x = ops.n_x
-        A = np.kron(Om @ S, FHu)
-        B = A + commutation_apply(A, n_x, n_x)
-        C = np.kron(Yi, Yi) @ B
-        D = np.linalg.solve(kron_sum(Nsim, Nsim), C)
-        H = H + 2.0 * lam * (A.T @ D)
-        H = H - 2.0 * lam * np.kron(S, FHu.T @ Mt @ FHu)
-
-    scale = np.linalg.norm(H)
-    asym = np.linalg.norm(H - H.T)
-    if asym > 1e-8 * max(scale, np.finfo(float).tiny):
-        raise WsteerError(
-            f"assembled Hessian asymmetry {asym:.3e} exceeds 1e-8 * {scale:.3e}"
-        )
-    return symmetrize(H)
+    term = _terminal(ops, Theta) if lam != 0.0 else None
+    return _hessian_theta(ops, lam, term)
 
 
 def evaluate(ops, lam, policy, mask=None, want_hessian=False):
@@ -240,43 +281,27 @@ def evaluate(ops, lam, policy, mask=None, want_hessian=False):
 
     u = policy.u_ff
     Theta = policy.Theta
-    S = ops.Stilde
+    term = _terminal(ops, Theta)
 
     mean = ops.FGamma_mu0 + ops.FHu @ u
     dmu = mean - ops.mud
-    Om = omega(ops, Theta)
-    Y = symmetrize(Om @ S @ Om.T)
+    trace_Y = float(np.trace(term.Y))
+    trace_Sd = float(np.trace(ops.Sd))
 
     J1 = float(u @ u) + lam * float(dmu @ dmu)
-    J2 = float(np.trace(Theta @ S @ Theta.T))
-
-    sqrt_Sd, _ = _require_sd_roots(ops)
-    try:
-        cross = sqrtm_psd(symmetrize(sqrt_Sd @ Y @ sqrt_Sd))
-    except WsteerError as e:
-        raise type(e)(f"while computing (Sd^1/2 Y Sd^1/2)^1/2: {e}") from e
-    trace_cross = float(np.trace(cross))
-
-    J3 = lam * float(np.trace(Y) + np.trace(ops.Sd))
-    J4 = 2.0 * lam * trace_cross
+    J2 = float(np.trace(Theta @ ops.Stilde @ Theta.T))
+    J3 = lam * (trace_Y + trace_Sd)
+    J4 = 2.0 * lam * term.trace_root
     J = J1 + J2 + J3 - J4
-
-    w2 = float(dmu @ dmu) + float(np.trace(Y) + np.trace(ops.Sd)) - 2.0 * trace_cross
-    tol = 1e-10 * max(1.0, abs(np.trace(Y)) + abs(np.trace(ops.Sd)))
-    if w2 < -tol:
-        raise WsteerError(f"squared Wasserstein distance {w2:.3e} below -{tol:.3e}")
-    w2 = max(w2, 0.0)
-
-    hess = hessian_theta(ops, lam, Theta) if want_hessian else None
 
     return ObjectiveReport(
         J=J, J1=J1, J2=J2, J3=J3, J4=J4,
-        W2_sq=w2,
+        W2_sq=_w2_sq(float(dmu @ dmu), trace_Y, trace_Sd, term.trace_root),
         cost_to_go=float(u @ u) + J2,
-        terminal=Gaussian(mean=mean, cov=Y),
+        terminal=Gaussian(mean=mean, cov=term.Y),
         grad_uff=grad_uff(ops, lam, u),
-        grad_theta=grad_theta(ops, lam, Theta),
-        hessian_theta=hess,
+        grad_theta=_grad_theta(ops, lam, Theta, term),
+        hessian_theta=_hessian_theta(ops, lam, term) if want_hessian else None,
     )
 
 
@@ -301,15 +326,15 @@ def convexity_certificate(ops, lam, Theta, mode="dominance", psd_tol=None):
     Hessian); mode "spectral" assembles the Hessian and reports its minimum
     eigenvalue.
     """
-    Y = terminal_covariance(ops, Theta)
-    gap = float(np.linalg.eigvalsh(Y - ops.Sd)[0])
+    if mode not in ("dominance", "spectral"):
+        raise ValueError(f"unknown certificate mode {mode!r}")
+    term = _terminal(ops, Theta)
+    gap = float(np.linalg.eigvalsh(term.Y - ops.Sd)[0])
     if mode == "dominance":
         if psd_tol is None:
-            psd_tol = 1e-10 * max(1.0, float(np.linalg.eigvalsh(Y)[-1]))
+            psd_tol = 1e-10 * max(1.0, float(term.Y_eigvals[-1]))
         kind = "DominatedCovariance" if gap >= -psd_tol else None
         return Certificate(kind=kind, dominance_gap=gap)
-    if mode == "spectral":
-        Hmin = float(np.linalg.eigvalsh(hessian_theta(ops, lam, Theta))[0])
-        kind = "HessianPD" if Hmin > 0.0 else None
-        return Certificate(kind=kind, dominance_gap=gap, lambda_min_hessian=Hmin)
-    raise ValueError(f"unknown certificate mode {mode!r}")
+    Hmin = float(np.linalg.eigvalsh(_hessian_theta(ops, lam, term))[0])
+    kind = "HessianPD" if Hmin > 0.0 else None
+    return Certificate(kind=kind, dominance_gap=gap, lambda_min_hessian=Hmin)

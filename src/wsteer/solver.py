@@ -21,7 +21,6 @@ from .objective import (
     Policy,
     convexity_certificate,
     evaluate,
-    grad_theta,
     grad_theta_j4,
     hessian_theta,
     stationarity_residual,
@@ -38,7 +37,6 @@ class SolverOptions:
     theta_init: Optional[np.ndarray] = None
     newton: str = "off"  # "off" | "when_certified"
     newton_max_iters: int = 20
-    line_scan_grid: Optional[tuple] = None  # (gamma_min, gamma_max, points)
 
     def __post_init__(self):
         if self.max_ccp_iters < 1:
@@ -49,10 +47,6 @@ class SolverOptions:
             raise ValueError(f"unknown newton mode {self.newton!r}")
         if self.newton_max_iters < 1:
             raise ValueError("newton_max_iters must be >= 1")
-        if self.line_scan_grid is not None:
-            gmin, gmax, points = self.line_scan_grid
-            if points < 2 or not (gmax > gmin):
-                raise ValueError("line_scan_grid needs >= 2 points and gmax > gmin")
 
 
 @dataclass(frozen=True)
@@ -180,9 +174,10 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None):
     trace = SolveTrace()
 
     def _record(k, kind, Theta_k):
-        pol = Policy(u_ff, Theta_k)
-        rep = evaluate(ops, lam, pol, mask)
-        res = stationarity_residual(ops, lam, pol, mask)
+        rep = evaluate(ops, lam, Policy(u_ff, Theta_k), mask)
+        # Theta_k is causal, so this is stationarity_residual at Theta_k
+        G = rep.grad_theta.reshape(-1, order="F")[mask.free_entries]
+        res = float(np.linalg.norm(G))
         trace.records.append(IterRecord(
             k=k, kind=kind, J=rep.J, J1=rep.J1, J2=rep.J2, J3=rep.J3,
             J4=rep.J4, residual=res,
@@ -226,11 +221,10 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
     free = mask.free_entries
 
     rep = evaluate(ops, lam, Policy(u_ff, Theta), mask)
-    J = rep.J
     base_iter = trace.records[-1].k if trace and trace.records else 0
 
     for k in range(1, options.newton_max_iters + 1):
-        g = grad_theta(ops, lam, Theta).reshape(-1, order="F")[free]
+        g = rep.grad_theta.reshape(-1, order="F")[free]
         res = float(np.linalg.norm(g))
         if res <= options.stationarity_tol:
             break
@@ -248,13 +242,13 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
         for _ in range(60):
             cand = _theta_from_free(mask, Theta.reshape(-1, order="F")[free] - t * step)
             rep_c = evaluate(ops, lam, Policy(u_ff, cand), mask)
-            if rep_c.J <= J:
+            if rep_c.J <= rep.J:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break
-        Theta, J = cand, rep_c.J
+        Theta, rep = cand, rep_c
         if trace is not None:
             res_new = stationarity_residual(ops, lam, Policy(u_ff, Theta), mask)
             trace.records.append(IterRecord(
@@ -314,15 +308,15 @@ class LineScanSample:
 def line_scan(ops, lam, policy_a, policy_b, grid):
     """Evaluate J along the affine segment between two policies.
 
-    g(gamma) interpolates both u_ff and Theta; gamma = 0 and 1 reproduce the
-    endpoint evaluations exactly.  Returns one LineScanSample per grid point.
+    g(gamma) = (1 - gamma) a + gamma b interpolates both u_ff and Theta, so
+    gamma = 0 and 1 reproduce the endpoint evaluations exactly.  Returns one
+    LineScanSample per grid point.
     """
     grid = np.asarray(grid, dtype=float)
-    du = policy_b.u_ff - policy_a.u_ff
-    dT = policy_b.Theta - policy_a.Theta
+    a, b = policy_a, policy_b
     samples = []
     for g in grid:
-        pol = Policy(policy_a.u_ff + g * du, policy_a.Theta + g * dT)
+        pol = Policy((1.0 - g) * a.u_ff + g * b.u_ff, (1.0 - g) * a.Theta + g * b.Theta)
         try:
             rep = evaluate(ops, lam, pol)
         except WsteerError as e:

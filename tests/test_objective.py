@@ -3,6 +3,8 @@ stationarity residual, and convexity certificates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -21,6 +23,7 @@ from wsteer import matops as mo
 from wsteer.errors import IndefiniteBeyondToleranceError, SingularTerminalCovarianceError
 from wsteer.objective import (
     Policy,
+    _terminal,
     convexity_certificate,
     evaluate,
     grad_theta,
@@ -315,3 +318,31 @@ def test_certificate_fails_on_wide_target_at_tight_optimum():
     cert = convexity_certificate(wops, wide.lam, sol.Theta, mode="dominance")
     assert cert.kind is None
     assert cert.dominance_gap < 0.0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    N=st.integers(1, 5),
+    n_x=st.integers(1, 3),
+    n_u=st.sampled_from([1, 2]),
+    extra_w=st.sampled_from([0, 1]),
+)
+def test_terminal_kernel_matches_matops_oracles(seed, N, n_x, n_u, extra_w):
+    # the one-eigh kernel against the separate matops functions it replaces
+    rng = np.random.default_rng(seed)
+    prob = rand_problem(rng, N=N, n_x=n_x, n_u=n_u, n_w=n_x + extra_w)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(N, n_u, n_x)
+    Theta = rand_causal_theta(rng, mask, scale=0.6)
+    term = _terminal(ops, Theta)
+    Y = terminal_covariance(ops, Theta)
+    C = mo.symmetrize(ops.sqrt_Sd @ Y @ ops.sqrt_Sd)
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    assert rel(term.trace_root, np.trace(mo.sqrtm_psd(C))) <= 1e-10
+    assert rel(term.Mt, mo.geometric_mean(ops.Sd, np.linalg.inv(Y))) <= 1e-10
+    assert rel(term.M, mo.sqrtm_psd(mo.symmetrize(np.linalg.inv(C)))) <= 1e-10
+    assert rel(term.Yi, np.linalg.inv(Y)) <= 1e-10

@@ -256,8 +256,6 @@ def test_solver_options_validation():
         SolverOptions(obj_rel_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(newton="always")
-    with pytest.raises(ValueError):
-        SolverOptions(line_scan_grid=(0.0, 1.0, 1))
 
 
 def test_line_scan_constant_and_endpoints():
@@ -268,8 +266,30 @@ def test_line_scan_constant_and_endpoints():
     same = line_scan(ops, prob.lam, pa, pa, np.linspace(-0.5, 1.5, 11))
     assert len({s.J for s in same}) == 1
     ends = line_scan(ops, prob.lam, pa, pb, np.array([0.0, 1.0]))
-    assert ends[0].J == evaluate(ops, prob.lam, pa).J
-    assert ends[1].J == evaluate(ops, prob.lam, pb).J
+    for sample, pol in zip(ends, (pa, pb)):
+        rep = evaluate(ops, prob.lam, pol)
+        assert (sample.J, sample.J1, sample.J2, sample.J3, sample.J4) == \
+            (rep.J, rep.J1, rep.J2, rep.J3, rep.J4)
+
+
+def test_ccp_eig_calls_per_iteration(monkeypatch):
+    # one terminal kernel per evaluation: evaluate and the subproblem
+    # right-hand side each take one eigvalsh of Y and one eigh of C
+    prob = double_integrator_problem(SD_TIGHT, lam=2000.0)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
+    calls = [0]
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[0] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, stationarity_tol=1e-6)
+    _, trace = ccp_solve(ops, prob.lam, mask, opts, u_ff=solve_feedforward(ops, prob.lam))
+    assert trace.iterations > 100
+    assert calls[0] <= 4 * trace.iterations + 20
 
 
 def test_count_strict_local_minima():
