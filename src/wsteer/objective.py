@@ -9,15 +9,18 @@ The total cost splits as J = J1(u_ff) + J2(Theta) + J3(Theta) - J4(Theta):
 
 with Omega = F(I + Hu Theta).  J1 + J2 + J3 is convex quadratic and J4 is
 convex (a nuclear norm of an affine map), so J is a difference of convex
-functions; the J4 gradient involves the matrix geometric mean
-Sd # (Omega Stilde Omega^T)^(-1), and the Hessian of J has an exact four-term
-expression assembled here and cross-checked against finite differences in the
-test suite.
+functions.  Every terminal quantity at an iterate comes from one kernel,
+`_terminal`, which takes a single eigendecomposition C = Sd^(1/2) Y Sd^(1/2) =
+V diag(r^2) V^T with Y the terminal covariance; with W = Sd^(1/2) V it gives
+trace C^(1/2) = sum(r) (J4, W2) and the geometric mean Mt = Sd # Y^(-1) =
+W diag(1/r) W^T of the J4 gradient.  The Hessian of J in vec(Theta) is
 
-Every terminal quantity at an iterate (trace C^(1/2) for J4 and W2, the
-geometric mean, the Hessian's M and Y^(-1)) comes from one kernel, `_terminal`,
-which takes a single eigendecomposition of C = Sd^(1/2) Y Sd^(1/2) with Y the
-terminal covariance.
+    H = Stilde kron 2P + 2 lam T^T [g * (T + K T)],  P = I + lam sym(FHu^T (I - Mt) FHu),
+
+with T = (W^T Omega Stilde) kron (W^T FHu) (n_x^2 rows), K the commutation
+matrix and g = vec(G), G_ij = 1/(r_i r_j (r_i + r_j)).  The second term is the
+Frechet derivative of C^(-1/2), whose Sylvester equation is diagonal in the
+eigenbasis.  The CCP curvature is the first term with Mt = 0.
 """
 
 from dataclasses import dataclass
@@ -35,7 +38,6 @@ from .matops import (
     RCOND_GUARD,
     commutation_apply,
     geometric_mean,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
-    kron_sum,
     sqrtm_psd,
     symmetrize,
 )
@@ -94,7 +96,6 @@ class ObjectiveReport:
     terminal: Gaussian
     grad_uff: np.ndarray
     grad_theta: np.ndarray
-    hessian_theta: Optional[np.ndarray] = None
     certificate: Optional[Certificate] = None
 
 
@@ -153,10 +154,9 @@ class _Terminal(NamedTuple):
     Y: np.ndarray           # terminal covariance Omega Stilde Omega^T
     Y_eigvals: np.ndarray   # eigenvalues of Y, ascending
     trace_root: float       # trace C^(1/2), C = Sd^(1/2) Y Sd^(1/2)
-    M: np.ndarray           # C^(-1/2) = (Sd^(-1/2) Y^(-1) Sd^(-1/2))^(1/2)
-    Mt: np.ndarray          # Sd # Y^(-1) = Sd^(1/2) M Sd^(1/2)
-    Nsim: np.ndarray        # Sd^(1/2) M Sd^(-1/2)
-    Yi: np.ndarray          # Y^(-1) = Sd^(1/2) C^(-1) Sd^(1/2)
+    W: np.ndarray           # Sd^(1/2) V, with C = V diag(r^2) V^T
+    r: np.ndarray           # square roots of the eigenvalues of C, ascending
+    Mt: np.ndarray          # Sd # Y^(-1) = W diag(1/r) W^T
 
 
 def _terminal(ops, Theta):
@@ -168,7 +168,6 @@ def _terminal(ops, Theta):
     """
     if ops.sqrt_Sd is None:
         raise NotPDError("desired covariance Sd is not positive definite")
-    sqrt_Sd, isqrt_Sd = ops.sqrt_Sd, ops.isqrt_Sd
     Om = omega(ops, Theta)
     Y = symmetrize(Om @ ops.Stilde @ Om.T)
     y = np.linalg.eigvalsh(Y)
@@ -177,21 +176,18 @@ def _terminal(ops, Theta):
             f"terminal covariance has rcond ~ "
             f"{y[0] / max(y[-1], np.finfo(float).tiny):.3e} < {RCOND_GUARD:g}"
         )
-    c, V = np.linalg.eigh(symmetrize(sqrt_Sd @ Y @ sqrt_Sd))
+    c, V = np.linalg.eigh(symmetrize(ops.sqrt_Sd @ Y @ ops.sqrt_Sd))
     if c[0] <= 0.0:
         raise SingularTerminalCovarianceError(
             f"Sd^1/2 Y Sd^1/2 has eigenvalue {c[0]:.3e} <= 0"
         )
-    root = np.sqrt(c)
-    M = symmetrize((V / root) @ V.T)
-    W = sqrt_Sd @ V
+    r = np.sqrt(c)
+    W = ops.sqrt_Sd @ V
     return _Terminal(
         Om=Om, Y=Y, Y_eigvals=y,
-        trace_root=float(np.sum(root)),
-        M=M,
-        Mt=symmetrize(sqrt_Sd @ M @ sqrt_Sd),
-        Nsim=sqrt_Sd @ M @ isqrt_Sd,
-        Yi=symmetrize((W / c) @ W.T),
+        trace_root=float(np.sum(r)),
+        W=W, r=r,
+        Mt=symmetrize((W / r) @ W.T),
     )
 
 
@@ -231,21 +227,25 @@ def grad_theta(ops, lam, Theta):
     return _grad_theta(ops, lam, Theta, term)
 
 
-def _hessian_theta(ops, lam, term):
-    p = ops.N * ops.n_u
-    S = ops.Stilde
-    H = 2.0 * np.kron(S, np.eye(p))
-    if lam != 0.0:
-        FHu = ops.FHu
-        H = H + 2.0 * lam * np.kron(S, FHu.T @ FHu)
+def kron_curvature(ops, lam, Mt=None):
+    """Stilde kron 2P, P = I + lam sym(FHu^T (I - Mt) FHu): the curvature of
+    J2 + J3 (the CCP subproblem's) without Mt, plus J4's Kronecker part with
+    Mt = Sd # Y^(-1).  The one full-size Kronecker product of the Hessian."""
+    FHu = ops.FHu
+    R = FHu if Mt is None else FHu - Mt @ FHu
+    P = np.eye(FHu.shape[1]) + lam * symmetrize(FHu.T @ R)
+    return np.kron(ops.Stilde, 2.0 * P)
 
-        n_x = ops.n_x
-        A = np.kron(term.Om @ S, FHu)
-        B = A + commutation_apply(A, n_x, n_x)
-        C = np.kron(term.Yi, term.Yi) @ B
-        D = np.linalg.solve(kron_sum(term.Nsim, term.Nsim), C)
-        H = H + 2.0 * lam * (A.T @ D)
-        H = H - 2.0 * lam * np.kron(S, FHu.T @ term.Mt @ FHu)
+
+def _hessian_theta(ops, lam, term):
+    if lam == 0.0:
+        H = kron_curvature(ops, lam)
+    else:
+        H = kron_curvature(ops, lam, term.Mt)
+        n_x, r = ops.n_x, term.r
+        g = 1.0 / (np.outer(r, r) * np.add.outer(r, r))
+        T = np.kron(term.W.T @ term.Om @ ops.Stilde, term.W.T @ ops.FHu)
+        H += 2.0 * lam * (T.T @ (g.reshape(-1, 1) * (T + commutation_apply(T, n_x, n_x))))
 
     scale = np.linalg.norm(H)
     asym = np.linalg.norm(H - H.T)
@@ -259,17 +259,16 @@ def _hessian_theta(ops, lam, term):
 def hessian_theta(ops, lam, Theta):
     """Exact Hessian of J with respect to vec(Theta) (column stacking).
 
-    Four terms: the constant 2(Stilde kron I) curvature of J2, the constant
-    2 lam (Stilde kron FHu^T FHu) curvature of J3, and the two J4 curvature
-    terms built from M = (Sd^(-1/2) Y^(-1) Sd^(-1/2))^(1/2) and
-    Mtilde = Sd # Y^(-1) with Y the terminal covariance.  The assembled matrix
+    Stilde kron 2P, with P = I + lam sym(FHu^T (I - Mt) FHu), plus the
+    rank-n_x^2 Frechet term of J4 in the eigenbasis of
+    C = Sd^(1/2) Y Sd^(1/2); see the module docstring.  The assembled matrix
     is checked to be symmetric to 1e-8 relative and returned symmetrized.
     """
     term = _terminal(ops, Theta) if lam != 0.0 else None
     return _hessian_theta(ops, lam, term)
 
 
-def evaluate(ops, lam, policy, mask=None, want_hessian=False):
+def evaluate(ops, lam, policy, mask=None):
     """Evaluate J, its decomposition, the terminal law, and the gradients.
 
     When a CausalityMask is supplied the policy must already satisfy it.
@@ -301,7 +300,6 @@ def evaluate(ops, lam, policy, mask=None, want_hessian=False):
         terminal=Gaussian(mean=mean, cov=term.Y),
         grad_uff=grad_uff(ops, lam, u),
         grad_theta=_grad_theta(ops, lam, Theta, term),
-        hessian_theta=_hessian_theta(ops, lam, term) if want_hessian else None,
     )
 
 
@@ -318,22 +316,21 @@ def stationarity_residual(ops, lam, policy, mask):
     return float(np.linalg.norm(G.reshape(-1, order="F")[mask.free_entries]))
 
 
-def convexity_certificate(ops, lam, Theta, mode="dominance", psd_tol=None):
+def convexity_certificate(ops, lam, Theta, mode="dominance"):
     """Check the sufficient convexity condition at the given Theta.
 
-    mode "dominance" tests lambda_min(Omega Stilde Omega^T - Sd) >= -psd_tol
-    (terminal covariance dominates Sd in the Loewner order, which implies a PD
-    Hessian); mode "spectral" assembles the Hessian and reports its minimum
-    eigenvalue.
+    mode "dominance" tests lambda_min(Omega Stilde Omega^T - Sd) >= -tol with
+    tol = 1e-10 max(1, lambda_max(Omega Stilde Omega^T)) (terminal covariance
+    dominates Sd in the Loewner order, which implies a PD Hessian); mode
+    "spectral" assembles the Hessian and reports its minimum eigenvalue.
     """
     if mode not in ("dominance", "spectral"):
         raise ValueError(f"unknown certificate mode {mode!r}")
     term = _terminal(ops, Theta)
     gap = float(np.linalg.eigvalsh(term.Y - ops.Sd)[0])
     if mode == "dominance":
-        if psd_tol is None:
-            psd_tol = 1e-10 * max(1.0, float(term.Y_eigvals[-1]))
-        kind = "DominatedCovariance" if gap >= -psd_tol else None
+        tol = 1e-10 * max(1.0, float(term.Y_eigvals[-1]))
+        kind = "DominatedCovariance" if gap >= -tol else None
         return Certificate(kind=kind, dominance_gap=gap)
     Hmin = float(np.linalg.eigvalsh(_hessian_theta(ops, lam, term))[0])
     kind = "HessianPD" if Hmin > 0.0 else None

@@ -157,7 +157,6 @@ class BlockOperators:
     FHu: np.ndarray = field(repr=False, default=None)
     FGamma_mu0: np.ndarray = field(repr=False, default=None)
     sqrt_Sd: np.ndarray = field(repr=False, default=None)
-    isqrt_Sd: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -273,13 +272,9 @@ def assemble(problem):
 
     Sd = problem.desired.cov
     sd_eigvals, sd_V = np.linalg.eigh(symmetrize(Sd))
+    sqrt_Sd = None
     if sd_eigvals[0] > 0.0:
-        root = np.sqrt(sd_eigvals)
-        sqrt_Sd = symmetrize((sd_V * root) @ sd_V.T)
-        isqrt_Sd = symmetrize((sd_V / root) @ sd_V.T)
-    else:
-        sqrt_Sd = None
-        isqrt_Sd = None
+        sqrt_Sd = symmetrize((sd_V * np.sqrt(sd_eigvals)) @ sd_V.T)
 
     return BlockOperators(
         N=N, n_x=n_x, n_u=n_u, n_w=n_w,
@@ -290,7 +285,6 @@ def assemble(problem):
         FHu=Hu[N * n_x:, :].copy(),
         FGamma_mu0=Gamma[N * n_x:, :] @ problem.initial.mean,
         sqrt_Sd=sqrt_Sd,
-        isqrt_Sd=isqrt_Sd,
     )
 
 

@@ -23,6 +23,7 @@ from .objective import (
     evaluate,
     grad_theta_j4,
     hessian_theta,
+    kron_curvature,
     stationarity_residual,
 )
 from .problem import assemble, causality_mask, validate
@@ -72,7 +73,7 @@ class SolveTrace:
 
     @property
     def converged(self):
-        return self.termination in ("stationarity", "objective_stalled")
+        return self.termination == "stationarity"
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,10 @@ def solve_feedforward_woodbury(ops, lam, mu0=None, mud=None):
 
 
 def _reduced_curvature_factor(ops, lam, mask):
-    """Cholesky factor of the causal restriction of 2(S kron I) + 2 lam (S kron FHu^T FHu)."""
-    p = ops.N * ops.n_u
-    FHu = ops.FHu
-    Hc = 2.0 * np.kron(ops.Stilde, np.eye(p))
-    if lam != 0.0:
-        Hc += 2.0 * lam * np.kron(ops.Stilde, FHu.T @ FHu)
+    """Cholesky factor of the causal restriction of the CCP curvature
+    Stilde kron 2(I + lam FHu^T FHu), the Hessian of J without the J4 terms."""
     free = mask.free_entries
-    return scipy.linalg.cho_factor(Hc[np.ix_(free, free)])
+    return scipy.linalg.cho_factor(kron_curvature(ops, lam)[np.ix_(free, free)])
 
 
 def _subproblem_rhs(ops, lam, Theta_k, mask):

@@ -72,6 +72,17 @@ def test_solve_max_iters_exit_two(tmp_path):
     assert main(["solve", str(cfg), "-o", str(tmp_path / "s.json")]) == 2
 
 
+def test_solve_stalled_above_tol_exit_two(tmp_path, capsys):
+    # the tight target at lambda=100 stalls at residual ~1e-5 > 1e-6
+    cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT, **{"lambda": 100.0})
+    out = tmp_path / "s.json"
+    assert main(["solve", str(cfg), "-o", str(out)]) == 2
+    trace = json.loads(out.read_text())["trace"]
+    assert trace["termination"] == "objective_stalled"
+    assert trace["final_residual"] > 1e-6
+    assert "not converged" in capsys.readouterr().err
+
+
 def test_per_step_matrices_accepted(tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["time_invariant"] = False
@@ -154,6 +165,16 @@ def test_check_bad_stilde_exit_one(tmp_path):
     cfg = write_config(tmp_path / "p.json", S0=[[0.0, 0.0], [0.0, 0.0]],
                        Sw=[[0.0, 0.0], [0.0, 0.0]])
     assert main(["check", str(cfg)]) == 1
+
+
+def test_check_singular_sd_fails_rows_exit_one(tmp_path, capsys):
+    cfg = write_config(tmp_path / "p.json", Sd=[[0.2, 0.0], [0.0, 0.0]])
+    assert main(["check", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    line = next(l for l in out.splitlines()
+                if l.startswith("derivatives and Theta=0 certificate"))
+    assert "FAIL" in line and "NotPDError" in line
+    assert "desired covariance not PD" in out
 
 
 def test_simulate_roundtrip_and_determinism(tmp_path, capsys):

@@ -3,7 +3,7 @@ stationarity residual, and convexity certificates."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -344,5 +344,51 @@ def test_terminal_kernel_matches_matops_oracles(seed, N, n_x, n_u, extra_w):
 
     assert rel(term.trace_root, np.trace(mo.sqrtm_psd(C))) <= 1e-10
     assert rel(term.Mt, mo.geometric_mean(ops.Sd, np.linalg.inv(Y))) <= 1e-10
-    assert rel(term.M, mo.sqrtm_psd(mo.symmetrize(np.linalg.inv(C)))) <= 1e-10
-    assert rel(term.Yi, np.linalg.inv(Y)) <= 1e-10
+    assert rel((term.W / term.r ** 2) @ term.W.T, np.linalg.inv(Y)) <= 1e-10
+
+
+def hessian_kron_sum_oracle(ops, lam, Theta):
+    """The dense four-term Hessian: 2(Stilde kron I) + 2 lam (Stilde kron
+    FHu^T FHu) - 2 lam (Stilde kron FHu^T Mt FHu) + 2 lam A^T D, where
+    A = (Omega Stilde) kron FHu and D solves (Nsim kron-sum Nsim) D =
+    (Y^-1 kron Y^-1)(I + K) A, with M = (Sd^-1/2 Y^-1 Sd^-1/2)^1/2,
+    Mt = Sd^1/2 M Sd^1/2 and Nsim = Sd^1/2 M Sd^-1/2, all from matops."""
+    S, FHu, n_x = ops.Stilde, ops.FHu, ops.n_x
+    H = 2.0 * np.kron(S, np.eye(ops.N * ops.n_u))
+    if lam == 0.0:
+        return H
+    Om = omega(ops, Theta)
+    Yi = np.linalg.inv(mo.symmetrize(Om @ S @ Om.T))
+    sqrt_Sd = mo.sqrtm_psd(ops.Sd)
+    isqrt_Sd = np.linalg.inv(sqrt_Sd)
+    M = mo.sqrtm_psd(mo.symmetrize(isqrt_Sd @ Yi @ isqrt_Sd))
+    Mt = sqrt_Sd @ M @ sqrt_Sd
+    Nsim = sqrt_Sd @ M @ isqrt_Sd
+    A = np.kron(Om @ S, FHu)
+    B = A + mo.commutation_apply(A, n_x, n_x)
+    D = np.linalg.solve(mo.kron_sum(Nsim, Nsim), np.kron(Yi, Yi) @ B)
+    H = H + 2.0 * lam * (np.kron(S, FHu.T @ FHu) + A.T @ D - np.kron(S, FHu.T @ Mt @ FHu))
+    return mo.symmetrize(H)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    N=st.integers(1, 4),
+    n_x=st.integers(1, 3),
+    n_u=st.sampled_from([1, 2]),
+    extra_w=st.sampled_from([0, 1]),
+    lam=st.sampled_from([0.0, 0.3, 1.0, 25.0]),
+)
+@example(seed=1, N=3, n_x=2, n_u=2, extra_w=1, lam=0.0)
+@example(seed=2, N=3, n_x=3, n_u=2, extra_w=1, lam=4.0)
+def test_hessian_matches_kron_sum_oracle(seed, N, n_x, n_u, extra_w, lam):
+    # the eigenbasis Hessian against the dense Kronecker-sum formula it replaced
+    rng = np.random.default_rng(seed)
+    prob = rand_problem(rng, N=N, n_x=n_x, n_u=n_u, n_w=n_x + extra_w)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(N, n_u, n_x)
+    Theta = rand_causal_theta(rng, mask, scale=0.6)
+    H = hessian_theta(ops, lam, Theta)
+    H_oracle = hessian_kron_sum_oracle(ops, lam, Theta)
+    assert np.linalg.norm(H - H_oracle) <= 1e-10 * np.linalg.norm(H_oracle)

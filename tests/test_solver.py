@@ -123,6 +123,15 @@ def test_ccp_solve_trivial_target():
     assert trace.converged
 
 
+def test_stalled_solve_is_not_converged():
+    # CCP tests stationarity first, so a stall always leaves the residual above tol
+    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, stationarity_tol=1e-6)
+    sol = w.solve(double_integrator_problem(SD_TIGHT, lam=100.0), opts)
+    assert sol.trace.termination == "objective_stalled"
+    assert sol.trace.records[-1].residual > opts.stationarity_tol
+    assert not sol.trace.converged
+
+
 def test_ccp_solve_monotone_and_causal():
     for seed in (13, 14):
         _, prob, ops, mask = setup_random(seed)
