@@ -54,9 +54,11 @@ def load_config(path):
         cfg = json.load(fh)
     if "N" not in cfg:
         raise ValueError("config missing field 'N'")
-    N = int(cfg["N"])
-    if N < 1:
-        raise ValueError("field 'N' must be >= 1")
+    N = cfg["N"]
+    # N % 1 is nan for inf and nan; bool is an int subclass
+    if isinstance(N, bool) or not isinstance(N, (int, float)) or N % 1 != 0 or N < 1:
+        raise ValueError(f"field 'N' must be an integer >= 1, got {N!r}")
+    N = int(N)
 
     if cfg.get("time_invariant", False):
         A = _matrix(cfg, "A")
@@ -201,6 +203,7 @@ def cmd_scan(config_a, config_b, gamma_min, gamma_max, points, lambda_sweep, out
     try:
         problem_a, cfg_a = load_config(config_a)
         problem_b, cfg_b = load_config(config_b)
+        lams = _parse_lambda_sweep(lambda_sweep) or [problem_a.lam]
     except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
         return _fail(str(e))
 
@@ -217,7 +220,6 @@ def cmd_scan(config_a, config_b, gamma_min, gamma_max, points, lambda_sweep, out
         return _fail("need at least 2 grid points")
 
     grid = np.linspace(gamma_min, gamma_max, points)
-    lams = lambda_sweep if lambda_sweep else [problem_a.lam]
 
     try:
         results = [_scan_one_lambda(problem_a, problem_b, cfg_a, cfg_b, lam, grid)
@@ -413,9 +415,10 @@ def cmd_simulate(config_path, solution_path, samples=None, seed=None, out_path=N
 
 
 def _parse_lambda_sweep(text):
-    if not text:
-        return None
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as e:
+        raise ValueError(f"--lambda-sweep: {e}") from None
 
 
 def main(argv=None):
@@ -456,8 +459,7 @@ def main(argv=None):
         return cmd_solve(args.config, args.output)
     if args.command == "scan":
         return cmd_scan(args.config_a, args.config_b, args.gamma_min,
-                        args.gamma_max, args.points,
-                        _parse_lambda_sweep(args.lambda_sweep), args.output)
+                        args.gamma_max, args.points, args.lambda_sweep, args.output)
     if args.command == "check":
         return cmd_check(args.config)
     if args.command == "simulate":

@@ -15,12 +15,13 @@ V diag(r^2) V^T with Y the terminal covariance; with W = Sd^(1/2) V it gives
 trace C^(1/2) = sum(r) (J4, W2) and the geometric mean Mt = Sd # Y^(-1) =
 W diag(1/r) W^T of the J4 gradient.  The Hessian of J in vec(Theta) is
 
-    H = Stilde kron 2P + 2 lam T^T [g * (T + K T)],  P = I + lam sym(FHu^T (I - Mt) FHu),
+    H = Stilde kron 2P + Z^T Z,  P = I + lam sym(FHu^T (I - Mt) FHu),
 
-with T = (W^T Omega Stilde) kron (W^T FHu) (n_x^2 rows), K the commutation
-matrix and g = vec(G), G_ij = 1/(r_i r_j (r_i + r_j)).  The second term is the
-Frechet derivative of C^(-1/2), whose Sylvester equation is diagonal in the
-eigenbasis.  The CCP curvature is the first term with Mt = 0.
+with Z = sqrt(lam g) * (T + K T), T = (W^T Omega Stilde) kron (W^T FHu) (n_x^2
+rows), K the commutation matrix and g = vec(G), G_ij = 1/(r_i r_j (r_i + r_j)).
+The second term is the Frechet derivative of C^(-1/2), diagonal in the
+eigenbasis.  The CCP curvature is the first term with Mt = 0.  The solver
+builds both only on the causal entries of Theta.
 """
 
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .matops import (
     sqrtm_psd,
     symmetrize,
 )
-from .problem import Gaussian
+from .problem import Gaussian, causality_mask
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,10 @@ class Certificate:
     """Outcome of a convexity check.
 
     kind is "DominatedCovariance" when the terminal covariance dominates Sd in
-    the Loewner order, "HessianPD" when the assembled Hessian is positive
-    definite, or None when neither test passed.  dominance_gap records
-    lambda_min(terminal covariance - Sd); lambda_min_hessian is filled when the
-    spectral test ran.
+    the Loewner order, "HessianPD" when the Hessian over the causal entries of
+    Theta is positive definite, or None when neither test passed.  dominance_gap
+    is lambda_min(terminal covariance - Sd); lambda_min_hessian is filled when
+    the spectral test ran.
     """
 
     kind: Optional[str]
@@ -227,45 +228,38 @@ def grad_theta(ops, lam, Theta):
     return _grad_theta(ops, lam, Theta, term)
 
 
-def kron_curvature(ops, lam, Mt=None):
-    """Stilde kron 2P, P = I + lam sym(FHu^T (I - Mt) FHu): the curvature of
-    J2 + J3 (the CCP subproblem's) without Mt, plus J4's Kronecker part with
-    Mt = Sd # Y^(-1).  The one full-size Kronecker product of the Hessian."""
+def _hessian_block(ops, lam, idx, term=None):
+    """Rows and columns idx of the Hessian of J in vec(Theta), symmetric by
+    construction; with term None, of J2 + J3 alone (the CCP curvature).
+    Entry c p + r of vec(Theta) is Theta[r, c], so (Stilde kron 2P)[i, j] is
+    Stilde[c_i, c_j] 2P[r_i, r_j] and column i of T is A[:, c_i] kron B[:, r_i].
+    """
     FHu = ops.FHu
-    R = FHu if Mt is None else FHu - Mt @ FHu
-    P = np.eye(FHu.shape[1]) + lam * symmetrize(FHu.T @ R)
-    return np.kron(ops.Stilde, 2.0 * P)
+    c, r = np.divmod(idx, FHu.shape[1])
+    R = FHu if term is None else FHu - term.Mt @ FHu
+    P2 = 2.0 * (np.eye(FHu.shape[1]) + lam * symmetrize(FHu.T @ R))
+    H = ops.Stilde[c[:, None], c] * P2[r[:, None], r]
+    if term is not None:
+        n_x, s = ops.n_x, term.r
+        g = 1.0 / (np.outer(s, s) * np.add.outer(s, s))
+        A, B = term.W.T @ term.Om @ ops.Stilde, term.W.T @ FHu
+        T = (A[:, None, c] * B[None, :, r]).reshape(n_x * n_x, -1)
+        Z = np.sqrt(lam * g).reshape(-1, 1) * (T + commutation_apply(T, n_x, n_x))
+        H += Z.T @ Z
+    return H
 
 
-def _hessian_theta(ops, lam, term):
-    if lam == 0.0:
-        H = kron_curvature(ops, lam)
-    else:
-        H = kron_curvature(ops, lam, term.Mt)
-        n_x, r = ops.n_x, term.r
-        g = 1.0 / (np.outer(r, r) * np.add.outer(r, r))
-        T = np.kron(term.W.T @ term.Om @ ops.Stilde, term.W.T @ ops.FHu)
-        H += 2.0 * lam * (T.T @ (g.reshape(-1, 1) * (T + commutation_apply(T, n_x, n_x))))
-
-    scale = np.linalg.norm(H)
-    asym = np.linalg.norm(H - H.T)
-    if asym > 1e-8 * max(scale, np.finfo(float).tiny):
-        raise WsteerError(
-            f"assembled Hessian asymmetry {asym:.3e} exceeds 1e-8 * {scale:.3e}"
-        )
-    return symmetrize(H)
-
-
-def hessian_theta(ops, lam, Theta):
+def hessian_theta(ops, lam, Theta, mask=None):
     """Exact Hessian of J with respect to vec(Theta) (column stacking).
 
     Stilde kron 2P, with P = I + lam sym(FHu^T (I - Mt) FHu), plus the
     rank-n_x^2 Frechet term of J4 in the eigenbasis of
-    C = Sd^(1/2) Y Sd^(1/2); see the module docstring.  The assembled matrix
-    is checked to be symmetric to 1e-8 relative and returned symmetrized.
+    C = Sd^(1/2) Y Sd^(1/2); see the module docstring.  With a CausalityMask
+    only the block on mask.free_entries is built.  Exactly symmetric.
     """
+    idx = np.arange(np.size(Theta)) if mask is None else mask.free_entries
     term = _terminal(ops, Theta) if lam != 0.0 else None
-    return _hessian_theta(ops, lam, term)
+    return _hessian_block(ops, lam, idx, term)
 
 
 def evaluate(ops, lam, policy, mask=None):
@@ -322,7 +316,8 @@ def convexity_certificate(ops, lam, Theta, mode="dominance"):
     mode "dominance" tests lambda_min(Omega Stilde Omega^T - Sd) >= -tol with
     tol = 1e-10 max(1, lambda_max(Omega Stilde Omega^T)) (terminal covariance
     dominates Sd in the Loewner order, which implies a PD Hessian); mode
-    "spectral" assembles the Hessian and reports its minimum eigenvalue.
+    "spectral" reports the minimum eigenvalue of the Hessian over the causal
+    entries of Theta, the matrix Newton factors.
     """
     if mode not in ("dominance", "spectral"):
         raise ValueError(f"unknown certificate mode {mode!r}")
@@ -332,6 +327,7 @@ def convexity_certificate(ops, lam, Theta, mode="dominance"):
         tol = 1e-10 * max(1.0, float(term.Y_eigvals[-1]))
         kind = "DominatedCovariance" if gap >= -tol else None
         return Certificate(kind=kind, dominance_gap=gap)
-    Hmin = float(np.linalg.eigvalsh(_hessian_theta(ops, lam, term))[0])
+    free = causality_mask(ops.N, ops.n_u, ops.n_x).free_entries
+    Hmin = float(np.linalg.eigvalsh(_hessian_block(ops, lam, free, term))[0])
     kind = "HessianPD" if Hmin > 0.0 else None
     return Certificate(kind=kind, dominance_gap=gap, lambda_min_hessian=Hmin)

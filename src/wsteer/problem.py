@@ -245,15 +245,17 @@ def assemble(problem):
     sysm = problem.system
     N, n_x, n_u, n_w = sysm.horizon, sysm.n_x, sysm.n_u, sysm.n_w
 
-    Gamma = np.vstack([state_transition(sysm, k, 0) for k in range(N + 1)])
-
+    # block row k+1 is A_k times block row k, plus B_k (G_k) at block column k
+    Gamma = np.eye((N + 1) * n_x, n_x)
     Hu = np.zeros(((N + 1) * n_x, N * n_u))
     Hw = np.zeros(((N + 1) * n_x, N * n_w))
-    for k in range(1, N + 1):
-        for j in range(k):
-            Phi = state_transition(sysm, k, j + 1)
-            Hu[k * n_x:(k + 1) * n_x, j * n_u:(j + 1) * n_u] = Phi @ sysm.B[j]
-            Hw[k * n_x:(k + 1) * n_x, j * n_w:(j + 1) * n_w] = Phi @ sysm.G[j]
+    for k in range(N):
+        row, nxt = slice(k * n_x, (k + 1) * n_x), slice((k + 1) * n_x, (k + 2) * n_x)
+        Gamma[nxt] = sysm.A[k] @ Gamma[row]
+        Hu[nxt, :k * n_u] = sysm.A[k] @ Hu[row, :k * n_u]
+        Hw[nxt, :k * n_w] = sysm.A[k] @ Hw[row, :k * n_w]
+        Hu[nxt, k * n_u:(k + 1) * n_u] = sysm.B[k]
+        Hw[nxt, k * n_w:(k + 1) * n_w] = sysm.G[k]
 
     Sw = np.asarray(problem.noise_cov, dtype=float)
     W = np.kron(np.eye(N), Sw)

@@ -19,11 +19,11 @@ import scipy.linalg
 from .errors import HessianNotPDError, ValidationError, WsteerError
 from .objective import (
     Policy,
+    _hessian_block,
     convexity_certificate,
     evaluate,
     grad_theta_j4,
     hessian_theta,
-    kron_curvature,
     stationarity_residual,
 )
 from .problem import assemble, causality_mask, validate
@@ -122,8 +122,7 @@ def solve_feedforward_woodbury(ops, lam, mu0=None, mud=None):
 def _reduced_curvature_factor(ops, lam, mask):
     """Cholesky factor of the causal restriction of the CCP curvature
     Stilde kron 2(I + lam FHu^T FHu), the Hessian of J without the J4 terms."""
-    free = mask.free_entries
-    return scipy.linalg.cho_factor(kron_curvature(ops, lam)[np.ix_(free, free)])
+    return scipy.linalg.cho_factor(_hessian_block(ops, lam, mask.free_entries))
 
 
 def _subproblem_rhs(ops, lam, Theta_k, mask):
@@ -225,7 +224,7 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
         res = float(np.linalg.norm(g))
         if res <= options.stationarity_tol:
             break
-        H = hessian_theta(ops, lam, Theta)[np.ix_(free, free)]
+        H = hessian_theta(ops, lam, Theta, mask)
         try:
             c, low = scipy.linalg.cho_factor(H)
         except np.linalg.LinAlgError as e:

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from conftest import SD_TIGHT, SD_WIDE
 from wsteer.cli import main
@@ -63,6 +64,13 @@ def test_solve_missing_field_exit_one(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert main(["solve", str(p), "-o", str(tmp_path / "s.json")]) == 1
     assert "Sd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N", [10.7, True, "10"])
+def test_solve_non_integer_horizon_exit_one(tmp_path, capsys, N):
+    cfg = write_config(tmp_path / "p.json", N=N)
+    assert main(["solve", str(cfg), "-o", str(tmp_path / "s.json")]) == 1
+    assert "field 'N'" in capsys.readouterr().err
 
 
 def test_solve_max_iters_exit_two(tmp_path):
@@ -137,6 +145,15 @@ def test_scan_lambda_sweep_rows_and_counts(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 21
     assert "lambda=0.1" in capsys.readouterr().out
+
+
+def test_scan_bad_lambda_sweep_exit_one(tmp_path, capsys):
+    cfg = write_config(tmp_path / "p.json")
+    out = tmp_path / "scan.csv"
+    assert main(["scan", str(cfg), str(cfg), "--lambda-sweep", "1,x", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'x'" in err
+    assert not out.exists()
 
 
 def test_check_benchmark_passes(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Objective decomposition, analytic gradients vs finite differences, Hessian,
 stationarity residual, and convexity certificates."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from conftest import (
 )
 import wsteer as w
 from wsteer import matops as mo
+from wsteer.cli import load_config, solver_options_from_config
 from wsteer.errors import IndefiniteBeyondToleranceError, SingularTerminalCovarianceError
 from wsteer.objective import (
     Policy,
@@ -320,6 +323,30 @@ def test_certificate_fails_on_wide_target_at_tight_optimum():
     assert cert.dominance_gap < 0.0
 
 
+def test_spectral_certificate_bounds_full_hessian_eigenvalue():
+    # the certificate eigensolves the Hessian over the causal entries only;
+    # by Cauchy interlacing its lambda_min is at least the full Hessian's
+    for seed in range(40, 52):
+        rng, prob, ops, mask = setup_random(seed, n_u=int(1 + seed % 2))
+        Theta = rand_causal_theta(rng, mask, 0.6)
+        # Sd = 2Y is not dominated by the terminal covariance Y
+        Sd = 2.0 * terminal_covariance(ops, Theta)
+        wide = w.SteeringProblem(prob.system, prob.initial, prob.noise_cov,
+                                 w.Gaussian(prob.desired.mean, Sd), prob.lam)
+        wops = w.assemble(wide)
+        assert convexity_certificate(wops, prob.lam, Theta).kind is None
+        cert = convexity_certificate(wops, prob.lam, Theta, mode="spectral")
+        eig = np.linalg.eigvalsh(hessian_theta(wops, prob.lam, Theta))
+        # eigvalsh is backward stable: allow its round-off, 1e-13 ||H||_2
+        assert cert.lambda_min_hessian >= eig[0] - 1e-13 * abs(eig).max()
+    # the shipped wide target is certified by the spectral test
+    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    problem, cfg = load_config(str(root / "double_integrator_wide.json"))
+    sol = w.solve(problem, solver_options_from_config(cfg))
+    assert sol.certificate.kind == "HessianPD"
+    assert sol.certificate.lambda_min_hessian > 0.0
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
@@ -392,3 +419,9 @@ def test_hessian_matches_kron_sum_oracle(seed, N, n_x, n_u, extra_w, lam):
     H = hessian_theta(ops, lam, Theta)
     H_oracle = hessian_kron_sum_oracle(ops, lam, Theta)
     assert np.linalg.norm(H - H_oracle) <= 1e-10 * np.linalg.norm(H_oracle)
+    # the block on the causal entries, built without the full matrix
+    free = mask.free_entries
+    H_free = hessian_theta(ops, lam, Theta, mask)
+    H_free_oracle = H_oracle[np.ix_(free, free)]
+    assert np.linalg.norm(H_free - H_free_oracle) <= 1e-10 * np.linalg.norm(H_free_oracle)
+    assert np.array_equal(H, H.T) and np.array_equal(H_free, H_free.T)

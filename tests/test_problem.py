@@ -123,6 +123,26 @@ def test_lifting_consistency_random():
         assert np.linalg.norm(lifted - x) <= 1e-12 * max(1.0, np.linalg.norm(x))
 
 
+def test_assemble_blocks_match_state_transition_products():
+    # the block-row recurrence of assemble against the transition products
+    rng = np.random.default_rng(4)
+    for N, n_x, n_u, n_w in ((1, 2, 2, 2), (4, 3, 2, 4), (12, 2, 3, 3)):
+        prob = rand_problem(rng, N=N, n_x=n_x, n_u=n_u, n_w=n_w)
+        sysm = prob.system
+        ops = w.assemble(prob)
+        Gamma = np.vstack([w.state_transition(sysm, k, 0) for k in range(N + 1)])
+        Hu = np.zeros(((N + 1) * n_x, N * n_u))
+        Hw = np.zeros(((N + 1) * n_x, N * n_w))
+        for k in range(1, N + 1):
+            for j in range(k):
+                Phi = w.state_transition(sysm, k, j + 1)
+                Hu[k * n_x:(k + 1) * n_x, j * n_u:(j + 1) * n_u] = Phi @ sysm.B[j]
+                Hw[k * n_x:(k + 1) * n_x, j * n_w:(j + 1) * n_w] = Phi @ sysm.G[j]
+        for got, want in ((ops.Gamma, Gamma), (ops.Hu, Hu), (ops.Hw, Hw)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_stilde_pd_random_instances():
     rng = np.random.default_rng(3)
     for _ in range(10):
