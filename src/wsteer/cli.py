@@ -5,7 +5,7 @@ Configs are UTF-8 JSON with row-major nested arrays for matrices.  With
 "time_invariant": true the single A/B/G matrices are broadcast over the
 horizon N; otherwise A/B/G are lists of N per-step matrices.  Exit codes:
 0 success, 1 input/validation error, 2 the solve stopped above its
-stationarity tolerance.
+stationarity tolerance (a step budget ran out, or the objective stalled).
 """
 
 import argparse
@@ -48,17 +48,24 @@ def _matrix(cfg, key):
     return np.asarray(cfg[key], dtype=float)
 
 
+def _integer_field(name, value, minimum=None):
+    """value as an int; raises ValueError naming the field when value is a
+    boolean, not a number, not integral, inf or nan, or below minimum."""
+    # value % 1 is nan for inf and nan; bool is an int subclass
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"field '{name}' must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def load_config(path):
     """Parse a problem config; raises ValueError naming the offending field."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if "N" not in cfg:
         raise ValueError("config missing field 'N'")
-    N = cfg["N"]
-    # N % 1 is nan for inf and nan; bool is an int subclass
-    if isinstance(N, bool) or not isinstance(N, (int, float)) or N % 1 != 0 or N < 1:
-        raise ValueError(f"field 'N' must be an integer >= 1, got {N!r}")
-    N = int(N)
+    N = _integer_field("N", cfg["N"], minimum=1)
 
     if cfg.get("time_invariant", False):
         A = _matrix(cfg, "A")
@@ -104,7 +111,7 @@ def solver_options_from_config(cfg):
     kwargs = {}
     for key in ("max_ccp_iters", "newton_max_iters"):
         if key in raw:
-            kwargs[key] = int(raw[key])
+            kwargs[key] = _integer_field(f"solver.{key}", raw[key])
     for key in ("obj_rel_tol", "stationarity_tol"):
         if key in raw:
             kwargs[key] = float(raw[key])
@@ -356,14 +363,13 @@ def cmd_simulate(config_path, solution_path, samples=None, seed=None, out_path=N
         problem, cfg = load_config(config_path)
         with open(solution_path, "r", encoding="utf-8") as fh:
             sol = json.load(fh)
+        sim_cfg = cfg.get("simulation", {})
+        if samples is None:
+            samples = _integer_field("simulation.samples", sim_cfg.get("samples", 100000))
+        if seed is None:
+            seed = _integer_field("simulation.seed", sim_cfg.get("seed", 42))
     except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
         return _fail(str(e))
-
-    sim_cfg = cfg.get("simulation", {})
-    if samples is None:
-        samples = int(sim_cfg.get("samples", 100000))
-    if seed is None:
-        seed = int(sim_cfg.get("seed", 42))
 
     violations = validate(problem)
     if violations:

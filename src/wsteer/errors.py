@@ -38,7 +38,18 @@ class SingularTransformError(WsteerError):
 
 
 class HessianNotPDError(WsteerError):
-    """The reduced Hessian is not positive definite at the current iterate."""
+    """The reduced Hessian is not positive definite at the current iterate.
+
+    Carries that iterate as `theta` when the raiser knows it.
+    """
+
+    def __init__(self, message, theta=None):
+        self.theta = theta
+        super().__init__(message)
+
+
+class NonFiniteError(WsteerError):
+    """An operand holds an infinite or NaN entry."""
 
 
 class ValidationError(WsteerError):

@@ -238,7 +238,8 @@ def _hessian_block(ops, lam, idx, term=None):
     c, r = np.divmod(idx, FHu.shape[1])
     R = FHu if term is None else FHu - term.Mt @ FHu
     P2 = 2.0 * (np.eye(FHu.shape[1]) + lam * symmetrize(FHu.T @ R))
-    H = ops.Stilde[c[:, None], c] * P2[r[:, None], r]
+    H = ops.Stilde[c[:, None], c]
+    H *= P2[r[:, None], r]  # in place: one full-size temporary fewer
     if term is not None:
         n_x, s = ops.n_x, term.r
         g = 1.0 / (np.outer(s, s) * np.add.outer(s, s))

@@ -1,13 +1,16 @@
-"""Policy computation: closed-form feedforward, convex-concave iteration on the
-causal feedback gain, and optional guarded Newton refinement.
+"""Policy computation: closed-form feedforward, then convex-concave iteration
+on the causal feedback gain that hands over to guarded Newton once it crawls.
 
 The objective splits into a convex quadratic part J1 + J2 + J3 and a convex
 part J4 entering with a minus sign.  Each convex-concave step linearizes J4 at
 the current iterate and minimizes the remaining convex quadratic over the
 causal subspace; the curvature of that subproblem is constant, so its reduced
 normal matrix is factored once and reused every iteration.  This guarantees
-monotone descent of J.  When the reduced Hessian is positive definite, damped
-Newton steps drive the projected gradient to zero with a quadratic tail.
+monotone descent of J, but only a linear rate, which at large lambda is a
+crawl.  Once the residual ratio shows that crawl, damped Newton steps, guarded
+by a positive definite reduced Hessian and a line search that never lets J
+rise, drive the projected gradient to zero with a quadratic tail; when Newton
+fails, CCP resumes from its iterate.
 """
 
 from dataclasses import dataclass, field, replace
@@ -16,7 +19,12 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import HessianNotPDError, ValidationError, WsteerError
+from .errors import (
+    HessianNotPDError,
+    NonFiniteError,
+    ValidationError,
+    WsteerError,
+)
 from .objective import (
     Policy,
     _hessian_block,
@@ -36,7 +44,7 @@ class SolverOptions:
     obj_rel_tol: float = 1e-10
     stationarity_tol: float = 1e-6
     theta_init: Optional[np.ndarray] = None
-    newton: str = "off"  # "off" | "when_certified"
+    newton: str = "when_certified"  # or "off": pure CCP
     newton_max_iters: int = 20
 
     def __post_init__(self):
@@ -65,6 +73,7 @@ class IterRecord:
 @dataclass
 class SolveTrace:
     records: list = field(default_factory=list)
+    # "stationarity" | "objective_stalled" | "max_iters" | "newton_max_iters"
     termination: str = ""
 
     @property
@@ -119,10 +128,37 @@ def solve_feedforward_woodbury(ops, lam, mu0=None, mud=None):
     return v - lam * (FHu.T @ scipy.linalg.cho_solve((c, low), FHu @ v))
 
 
+# Switch rule of solve() with newton="when_certified".  After step k of a CCP
+# run (k at least the run's first switch step), with rho = res_k / res_(k-1),
+# CCP hands over to Newton when rho >= 1 or when linear convergence at rate
+# rho would need more than SWITCH_CRAWL_STEPS further steps to reach the
+# tolerance.  A stall and the max_ccp_iters cap hand over too.
+SWITCH_FIRST_STEP = 3
+SWITCH_CRAWL_STEPS = 20
+# CCP steps after a failed Newton phase before the rule may fire again; the
+# back-off doubles after each failure.
+NEWTON_BACKOFF_STEPS = 10
+
+
+def _cho_factor_in_place(H):
+    """Cholesky factor of the exactly symmetric H in H's own memory.  H.T is
+    the same matrix in Fortran order, so LAPACK needs no copy; cho_factor
+    checks the matrix for non-finite entries once, here."""
+    return scipy.linalg.cho_factor(H.T, overwrite_a=True)
+
+
+def _cho_solve(factor, rhs):
+    """Solve with a factor from `_cho_factor_in_place`; only the O(n)
+    right-hand side is scanned for non-finite entries."""
+    if not np.isfinite(rhs).all():
+        raise NonFiniteError("right-hand side of the reduced normal equations is not finite")
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+
 def _reduced_curvature_factor(ops, lam, mask):
     """Cholesky factor of the causal restriction of the CCP curvature
     Stilde kron 2(I + lam FHu^T FHu), the Hessian of J without the J4 terms."""
-    return scipy.linalg.cho_factor(_hessian_block(ops, lam, mask.free_entries))
+    return _cho_factor_in_place(_hessian_block(ops, lam, mask.free_entries))
 
 
 def _subproblem_rhs(ops, lam, Theta_k, mask):
@@ -147,27 +183,32 @@ def ccp_subproblem(ops, lam, Theta_k, mask, factor=None):
     if factor is None:
         factor = _reduced_curvature_factor(ops, lam, mask)
     rhs = _subproblem_rhs(ops, lam, Theta_k, mask)
-    theta_free = scipy.linalg.cho_solve(factor, rhs)
-    return _theta_from_free(mask, theta_free)
+    return _theta_from_free(mask, _cho_solve(factor, rhs))
 
 
-def ccp_solve(ops, lam, mask, options=None, u_ff=None):
-    """Iterate the convex-concave step from theta_init until the relative J
-    decrease or the projected stationarity residual crosses its tolerance.
+def _crawling(res_prev, res, tol):
+    """The switch rule: the residual did not drop, or linear convergence at
+    the observed rate needs more than SWITCH_CRAWL_STEPS steps to reach tol."""
+    rho = res / res_prev
+    return rho >= 1.0 or np.log(tol / res) / np.log(rho) > SWITCH_CRAWL_STEPS
 
-    Returns (Theta, SolveTrace).  On hitting max_ccp_iters the best (last)
-    iterate is returned with trace.termination == "max_iters".
+
+def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_after=None):
+    """Iterate the convex-concave step until the projected stationarity
+    residual meets its tolerance ("stationarity"), the relative J decrease
+    falls below obj_rel_tol ("objective_stalled"), or max_ccp_iters CCP steps
+    are spent ("max_iters").
+
+    The run starts from options.theta_init, or continues resume = (Theta,
+    trace), whose CCP records count against max_ccp_iters and to which the
+    new records are appended.  With switch_after = j the run also stops, with
+    termination "switch", after a step k >= j (not the last allowed one) at
+    which the crawl rule fires.  Returns (Theta, SolveTrace).
     """
     options = options or SolverOptions()
+    tol = options.stationarity_tol
     if u_ff is None:
         u_ff = np.zeros(ops.N * ops.n_u)
-    if options.theta_init is None:
-        Theta = np.zeros((ops.N * ops.n_u, (ops.N + 1) * ops.n_x))
-    else:
-        Theta = mask.project(np.asarray(options.theta_init, dtype=float))
-
-    factor = _reduced_curvature_factor(ops, lam, mask)
-    trace = SolveTrace()
 
     def _record(k, kind, Theta_k):
         rep = evaluate(ops, lam, Policy(u_ff, Theta_k), mask)
@@ -180,24 +221,40 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None):
         ))
         return rep.J, res
 
-    J_prev, res = _record(0, "init", Theta)
-    if res <= options.stationarity_tol:
-        trace.termination = "stationarity"
-        return Theta, trace
+    if resume is None:
+        if options.theta_init is None:
+            Theta = np.zeros((ops.N * ops.n_u, (ops.N + 1) * ops.n_x))
+        else:
+            Theta = mask.project(np.asarray(options.theta_init, dtype=float))
+        trace = SolveTrace()
+        J_prev, res_prev = _record(0, "init", Theta)
+        if res_prev <= tol:
+            trace.termination = "stationarity"
+            return Theta, trace
+    else:
+        Theta, trace = resume
+        J_prev, res_prev = trace.records[-1].J, trace.records[-1].residual
 
-    for k in range(1, options.max_ccp_iters + 1):
+    factor = _reduced_curvature_factor(ops, lam, mask)
+    k0 = trace.records[-1].k
+    steps = options.max_ccp_iters - sum(r.kind == "ccp" for r in trace.records)
+    for j in range(1, steps + 1):
         try:
             Theta = ccp_subproblem(ops, lam, Theta, mask, factor=factor)
         except WsteerError as e:
-            raise type(e)(f"CCP iteration {k}: {e}") from e
-        J, res = _record(k, "ccp", Theta)
-        if res <= options.stationarity_tol:
+            raise type(e)(f"CCP iteration {k0 + j}: {e}") from e
+        J, res = _record(k0 + j, "ccp", Theta)
+        if res <= tol:
             trace.termination = "stationarity"
             return Theta, trace
         if J_prev - J < options.obj_rel_tol * max(1.0, abs(J_prev)):
             trace.termination = "objective_stalled"
             return Theta, trace
-        J_prev = J
+        if (switch_after is not None and switch_after <= j < steps
+                and _crawling(res_prev, res, tol)):
+            trace.termination = "switch"
+            return Theta, trace
+        J_prev, res_prev = J, res
 
     trace.termination = "max_iters"
     return Theta, trace
@@ -206,9 +263,12 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None):
 def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
     """Damped Newton on the free entries, guarded by reduced-Hessian PD.
 
-    Raises HessianNotPDError when the reduced Hessian fails its Cholesky at
-    the current iterate (caller falls back to the CCP iterate); never returns
-    a Theta with larger J than the input.
+    Takes at most newton_max_iters steps, and stops early at the stationarity
+    tolerance or when the backtracking line search finds no step that keeps
+    J from rising.  Raises HessianNotPDError, carrying the current iterate as
+    its `theta`, when the reduced Hessian fails its Cholesky; never returns a
+    Theta with larger J than the input.  Accepted steps are appended to
+    `trace` when one is given.
     """
     options = options or SolverOptions()
     if u_ff is None:
@@ -221,42 +281,74 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
 
     for k in range(1, options.newton_max_iters + 1):
         g = rep.grad_theta.reshape(-1, order="F")[free]
-        res = float(np.linalg.norm(g))
-        if res <= options.stationarity_tol:
+        if np.linalg.norm(g) <= options.stationarity_tol:
             break
-        H = hessian_theta(ops, lam, Theta, mask)
         try:
-            c, low = scipy.linalg.cho_factor(H)
+            factor = _cho_factor_in_place(hessian_theta(ops, lam, Theta, mask))
         except np.linalg.LinAlgError as e:
             raise HessianNotPDError(
-                f"reduced Hessian not PD at Newton iteration {k}"
+                f"reduced Hessian not PD at Newton iteration {k}", theta=Theta
             ) from e
-        step = scipy.linalg.cho_solve((c, low), g)
+        step = _cho_solve(factor, g)
+        del factor  # the next Hessian is built without this one alive
 
+        theta_free = Theta.reshape(-1, order="F")[free]
         t = 1.0
-        accepted = False
         for _ in range(60):
-            cand = _theta_from_free(mask, Theta.reshape(-1, order="F")[free] - t * step)
+            cand = _theta_from_free(mask, theta_free - t * step)
             rep_c = evaluate(ops, lam, Policy(u_ff, cand), mask)
             if rep_c.J <= rep.J:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break
         Theta, rep = cand, rep_c
         if trace is not None:
             res_new = stationarity_residual(ops, lam, Policy(u_ff, Theta), mask)
             trace.records.append(IterRecord(
-                k=base_iter + k, kind="newton", J=rep_c.J, J1=rep_c.J1,
-                J2=rep_c.J2, J3=rep_c.J3, J4=rep_c.J4, residual=res_new,
+                k=base_iter + k, kind="newton", J=rep.J, J1=rep.J1,
+                J2=rep.J2, J3=rep.J3, J4=rep.J4, residual=res_new,
             ))
     return Theta
 
 
+def _ccp_then_newton(ops, lam, mask, options, u_ff):
+    """CCP until the switch rule fires, then guarded Newton.  A Newton phase
+    that ends above tolerance with budget left (reduced Hessian not PD, or a
+    rejected step) hands its iterate back to CCP, which runs a back-off before
+    the rule may fire again; after a stall or at the CCP cap it ends the solve.
+    newton_max_iters bounds the accepted Newton steps of the whole solve."""
+    budget = options.newton_max_iters
+    first_switch = SWITCH_FIRST_STEP
+    resume = None
+    while True:
+        Theta, trace = ccp_solve(ops, lam, mask, options, u_ff,
+                                 resume=resume, switch_after=first_switch)
+        if trace.termination == "stationarity":
+            return Theta, trace
+        n = len(trace.records)
+        try:
+            Theta = newton_refine(ops, lam, Theta, mask,
+                                  replace(options, newton_max_iters=budget),
+                                  u_ff=u_ff, trace=trace)
+        except HessianNotPDError as e:
+            Theta = e.theta
+        budget -= len(trace.records) - n
+        if trace.records[-1].residual <= options.stationarity_tol:
+            trace.termination = "stationarity"
+        elif budget == 0:
+            trace.termination = "newton_max_iters"
+        elif trace.termination == "switch":
+            first_switch = max(NEWTON_BACKOFF_STEPS, 2 * first_switch)
+            resume = (Theta, trace)
+            continue
+        return Theta, trace
+
+
 def solve(problem, options=None):
-    """Full solve: feedforward, CCP (optionally Newton-refined), transforms,
-    final report with a convexity certificate.
+    """Full solve: feedforward, the feedback gain (CCP handing over to guarded
+    Newton, or pure CCP with newton="off"), transforms, and the final report
+    with a convexity certificate.
 
     Raises ValidationError when the problem data fail `validate`.
     """
@@ -270,16 +362,10 @@ def solve(problem, options=None):
     lam = problem.lam
 
     u_star = solve_feedforward(ops, lam)
-    Theta, trace = ccp_solve(ops, lam, mask, options, u_ff=u_star)
-
-    if options.newton == "when_certified":
-        try:
-            Theta = newton_refine(ops, lam, Theta, mask, options,
-                                  u_ff=u_star, trace=trace)
-            if trace.records and trace.records[-1].residual <= options.stationarity_tol:
-                trace.termination = "stationarity"
-        except HessianNotPDError:
-            pass  # keep the CCP iterate
+    if options.newton == "off":
+        Theta, trace = ccp_solve(ops, lam, mask, options, u_ff=u_star)
+    else:
+        Theta, trace = _ccp_then_newton(ops, lam, mask, options, u_star)
 
     cert = convexity_certificate(ops, lam, Theta, mode="dominance")
     if cert.kind is None:

@@ -73,16 +73,40 @@ def test_solve_non_integer_horizon_exit_one(tmp_path, capsys, N):
     assert "field 'N'" in capsys.readouterr().err
 
 
+NON_INTEGERS = [2.7, True, "3", float("inf"), float("nan")]
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+@pytest.mark.parametrize("key", ["max_ccp_iters", "newton_max_iters"])
+def test_solve_non_integer_solver_field_exit_one(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "p.json", solver={**BASE_CONFIG["solver"], key: value})
+    assert main(["solve", str(cfg), "-o", str(tmp_path / "s.json")]) == 1
+    assert f"field 'solver.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+@pytest.mark.parametrize("key", ["samples", "seed"])
+def test_simulate_non_integer_simulation_field_exit_one(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT,
+                       simulation={"samples": 2000, "seed": 1, key: value})
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(cfg), "-o", str(sol)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(cfg), str(sol)]) == 1
+    assert f"field 'simulation.{key}'" in capsys.readouterr().err
+
+
 def test_solve_max_iters_exit_two(tmp_path):
     cfg = write_config(tmp_path / "p.json",
                        solver={"max_ccp_iters": 1, "obj_rel_tol": 1e-16,
-                               "stationarity_tol": 1e-12})
+                               "stationarity_tol": 1e-12, "newton": "off"})
     assert main(["solve", str(cfg), "-o", str(tmp_path / "s.json")]) == 2
 
 
 def test_solve_stalled_above_tol_exit_two(tmp_path, capsys):
     # the tight target at lambda=100 stalls at residual ~1e-5 > 1e-6
-    cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT, **{"lambda": 100.0})
+    cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT, **{"lambda": 100.0},
+                       solver={**BASE_CONFIG["solver"], "newton": "off"})
     out = tmp_path / "s.json"
     assert main(["solve", str(cfg), "-o", str(out)]) == 2
     trace = json.loads(out.read_text())["trace"]

@@ -1,5 +1,7 @@
 """Feedforward solve, convex-concave iteration, Newton refinement, line scans."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,10 +14,12 @@ from conftest import (
     rand_problem,
 )
 import wsteer as w
-from wsteer.errors import HessianNotPDError, ValidationError
+from wsteer.errors import HessianNotPDError, NonFiniteError, ValidationError
 from wsteer.objective import Policy, evaluate, grad_theta_j4, grad_uff, hessian_theta
 from wsteer.solver import (
     SolverOptions,
+    _cho_solve,
+    _reduced_curvature_factor,
     ccp_solve,
     ccp_subproblem,
     count_strict_local_minima,
@@ -125,7 +129,8 @@ def test_ccp_solve_trivial_target():
 
 def test_stalled_solve_is_not_converged():
     # CCP tests stationarity first, so a stall always leaves the residual above tol
-    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, stationarity_tol=1e-6)
+    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, stationarity_tol=1e-6,
+                         newton="off")
     sol = w.solve(double_integrator_problem(SD_TIGHT, lam=100.0), opts)
     assert sol.trace.termination == "objective_stalled"
     assert sol.trace.records[-1].residual > opts.stationarity_tol
@@ -209,6 +214,97 @@ def test_newton_raises_on_indefinite_reduced_hessian():
     assert np.linalg.eigvalsh(H)[0] < 0.0
     with pytest.raises(HessianNotPDError):
         newton_refine(ops, lam, Theta_sad, mask, SolverOptions(newton_max_iters=3))
+
+
+def check_monotone(trace):
+    # acceptance criterion 8's descent check
+    Js = [r.J for r in trace.records]
+    assert all(Js[i + 1] <= Js[i] + 1e-10 for i in range(len(Js) - 1))
+
+
+@pytest.mark.parametrize("lam", [100.0, 2000.0, 1e4])
+@pytest.mark.parametrize("Sd", [SD_TIGHT, SD_WIDE], ids=["tight", "wide"])
+def test_default_solve_switches_to_newton_and_converges(Sd, lam):
+    # pure CCP stalls or runs out of steps on each of these
+    sol = solve(double_integrator_problem(Sd, lam=lam))
+    kinds = [r.kind for r in sol.trace.records]
+    assert sol.trace.termination == "stationarity"
+    assert sol.trace.records[-1].residual <= SolverOptions().stationarity_tol
+    assert "ccp" in kinds and "newton" in kinds
+    check_monotone(sol.trace)
+
+
+def saddle_start():
+    """A point between the two lambda=2000 basins of the tight target where
+    the reduced Hessian is indefinite."""
+    lam = 2000.0
+    opts = SolverOptions(max_ccp_iters=3000, obj_rel_tol=1e-18, stationarity_tol=1e-5)
+    s_wide = solve(double_integrator_problem(SD_WIDE, lam=lam), opts)
+    s_tight = solve(double_integrator_problem(SD_TIGHT, lam=lam), opts)
+    ops = w.assemble(double_integrator_problem(SD_TIGHT, lam=lam))
+    grid = np.linspace(1.0, 1.45, 46)
+    samples = line_scan(ops, lam, Policy(s_wide.u_ff, s_wide.Theta),
+                        Policy(s_tight.u_ff, s_tight.Theta), grid)
+    g_max = grid[int(np.argmax([s.J for s in samples]))]
+    return lam, s_wide.Theta + g_max * (s_tight.Theta - s_wide.Theta)
+
+
+def test_saddle_start_falls_back_to_ccp(monkeypatch):
+    lam, Theta_sad = saddle_start()
+    prob = double_integrator_problem(SD_TIGHT, lam=lam)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
+    assert np.linalg.eigvalsh(hessian_theta(ops, lam, Theta_sad, mask))[0] < 0.0
+
+    raised = []
+
+    def recording(*args, **kwargs):
+        try:
+            return newton_refine(*args, **kwargs)
+        except HessianNotPDError as e:
+            assert mask.is_causal(e.theta)
+            raised.append(e)
+            raise
+    monkeypatch.setattr("wsteer.solver.newton_refine", recording)
+
+    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, stationarity_tol=1e-6,
+                         theta_init=Theta_sad)
+    sol = solve(prob, opts)
+    ccp_only = solve(prob, replace(opts, newton="off"))
+    assert raised
+    assert sol.trace.termination == "stationarity"
+    assert sol.report.J <= ccp_only.report.J
+    check_monotone(sol.trace)
+
+
+def test_ccp_solve_switch_rule():
+    # at lambda=2000 the CCP residual shrinks by ~0.95 a step, a crawl
+    prob = double_integrator_problem(SD_TIGHT, lam=2000.0)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
+    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14)
+    u_ff = solve_feedforward(ops, prob.lam)
+    Theta, trace = ccp_solve(ops, prob.lam, mask, opts, u_ff, switch_after=3)
+    assert trace.termination == "switch" and trace.iterations == 3
+    # a resumed run appends to the same trace and counts its steps
+    _, trace = ccp_solve(ops, prob.lam, mask, opts, u_ff,
+                         resume=(Theta, trace), switch_after=5)
+    assert trace.termination == "switch" and trace.iterations == 8
+    assert [r.k for r in trace.records] == list(range(9))
+    # the rule does not fire at the last allowed step: that run ends at the cap
+    _, capped = ccp_solve(ops, prob.lam, mask, replace(opts, max_ccp_iters=3), u_ff,
+                          switch_after=3)
+    assert capped.termination == "max_iters" and capped.iterations == 3
+
+
+def test_cho_solve_rejects_non_finite_rhs():
+    _, prob, ops, mask = setup_random(21)
+    factor = _reduced_curvature_factor(ops, prob.lam, mask)
+    rhs = np.ones(mask.free_entries.size)
+    assert np.all(np.isfinite(_cho_solve(factor, rhs)))
+    rhs[0] = np.nan
+    with pytest.raises(NonFiniteError):
+        _cho_solve(factor, rhs)
 
 
 def test_solve_rejects_invalid_problem():
