@@ -133,3 +133,9 @@ def rel_err(approx, exact):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
     return float(np.linalg.norm(approx - exact) / max(1.0, np.linalg.norm(exact)))
+
+
+def check_monotone(trace):
+    """Every recorded step, CCP or Newton, lowers J (to 1e-10)."""
+    Js = [r.J for r in trace.records]
+    assert all(Js[i + 1] <= Js[i] + 1e-10 for i in range(len(Js) - 1))

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import (
     SD_TIGHT,
     SD_WIDE,
+    check_monotone,
     double_integrator_problem,
     rand_causal_theta,
     rand_problem,
@@ -142,8 +143,7 @@ def test_ccp_solve_monotone_and_causal():
         _, prob, ops, mask = setup_random(seed)
         Theta, trace = ccp_solve(ops, prob.lam, mask,
                                  SolverOptions(max_ccp_iters=500))
-        Js = [r.J for r in trace.records]
-        assert all(Js[i + 1] <= Js[i] + 1e-10 for i in range(len(Js) - 1))
+        check_monotone(trace)
         assert mask.is_causal(Theta)
 
 
@@ -151,14 +151,15 @@ def test_ccp_benchmark_reaches_stationarity():
     for Sd in (SD_WIDE, SD_TIGHT):
         prob = double_integrator_problem(Sd, lam=1.0)
         sol = solve(prob, SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14,
-                                        stationarity_tol=1e-6))
+                                        stationarity_tol=1e-6, newton="off"))
         assert sol.trace.records[-1].residual <= 1e-6
 
 
 def test_ccp_matches_newton_on_certified_instance():
     rng = np.random.default_rng(15)
     prob = certified_problem(rng)
-    base = SolverOptions(max_ccp_iters=5000, obj_rel_tol=1e-14, stationarity_tol=1e-9)
+    base = SolverOptions(max_ccp_iters=5000, obj_rel_tol=1e-14, stationarity_tol=1e-9,
+                         newton="off")
     refined = SolverOptions(max_ccp_iters=50, obj_rel_tol=1e-14,
                             stationarity_tol=1e-9, newton="when_certified")
     s_ccp = solve(prob, base)
@@ -194,32 +195,30 @@ def test_newton_quadratic_tail():
             assert r_next <= 1e7 * r_prev ** 2 + 1e-12
 
 
-def test_newton_raises_on_indefinite_reduced_hessian():
-    # construct a point between two basins where the directional curvature
-    # along the connecting segment is negative
+def saddle_start():
+    """A point between the two lambda=2000 basins of the tight target where
+    the reduced Hessian is indefinite."""
     lam = 2000.0
-    opts = SolverOptions(max_ccp_iters=3000, obj_rel_tol=1e-18, stationarity_tol=1e-5)
+    opts = SolverOptions(max_ccp_iters=3000, obj_rel_tol=1e-18, stationarity_tol=1e-5,
+                         newton="off")
     s_wide = solve(double_integrator_problem(SD_WIDE, lam=lam), opts)
     s_tight = solve(double_integrator_problem(SD_TIGHT, lam=lam), opts)
-    tight = double_integrator_problem(SD_TIGHT, lam=lam)
-    ops = w.assemble(tight)
-    mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
+    ops = w.assemble(double_integrator_problem(SD_TIGHT, lam=lam))
     grid = np.linspace(1.0, 1.45, 46)
     samples = line_scan(ops, lam, Policy(s_wide.u_ff, s_wide.Theta),
                         Policy(s_tight.u_ff, s_tight.Theta), grid)
-    Js = np.array([s.J for s in samples])
-    g_max = grid[int(np.argmax(Js))]
-    Theta_sad = s_wide.Theta + g_max * (s_tight.Theta - s_wide.Theta)
+    g_max = grid[int(np.argmax([s.J for s in samples]))]
+    return lam, s_wide.Theta + g_max * (s_tight.Theta - s_wide.Theta)
+
+
+def test_newton_raises_on_indefinite_reduced_hessian():
+    lam, Theta_sad = saddle_start()
+    ops = w.assemble(double_integrator_problem(SD_TIGHT, lam=lam))
+    mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
     H = hessian_theta(ops, lam, Theta_sad)[np.ix_(mask.free_entries, mask.free_entries)]
     assert np.linalg.eigvalsh(H)[0] < 0.0
     with pytest.raises(HessianNotPDError):
         newton_refine(ops, lam, Theta_sad, mask, SolverOptions(newton_max_iters=3))
-
-
-def check_monotone(trace):
-    # acceptance criterion 8's descent check
-    Js = [r.J for r in trace.records]
-    assert all(Js[i + 1] <= Js[i] + 1e-10 for i in range(len(Js) - 1))
 
 
 @pytest.mark.parametrize("lam", [100.0, 2000.0, 1e4])
@@ -232,21 +231,6 @@ def test_default_solve_switches_to_newton_and_converges(Sd, lam):
     assert sol.trace.records[-1].residual <= SolverOptions().stationarity_tol
     assert "ccp" in kinds and "newton" in kinds
     check_monotone(sol.trace)
-
-
-def saddle_start():
-    """A point between the two lambda=2000 basins of the tight target where
-    the reduced Hessian is indefinite."""
-    lam = 2000.0
-    opts = SolverOptions(max_ccp_iters=3000, obj_rel_tol=1e-18, stationarity_tol=1e-5)
-    s_wide = solve(double_integrator_problem(SD_WIDE, lam=lam), opts)
-    s_tight = solve(double_integrator_problem(SD_TIGHT, lam=lam), opts)
-    ops = w.assemble(double_integrator_problem(SD_TIGHT, lam=lam))
-    grid = np.linspace(1.0, 1.45, 46)
-    samples = line_scan(ops, lam, Policy(s_wide.u_ff, s_wide.Theta),
-                        Policy(s_tight.u_ff, s_tight.Theta), grid)
-    g_max = grid[int(np.argmax([s.J for s in samples]))]
-    return lam, s_wide.Theta + g_max * (s_tight.Theta - s_wide.Theta)
 
 
 def test_saddle_start_falls_back_to_ccp(monkeypatch):
@@ -332,7 +316,7 @@ def test_solve_feedforward_bitwise_across_configurations():
     variants = [
         SolverOptions(),
         SolverOptions(max_ccp_iters=5),
-        SolverOptions(newton="when_certified"),
+        SolverOptions(newton="off"),
         SolverOptions(stationarity_tol=1e-4),
     ]
     sols = [solve(prob, o) for o in variants]
@@ -411,7 +395,7 @@ def test_multistart_agreement_on_certified_instance():
     for k in range(3):
         init = rand_causal_theta(rng, mask, scale=0.5)
         opts = SolverOptions(max_ccp_iters=5000, obj_rel_tol=1e-14,
-                             stationarity_tol=1e-9, theta_init=init)
+                             stationarity_tol=1e-9, theta_init=init, newton="off")
         sols.append(solve(prob, opts).Theta)
     for s in sols[1:]:
         assert np.linalg.norm(s - sols[0]) <= 1e-5 * max(1.0, np.linalg.norm(sols[0]))
