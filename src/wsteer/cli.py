@@ -48,15 +48,17 @@ def _matrix(cfg, key):
     return np.asarray(cfg[key], dtype=float)
 
 
-def _integer_field(name, value, minimum=None):
-    """value as an int; raises ValueError naming the field when value is a
-    boolean, not a number, not integral, inf or nan, or below minimum."""
+def _number_field(name, value, integer=True, minimum=None):
+    """value as an int (a float when integer is false); raises ValueError naming
+    the field when value is a boolean, not a number, below minimum, or not integral."""
     # value % 1 is nan for inf and nan; bool is an int subclass
-    if (isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (integer and value % 1 != 0)
             or (minimum is not None and value < minimum)):
+        kind = "an integer" if integer else "a real number"
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"field '{name}' must be an integer{bound}, got {value!r}")
-    return int(value)
+        raise ValueError(f"field '{name}' must be {kind}{bound}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def load_config(path):
@@ -65,7 +67,7 @@ def load_config(path):
         cfg = json.load(fh)
     if "N" not in cfg:
         raise ValueError("config missing field 'N'")
-    N = _integer_field("N", cfg["N"], minimum=1)
+    N = _number_field("N", cfg["N"], minimum=1)
 
     if cfg.get("time_invariant", False):
         A = _matrix(cfg, "A")
@@ -94,7 +96,7 @@ def load_config(path):
     Sd = _matrix(cfg, "Sd")
     if "lambda" not in cfg:
         raise ValueError("config missing field 'lambda'")
-    lam = float(cfg["lambda"])
+    lam = _number_field("lambda", cfg["lambda"], integer=False)
 
     problem = SteeringProblem(
         system=system,
@@ -111,10 +113,10 @@ def solver_options_from_config(cfg):
     kwargs = {}
     for key in ("max_ccp_iters", "newton_max_iters"):
         if key in raw:
-            kwargs[key] = _integer_field(f"solver.{key}", raw[key])
+            kwargs[key] = _number_field(f"solver.{key}", raw[key])
     for key in ("obj_rel_tol", "stationarity_tol"):
         if key in raw:
-            kwargs[key] = float(raw[key])
+            kwargs[key] = _number_field(f"solver.{key}", raw[key], integer=False)
     if "newton" in raw:
         kwargs["newton"] = str(raw["newton"])
     theta_init = raw.get("theta_init", "zero")
@@ -295,14 +297,16 @@ def _fd_grad_check(ops, lam, mask, rng):
 def cmd_check(config_path):
     try:
         problem, cfg = load_config(config_path)
+        options = solver_options_from_config(cfg)
     except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
         return _fail(str(e))
 
     rows = []
     try:
         ops = assemble(problem)
+        # assemble has already rejected an Stilde that is not PD
         smin = float(np.linalg.eigvalsh(ops.Stilde)[0])
-        rows.append(("Stilde positive definite", bool(smin > 0.0), f"min eig {smin:.3e}"))
+        rows.append(("Stilde positive definite", True, f"min eig {smin:.3e}"))
     except WsteerError as e:
         rows.append(("Stilde positive definite", False, str(e)))
         _print_check_table(rows)
@@ -335,7 +339,7 @@ def cmd_check(config_path):
     violations = validate(problem)
     if not violations:
         try:
-            sol = solve(problem, solver_options_from_config(cfg))
+            sol = solve(problem, options)
             _certificate_row("Hessian PD at Theta* (certificate)", sol.Theta)
         except WsteerError as e:
             rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved: {e}"))
@@ -365,9 +369,9 @@ def cmd_simulate(config_path, solution_path, samples=None, seed=None, out_path=N
             sol = json.load(fh)
         sim_cfg = cfg.get("simulation", {})
         if samples is None:
-            samples = _integer_field("simulation.samples", sim_cfg.get("samples", 100000))
+            samples = _number_field("simulation.samples", sim_cfg.get("samples", 100000))
         if seed is None:
-            seed = _integer_field("simulation.seed", sim_cfg.get("seed", 42))
+            seed = _number_field("simulation.seed", sim_cfg.get("seed", 42))
     except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
         return _fail(str(e))
 

@@ -53,47 +53,29 @@ def check_symmetric(S, sym_tol=None, name="S"):
     return S
 
 
-class SymmetricPD:
-    """A square matrix validated at construction to be symmetric positive definite.
+def require_conditioned(vals, what, error=NotPDError, rcond=RCOND_GUARD):
+    """Raise `error` unless min(vals) > rcond * max(max(vals), 0).
 
-    The stored matrix is the symmetrized input.  Access it through `.mat`.
+    The one positive-definiteness, conditioning and rank rule of the package.
+    vals is a spectrum the caller already has, sorted either way (eigvalsh
+    returns it ascending, svd descending); rcond = 0 is the plain positive
+    definiteness test, and a NaN in either end always fails.
     """
-
-    def __init__(self, matrix, sym_tol=None):
-        M = check_symmetric(matrix, sym_tol=sym_tol, name="matrix")
-        M = 0.5 * (M + M.T)
-        eigvals = np.linalg.eigvalsh(M)
-        if eigvals[0] <= 0.0:
-            raise NotPDError(
-                f"matrix is not positive definite: min eigenvalue {eigvals[0]:.3e}"
-            )
-        self.mat = M
-
-    @property
-    def shape(self):
-        return self.mat.shape
+    lo, hi = (vals[0], vals[-1]) if vals[0] <= vals[-1] else (vals[-1], vals[0])
+    if not lo > rcond * max(hi, 0.0):
+        raise error(f"{what}: min {lo:.3e} <= {rcond:g} * max {hi:.3e}")
 
 
 def as_spd_matrix(S, name="S"):
-    """Coerce SymmetricPD or array input to a validated symmetric PD ndarray."""
-    if isinstance(S, SymmetricPD):
-        return S.mat
-    return SymmetricPD(S).mat
+    """S checked symmetric, symmetrized, and checked positive definite."""
+    S = symmetrize(check_symmetric(S, name=name))
+    require_conditioned(np.linalg.eigvalsh(S), f"{name} is not positive definite", rcond=0.0)
+    return S
 
 
 def vec(M):
     """Column-stack M into a vector of length rows*cols."""
     return _as_matrix(M, "M").reshape(-1, order="F")
-
-
-def unvec(v, rows, cols):
-    """Inverse of `vec` for a rows-by-cols matrix."""
-    v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise DimensionMismatchError(
-            f"cannot unvec length {v.size} into {rows}x{cols}"
-        )
-    return v.reshape((rows, cols), order="F")
 
 
 def kron(A, B):
@@ -152,8 +134,7 @@ def sqrtm_psd(S, clamp_tol=None):
     Eigenvalues in [-clamp_tol, 0) are clamped to zero; anything below raises.
     Default clamp_tol is 1e-12 * max eigenvalue.
     """
-    S = check_symmetric(S, name="S")
-    S = 0.5 * (S + S.T)
+    S = symmetrize(check_symmetric(S, name="S"))
     eigvals, V = np.linalg.eigh(S)
     if clamp_tol is None:
         clamp_tol = 1e-12 * max(eigvals[-1], 0.0)
@@ -168,14 +149,9 @@ def sqrtm_psd(S, clamp_tol=None):
 
 def pd_inverse(S, rcond=RCOND_GUARD):
     """Inverse of a symmetric PD matrix with a reciprocal-condition guard."""
-    S = check_symmetric(S, name="S")
-    S = 0.5 * (S + S.T)
+    S = symmetrize(check_symmetric(S, name="S"))
     eigvals, V = np.linalg.eigh(S)
-    if eigvals[0] <= 0.0 or eigvals[0] < rcond * eigvals[-1]:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (rcond ~ "
-            f"{eigvals[0] / max(eigvals[-1], np.finfo(float).tiny):.3e})"
-        )
+    require_conditioned(eigvals, "S is singular", SingularMatrixError, rcond=rcond)
     Si = (V / eigvals) @ V.T
     return 0.5 * (Si + Si.T)
 
@@ -232,12 +208,7 @@ def jac_inv(X):
     X = _as_matrix(X, "X")
     if X.shape[0] != X.shape[1]:
         raise DimensionMismatchError(f"jac_inv needs a square matrix, got {X.shape}")
-    sv = np.linalg.svd(X, compute_uv=False)
-    if sv[-1] <= 0.0 or sv[-1] < RCOND_GUARD * sv[0]:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (rcond ~ "
-            f"{sv[-1] / max(sv[0], np.finfo(float).tiny):.3e})"
-        )
+    require_conditioned(np.linalg.svd(X, compute_uv=False), "X is singular", SingularMatrixError)
     Xi = np.linalg.inv(X)
     return -np.kron(Xi.T, Xi)
 

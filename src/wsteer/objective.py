@@ -36,9 +36,9 @@ from .errors import (
     WsteerError,
 )
 from .matops import (
-    RCOND_GUARD,
     commutation_apply,
     geometric_mean,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
+    require_conditioned,
     sqrtm_psd,
     symmetrize,
 )
@@ -165,23 +165,16 @@ def _terminal(ops, Theta):
     from one eigendecomposition of C = Sd^(1/2) Y Sd^(1/2).
 
     Raises NotPDError when Sd is not positive definite and
-    SingularTerminalCovarianceError when Y fails the rcond guard.
+    SingularTerminalCovarianceError when Y or C fails its conditioning guard.
     """
     if ops.sqrt_Sd is None:
         raise NotPDError("desired covariance Sd is not positive definite")
     Om = omega(ops, Theta)
     Y = symmetrize(Om @ ops.Stilde @ Om.T)
     y = np.linalg.eigvalsh(Y)
-    if y[0] <= 0.0 or y[0] < RCOND_GUARD * y[-1]:
-        raise SingularTerminalCovarianceError(
-            f"terminal covariance has rcond ~ "
-            f"{y[0] / max(y[-1], np.finfo(float).tiny):.3e} < {RCOND_GUARD:g}"
-        )
+    require_conditioned(y, "terminal covariance is singular", SingularTerminalCovarianceError)
     c, V = np.linalg.eigh(symmetrize(ops.sqrt_Sd @ Y @ ops.sqrt_Sd))
-    if c[0] <= 0.0:
-        raise SingularTerminalCovarianceError(
-            f"Sd^1/2 Y Sd^1/2 has eigenvalue {c[0]:.3e} <= 0"
-        )
+    require_conditioned(c, "Sd^1/2 Y Sd^1/2 is not PD", SingularTerminalCovarianceError, rcond=0.0)
     r = np.sqrt(c)
     W = ops.sqrt_Sd @ V
     return _Terminal(

@@ -2,7 +2,7 @@
 
 The horizon-N system x_{k+1} = A_k x_k + B_k u_k + G_k w_k is lifted to
 x = Gamma x0 + Hu u + Hw w over the stacked state/input/noise vectors, and the
-total state covariance factor Stilde = Gamma S0 Gamma^T + Hw W Hw^T is
+total state covariance factor Stilde = Gamma S0 Gamma^T + Hw (I_N kron Sw) Hw^T is
 assembled once and shared immutably by the objective, solver, and simulator.
 """
 
@@ -10,11 +10,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IndexOrderError, NotPDError
-from .matops import symmetrize
+from .errors import (
+    DimensionMismatchError,
+    IndexOrderError,
+    NonFiniteError,
+    NotPDError,
+    NotSymmetricError,
+)
+from .matops import check_symmetric, require_conditioned, symmetrize
 
 # Relative singular-value threshold for the G_k full-rank requirement.
 RANK_TOL = 1e-10
+# Reciprocal-condition threshold for the covariance data S0, Sw, Sd and Stilde.
+RCOND_DATA = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,8 @@ class SteeringProblem:
     lam is the weight on the squared Wasserstein terminal cost.  It must be
     nonnegative; lam = 0 degenerates to the pure minimum-energy problem and is
     kept representable so diagnostic paths can exercise it, while `validate`
-    flags it for the full steering formulation.
+    flags it for the full steering formulation.  Construction rejects data of
+    the wrong dimension or with an inf or NaN entry.
     """
 
     system: TimeVaryingLinearSystem
@@ -121,9 +130,19 @@ class SteeringProblem:
     lam: float
 
     def __post_init__(self):
+        sysm = self.system
         noise = np.asarray(self.noise_cov, dtype=float)
-        if noise.ndim != 2 or noise.shape[0] != noise.shape[1]:
-            raise DimensionMismatchError("noise covariance must be square")
+        dims = (self.initial.dim, self.desired.dim, noise.shape)
+        want = (sysm.n_x, sysm.n_x, (sysm.n_w, sysm.n_w))
+        if dims != want:
+            raise DimensionMismatchError(
+                f"(initial dim, desired dim, noise covariance shape) = {dims}, want {want}")
+        data = {"A": sysm.A, "B": sysm.B, "G": sysm.G,
+                "mu0": (self.initial.mean,), "S0": (self.initial.cov,), "Sw": (noise,),
+                "mud": (self.desired.mean,), "Sd": (self.desired.cov,)}
+        for name, mats in data.items():
+            if not all(np.isfinite(M).all() for M in mats):
+                raise NonFiniteError(f"{name} holds an inf or NaN entry")
         if not np.isfinite(self.lam) or self.lam < 0.0:
             raise ValueError(f"lambda must be a finite nonnegative real, got {self.lam}")
         object.__setattr__(self, "noise_cov", noise)
@@ -135,8 +154,9 @@ class BlockOperators:
     """Lifted operators of a steering problem plus caches reused downstream.
 
     Gamma maps x0 to the stacked state, Hu/Hw map stacked inputs/noises, F
-    selects the terminal state, and Stilde = Gamma S0 Gamma^T + Hw W Hw^T is
-    the (always PD) covariance factor of the uncontrolled stacked state.
+    selects the terminal state, and Stilde = Gamma S0 Gamma^T +
+    Hw (I_N kron Sw) Hw^T is the (always PD) covariance factor of the
+    uncontrolled stacked state.
     """
 
     N: int
@@ -146,7 +166,6 @@ class BlockOperators:
     Gamma: np.ndarray
     Hu: np.ndarray
     Hw: np.ndarray
-    W: np.ndarray
     Stilde: np.ndarray
     F: np.ndarray
     # problem data carried along for objective/solver formulas
@@ -257,17 +276,11 @@ def assemble(problem):
         Hu[nxt, k * n_u:(k + 1) * n_u] = sysm.B[k]
         Hw[nxt, k * n_w:(k + 1) * n_w] = sysm.G[k]
 
-    Sw = np.asarray(problem.noise_cov, dtype=float)
-    W = np.kron(np.eye(N), Sw)
-
+    W = np.kron(np.eye(N), problem.noise_cov)
     S0 = problem.initial.cov
     Stilde = symmetrize(Gamma @ S0 @ Gamma.T + Hw @ W @ Hw.T)
-    eigvals = np.linalg.eigvalsh(Stilde)
-    if eigvals[0] <= 1e-12 * max(eigvals[-1], 0.0):
-        raise NotPDError(
-            f"Stilde is not positive definite (min eigenvalue {eigvals[0]:.3e}); "
-            "check that S0, Sw are PD and every G_k has full row rank"
-        )
+    require_conditioned(np.linalg.eigvalsh(Stilde), "Stilde is not PD (are S0, Sw PD and "
+                        "every G_k of full row rank?)", rcond=RCOND_DATA)
 
     F = np.zeros((n_x, (N + 1) * n_x))
     F[:, N * n_x:] = np.eye(n_x)
@@ -280,7 +293,7 @@ def assemble(problem):
 
     return BlockOperators(
         N=N, n_x=n_x, n_u=n_u, n_w=n_w,
-        Gamma=Gamma, Hu=Hu, Hw=Hw, W=W, Stilde=Stilde, F=F,
+        Gamma=Gamma, Hu=Hu, Hw=Hw, Stilde=Stilde, F=F,
         mu0=problem.initial.mean.copy(),
         mud=problem.desired.mean.copy(),
         Sd=np.asarray(Sd, dtype=float),
@@ -293,48 +306,28 @@ def assemble(problem):
 def validate(problem):
     """Return the list of formulation violations (empty means valid).
 
-    Checks the positive definiteness of S0, Sw, Sd, positivity of lambda,
-    dimensional consistency, and full rank of every G_k.
+    Checks that S0, Sw, Sd are symmetric and PD at rcond RCOND_DATA, that
+    lambda is positive, and that every G_k has full rank at rcond RANK_TOL.
     """
     violations = []
-    sysm = problem.system
-    n_x, n_w = sysm.n_x, sysm.n_w
-
-    if problem.initial.dim != n_x:
-        violations.append(
-            f"initial mean dimension {problem.initial.dim} != state dimension {n_x}"
-        )
-    if problem.desired.dim != n_x:
-        violations.append(
-            f"desired mean dimension {problem.desired.dim} != state dimension {n_x}"
-        )
-    if problem.noise_cov.shape != (n_w, n_w):
-        violations.append(
-            f"noise covariance shape {problem.noise_cov.shape} != ({n_w},{n_w})"
-        )
-
-    def _check_pd(M, what):
-        M = np.asarray(M, dtype=float)
-        if M.shape[0] != M.shape[1]:
-            violations.append(f"{what} is not square")
-            return
-        if np.abs(M - M.T).max() > 1e-10 * max(np.abs(M).max(), 1.0):
-            violations.append(f"{what} is not symmetric")
-            return
-        eigvals = np.linalg.eigvalsh(0.5 * (M + M.T))
-        if eigvals[0] <= 1e-12 * max(eigvals[-1], 0.0):
-            violations.append(f"{what} not PD (min eigenvalue {eigvals[0]:.3e})")
-
-    _check_pd(problem.initial.cov, "initial covariance")
-    _check_pd(problem.noise_cov, "noise covariance")
-    _check_pd(problem.desired.cov, "desired covariance")
+    for what, M in (("initial covariance", problem.initial.cov),
+                    ("noise covariance", problem.noise_cov),
+                    ("desired covariance", problem.desired.cov)):
+        try:
+            M = check_symmetric(M, 1e-10 * max(np.abs(M).max(), 1.0), what)
+            eigvals = np.linalg.eigvalsh(symmetrize(M))
+            require_conditioned(eigvals, f"{what} not PD", rcond=RCOND_DATA)
+        except (NotSymmetricError, NotPDError) as e:
+            violations.append(str(e))
 
     if not (problem.lam > 0.0):
         violations.append(f"lambda must be > 0, got {problem.lam}")
 
-    for k, Gk in enumerate(sysm.G):
-        sv = np.linalg.svd(Gk, compute_uv=False)
-        if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0] or sv[0] == 0.0:
-            violations.append(f"G[{k}] is rank deficient")
+    for k, Gk in enumerate(problem.system.G):
+        try:
+            require_conditioned(np.linalg.svd(Gk, compute_uv=False),
+                                f"G[{k}] is rank deficient", rcond=RANK_TOL)
+        except NotPDError as e:
+            violations.append(str(e))
 
     return violations

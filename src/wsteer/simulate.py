@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularTransformError
-from .matops import RCOND_GUARD
+from .matops import require_conditioned
 from .objective import terminal_gaussian, wasserstein_sq_gaussian
 from .problem import Gaussian, assemble
 
@@ -39,11 +39,8 @@ def k_to_theta(K, Hu):
     """
     K = np.asarray(K, dtype=float)
     M = np.eye(Hu.shape[0]) - Hu @ K
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= 0.0 or sv[-1] < RCOND_GUARD * sv[0]:
-        raise SingularTransformError(
-            "I - Hu K is singular to working precision (non-causal K?)"
-        )
+    require_conditioned(np.linalg.svd(M, compute_uv=False),
+                        "I - Hu K is singular (non-causal K?)", SingularTransformError)
     return np.linalg.solve(M.T, K.T).T
 
 

@@ -50,8 +50,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_ccp_iters < 1:
             raise ValueError("max_ccp_iters must be >= 1")
-        if not (self.obj_rel_tol > 0.0 and self.stationarity_tol > 0.0):
-            raise ValueError("tolerances must be > 0")
+        for name in ("obj_rel_tol", "stationarity_tol"):
+            tol = getattr(self, name)
+            if not 0.0 < tol < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
         if self.newton not in ("off", "when_certified"):
             raise ValueError(f"unknown newton mode {self.newton!r}")
         if self.newton_max_iters < 1:

@@ -96,6 +96,43 @@ def test_simulate_non_integer_simulation_field_exit_one(tmp_path, capsys, key, v
     assert f"field 'simulation.{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [True, "2", float("inf"), float("nan")])
+@pytest.mark.parametrize("key", ["lambda", "solver.obj_rel_tol", "solver.stationarity_tol"])
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_non_real_field_exit_one(tmp_path, capsys, command, key, value):
+    section, _, field = key.rpartition(".")
+    if section:
+        cfg = write_config(tmp_path / "p.json", solver={**BASE_CONFIG["solver"], field: value})
+    else:
+        cfg = write_config(tmp_path / "p.json", **{field: value})
+    out = ["-o", str(tmp_path / "s.json")] if command == "solve" else []
+    assert main([command, str(cfg), *out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+
+
+THREE_D = {"mud": [10.0, 5.0, 0.0], "Sd": np.eye(3).tolist()}
+NAN_S0 = {"S0": [[float("nan"), 0.0], [0.0, 1.0]]}
+INF_SD = {"Sd": [[4.0, -2.0], [-2.0, float("inf")]]}
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("overrides, expected", [
+    (THREE_D, "(initial dim, desired dim, noise covariance shape) = (2, 3, (2, 2)), "
+              "want (2, 2, (2, 2))"),
+    (NAN_S0, "S0 holds an inf or NaN entry"),
+    (INF_SD, "Sd holds an inf or NaN entry"),
+], ids=["3-d target", "nan S0", "inf Sd"])
+def test_bad_problem_data_one_error_line_exit_one(tmp_path, capsys, command, overrides,
+                                                   expected):
+    cfg = write_config(tmp_path / "p.json", **overrides)
+    out = ["-o", str(tmp_path / "s.json")] if command == "solve" else []
+    assert main([command, str(cfg), *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {expected}"]
+    assert captured.out == ""
+
+
 def test_solve_max_iters_exit_two(tmp_path):
     cfg = write_config(tmp_path / "p.json",
                        solver={"max_ccp_iters": 1, "obj_rel_tol": 1e-16,

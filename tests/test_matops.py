@@ -1,10 +1,25 @@
 """Kronecker-calculus identities, PSD primitives, and Jacobian kernels."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import FD_CBRT_EPS, fd_jacobian, rand_spd, rel_err
+from conftest import (
+    DI_A,
+    DI_B,
+    DI_MU0,
+    DI_MUD,
+    FD_CBRT_EPS,
+    SD_WIDE,
+    fd_jacobian,
+    rand_spd,
+    rel_err,
+)
+import wsteer as w
 from wsteer import matops as mo
 from wsteer.errors import (
     DimensionMismatchError,
@@ -12,7 +27,11 @@ from wsteer.errors import (
     NotPDError,
     NotSymmetricError,
     SingularMatrixError,
+    SingularTerminalCovarianceError,
+    SingularTransformError,
 )
+from wsteer.objective import _terminal
+from wsteer.problem import RANK_TOL, RCOND_DATA
 
 
 def test_vec_column_stacking():
@@ -140,13 +159,12 @@ def test_sqrtm_psd_clamps_and_raises():
         mo.sqrtm_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_symmetric_pd_constructor():
+def test_as_spd_matrix():
     with pytest.raises(NotPDError):
-        mo.SymmetricPD(np.diag([1.0, 0.0]))
+        mo.as_spd_matrix(np.diag([1.0, 0.0]))
     with pytest.raises(NotSymmetricError):
-        mo.SymmetricPD(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    spd = mo.SymmetricPD(np.diag([2.0, 3.0]))
-    assert_allclose(spd.mat, np.diag([2.0, 3.0]))
+        mo.as_spd_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert_allclose(mo.as_spd_matrix(np.diag([2.0, 3.0])), np.diag([2.0, 3.0]))
 
 
 def test_geometric_mean_fixed_points():
@@ -256,3 +274,141 @@ def test_non_finite_rejected():
         mo.vec(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         mo.kron(np.array([[np.inf]]), np.eye(2))
+
+
+# --- the one conditioning rule -------------------------------------------
+
+RCONDS = [0.0, 1e-13, 1e-12, 1e-10]
+
+
+def rejects(vals, rcond, error=NotPDError):
+    try:
+        mo.require_conditioned(vals, "M", error, rcond)
+    except error:
+        return True
+    return False
+
+
+@st.composite
+def spectra(draw):
+    """A sorted spectrum whose ends are either independent or lambda_min
+    within 1e-6 of one of the thresholds times lambda_max."""
+    hi = draw(st.floats(-1e8, 1e8))
+    if draw(st.booleans()):
+        lo = draw(st.floats(-1e8, 1e8))
+    else:
+        lo = hi * draw(st.sampled_from(RCONDS)) * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+    mid = draw(st.lists(st.floats(min(lo, hi), max(lo, hi)), max_size=4))
+    vals = np.sort([lo, *mid, hi])
+    return vals[::-1] if draw(st.booleans()) else vals
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(vals=spectra(), rcond=st.sampled_from(RCONDS))
+def test_require_conditioned_rejects_what_every_former_check_rejected(vals, rcond):
+    lo, hi = float(vals.min()), float(vals.max())
+    rejected = rejects(vals, rcond)
+    # the comparison forms the checks used before they were merged:
+    # validate and assemble, unchanged
+    assert rejected == (lo <= rcond * max(hi, 0.0))
+    # pd_inverse, jac_inv, k_to_theta and _terminal, which now also reject
+    # the exact equality
+    if lo <= 0.0 or lo < rcond * hi:
+        assert rejected
+    elif rejected:
+        assert lo == rcond * hi
+    # the G_k rank check, on singular values in descending order
+    if lo >= 0.0:
+        sv = vals[::-1] if vals[0] < vals[-1] else vals
+        if sv[-1] <= rcond * sv[0] or sv[0] == 0.0:
+            assert rejected
+
+
+@pytest.mark.parametrize("rcond", RCONDS[1:])
+def test_require_conditioned_boundary(rcond):
+    for vals in ([rcond * (1 + 1e-6), 1.0], [1.0, 0.5, rcond * (1 + 1e-6)]):
+        assert not rejects(vals, rcond)
+    for vals in ([rcond * (1 - 1e-6), 1.0], [1.0, 0.5, rcond * (1 - 1e-6)], [rcond, 1.0]):
+        assert rejects(vals, rcond)
+
+
+def test_require_conditioned_sign_and_nan():
+    assert not rejects([1e-300, 1.0], 0.0)
+    for vals in ([0.0, 1.0], [-1e-300, 1.0], [-2.0, -1.0], [np.nan, 1.0], [0.5, np.nan]):
+        for rcond in RCONDS:
+            assert rejects(vals, rcond)
+    with pytest.raises(SingularMatrixError, match="^what: min 0.000e[+]00"):
+        mo.require_conditioned([0.0, 1.0], "what", SingularMatrixError)
+
+
+def _scaled(ratio):
+    """diag(1, ratio), whose spectrum has lambda_min / lambda_max = ratio."""
+    return np.diag([1.0, ratio])
+
+
+BELOW, ABOVE = 1 - 1e-6, 1 + 1e-6
+
+
+def test_validate_thresholds_and_messages():
+    def problem(S0=np.eye(2), Sw=np.eye(2), Sd=SD_WIDE, G=np.eye(2)):
+        sysm = w.TimeVaryingLinearSystem.time_invariant(DI_A, DI_B, G, 1)
+        return w.SteeringProblem(sysm, w.Gaussian(DI_MU0, S0), Sw, w.Gaussian(DI_MUD, Sd), 1.0)
+
+    for field, name in (("S0", "initial"), ("Sw", "noise"), ("Sd", "desired")):
+        assert w.validate(problem(**{field: _scaled(RCOND_DATA * ABOVE)})) == []
+        msgs = w.validate(problem(**{field: _scaled(RCOND_DATA * BELOW)}))
+        assert len(msgs) == 1 and msgs[0].startswith(f"{name} covariance not PD")
+    assert w.validate(problem(G=_scaled(RANK_TOL * ABOVE))) == []
+    msgs = w.validate(problem(G=_scaled(RANK_TOL * BELOW)))
+    assert len(msgs) == 1 and msgs[0].startswith("G[0] is rank deficient")
+    msgs = w.validate(problem(S0=np.array([[1.0, 0.5], [0.0, 1.0]])))
+    assert len(msgs) == 1 and msgs[0].startswith("initial covariance is not symmetric")
+
+
+def test_assemble_stilde_threshold():
+    # A = 0 and N = 1 make Stilde = diag(S0, G Sw G^T) = diag(1, Sw)
+    def ops(sw):
+        sysm = w.TimeVaryingLinearSystem.time_invariant([[0.0]], [[1.0]], [[1.0]], 1)
+        return w.assemble(w.SteeringProblem(sysm, w.Gaussian([0.0], [[1.0]]), [[sw]],
+                                            w.Gaussian([0.0], [[1.0]]), 1.0))
+
+    ops(RCOND_DATA * ABOVE)
+    with pytest.raises(NotPDError):
+        ops(RCOND_DATA * BELOW)
+
+
+def test_matops_sites_keep_their_thresholds():
+    rc = mo.RCOND_GUARD
+    mo.pd_inverse(_scaled(rc * ABOVE))
+    mo.jac_inv(_scaled(rc * ABOVE))
+    for site in (mo.pd_inverse, mo.jac_inv):
+        with pytest.raises(SingularMatrixError):
+            site(_scaled(rc * BELOW))
+    mo.as_spd_matrix(_scaled(1e-300))
+    with pytest.raises(NotPDError):
+        mo.as_spd_matrix(_scaled(0.0))
+
+
+def test_terminal_guards():
+    # N = 1, n_x = 2, n_u = 1 with FHu = 0, so Y is the last 2x2 block of Stilde
+    def term(y_ratio, sqrt_Sd=np.eye(2)):
+        ops = SimpleNamespace(N=1, n_u=1, n_x=2, F=np.eye(2, 4, 2), FHu=np.zeros((2, 1)),
+                              Stilde=np.diag([1.0, 1.0, 1.0, y_ratio]), sqrt_Sd=sqrt_Sd)
+        return _terminal(ops, np.zeros((1, 4)))
+
+    term(mo.RCOND_GUARD * ABOVE)
+    with pytest.raises(SingularTerminalCovarianceError, match="terminal covariance"):
+        term(mo.RCOND_GUARD * BELOW)
+    # Y = I passes; C = Sd^1/2 Y Sd^1/2 = diag(1, 1e-400) underflows to singular
+    with pytest.raises(SingularTerminalCovarianceError, match="Sd"):
+        term(1.0, sqrt_Sd=_scaled(1e-200))
+
+
+def test_k_to_theta_threshold():
+    # with Hu = I and K = diag(1 - a, 0), I - Hu K = diag(a, 1) has rcond 1/a
+    def k_to_theta(ratio):
+        return w.k_to_theta(np.diag([1.0 - 1.0 / ratio, 0.0]), np.eye(2))
+
+    k_to_theta(mo.RCOND_GUARD * ABOVE)
+    with pytest.raises(SingularTransformError):
+        k_to_theta(mo.RCOND_GUARD * BELOW)

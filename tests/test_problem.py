@@ -5,6 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (
+    DI_A,
+    DI_B,
+    DI_G,
+    DI_MU0,
+    DI_MUD,
     SD_TIGHT,
     SD_WIDE,
     double_integrator_problem,
@@ -12,7 +17,7 @@ from conftest import (
     rand_system,
 )
 import wsteer as w
-from wsteer.errors import DimensionMismatchError, IndexOrderError, NotPDError
+from wsteer.errors import DimensionMismatchError, IndexOrderError, NonFiniteError, NotPDError
 
 
 def scalar_problem(N=2):
@@ -94,7 +99,8 @@ def test_assemble_block_structure_invariants():
         assert np.all(ops.Hu[:n_x, :] == 0.0)
         assert np.all(ops.Hw[:n_x, :] == 0.0)
         assert_allclose(ops.Gamma[:n_x, :], np.eye(n_x))
-        rebuilt = ops.Gamma @ prob.initial.cov @ ops.Gamma.T + ops.Hw @ ops.W @ ops.Hw.T
+        W = np.kron(np.eye(ops.N), prob.noise_cov)
+        rebuilt = ops.Gamma @ prob.initial.cov @ ops.Gamma.T + ops.Hw @ W @ ops.Hw.T
         assert_allclose(ops.Stilde, 0.5 * (rebuilt + rebuilt.T), rtol=0, atol=0)
         # F picks the last n_x entries
         v = rng.standard_normal((ops.N + 1) * n_x)
@@ -249,3 +255,30 @@ def test_system_shape_validation():
 def test_gaussian_shape_validation():
     with pytest.raises(DimensionMismatchError):
         w.Gaussian([0.0, 0.0], np.eye(3))
+
+
+def test_dimension_mismatch_rejected_at_construction():
+    prob = double_integrator_problem(SD_WIDE)
+    three = w.Gaussian(np.zeros(3), np.eye(3))
+    for field, value in (("initial", three), ("desired", three), ("noise_cov", np.eye(3)),
+                         ("noise_cov", np.eye(2)[:, :1])):
+        data = {"system": prob.system, "initial": prob.initial, "noise_cov": prob.noise_cov,
+                "desired": prob.desired, "lam": prob.lam, field: value}
+        with pytest.raises(DimensionMismatchError):
+            w.SteeringProblem(**data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["A", "B", "G", "mu0", "S0", "Sw", "mud", "Sd"])
+def test_non_finite_data_rejected_at_construction(name, bad):
+    data = {"A": DI_A, "B": DI_B, "G": DI_G, "mu0": DI_MU0, "S0": np.eye(2),
+            "Sw": 0.01 * np.eye(2), "mud": DI_MUD, "Sd": SD_WIDE}
+    M = np.array(data[name], dtype=float)
+    M.flat[-1] = bad
+    # a system matrix is bad at the last of three steps only
+    A, B, G = ([data[k]] * 2 + [M if k == name else data[k]] for k in ("A", "B", "G"))
+    data[name] = M
+    with pytest.raises(NonFiniteError, match=f"^{name} holds"):
+        w.SteeringProblem(w.TimeVaryingLinearSystem(A, B, G),
+                          w.Gaussian(data["mu0"], data["S0"]), data["Sw"],
+                          w.Gaussian(data["mud"], data["Sd"]), 1.0)
