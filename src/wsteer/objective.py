@@ -21,7 +21,10 @@ with Z = sqrt(lam g) * (T + K T), T = (W^T Omega Stilde) kron (W^T FHu) (n_x^2
 rows), K the commutation matrix and g = vec(G), G_ij = 1/(r_i r_j (r_i + r_j)).
 The second term is the Frechet derivative of C^(-1/2), diagonal in the
 eigenbasis.  The CCP curvature is the first term with Mt = 0.  The solver
-builds both only on the causal entries of Theta.
+builds both only on the causal entries of Theta.  `_terminal` and `_values`
+(J1..J4 and the W2 check) also take a stack of policies along leading axes,
+with the bits of each member equal to those of a lone policy; `line_scan`
+evaluates its grid that way.
 """
 
 from dataclasses import dataclass
@@ -101,12 +104,13 @@ class ObjectiveReport:
 
 
 def omega(ops, Theta):
-    """Terminal-state mixing matrix Omega = F(I + Hu Theta)."""
+    """Terminal-state mixing matrix Omega = F(I + Hu Theta), for one Theta or
+    a stack of them along the leading axes."""
     Theta = np.asarray(Theta, dtype=float)
     q = (ops.N + 1) * ops.n_x
-    if Theta.shape != (ops.N * ops.n_u, q):
+    if Theta.shape[-2:] != (ops.N * ops.n_u, q):
         raise DimensionMismatchError(
-            f"Theta shape {Theta.shape} != ({ops.N * ops.n_u}, {q})"
+            f"Theta shape {Theta.shape[-2:]} != ({ops.N * ops.n_u}, {q})"
         )
     return ops.F + ops.FHu @ Theta
 
@@ -134,54 +138,114 @@ def wasserstein_sq_gaussian(g1, g2):
     R2 = sqrtm_psd(g2.cov)
     cross = sqrtm_psd(symmetrize(R2 @ g1.cov @ R2))
     dmu = g1.mean - g2.mean
-    return _w2_sq(float(dmu @ dmu), float(np.trace(g1.cov)), float(np.trace(g2.cov)),
-                  float(np.trace(cross)))
+    return float(_w2_sq(dmu @ dmu, np.trace(g1.cov), np.trace(g2.cov), np.trace(cross)))
 
 
 def _w2_sq(mean_gap_sq, trace1, trace2, trace_root):
     """Expanded squared W2 distance, mean_gap_sq + trace1 + trace2 - 2 trace_root,
-    with round-off down to -1e-10 of the trace scale clamped to zero."""
+    elementwise over arrays, with round-off down to -1e-10 of the trace scale
+    clamped to zero; an entry below that raises, naming the first one."""
     val = mean_gap_sq + trace1 + trace2 - 2.0 * trace_root
-    tol = 1e-10 * max(1.0, abs(trace1) + abs(trace2))
-    if val < -tol:
-        raise WsteerError(f"squared Wasserstein distance {val:.3e} below -{tol:.3e}")
-    return max(val, 0.0)
+    tol = 1e-10 * np.fmax(1.0, np.abs(trace1) + np.abs(trace2))
+    low = val < -tol
+    if low.any():
+        i = np.argmax(low)
+        raise WsteerError(f"squared Wasserstein distance {np.ravel(val)[i]:.3e} "
+                          f"below -{np.ravel(tol)[i]:.3e}")
+    return np.maximum(val, 0.0)
+
+
+def _mT(M):
+    """Transpose of the last two axes: M.T for one matrix, per member for a stack."""
+    return np.swapaxes(M, -1, -2)
 
 
 class _Terminal(NamedTuple):
-    """Terminal quantities at one Theta; see `_terminal`."""
+    """Terminal quantities at one Theta, or per member of a stack; see `_terminal`."""
 
     Om: np.ndarray          # Omega = F(I + Hu Theta)
     Y: np.ndarray           # terminal covariance Omega Stilde Omega^T
     Y_eigvals: np.ndarray   # eigenvalues of Y, ascending
-    trace_root: float       # trace C^(1/2), C = Sd^(1/2) Y Sd^(1/2)
+    trace_root: np.ndarray  # trace C^(1/2), C = Sd^(1/2) Y Sd^(1/2)
     W: np.ndarray           # Sd^(1/2) V, with C = V diag(r^2) V^T
     r: np.ndarray           # square roots of the eigenvalues of C, ascending
-    Mt: np.ndarray          # Sd # Y^(-1) = W diag(1/r) W^T
+
+    @property
+    def Mt(self):
+        """Sd # Y^(-1) = W diag(1/r) W^T, the geometric mean in the J4 gradient."""
+        return symmetrize((self.W / self.r[..., None, :]) @ _mT(self.W))
 
 
 def _terminal(ops, Theta):
     """Every terminal quantity of J, its gradient and its Hessian at Theta,
     from one eigendecomposition of C = Sd^(1/2) Y Sd^(1/2).
 
-    Raises NotPDError when Sd is not positive definite and
-    SingularTerminalCovarianceError when Y or C fails its conditioning guard.
+    Theta may be a stack of gains along its leading axes; every product is a
+    stacked matmul and every decomposition a stacked LAPACK call, so each
+    member's quantities are bit-identical to those of a lone Theta.  Raises
+    NotPDError when Sd is not positive definite and
+    SingularTerminalCovarianceError when Y or C of any member fails its
+    conditioning guard.
     """
     if ops.sqrt_Sd is None:
         raise NotPDError("desired covariance Sd is not positive definite")
     Om = omega(ops, Theta)
-    Y = symmetrize(Om @ ops.Stilde @ Om.T)
+    Y = symmetrize(Om @ ops.Stilde @ _mT(Om))
     y = np.linalg.eigvalsh(Y)
     require_conditioned(y, "terminal covariance is singular", SingularTerminalCovarianceError)
     c, V = np.linalg.eigh(symmetrize(ops.sqrt_Sd @ Y @ ops.sqrt_Sd))
     require_conditioned(c, "Sd^1/2 Y Sd^1/2 is not PD", SingularTerminalCovarianceError, rcond=0.0)
     r = np.sqrt(c)
-    W = ops.sqrt_Sd @ V
-    return _Terminal(
-        Om=Om, Y=Y, Y_eigvals=y,
-        trace_root=float(np.sum(r)),
-        W=W, r=r,
-        Mt=symmetrize((W / r) @ W.T),
+    return _Terminal(Om=Om, Y=Y, Y_eigvals=y, trace_root=np.sum(r, axis=-1),
+                     W=ops.sqrt_Sd @ V, r=r)
+
+
+class _Values(NamedTuple):
+    """J, its terms and the squared W2 distance at one policy, or per member
+    of a stack; see `_values`."""
+
+    J: np.ndarray
+    J1: np.ndarray
+    J2: np.ndarray
+    J3: np.ndarray
+    J4: np.ndarray
+    W2_sq: np.ndarray
+    uu: np.ndarray          # ||u_ff||^2
+    mean: np.ndarray        # terminal mean
+    term: _Terminal
+
+
+def _dot(x, y):
+    """x . y for vectors, or per member of stacks, through matmul's dot path,
+    so a stacked member's bits equal a lone x @ y."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _values(ops, lam, u, Theta):
+    """J1..J4, J and the squared W2 distance at the policy (u, Theta), or at
+    each member of stacks u (..., N n_u) and Theta (..., N n_u, (N+1) n_x).
+
+    Applies every guard of `evaluate` to every member: lam >= 0, the two
+    conditioning guards of `_terminal` and the W2 round-off check.
+    """
+    if lam < 0.0:
+        raise ValueError("lam must be nonnegative")
+    term = _terminal(ops, Theta)
+
+    mean = ops.FGamma_mu0 + (ops.FHu @ u[..., None])[..., 0]  # matmul's gemv path, as FHu @ u
+    dmu = mean - ops.mud
+    uu, dd = _dot(u, u), _dot(dmu, dmu)
+    trace_Y = np.trace(term.Y, axis1=-2, axis2=-1)
+    trace_Sd = float(np.trace(ops.Sd))
+
+    J1 = uu + lam * dd
+    J2 = np.trace(Theta @ ops.Stilde @ _mT(Theta), axis1=-2, axis2=-1)
+    J3 = lam * (trace_Y + trace_Sd)
+    J4 = 2.0 * lam * term.trace_root
+    return _Values(
+        J=J1 + J2 + J3 - J4, J1=J1, J2=J2, J3=J3, J4=J4,
+        W2_sq=_w2_sq(dd, trace_Y, trace_Sd, term.trace_root),
+        uu=uu, mean=mean, term=term,
     )
 
 
@@ -261,33 +325,19 @@ def evaluate(ops, lam, policy, mask=None):
 
     When a CausalityMask is supplied the policy must already satisfy it.
     """
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
     if mask is not None and not mask.is_causal(policy.Theta):
         raise ValueError("policy violates the causality pattern")
 
     u = policy.u_ff
     Theta = policy.Theta
-    term = _terminal(ops, Theta)
-
-    mean = ops.FGamma_mu0 + ops.FHu @ u
-    dmu = mean - ops.mud
-    trace_Y = float(np.trace(term.Y))
-    trace_Sd = float(np.trace(ops.Sd))
-
-    J1 = float(u @ u) + lam * float(dmu @ dmu)
-    J2 = float(np.trace(Theta @ ops.Stilde @ Theta.T))
-    J3 = lam * (trace_Y + trace_Sd)
-    J4 = 2.0 * lam * term.trace_root
-    J = J1 + J2 + J3 - J4
-
+    v = _values(ops, lam, u, Theta)
     return ObjectiveReport(
-        J=J, J1=J1, J2=J2, J3=J3, J4=J4,
-        W2_sq=_w2_sq(float(dmu @ dmu), trace_Y, trace_Sd, term.trace_root),
-        cost_to_go=float(u @ u) + J2,
-        terminal=Gaussian(mean=mean, cov=term.Y),
+        J=float(v.J), J1=float(v.J1), J2=float(v.J2), J3=float(v.J3), J4=float(v.J4),
+        W2_sq=float(v.W2_sq),
+        cost_to_go=float(v.uu + v.J2),
+        terminal=Gaussian(mean=v.mean, cov=v.term.Y),
         grad_uff=grad_uff(ops, lam, u),
-        grad_theta=_grad_theta(ops, lam, Theta, term),
+        grad_theta=_grad_theta(ops, lam, Theta, v.term),
     )
 
 

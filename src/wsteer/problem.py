@@ -30,7 +30,8 @@ class TimeVaryingLinearSystem:
     """Per-step matrices of a discrete-time linear system over a fixed horizon.
 
     A, B, G are tuples of length N holding the step-k matrices; shapes are
-    (n_x, n_x), (n_x, n_u) and (n_x, n_w) respectively.
+    (n_x, n_x), (n_x, n_u) and (n_x, n_w) respectively, with n_x, n_u and n_w
+    at least 1.
     """
 
     A: tuple
@@ -57,6 +58,9 @@ class TimeVaryingLinearSystem:
                 raise DimensionMismatchError(f"B[{k}] input dimension differs from B[0]")
             if Gk.shape[1] != G[0].shape[1]:
                 raise DimensionMismatchError(f"G[{k}] noise dimension differs from G[0]")
+        if min(n_x, B[0].shape[1], G[0].shape[1]) < 1:
+            raise DimensionMismatchError(
+                f"(n_x, n_u, n_w) = {(n_x, B[0].shape[1], G[0].shape[1])}, each must be >= 1")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "G", G)

@@ -28,6 +28,7 @@ from .errors import (
 from .objective import (
     Policy,
     _hessian_block,
+    _values,
     convexity_certificate,
     evaluate,
     grad_theta_j4,
@@ -389,25 +390,50 @@ class LineScanSample:
     J4: float
 
 
+# Grid points per stacked pass of line_scan: its memory is this many policies'
+# worth of temporaries, however long the grid.  At N = 10, n_x = 2 a stack of
+# 64 gains stays below glibc malloc's 128 KB mmap threshold.
+SCAN_CHUNK = 64
+
+
+def _segment_values(ops, lam, a, b, gammas):
+    """`objective._values` at the policies (1 - g) a + g b, stacked over the
+    1-D array gammas."""
+    gu, gt = gammas[:, None], gammas[:, None, None]
+    # the lone expression, not an in-place update: each stacked gain then has
+    # the memory order numpy gives a lone (1 - g) a + g b, on which BLAS bits
+    # depend for some shapes
+    return _values(ops, lam, (1.0 - gu) * a.u_ff + gu * b.u_ff,
+                   (1.0 - gt) * a.Theta + gt * b.Theta)
+
+
 def line_scan(ops, lam, policy_a, policy_b, grid):
     """Evaluate J along the affine segment between two policies.
 
     g(gamma) = (1 - gamma) a + gamma b interpolates both u_ff and Theta, so
-    gamma = 0 and 1 reproduce the endpoint evaluations exactly.  Returns one
-    LineScanSample per grid point.
+    gamma = 0 and 1 reproduce the endpoint evaluations exactly.  Only values
+    are computed, by one stacked objective pass per SCAN_CHUNK grid points;
+    each sample is bit-identical to `evaluate` at its point, and the first
+    point that fails one of evaluate's guards raises that guard's error,
+    prefixed "at gamma=<g>: ".  Returns one LineScanSample per grid point.
     """
     grid = np.asarray(grid, dtype=float)
-    a, b = policy_a, policy_b
     samples = []
-    for g in grid:
-        pol = Policy((1.0 - g) * a.u_ff + g * b.u_ff, (1.0 - g) * a.Theta + g * b.Theta)
+    for lo in range(0, grid.size, SCAN_CHUNK):
+        g = grid[lo:lo + SCAN_CHUNK]
         try:
-            rep = evaluate(ops, lam, pol)
-        except WsteerError as e:
-            raise type(e)(f"at gamma={g}: {e}") from e
-        samples.append(LineScanSample(
-            gamma=float(g), J=rep.J, J1=rep.J1, J2=rep.J2, J3=rep.J3, J4=rep.J4,
-        ))
+            v = _segment_values(ops, lam, policy_a, policy_b, g)
+        except (ValueError, WsteerError) as err:
+            # a stacked check names the first member failing that check, not
+            # the first failing point: replay the chunk point by point
+            for i in range(g.size):
+                try:
+                    _segment_values(ops, lam, policy_a, policy_b, g[i:i + 1])
+                except WsteerError as e:
+                    raise type(e)(f"at gamma={g[i]}: {e}") from e
+            raise err
+        samples += map(LineScanSample, g.tolist(), v.J.tolist(), v.J1.tolist(),
+                       v.J2.tolist(), v.J3.tolist(), v.J4.tolist())
     return samples
 
 

@@ -1,12 +1,18 @@
 """Command-line interface: config parsing, exit codes, artifact files."""
 
 import json
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import SD_TIGHT, SD_WIDE
-from wsteer.cli import main
+import wsteer as w
+from wsteer.cli import load_config, main, solver_options_from_config
+from wsteer.objective import Policy, evaluate
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CONFIG = {
     "N": 10,
@@ -206,6 +212,28 @@ def test_scan_lambda_sweep_rows_and_counts(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 21
     assert "lambda=0.1" in capsys.readouterr().out
+
+
+def test_scan_shipped_configs_match_per_point_evaluate(tmp_path):
+    # every row of the scan CSV against one evaluate per grid point, printed
+    # with repr as cmd_scan prints it
+    paths = [str(CONFIGS / f"double_integrator_{name}.json") for name in ("tight", "wide")]
+    out = tmp_path / "scan.csv"
+    assert main(["scan", *paths, "--lambda-sweep", "0.1,2000", "--points", "41",
+                 "-o", str(out)]) == 0
+    loaded = [load_config(p) for p in paths]
+    lines = ["lambda,gamma,J,J1,J2,J3,J4"]
+    for lam in (0.1, 2000.0):
+        probs = [replace(prob, lam=lam) for prob, _ in loaded]
+        sa, sb = (w.solve(prob, solver_options_from_config(cfg))
+                  for prob, (_, cfg) in zip(probs, loaded))
+        ops = w.assemble(probs[0])
+        for g in np.linspace(-0.5, 1.5, 41):
+            rep = evaluate(ops, lam, Policy((1.0 - g) * sa.u_ff + g * sb.u_ff,
+                                            (1.0 - g) * sa.Theta + g * sb.Theta))
+            row = (lam, float(g), rep.J, rep.J1, rep.J2, rep.J3, rep.J4)
+            lines.append(",".join(repr(x) for x in row))
+    assert out.read_text().splitlines() == lines
 
 
 def test_scan_bad_lambda_sweep_exit_one(tmp_path, capsys):

@@ -23,10 +23,15 @@ from conftest import (
 import wsteer as w
 from wsteer import matops as mo
 from wsteer.cli import load_config, solver_options_from_config
-from wsteer.errors import IndefiniteBeyondToleranceError, SingularTerminalCovarianceError
+from wsteer.errors import (
+    IndefiniteBeyondToleranceError,
+    SingularTerminalCovarianceError,
+    WsteerError,
+)
 from wsteer.objective import (
     Policy,
     _terminal,
+    _w2_sq,
     convexity_certificate,
     evaluate,
     grad_theta,
@@ -109,6 +114,14 @@ def test_wasserstein_rejects_indefinite_covariance():
         wasserstein_sq_gaussian(g_bad, g_ok)
     with pytest.raises(IndefiniteBeyondToleranceError):
         wasserstein_sq_gaussian(g_ok, g_bad)
+
+
+def test_w2_sq_checks_each_member_of_a_stack():
+    # per member: 1 + 1 - 2 * trace_root, round-off within 1e-10 * 2 clamped
+    val = _w2_sq(np.zeros(3), np.ones(3), 1.0, np.array([0.5, 1.0 + 5e-11, 0.75]))
+    assert val.tolist() == [1.0, 0.0, 0.5]
+    with pytest.raises(WsteerError, match="^squared Wasserstein distance -1.000e[+]00 below"):
+        _w2_sq(np.zeros(3), np.ones(3), 1.0, np.array([0.5, 1.5, 2.0]))
 
 
 def test_wasserstein_symmetry():

@@ -252,6 +252,15 @@ def test_system_shape_validation():
         w.TimeVaryingLinearSystem.time_invariant(np.eye(2), np.zeros((2, 1)), np.eye(2), 0)
 
 
+@pytest.mark.parametrize("n_x, n_u, n_w", [(2, 0, 2), (2, 1, 0), (0, 1, 1)])
+def test_empty_dimension_rejected_at_construction(n_x, n_u, n_w):
+    # an empty input or noise space used to pass construction and make
+    # validate fail inside a numpy reduction
+    with pytest.raises(DimensionMismatchError, match="each must be >= 1"):
+        w.TimeVaryingLinearSystem.time_invariant(
+            np.eye(n_x), np.ones((n_x, n_u)), np.ones((n_x, n_w)), 3)
+
+
 def test_gaussian_shape_validation():
     with pytest.raises(DimensionMismatchError):
         w.Gaussian([0.0, 0.0], np.eye(3))

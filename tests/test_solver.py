@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -15,7 +17,15 @@ from conftest import (
     rand_problem,
 )
 import wsteer as w
-from wsteer.errors import HessianNotPDError, NonFiniteError, ValidationError
+import wsteer.solver
+from wsteer import matops as mo
+from wsteer.errors import (
+    HessianNotPDError,
+    NonFiniteError,
+    SingularTerminalCovarianceError,
+    ValidationError,
+    WsteerError,
+)
 from wsteer.objective import Policy, evaluate, grad_theta_j4, grad_uff, hessian_theta
 from wsteer.solver import (
     SolverOptions,
@@ -359,6 +369,139 @@ def test_line_scan_constant_and_endpoints():
         rep = evaluate(ops, prob.lam, pol)
         assert (sample.J, sample.J1, sample.J2, sample.J3, sample.J4) == \
             (rep.J, rep.J1, rep.J2, rep.J3, rep.J4)
+
+
+def scan_reference(ops, lam, pa, pb, grid):
+    """What line_scan must return, from one `evaluate` per grid point: the
+    (gamma, J, J1, J2, J3, J4) rows, or the class and the "at gamma=" text of
+    the error of the first failing point."""
+    rows = []
+    for g in grid:
+        pol = Policy((1.0 - g) * pa.u_ff + g * pb.u_ff, (1.0 - g) * pa.Theta + g * pb.Theta)
+        try:
+            rep = evaluate(ops, lam, pol)
+        except WsteerError as e:
+            return type(e), f"at gamma={g}: {e}"
+        rows.append((float(g), rep.J, rep.J1, rep.J2, rep.J3, rep.J4))
+    return rows
+
+
+def lone_values(ops, lam, pol):
+    """(J, J1, J2, J3, J4) of one policy by plain 2-D numpy: the arithmetic
+    evaluate used before it shared the stacked kernel with line_scan."""
+    u, T = pol.u_ff, pol.Theta
+    Om = ops.F + ops.FHu @ T
+    Y = mo.symmetrize(Om @ ops.Stilde @ Om.T)
+    c, _ = np.linalg.eigh(mo.symmetrize(ops.sqrt_Sd @ Y @ ops.sqrt_Sd))
+    dmu = ops.FGamma_mu0 + ops.FHu @ u - ops.mud
+    J1 = float(u @ u) + lam * float(dmu @ dmu)
+    J2 = float(np.trace(T @ ops.Stilde @ T.T))
+    J3 = lam * (float(np.trace(Y)) + float(np.trace(ops.Sd)))
+    J4 = 2.0 * lam * float(np.sum(np.sqrt(c)))
+    return J1 + J2 + J3 - J4, J1, J2, J3, J4
+
+
+def scanned(ops, lam, pa, pb, grid):
+    """line_scan's rows, or the class and text of its error."""
+    try:
+        samples = line_scan(ops, lam, pa, pb, grid)
+    except WsteerError as e:
+        return type(e), str(e)
+    return [(s.gamma, s.J, s.J1, s.J2, s.J3, s.J4) for s in samples]
+
+
+def random_policies(rng, ops, mask):
+    # the second gain Fortran-ordered, as solved gains are
+    n = ops.N * ops.n_u
+    return (Policy(rng.standard_normal(n), rand_causal_theta(rng, mask, scale=0.6)),
+            Policy(rng.standard_normal(n),
+                   np.asfortranarray(rand_causal_theta(rng, mask, scale=0.6))))
+
+
+def rank_one_policy(ops, u_ff):
+    """A non-causal gain with Omega = F(I + Hu Theta) = v 1^T up to round-off,
+    so the terminal covariance is singular."""
+    v = np.arange(1.0, ops.n_x + 1.0)
+    Theta = np.linalg.pinv(ops.FHu) @ (np.outer(v, np.ones(ops.F.shape[1])) - ops.F)
+    return Policy(u_ff, Theta)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    N=st.integers(1, 5),
+    n_x=st.integers(1, 3),
+    n_u=st.sampled_from([1, 2]),
+    extra_w=st.sampled_from([0, 1]),
+    log_lam=st.floats(-3.0, 4.0),
+)
+def test_line_scan_bit_identical_to_evaluate(seed, N, n_x, n_u, extra_w, log_lam):
+    # every grid point, time-varying systems, lambda log-uniform in [1e-3, 1e4]
+    rng = np.random.default_rng(seed)
+    prob = rand_problem(rng, N=N, n_x=n_x, n_u=n_u, n_w=n_x + extra_w, lam=10.0 ** log_lam)
+    ops = w.assemble(prob)
+    pa, pb = random_policies(rng, ops, w.causality_mask(N, n_u, n_x))
+    grid = np.linspace(-0.5, 1.5, 41)
+    for orders in ("CC", "CF", "FC", "FF"):  # matmul's bits depend on memory order
+        pa, pb = (Policy(p.u_ff, np.asarray(p.Theta, order=o)) for p, o in zip((pa, pb), orders))
+        ref = scan_reference(ops, prob.lam, pa, pb, grid)
+        assert isinstance(ref, list)
+        assert scanned(ops, prob.lam, pa, pb, grid) == ref
+        # and the shared kernel keeps the bits of the lone-policy arithmetic
+        for g, *values in ref:
+            pol = Policy((1.0 - g) * pa.u_ff + g * pb.u_ff, (1.0 - g) * pa.Theta + g * pb.Theta)
+            assert tuple(values) == lone_values(ops, prob.lam, pol)
+
+
+def test_line_scan_chunks_identical(monkeypatch):
+    rng, prob, ops, mask = setup_random(23, N=4, n_x=2, n_u=2)
+    pa, pb = random_policies(rng, ops, mask)
+    grid = np.linspace(-0.5, 1.5, 300)
+    whole = scanned(ops, prob.lam, pa, pb, grid)
+    assert whole == scan_reference(ops, prob.lam, pa, pb, grid)
+    sizes = []
+
+    def recorded(ops, lam, u, Theta, _values=wsteer.solver._values):
+        sizes.append(Theta.shape[0])
+        return _values(ops, lam, u, Theta)
+    monkeypatch.setattr(wsteer.solver, "_values", recorded)
+    monkeypatch.setattr(wsteer.solver, "SCAN_CHUNK", 7)
+    assert scanned(ops, prob.lam, pa, pb, grid) == whole
+    assert sizes == [7] * 42 + [6]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("chunk", [64, 7])
+def test_line_scan_names_first_failing_point(monkeypatch, chunk):
+    monkeypatch.setattr(wsteer.solver, "SCAN_CHUNK", chunk)
+    rng, prob, ops, mask = setup_random(29, N=3, n_x=2, n_u=1)
+    pa, _ = random_policies(rng, ops, mask)
+    bad = rank_one_policy(ops, pa.u_ff)
+    for a, b, grid in ((pa, bad, np.linspace(0.0, 1.0, 31)),  # fails at gamma = 1 only
+                       (bad, bad, np.linspace(-0.5, 1.5, 20)),  # fails everywhere
+                       # a later point would fail an earlier check of the kernel
+                       (pa, bad, np.array([0.3, 1.0, 1e300]))):
+        ref = scan_reference(ops, prob.lam, a, b, grid)
+        assert ref[0] is SingularTerminalCovarianceError
+        assert ref[1].startswith(f"at gamma={grid[0] if a is bad else 1.0}: "
+                                 "terminal covariance is singular")
+        assert scanned(ops, prob.lam, a, b, grid) == ref
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_line_scan_non_finite_points_raise_like_evaluate():
+    # evaluate rejects a non-finite terminal covariance with a bare
+    # ValueError, which line_scan passes on unprefixed, as before
+    rng, prob, ops, mask = setup_random(31, N=3, n_x=2, n_u=1)
+    pa, pb = random_policies(rng, ops, mask)
+    Theta = pb.Theta.copy()
+    Theta[-1, 0] = np.nan
+    for b, grid in ((Policy(pb.u_ff, Theta), np.linspace(0.0, 1.0, 5)),
+                    (rank_one_policy(ops, pb.u_ff), np.array([0.3, 1e300, 1.0]))):
+        with pytest.raises(ValueError, match="^S contains non-finite entries$"):
+            scan_reference(ops, prob.lam, pa, b, grid)
+        with pytest.raises(ValueError, match="^S contains non-finite entries$"):
+            line_scan(ops, prob.lam, pa, b, grid)
 
 
 def test_ccp_eig_calls_per_iteration(monkeypatch):
