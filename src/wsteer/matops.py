@@ -19,9 +19,9 @@ from .errors import (
 RCOND_GUARD = 1e-13
 
 
-def _as_matrix(M, name="matrix", stacked=False):
+def _as_matrix(M, name="matrix"):
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 and not (stacked and M.ndim > 2):
+    if M.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got ndim={M.ndim}")
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -30,7 +30,11 @@ def _as_matrix(M, name="matrix", stacked=False):
 
 def symmetrize(S):
     """Return (S + S^T)/2, for one matrix or each matrix of a stack."""
-    S = _as_matrix(S, "S", stacked=True)
+    S = np.asarray(S, dtype=float)
+    if S.ndim < 2:
+        raise DimensionMismatchError(f"S must be 2-D, got ndim={S.ndim}")
+    if not np.isfinite(S).all():
+        raise ValueError("S contains non-finite entries")
     return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
@@ -59,15 +63,11 @@ def require_conditioned(vals, what, error=NotPDError, rcond=RCOND_GUARD):
     The one positive-definiteness, conditioning and rank rule of the package.
     vals is a spectrum the caller already has, sorted either way (eigvalsh
     returns it ascending, svd descending), or a stack of them along the last
-    axis, of which the first failing one is reported; rcond = 0 is the plain
-    positive definiteness test, and a NaN in either end always fails.
+    axis, tested in order; rcond = 0 is the plain positive definiteness test,
+    and a NaN in either end always fails.
     """
     vals = np.asarray(vals, dtype=float)
-    first, last = vals[..., 0], vals[..., -1]
-    if vals.ndim > 1 and (np.minimum(first, last)
-                          > rcond * np.maximum(np.maximum(first, last), 0.0)).all():
-        return  # the whole stack passes: skip the per-spectrum loop
-    for a, b in zip(first.ravel().tolist(), last.ravel().tolist()):
+    for a, b in zip(vals[..., 0].ravel().tolist(), vals[..., -1].ravel().tolist()):
         lo, hi = (a, b) if a <= b else (b, a)
         if not lo > rcond * max(hi, 0.0):
             raise error(f"{what}: min {lo:.3e} <= {rcond:g} * max {hi:.3e}")

@@ -144,14 +144,13 @@ def wasserstein_sq_gaussian(g1, g2):
 def _w2_sq(mean_gap_sq, trace1, trace2, trace_root):
     """Expanded squared W2 distance, mean_gap_sq + trace1 + trace2 - 2 trace_root,
     elementwise over arrays, with round-off down to -1e-10 of the trace scale
-    clamped to zero; an entry below that raises, naming the first one."""
+    clamped to zero; any entry below that raises."""
     val = mean_gap_sq + trace1 + trace2 - 2.0 * trace_root
     tol = 1e-10 * np.fmax(1.0, np.abs(trace1) + np.abs(trace2))
     low = val < -tol
     if low.any():
-        i = np.argmax(low)
-        raise WsteerError(f"squared Wasserstein distance {np.ravel(val)[i]:.3e} "
-                          f"below -{np.ravel(tol)[i]:.3e}")
+        raise WsteerError(f"squared Wasserstein distance {val[low][0]:.3e} "
+                          f"below -{tol[low][0]:.3e}")
     return np.maximum(val, 0.0)
 
 

@@ -116,12 +116,12 @@ def test_wasserstein_rejects_indefinite_covariance():
         wasserstein_sq_gaussian(g_ok, g_bad)
 
 
-def test_w2_sq_checks_each_member_of_a_stack():
+def test_w2_sq_clamps_and_checks_every_member_of_a_stack():
     # per member: 1 + 1 - 2 * trace_root, round-off within 1e-10 * 2 clamped
     val = _w2_sq(np.zeros(3), np.ones(3), 1.0, np.array([0.5, 1.0 + 5e-11, 0.75]))
     assert val.tolist() == [1.0, 0.0, 0.5]
     with pytest.raises(WsteerError, match="^squared Wasserstein distance -1.000e[+]00 below"):
-        _w2_sq(np.zeros(3), np.ones(3), 1.0, np.array([0.5, 1.5, 2.0]))
+        _w2_sq(np.zeros(3), np.ones(3), 1.0, np.array([0.5, 0.75, 1.5]))
 
 
 def test_wasserstein_symmetry():
