@@ -11,6 +11,7 @@ stationarity tolerance (a step budget ran out, or the objective stalled).
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -128,6 +129,15 @@ def solver_options_from_config(cfg):
     return SolverOptions(**kwargs)
 
 
+def _rejected(problem, label="validation"):
+    """Print the `validate` violations of problem to stderr, one a line after
+    label; true when there are any."""
+    violations = validate(problem)
+    for v in violations:
+        print(f"{label}: {v}", file=sys.stderr)
+    return bool(violations)
+
+
 def _solution_payload(problem, sol):
     rep = sol.report
     cert = rep.certificate
@@ -168,10 +178,7 @@ def cmd_solve(config_path, out_path):
         problem, cfg = load_config(config_path)
     except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
         return _fail(str(e))
-    violations = validate(problem)
-    if violations:
-        for v in violations:
-            print(f"validation: {v}", file=sys.stderr)
+    if _rejected(problem):
         return EXIT_INPUT
     try:
         options = solver_options_from_config(cfg)
@@ -195,10 +202,7 @@ def cmd_solve(config_path, out_path):
 
 
 def _scan_one_lambda(problem_a, problem_b, cfg_a, cfg_b, lam, grid):
-    pa = SteeringProblem(problem_a.system, problem_a.initial, problem_a.noise_cov,
-                         problem_a.desired, lam)
-    pb = SteeringProblem(problem_b.system, problem_b.initial, problem_b.noise_cov,
-                         problem_b.desired, lam)
+    pa, pb = replace(problem_a, lam=lam), replace(problem_b, lam=lam)
     sol_a = solve(pa, solver_options_from_config(cfg_a))
     sol_b = solve(pb, solver_options_from_config(cfg_b))
     ops_a = assemble(pa)
@@ -220,10 +224,7 @@ def cmd_scan(config_a, config_b, gamma_min, gamma_max, points, lambda_sweep, out
     if (sa.horizon, sa.n_x, sa.n_u, sa.n_w) != (sb.horizon, sb.n_x, sb.n_u, sb.n_w):
         return _fail("configs have mismatched system dimensions")
     for prob, name in ((problem_a, config_a), (problem_b, config_b)):
-        violations = validate(prob)
-        if violations:
-            for v in violations:
-                print(f"validation ({name}): {v}", file=sys.stderr)
+        if _rejected(prob, f"validation ({name})"):
             return EXIT_INPUT
     if points < 2:
         return _fail("need at least 2 grid points")
@@ -249,49 +250,42 @@ def cmd_scan(config_a, config_b, gamma_min, gamma_max, points, lambda_sweep, out
     return EXIT_OK
 
 
+def _central_diff(f, x):
+    """Central differences of f at the 1-D x, with step max(1e-6, 1e-6 |x_i|)
+    along coordinate i; the difference along x_i is entry i of the last axis."""
+    cols = []
+    for i in range(x.size):
+        h = max(1e-6, 1e-6 * abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        cols.append((f(xp) - f(xm)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
 def _fd_grad_check(ops, lam, mask, rng):
     """Relative errors of the analytic gradients against central differences."""
     n_uff = ops.N * ops.n_u
     u = 0.5 * rng.standard_normal(n_uff)
     Theta = mask.project(0.2 * rng.standard_normal(mask.theta_shape))
+    shape = Theta.shape
 
     def J_of(u_vec, T):
         return evaluate(ops, lam, Policy(u_vec, T)).J
 
-    gu = grad_uff(ops, lam, u)
-    fd_u = np.empty_like(u)
-    for i in range(u.size):
-        h = max(1e-6, 1e-6 * abs(u[i]))
-        up, um = u.copy(), u.copy()
-        up[i] += h
-        um[i] -= h
-        fd_u[i] = (J_of(up, Theta) - J_of(um, Theta)) / (2 * h)
-    err_u = np.linalg.norm(gu - fd_u) / max(1.0, np.linalg.norm(gu))
+    def vec_grad(flat):
+        # the Hessian's rows and columns follow vec(Theta), column-stacked
+        return grad_theta(ops, lam, flat.reshape(shape, order="F")).reshape(-1, order="F")
 
-    gt = grad_theta(ops, lam, Theta)
-    fd_t = np.empty_like(gt)
-    for r in range(Theta.shape[0]):
-        for c in range(Theta.shape[1]):
-            h = max(1e-6, 1e-6 * abs(Theta[r, c]))
-            Tp, Tm = Theta.copy(), Theta.copy()
-            Tp[r, c] += h
-            Tm[r, c] -= h
-            fd_t[r, c] = (J_of(u, Tp) - J_of(u, Tm)) / (2 * h)
-    err_t = np.linalg.norm(gt - fd_t) / max(1.0, np.linalg.norm(gt))
+    def rel(exact, approx):
+        return np.linalg.norm(exact - approx) / max(1.0, np.linalg.norm(exact))
 
-    H = hessian_theta(ops, lam, Theta)
-    fd_h = np.empty_like(H)
-    flat = Theta.reshape(-1, order="F")
-    for j in range(flat.size):
-        h = max(1e-6, 1e-6 * abs(flat[j]))
-        fp, fm = flat.copy(), flat.copy()
-        fp[j] += h
-        fm[j] -= h
-        gp = grad_theta(ops, lam, fp.reshape(Theta.shape, order="F"))
-        gm = grad_theta(ops, lam, fm.reshape(Theta.shape, order="F"))
-        fd_h[:, j] = (gp - gm).reshape(-1, order="F") / (2 * h)
-    err_h = np.linalg.norm(H - fd_h) / max(1.0, np.linalg.norm(H))
-    return err_u, err_t, err_h
+    fd_u = _central_diff(lambda v: J_of(v, Theta), u)
+    fd_t = _central_diff(lambda v: J_of(u, v.reshape(shape)), Theta.ravel()).reshape(shape)
+    fd_h = _central_diff(vec_grad, Theta.reshape(-1, order="F"))
+    return (rel(grad_uff(ops, lam, u), fd_u),
+            rel(grad_theta(ops, lam, Theta), fd_t),
+            rel(hessian_theta(ops, lam, Theta), fd_h))
 
 
 def cmd_check(config_path):
@@ -375,10 +369,7 @@ def cmd_simulate(config_path, solution_path, samples=None, seed=None, out_path=N
     except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
         return _fail(str(e))
 
-    violations = validate(problem)
-    if violations:
-        for v in violations:
-            print(f"validation: {v}", file=sys.stderr)
+    if _rejected(problem):
         return EXIT_INPUT
 
     sysm = problem.system

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IndefiniteBeyondToleranceError,
+    NonFiniteError,
     NotPDError,
     NotSymmetricError,
     SingularMatrixError,
@@ -29,12 +30,13 @@ def _as_matrix(M, name="matrix"):
 
 
 def symmetrize(S):
-    """Return (S + S^T)/2, for one matrix or each matrix of a stack."""
+    """Return (S + S^T)/2, for one matrix or each matrix of a stack; raises
+    NonFiniteError when S holds an inf or NaN entry."""
     S = np.asarray(S, dtype=float)
     if S.ndim < 2:
         raise DimensionMismatchError(f"S must be 2-D, got ndim={S.ndim}")
     if not np.isfinite(S).all():
-        raise ValueError("S contains non-finite entries")
+        raise NonFiniteError("S contains non-finite entries")
     return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
@@ -135,16 +137,15 @@ def commutation_apply(X, m, n):
     return cube.transpose(1, 0, 2).reshape((m * n, k), order="F")
 
 
-def sqrtm_psd(S, clamp_tol=None):
+def sqrtm_psd(S):
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-clamp_tol, 0) are clamped to zero; anything below raises.
-    Default clamp_tol is 1e-12 * max eigenvalue.
+    Eigenvalues in [-clamp_tol, 0) are clamped to zero, with clamp_tol =
+    1e-12 * max eigenvalue; anything below raises.
     """
     S = symmetrize(check_symmetric(S, name="S"))
     eigvals, V = np.linalg.eigh(S)
-    if clamp_tol is None:
-        clamp_tol = 1e-12 * max(eigvals[-1], 0.0)
+    clamp_tol = 1e-12 * max(eigvals[-1], 0.0)
     if eigvals[0] < -clamp_tol:
         raise IndefiniteBeyondToleranceError(
             f"matrix has eigenvalue {eigvals[0]:.3e} below -clamp_tol {-clamp_tol:.3e}"
@@ -154,11 +155,11 @@ def sqrtm_psd(S, clamp_tol=None):
     return 0.5 * (R + R.T)
 
 
-def pd_inverse(S, rcond=RCOND_GUARD):
-    """Inverse of a symmetric PD matrix with a reciprocal-condition guard."""
+def pd_inverse(S):
+    """Inverse of a symmetric PD matrix with the RCOND_GUARD condition guard."""
     S = symmetrize(check_symmetric(S, name="S"))
     eigvals, V = np.linalg.eigh(S)
-    require_conditioned(eigvals, "S is singular", SingularMatrixError, rcond=rcond)
+    require_conditioned(eigvals, "S is singular", SingularMatrixError)
     Si = (V / eigvals) @ V.T
     return 0.5 * (Si + Si.T)
 

@@ -67,10 +67,6 @@ class Policy:
         object.__setattr__(self, "u_ff", u)
         object.__setattr__(self, "Theta", T)
 
-    @classmethod
-    def zeros(cls, N, n_u, n_x):
-        return cls(np.zeros(N * n_u), np.zeros((N * n_u, (N + 1) * n_x)))
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -182,9 +178,9 @@ def _terminal(ops, Theta):
     Theta may be a stack of gains along its leading axes; every product is a
     stacked matmul and every decomposition a stacked LAPACK call, so each
     member's quantities are bit-identical to those of a lone Theta.  Raises
-    NotPDError when Sd is not positive definite and
-    SingularTerminalCovarianceError when Y or C of any member fails its
-    conditioning guard.
+    NotPDError when Sd is not positive definite, NonFiniteError when Y of
+    any member holds an inf or NaN entry, and SingularTerminalCovarianceError
+    when Y or C of any member fails its conditioning guard.
     """
     if ops.sqrt_Sd is None:
         raise NotPDError("desired covariance Sd is not positive definite")
@@ -349,8 +345,7 @@ def stationarity_residual(ops, lam, policy, mask):
     multiplier terms are supported exactly on the complement.
     """
     Theta = mask.project(policy.Theta)
-    G = grad_theta(ops, lam, Theta)
-    return float(np.linalg.norm(G.reshape(-1, order="F")[mask.free_entries]))
+    return float(np.linalg.norm(mask.gather(grad_theta(ops, lam, Theta))))
 
 
 def convexity_certificate(ops, lam, Theta, mode="dominance"):

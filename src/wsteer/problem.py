@@ -202,16 +202,24 @@ class CausalityMask:
     def theta_shape(self):
         return (self.N * self.n_u, (self.N + 1) * self.n_x)
 
+    def gather(self, M):
+        """The free entries of vec(M), column-stacked, in free_entries order."""
+        M = np.asarray(M, dtype=float)
+        if M.shape != self.theta_shape:
+            raise DimensionMismatchError(
+                f"Theta shape {M.shape} != {self.theta_shape}"
+            )
+        return M.reshape(-1, order="F")[self.free_entries]
+
+    def scatter(self, v):
+        """The causal Theta whose free entries, in gather's order, are v."""
+        flat = np.zeros(self.theta_shape[0] * self.theta_shape[1])
+        flat[self.free_entries] = v
+        return flat.reshape(self.theta_shape, order="F")
+
     def project(self, Theta):
         """Zero out the constrained (complement) entries of Theta."""
-        Theta = np.asarray(Theta, dtype=float)
-        if Theta.shape != self.theta_shape:
-            raise DimensionMismatchError(
-                f"Theta shape {Theta.shape} != {self.theta_shape}"
-            )
-        flat = Theta.reshape(-1, order="F").copy()
-        flat[self.complement] = 0.0
-        return flat.reshape(self.theta_shape, order="F")
+        return self.scatter(self.gather(Theta))
 
     def is_causal(self, Theta, tol=0.0):
         Theta = np.asarray(Theta, dtype=float)

@@ -4,12 +4,14 @@ on the causal feedback gain that hands over to guarded Newton once it crawls.
 The objective splits into a convex quadratic part J1 + J2 + J3 and a convex
 part J4 entering with a minus sign.  Each convex-concave step linearizes J4 at
 the current iterate and minimizes the remaining convex quadratic over the
-causal subspace; the curvature of that subproblem is constant, so its reduced
-normal matrix is factored once and reused every iteration.  This guarantees
-monotone descent of J, but only a linear rate, which at large lambda is a
-crawl.  Once the residual ratio shows that crawl, damped Newton steps, guarded
-by a positive definite reduced Hessian and a line search that never lets J
-rise, drive the projected gradient to zero with a quadratic tail; when Newton
+causal subspace.  That quadratic has the constant curvature H0 of J2 + J3, so
+its minimizer is Theta_k - H0^(-1) grad J(Theta_k) on the free entries: the
+Newton step with J4's curvature dropped, taken from the gradient the iterate
+already has and a factor of H0 computed once.  This guarantees monotone
+descent of J, but only a linear rate, which at large lambda is a crawl.  Once
+the residual ratio shows that crawl, damped Newton steps, guarded by a
+positive definite reduced Hessian and a line search that never lets J rise,
+drive the projected gradient to zero with a quadratic tail; when Newton
 fails, CCP resumes from its iterate.
 """
 
@@ -31,7 +33,8 @@ from .objective import (
     _values,
     convexity_certificate,
     evaluate,
-    grad_theta_j4,
+    grad_theta,
+    grad_theta_j4,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
     hessian_theta,
     stationarity_residual,
 )
@@ -71,6 +74,12 @@ class IterRecord:
     J3: float
     J4: float
     residual: float
+
+
+def _iter_record(k, kind, rep, residual):
+    """The IterRecord of step k from the ObjectiveReport at its iterate."""
+    return IterRecord(k=k, kind=kind, J=rep.J, J1=rep.J1, J2=rep.J2, J3=rep.J3,
+                      J4=rep.J4, residual=residual)
 
 
 @dataclass
@@ -164,29 +173,21 @@ def _reduced_curvature_factor(ops, lam, mask):
     return _cho_factor_in_place(_hessian_block(ops, lam, mask.free_entries))
 
 
-def _subproblem_rhs(ops, lam, Theta_k, mask):
-    """Right-hand side of the reduced normal equations at the linearization point."""
-    G4 = grad_theta_j4(ops, lam, Theta_k)
-    const = 2.0 * lam * (ops.FHu.T @ ops.Stilde[-ops.n_x:, :])
-    rhs_full = (G4 - const).reshape(-1, order="F")
-    return rhs_full[mask.free_entries]
-
-
-def _theta_from_free(mask, theta_free):
-    flat = np.zeros(mask.theta_shape[0] * mask.theta_shape[1])
-    flat[mask.free_entries] = theta_free
-    return flat.reshape(mask.theta_shape, order="F")
-
-
-def ccp_subproblem(ops, lam, Theta_k, mask, factor=None):
-    """One convex-concave step: minimize J2 + J3 - <grad J4(Theta_k), Theta>
-    over causal Theta.  `factor` is the cached Cholesky factor of the reduced
-    curvature; it is recomputed when not supplied.
+def ccp_subproblem(ops, lam, Theta_k, mask, factor=None, grad=None):
+    """One convex-concave step from the causal Theta_k: the minimizer of
+    J2 + J3 - <grad J4(Theta_k), Theta> over causal Theta, which is
+    Theta_k - H0^(-1) grad J(Theta_k) on the free entries, H0 the constant
+    curvature of J2 + J3.  `factor` is the cached Cholesky factor of the
+    reduced H0 and `grad` the full gradient of J at Theta_k; each is computed
+    when not supplied, with the same result.
     """
+    if not mask.is_causal(Theta_k):
+        raise ValueError("Theta_k violates the causality pattern")
     if factor is None:
         factor = _reduced_curvature_factor(ops, lam, mask)
-    rhs = _subproblem_rhs(ops, lam, Theta_k, mask)
-    return _theta_from_free(mask, _cho_solve(factor, rhs))
+    if grad is None:
+        grad = grad_theta(ops, lam, Theta_k)
+    return mask.scatter(mask.gather(Theta_k) - _cho_solve(factor, mask.gather(grad)))
 
 
 def _crawling(res_prev, res, tol):
@@ -216,13 +217,9 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_af
     def _record(k, kind, Theta_k):
         rep = evaluate(ops, lam, Policy(u_ff, Theta_k), mask)
         # Theta_k is causal, so this is stationarity_residual at Theta_k
-        G = rep.grad_theta.reshape(-1, order="F")[mask.free_entries]
-        res = float(np.linalg.norm(G))
-        trace.records.append(IterRecord(
-            k=k, kind=kind, J=rep.J, J1=rep.J1, J2=rep.J2, J3=rep.J3,
-            J4=rep.J4, residual=res,
-        ))
-        return rep.J, res
+        res = float(np.linalg.norm(mask.gather(rep.grad_theta)))
+        trace.records.append(_iter_record(k, kind, rep, res))
+        return rep.J, res, rep.grad_theta
 
     if resume is None:
         if options.theta_init is None:
@@ -230,23 +227,24 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_af
         else:
             Theta = mask.project(np.asarray(options.theta_init, dtype=float))
         trace = SolveTrace()
-        J_prev, res_prev = _record(0, "init", Theta)
+        J_prev, res_prev, grad = _record(0, "init", Theta)
         if res_prev <= tol:
             trace.termination = "stationarity"
             return Theta, trace
     else:
         Theta, trace = resume
         J_prev, res_prev = trace.records[-1].J, trace.records[-1].residual
+        grad = None
 
     factor = _reduced_curvature_factor(ops, lam, mask)
     k0 = trace.records[-1].k
     steps = options.max_ccp_iters - sum(r.kind == "ccp" for r in trace.records)
     for j in range(1, steps + 1):
         try:
-            Theta = ccp_subproblem(ops, lam, Theta, mask, factor=factor)
+            Theta = ccp_subproblem(ops, lam, Theta, mask, factor=factor, grad=grad)
         except WsteerError as e:
             raise type(e)(f"CCP iteration {k0 + j}: {e}") from e
-        J, res = _record(k0 + j, "ccp", Theta)
+        J, res, grad = _record(k0 + j, "ccp", Theta)
         if res <= tol:
             trace.termination = "stationarity"
             return Theta, trace
@@ -277,13 +275,12 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
     if u_ff is None:
         u_ff = np.zeros(ops.N * ops.n_u)
     Theta = mask.project(np.asarray(Theta, dtype=float))
-    free = mask.free_entries
 
     rep = evaluate(ops, lam, Policy(u_ff, Theta), mask)
     base_iter = trace.records[-1].k if trace and trace.records else 0
 
     for k in range(1, options.newton_max_iters + 1):
-        g = rep.grad_theta.reshape(-1, order="F")[free]
+        g = mask.gather(rep.grad_theta)
         if np.linalg.norm(g) <= options.stationarity_tol:
             break
         try:
@@ -295,10 +292,10 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
         step = _cho_solve(factor, g)
         del factor  # the next Hessian is built without this one alive
 
-        theta_free = Theta.reshape(-1, order="F")[free]
+        theta_free = mask.gather(Theta)
         t = 1.0
         for _ in range(60):
-            cand = _theta_from_free(mask, theta_free - t * step)
+            cand = mask.scatter(theta_free - t * step)
             rep_c = evaluate(ops, lam, Policy(u_ff, cand), mask)
             if rep_c.J <= rep.J:
                 break
@@ -308,10 +305,7 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
         Theta, rep = cand, rep_c
         if trace is not None:
             res_new = stationarity_residual(ops, lam, Policy(u_ff, Theta), mask)
-            trace.records.append(IterRecord(
-                k=base_iter + k, kind="newton", J=rep.J, J1=rep.J1,
-                J2=rep.J2, J3=rep.J3, J4=rep.J4, residual=res_new,
-            ))
+            trace.records.append(_iter_record(base_iter + k, "newton", rep, res_new))
     return Theta
 
 

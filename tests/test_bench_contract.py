@@ -1,9 +1,16 @@
 """The benchmark tracer wraps package names by (module, attribute); a renamed
-or deleted name breaks every set-up measurement, traced or not."""
+or deleted name breaks every set-up measurement, traced or not, and a call
+moved away from a wrapped name silently zeroes the count the tracer reads."""
 
 import importlib.util
 import pathlib
 import sys
+from collections import Counter
+
+import pytest
+
+from conftest import SD_TIGHT, SD_WIDE, double_integrator_problem
+import wsteer.solver
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -26,3 +33,34 @@ def test_tracer_targets_resolve():
                if not hasattr(mod, attr)]
     assert missing == []
     assert tracer.installed_wrappers() == 0
+
+
+def counted(monkeypatch, name):
+    """Replace wsteer.solver.<name> by a wrapper, as the tracer does, and
+    return the list to which each call appends its (args, kwargs)."""
+    calls = []
+    fn = getattr(wsteer.solver, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(wsteer.solver, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("Sd, kinds", [(SD_TIGHT, ["dominance"]),
+                                       (SD_WIDE, ["dominance", "spectral"])])
+def test_solve_calls_what_the_tracer_counts(monkeypatch, Sd, kinds):
+    # solver.ccp.iters, solver.newton.iters and the certificate spans count
+    # calls of these names; a solve that bypassed them would read as no work
+    traced = {(mod.__name__, attr) for mod, attr, _ in load_tracer().TARGETS}
+    names = ("ccp_subproblem", "stationarity_residual", "convexity_certificate")
+    assert {("wsteer.solver", name) for name in names} <= traced
+    steps, residuals, certificates = (counted(monkeypatch, name) for name in names)
+    sol = wsteer.solver.solve(double_integrator_problem(Sd, lam=100.0))
+    records = Counter(r.kind for r in sol.trace.records)
+    assert records["ccp"] > 0 and records["newton"] > 0
+    assert len(steps) == records["ccp"]
+    assert len(residuals) == records["newton"]
+    assert [kw["mode"] for _, kw in certificates] == kinds
+    assert (sol.certificate.kind == "DominatedCovariance") == (kinds == ["dominance"])

@@ -216,6 +216,20 @@ def test_causality_mask_is_causal():
     assert not mask.is_causal(Theta_bad)
 
 
+@pytest.mark.parametrize("N,n_u,n_x", [(1, 1, 1), (3, 2, 2), (4, 1, 3)])
+def test_causality_mask_gather_scatter_round_trip(N, n_u, n_x):
+    mask = w.causality_mask(N, n_u, n_x)
+    rng = np.random.default_rng(N)
+    Theta = rng.standard_normal(mask.theta_shape)
+    v = rng.standard_normal(mask.free_entries.size)
+    assert np.array_equal(mask.gather(Theta), w.matops.vec(Theta)[mask.free_entries])
+    assert np.array_equal(mask.scatter(mask.gather(Theta)), mask.project(Theta))
+    assert np.array_equal(mask.gather(mask.scatter(v)), v)
+    assert mask.is_causal(mask.scatter(v))
+    with pytest.raises(DimensionMismatchError):
+        mask.gather(Theta.T)
+
+
 def test_validate_benchmark_clean():
     assert w.validate(double_integrator_problem(SD_WIDE)) == []
     assert w.validate(double_integrator_problem(SD_TIGHT)) == []

@@ -26,7 +26,14 @@ from wsteer.errors import (
     ValidationError,
     WsteerError,
 )
-from wsteer.objective import Policy, evaluate, grad_theta_j4, grad_uff, hessian_theta
+from wsteer.objective import (
+    Policy,
+    _hessian_block,
+    evaluate,
+    grad_theta_j4,
+    grad_uff,
+    hessian_theta,
+)
 from wsteer.solver import (
     SolverOptions,
     _cho_solve,
@@ -121,6 +128,54 @@ def test_ccp_subproblem_majorization_descent():
         Theta_n = ccp_subproblem(ops, prob.lam, Theta_k, mask)
         J_n = evaluate(ops, prob.lam, Policy(u, Theta_n), mask).J
         assert J_n <= J_k + 1e-10
+
+
+def normal_equation_step(ops, lam, Theta_k, mask):
+    """The CCP step as first written: the reduced normal equations
+    H0 theta = grad J4(Theta_k) - 2 lam FHu^T F Stilde on the free entries."""
+    const = 2.0 * lam * (ops.FHu.T @ ops.Stilde[-ops.n_x:, :])
+    rhs = mask.gather(grad_theta_j4(ops, lam, Theta_k) - const)
+    return mask.scatter(_cho_solve(_reduced_curvature_factor(ops, lam, mask), rhs))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    N=st.integers(1, 5),
+    n_x=st.integers(1, 3),
+    n_u=st.sampled_from([1, 2]),
+    extra_w=st.sampled_from([0, 1]),
+    log_lam=st.floats(-3.0, 4.0),
+)
+def test_ccp_step_matches_normal_equations(seed, N, n_x, n_u, extra_w, log_lam):
+    # time-varying systems, lambda log-uniform in [1e-3, 1e4]
+    rng = np.random.default_rng(seed)
+    prob = rand_problem(rng, N=N, n_x=n_x, n_u=n_u, n_w=n_x + extra_w, lam=10.0 ** log_lam)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(N, n_u, n_x)
+    Theta_k = rand_causal_theta(rng, mask)
+    step = ccp_subproblem(ops, prob.lam, Theta_k, mask)
+    ref = normal_equation_step(ops, prob.lam, Theta_k, mask)
+    # each solve has a forward error of order eps cond(H0), so on an
+    # ill-conditioned H0 they differ by more than 1e-10: 3.0e-8 at
+    # cond(H0) = 1.9e9 in random draws of this strategy
+    h0 = np.linalg.eigvalsh(_hessian_block(ops, prob.lam, mask.free_entries))
+    tol = max(1e-10, np.finfo(float).eps * h0[-1] / h0[0])
+    assert np.linalg.norm(step - ref) <= tol * max(1.0, np.linalg.norm(ref))
+    assert mask.is_causal(step)
+    # the gradient ccp_solve passes in, from its record at Theta_k
+    rep = evaluate(ops, prob.lam, Policy(rng.standard_normal(N * n_u), Theta_k), mask)
+    factor = _reduced_curvature_factor(ops, prob.lam, mask)
+    assert np.array_equal(ccp_subproblem(ops, prob.lam, Theta_k, mask, factor=factor,
+                                         grad=rep.grad_theta), step)
+
+
+def test_ccp_subproblem_rejects_non_causal_iterate():
+    rng, prob, ops, mask = setup_random(12)
+    Theta_k = rand_causal_theta(rng, mask)
+    Theta_k[0, -1] = 1.0
+    with pytest.raises(ValueError, match="causality pattern"):
+        ccp_subproblem(ops, prob.lam, Theta_k, mask)
 
 
 def test_ccp_solve_trivial_target():
@@ -490,23 +545,23 @@ def test_line_scan_names_first_failing_point(monkeypatch, chunk):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_line_scan_non_finite_points_raise_like_evaluate():
-    # evaluate rejects a non-finite terminal covariance with a bare
-    # ValueError, which line_scan passes on unprefixed, as before
+    # evaluate rejects a non-finite terminal covariance with NonFiniteError,
+    # which line_scan prefixes with the first point that has one
     rng, prob, ops, mask = setup_random(31, N=3, n_x=2, n_u=1)
     pa, pb = random_policies(rng, ops, mask)
     Theta = pb.Theta.copy()
     Theta[-1, 0] = np.nan
-    for b, grid in ((Policy(pb.u_ff, Theta), np.linspace(0.0, 1.0, 5)),
-                    (rank_one_policy(ops, pb.u_ff), np.array([0.3, 1e300, 1.0]))):
-        with pytest.raises(ValueError, match="^S contains non-finite entries$"):
-            scan_reference(ops, prob.lam, pa, b, grid)
-        with pytest.raises(ValueError, match="^S contains non-finite entries$"):
-            line_scan(ops, prob.lam, pa, b, grid)
+    for b, grid, bad in ((Policy(pb.u_ff, Theta), np.linspace(0.0, 1.0, 5), 0.0),
+                         (rank_one_policy(ops, pb.u_ff), np.array([0.3, 1e300, 1.0]), 1e300)):
+        ref = scan_reference(ops, prob.lam, pa, b, grid)
+        assert ref == (NonFiniteError, f"at gamma={bad}: S contains non-finite entries")
+        assert scanned(ops, prob.lam, pa, b, grid) == ref
 
 
 def test_ccp_eig_calls_per_iteration(monkeypatch):
-    # one terminal kernel per evaluation: evaluate and the subproblem
-    # right-hand side each take one eigvalsh of Y and one eigh of C
+    # one terminal kernel per CCP step: the step reads the gradient of the
+    # record at its iterate, whose evaluate takes one eigvalsh of Y and one
+    # eigh of C
     prob = double_integrator_problem(SD_TIGHT, lam=2000.0)
     ops = w.assemble(prob)
     mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
@@ -521,7 +576,7 @@ def test_ccp_eig_calls_per_iteration(monkeypatch):
     opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, stationarity_tol=1e-6)
     _, trace = ccp_solve(ops, prob.lam, mask, opts, u_ff=solve_feedforward(ops, prob.lam))
     assert trace.iterations > 100
-    assert calls[0] <= 4 * trace.iterations + 20
+    assert calls[0] <= 2 * trace.iterations + 20
 
 
 def test_count_strict_local_minima():
