@@ -19,6 +19,9 @@ from . import simulate as sim
 from .errors import WsteerError
 from .objective import (
     Policy,
+    _hessian_block,
+    _StructuredCurvature,
+    _terminal,
     convexity_certificate,
     evaluate,
     grad_theta,
@@ -288,6 +291,27 @@ def _fd_grad_check(ops, lam, mask, rng):
             rel(hessian_theta(ops, lam, Theta), fd_h))
 
 
+def _structured_row(ops, lam, mask, Theta, rng):
+    """The structured curvature H = D + V M V^T at Theta against the dense
+    causal block: the backward error of a Newton solve with it, and its
+    lambda_min against eigvalsh, whose own round-off is eps ||H||_2."""
+    term = _terminal(ops, Theta)
+    H = _hessian_block(ops, lam, mask.free_entries, term)
+    curv = _StructuredCurvature(ops, lam, mask, term)
+    eig = np.linalg.eigvalsh(H)
+    lmin = float(curv.lambda_min())
+    agree = abs(lmin - eig[0]) <= 1e-8 * abs(eig[0]) + np.finfo(float).eps * abs(eig).max()
+    detail = f"min eig {lmin:.9e} vs dense {eig[0]:.9e}"
+    if not curv.pd:
+        return ("structured curvature vs dense causal block", bool(agree and eig[0] <= 0.0),
+                detail + ", not PD: no Newton solve")
+    b = rng.standard_normal(H.shape[0])
+    x = curv.solve(b)
+    err = np.linalg.norm(H @ x - b) / (eig[-1] * np.linalg.norm(x) + np.linalg.norm(b))
+    return ("structured curvature vs dense causal block", bool(agree and err <= 1e-14),
+            f"Newton solve backward error {err:.3e}, " + detail)
+
+
 def cmd_check(config_path):
     try:
         problem, cfg = load_config(config_path)
@@ -335,6 +359,7 @@ def cmd_check(config_path):
         try:
             sol = solve(problem, options)
             _certificate_row("Hessian PD at Theta* (certificate)", sol.Theta)
+            rows.append(_structured_row(ops, lam, mask, sol.Theta, rng))
         except WsteerError as e:
             rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved: {e}"))
     else:

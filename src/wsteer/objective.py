@@ -21,16 +21,36 @@ with Z = sqrt(lam g) * (T + K T), T = (W^T Omega Stilde) kron (W^T FHu) (n_x^2
 rows), K the commutation matrix and g = vec(G), G_ij = 1/(r_i r_j (r_i + r_j)).
 The second term is the Frechet derivative of C^(-1/2), diagonal in the
 eigenbasis.  The CCP curvature is the first term with Mt = 0.  The solver
-builds both only on the causal entries of Theta.  `_terminal` and `_values`
+works only on the causal (free) entries of Theta, where
+
+    H = D + V M V^T,  V = [U, Z^T],  M = blkdiag(2 lam Stilde kron (I - Mt), I).
+
+D, the curvature of J2, is block-diagonal over the rows of Theta: row r is
+free on its first l = (floor(r / n_u) + 1) n_x columns and has the block
+2 Stilde[:l, :l], factored by the leading block of L = chol(Stilde).
+U(Y) = FHu^T Y on the free entries and U^T(X) = FHu X; neither is formed.
+The CCP curvature has Mt = 0 and no Z.  In the coordinates Phi = X L, D = 2I,
+the U part of G = V^T D^-1 V is block-diagonal with blocks Q_t / 2, where
+Q_t = sum_(i >= t) F_i F_i^T over the input blocks F_i of FHu, and that of M
+is I kron 2 lam (I - Mt).  `_StructuredCurvature` solves with the Woodbury
+form D^-1 - D^-1 V (I + M G)^-1 M V^T D^-1 (no M^-1, valid at lam = 0) and
+one step of iterative refinement, decides positive definiteness in the small
+space (H > 0 iff I + G^(1/2) M G^(1/2) > 0, as D > 0), and finds lambda_min(H)
+by Lanczos on H^-1 from a fixed start vector.  Size rule: this runs when
+the free entries outnumber STRUCTURED_RATIO times (N + 1) n_x^2, the side of
+G; on smaller problems the dense causal block of `_hessian_block` is
+faster, and is Cholesky-factored, with eigvalsh for lambda_min.
+`_hessian_block` also stays the test oracle.  `_terminal` and `_values`
 (J1..J4 and the W2 check) also take a stack of policies along leading axes,
 with the bits of each member equal to those of a lone policy; `line_scan`
 evaluates its grid that way.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -97,6 +117,9 @@ class ObjectiveReport:
     grad_uff: np.ndarray
     grad_theta: np.ndarray
     certificate: Optional[Certificate] = None
+    # the terminal kernel at the policy, from which the solver's Newton step
+    # builds its curvature
+    kernel: Optional[object] = field(default=None, repr=False, compare=False)
 
 
 def omega(ops, Theta):
@@ -302,6 +325,173 @@ def _hessian_block(ops, lam, idx, term=None):
     return H
 
 
+# The size rule: solve with H = D + V M V^T when the free-entry count exceeds
+# STRUCTURED_RATIO times the coupling rank n_x * N n_x + n_x^2 (the side of
+# G).  On the double integrator (n_x = 2, n_u = 1) the dense causal block
+# solved faster up to N = 15 and slower from N = 20 on.
+STRUCTURED_RATIO = 4
+
+
+# Lanczos stops when its Ritz residual is below this share of the Ritz value,
+# which bounds the relative error of that eigenvalue by the same share.
+LANCZOS_TOL = 1e-10
+
+
+def _structured(ops):
+    n_free = ops.n_u * ops.n_x * ops.N * (ops.N + 1) // 2
+    return n_free > STRUCTURED_RATIO * ops.n_x * (ops.N + 1) * ops.n_x
+
+
+class _DenseCurvature:
+    """A causal block of `_hessian_block`, Cholesky-factored in its own memory
+    (H.T is the same exactly symmetric matrix in Fortran order, so LAPACK
+    needs no copy).  pd is False when the factorization fails."""
+
+    def __init__(self, H):
+        try:
+            self.factor = scipy.linalg.cho_factor(H.T, overwrite_a=True)
+        except np.linalg.LinAlgError:
+            self.factor = None
+        self.pd = self.factor is not None
+
+    def solve(self, v):
+        return scipy.linalg.cho_solve(self.factor, v, check_finite=False)
+
+
+class _StructuredCurvature:
+    """The causal Hessian H = D + V M V^T at the terminal kernel term, or with
+    term None the CCP curvature, without its dense block; see the module
+    docstring.  Free entries are held as causal matrices X of N n_u x N n_x
+    (the last block column of Theta is never free), and the work is done in
+    the coordinates Phi = X L, L = chol(Stilde), where D = 2I.  pd tells
+    whether H is positive definite, tested in the small space; solve needs it.
+    """
+
+    def __init__(self, ops, lam, mask, term=None):
+        N, n_x, n_u = ops.N, ops.n_x, ops.n_u
+        p, qq = N * n_u, N * n_x
+        self.cols, self.rows = np.divmod(mask.free_entries, p)
+        self.free = np.arange(qq) // n_x <= (np.arange(p) // n_u)[:, None]
+        self.FHu = ops.FHu
+        self.L = np.linalg.cholesky(ops.Stilde[:qq, :qq])
+        # explicit, since a matmul is faster than a triangular solve at these sizes
+        self.Linv = scipy.linalg.solve_triangular(self.L, np.eye(qq), lower=True)
+        # G_UU is block-diagonal: Q_t / 2 at column c of Phi, t = c // n_x
+        F = ops.FHu.reshape(n_x, N, n_u).transpose(1, 0, 2)
+        Q = np.cumsum((F @ _mT(F))[::-1], axis=0)[::-1][np.arange(qq) // n_x]
+        G = (0.5 * np.eye(qq)[:, None, :, None] * Q[:, :, None, :]).reshape(qq * n_x, -1)
+        # M_U = I kron A acts on the first k entries of V^T X
+        self.k = qq * n_x
+        self.A = 2.0 * lam * np.eye(n_x)
+        self.Z = np.zeros((0, p * qq))
+        if term is not None:
+            self.A = 2.0 * lam * (np.eye(n_x) - term.Mt)
+            s = term.r
+            g = 1.0 / (np.outer(s, s) * np.add.outer(s, s))
+            Aw, Bw = (term.W.T @ term.Om @ ops.Stilde)[:, :qq], term.W.T @ ops.FHu
+            # row (a, b) of Z is sqrt(lam g_ab) (Bw_b^T Aw_a + Bw_a^T Aw_b) on the free entries
+            Z = Bw[None, :, :, None] * Aw[:, None, None, :]
+            Z = np.sqrt(lam * g)[..., None, None] * (Z + Z.swapaxes(0, 1))
+            Z = self._dual_whiten(Z.reshape(n_x * n_x, p, qq) * self.free)
+            self.Z = Z.reshape(n_x * n_x, -1)
+            GUZ = 0.5 * (ops.FHu @ Z).swapaxes(1, 2).reshape(n_x * n_x, -1).T
+            G = np.block([[G, GUZ], [GUZ.T, 0.5 * self.Z @ self.Z.T]])
+        G = symmetrize(G)
+        self.pd = term is None or self._pd_in_small_space(G)
+        if self.pd:
+            self.lu = scipy.linalg.lu_factor(np.eye(G.shape[0]) + self._M(G),
+                                             check_finite=False)
+
+    def _pd_in_small_space(self, G):
+        """H is congruent to I + D^(-1/2) V M V^T D^(-1/2), whose second term
+        has the nonzero eigenvalues of G^(1/2) M G^(1/2), and so of R^T M R for
+        any R with G = R R^T: here the pivoted Cholesky factor of G, cut at
+        its numerical rank."""
+        c, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, lower=1)
+        R = np.zeros((G.shape[0], rank))
+        R[piv - 1] = np.tril(c)[:, :rank]
+        try:
+            np.linalg.cholesky(symmetrize(np.eye(rank) + R.T @ self._M(R)))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def _M(self, y):
+        """M y, M = blkdiag(I kron A, I), for a vector y or the columns of a matrix."""
+        k = self.k
+        MU = self.A @ y[:k].reshape(self.free.shape[1], self.A.shape[0], -1)
+        return np.concatenate([MU.reshape(y[:k].shape), y[k:]])
+
+    def _Vt(self, Phi):
+        return np.concatenate([(self.FHu @ Phi).reshape(-1, order="F"), self.Z @ Phi.ravel()])
+
+    def _V(self, y):
+        k = self.k
+        U = self.FHu.T @ y[:k].reshape(self.FHu.shape[0], -1, order="F")
+        return U * self.free + (y[k:] @ self.Z).reshape(U.shape)
+
+    def _dual_whiten(self, B):
+        """The B~ with <B~, X L> = <B, X> for every causal X: on its prefix, row
+        r of B~ is b_r L_l^-T, with L_l the leading block of L."""
+        return (B @ self.Linv.T) * self.free
+
+    def _apply(self, X):
+        Phi = X @ self.L
+        HPhi = 2.0 * Phi + self._V(self._M(self._Vt(Phi)))
+        return (HPhi @ self.L.T) * self.free
+
+    def _woodbury(self, B):
+        """H^-1 B by D^-1 - D^-1 V (I + M G)^-1 M V^T D^-1, in the coordinates
+        Phi (D = 2I), a form that needs no M^-1 and holds at lam = 0."""
+        Bw = 0.5 * self._dual_whiten(B)
+        w = scipy.linalg.lu_solve(self.lu, self._M(self._Vt(Bw)), check_finite=False)
+        return (Bw - 0.5 * self._V(w)) @ self.Linv
+
+    def _matrix(self, v):
+        X = np.zeros(self.free.shape)
+        X[self.rows, self.cols] = v
+        return X
+
+    def matvec(self, v):
+        """H v, for v in mask.free_entries order."""
+        return self._apply(self._matrix(v))[self.rows, self.cols]
+
+    def solve(self, v):
+        """H^-1 v by Woodbury and one step of iterative refinement, which
+        restores a backward error of order eps when M G is large."""
+        B = self._matrix(v)
+        X = self._woodbury(B)
+        X += self._woodbury(B - self._apply(X))
+        return X[self.rows, self.cols]
+
+    def lambda_min(self):
+        """lambda_min(H) by Lanczos from a fixed start vector: on H^-1 when H
+        is PD, else on H itself."""
+        n = self.rows.size
+        if n < 3:  # below ARPACK's smallest size
+            return np.linalg.eigvalsh(np.column_stack([self.matvec(e) for e in np.eye(n)]))[0]
+        import scipy.sparse.linalg  # here: its import costs about 0.1 s, and only this needs it
+
+        v0 = np.random.default_rng(0).standard_normal(n)
+        if self.pd:
+            op = scipy.sparse.linalg.LinearOperator((n, n), matvec=self.solve, dtype=float)
+            return 1.0 / scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, tol=LANCZOS_TOL,
+                                                   return_eigenvectors=False)[0]
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=self.matvec, dtype=float)
+        return scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=v0, tol=LANCZOS_TOL,
+                                         return_eigenvectors=False)[0]
+
+
+def _curvature(ops, lam, mask, term=None):
+    """The causal Hessian of J at the terminal kernel term, or with term None
+    the CCP curvature of J2 + J3, ready to solve with: H = D + V M V^T above
+    the size rule, the dense block Cholesky-factored in place below it."""
+    term = term if lam != 0.0 else None
+    if _structured(ops):
+        return _StructuredCurvature(ops, lam, mask, term)
+    return _DenseCurvature(_hessian_block(ops, lam, mask.free_entries, term))
+
+
 def hessian_theta(ops, lam, Theta, mask=None):
     """Exact Hessian of J with respect to vec(Theta) (column stacking).
 
@@ -333,6 +523,7 @@ def evaluate(ops, lam, policy, mask=None):
         terminal=Gaussian(mean=v.mean, cov=v.term.Y),
         grad_uff=grad_uff(ops, lam, u),
         grad_theta=_grad_theta(ops, lam, Theta, v.term),
+        kernel=v.term,
     )
 
 
@@ -365,7 +556,10 @@ def convexity_certificate(ops, lam, Theta, mode="dominance"):
         tol = 1e-10 * max(1.0, float(term.Y_eigvals[-1]))
         kind = "DominatedCovariance" if gap >= -tol else None
         return Certificate(kind=kind, dominance_gap=gap)
-    free = causality_mask(ops.N, ops.n_u, ops.n_x).free_entries
-    Hmin = float(np.linalg.eigvalsh(_hessian_block(ops, lam, free, term))[0])
+    mask = causality_mask(ops.N, ops.n_u, ops.n_x)
+    if _structured(ops):
+        Hmin = float(_StructuredCurvature(ops, lam, mask, term).lambda_min())
+    else:
+        Hmin = float(np.linalg.eigvalsh(_hessian_block(ops, lam, mask.free_entries, term))[0])
     kind = "HessianPD" if Hmin > 0.0 else None
     return Certificate(kind=kind, dominance_gap=gap, lambda_min_hessian=Hmin)

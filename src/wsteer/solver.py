@@ -10,9 +10,12 @@ Newton step with J4's curvature dropped, taken from the gradient the iterate
 already has and a factor of H0 computed once.  This guarantees monotone
 descent of J, but only a linear rate, which at large lambda is a crawl.  Once
 the residual ratio shows that crawl, damped Newton steps, guarded by a
-positive definite reduced Hessian and a line search that never lets J rise,
+positive definite reduced Hessian and a line search that lets J rise only
+within its evaluation noise, and then only when the projected residual falls,
 drive the projected gradient to zero with a quadratic tail; when Newton
-fails, CCP resumes from its iterate.
+fails, CCP resumes from its iterate.  The factor of H0 and each Newton
+curvature come from `objective._curvature`: the structured H = D + V M V^T
+on long horizons, the dense causal block on short ones (the size rule).
 """
 
 from dataclasses import dataclass, field, replace
@@ -29,13 +32,13 @@ from .errors import (
 )
 from .objective import (
     Policy,
-    _hessian_block,
+    _curvature,
     _values,
     convexity_certificate,
     evaluate,
     grad_theta,
     grad_theta_j4,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
-    hessian_theta,
+    hessian_theta,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
     stationarity_residual,
 )
 from .problem import assemble, causality_mask, validate
@@ -150,27 +153,24 @@ SWITCH_CRAWL_STEPS = 20
 # CCP steps after a failed Newton phase before the rule may fire again; the
 # back-off doubles after each failure.
 NEWTON_BACKOFF_STEPS = 10
+# Newton's line search lets J rise by at most this many eps (J1 + J2 + J3 + J4)
+# when the step lowers the projected residual.
+NEWTON_ROUNDOFF = 4
 
 
-def _cho_factor_in_place(H):
-    """Cholesky factor of the exactly symmetric H in H's own memory.  H.T is
-    the same matrix in Fortran order, so LAPACK needs no copy; cho_factor
-    checks the matrix for non-finite entries once, here."""
-    return scipy.linalg.cho_factor(H.T, overwrite_a=True)
-
-
-def _cho_solve(factor, rhs):
-    """Solve with a factor from `_cho_factor_in_place`; only the O(n)
-    right-hand side is scanned for non-finite entries."""
+def _curvature_solve(factor, rhs):
+    """Solve with a curvature factor from `objective._curvature`; only the
+    O(n) right-hand side is scanned for non-finite entries."""
     if not np.isfinite(rhs).all():
         raise NonFiniteError("right-hand side of the reduced normal equations is not finite")
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return factor.solve(rhs)
 
 
 def _reduced_curvature_factor(ops, lam, mask):
-    """Cholesky factor of the causal restriction of the CCP curvature
-    Stilde kron 2(I + lam FHu^T FHu), the Hessian of J without the J4 terms."""
-    return _cho_factor_in_place(_hessian_block(ops, lam, mask.free_entries))
+    """The causal restriction of the CCP curvature
+    Stilde kron 2(I + lam FHu^T FHu), the Hessian of J without the J4 terms,
+    factored for `_curvature_solve`."""
+    return _curvature(ops, lam, mask)
 
 
 def ccp_subproblem(ops, lam, Theta_k, mask, factor=None, grad=None):
@@ -187,7 +187,7 @@ def ccp_subproblem(ops, lam, Theta_k, mask, factor=None, grad=None):
         factor = _reduced_curvature_factor(ops, lam, mask)
     if grad is None:
         grad = grad_theta(ops, lam, Theta_k)
-    return mask.scatter(mask.gather(Theta_k) - _cho_solve(factor, mask.gather(grad)))
+    return mask.scatter(mask.gather(Theta_k) - _curvature_solve(factor, mask.gather(grad)))
 
 
 def _crawling(res_prev, res, tol):
@@ -264,12 +264,16 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_af
 def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
     """Damped Newton on the free entries, guarded by reduced-Hessian PD.
 
-    Takes at most newton_max_iters steps, and stops early at the stationarity
-    tolerance or when the backtracking line search finds no step that keeps
-    J from rising.  Raises HessianNotPDError, carrying the current iterate as
-    its `theta`, when the reduced Hessian fails its Cholesky; never returns a
-    Theta with larger J than the input.  Accepted steps are appended to
-    `trace` when one is given.
+    Each step's curvature comes from the terminal kernel of the evaluation
+    that accepted the iterate.  The backtracking line search accepts a
+    candidate whose J does not exceed the current J, or exceeds it by at most
+    NEWTON_ROUNDOFF eps (J1 + J2 + J3 + J4), the evaluation noise of J, while
+    its projected residual falls below the current one.  Takes at most
+    newton_max_iters steps, and stops early at the stationarity tolerance or
+    when the line search accepts no step.  Raises HessianNotPDError, carrying
+    the current iterate as its `theta`, when the reduced Hessian is not
+    positive definite.  Accepted steps are appended to `trace` when one is
+    given.
     """
     options = options or SolverOptions()
     if u_ff is None:
@@ -281,23 +285,24 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
 
     for k in range(1, options.newton_max_iters + 1):
         g = mask.gather(rep.grad_theta)
-        if np.linalg.norm(g) <= options.stationarity_tol:
+        res = np.linalg.norm(g)
+        if res <= options.stationarity_tol:
             break
-        try:
-            factor = _cho_factor_in_place(hessian_theta(ops, lam, Theta, mask))
-        except np.linalg.LinAlgError as e:
-            raise HessianNotPDError(
-                f"reduced Hessian not PD at Newton iteration {k}", theta=Theta
-            ) from e
-        step = _cho_solve(factor, g)
-        del factor  # the next Hessian is built without this one alive
+        factor = _curvature(ops, lam, mask, rep.kernel)
+        if not factor.pd:
+            raise HessianNotPDError(f"reduced Hessian not PD at Newton iteration {k}",
+                                    theta=Theta)
+        step = _curvature_solve(factor, g)
+        del factor  # the next curvature is built without this one alive
 
         theta_free = mask.gather(Theta)
+        noise = NEWTON_ROUNDOFF * np.finfo(float).eps * (rep.J1 + rep.J2 + rep.J3 + rep.J4)
         t = 1.0
         for _ in range(60):
             cand = mask.scatter(theta_free - t * step)
             rep_c = evaluate(ops, lam, Policy(u_ff, cand), mask)
-            if rep_c.J <= rep.J:
+            if rep_c.J <= rep.J or (rep_c.J <= rep.J + noise and
+                                    np.linalg.norm(mask.gather(rep_c.grad_theta)) < res):
                 break
             t *= 0.5
         else:

@@ -59,6 +59,24 @@ def rand_problem(rng, N=None, n_x=None, n_u=None, lam=None, n_w=None):
     )
 
 
+def long_horizon_problem(rng, N, n_x=4, n_u=2, lam=10.0):
+    """Random time-varying problem whose lifted operators stay well scaled
+    over long horizons: each A_k is a chain of integrators near the identity.
+    The target covariance is too wide to dominate, so the certificate that
+    `solve` issues is the spectral one."""
+    A = tuple(np.eye(n_x) + 0.1 * np.eye(n_x, k=1) + 0.02 * rng.standard_normal((n_x, n_x))
+              for _ in range(N))
+    B = tuple(0.1 * rng.standard_normal((n_x, n_u)) for _ in range(N))
+    G = tuple(0.1 * np.eye(n_x) for _ in range(N))
+    return w.SteeringProblem(
+        system=w.TimeVaryingLinearSystem(A, B, G),
+        initial=w.Gaussian(np.zeros(n_x), np.eye(n_x)),
+        noise_cov=np.eye(n_x),
+        desired=w.Gaussian(np.ones(n_x), 4.0 * np.eye(n_x) + 0.5),
+        lam=lam,
+    )
+
+
 def rand_causal_theta(rng, mask, scale=0.3):
     return mask.project(scale * rng.standard_normal(mask.theta_shape))
 

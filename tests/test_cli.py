@@ -56,6 +56,17 @@ def test_solve_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_solve_rerun_byte_identical_on_structured_curvature(tmp_path):
+    # N = 30 is above the size rule, and the wide target takes the spectral
+    # certificate, whose Lanczos run starts from a fixed vector
+    cfg = write_config(tmp_path / "p.json", N=30)
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["solve", str(cfg), "-o", str(out1)]) == 0
+    assert main(["solve", str(cfg), "-o", str(out2)]) == 0
+    assert json.loads(out1.read_text())["certificate"]["kind"] == "HessianPD"
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_solve_invalid_covariance_exit_one(tmp_path, capsys):
     cfg = write_config(tmp_path / "p.json", S0=[[0.0, 0.0], [0.0, 0.0]])
     assert main(["solve", str(cfg), "-o", str(tmp_path / "s.json")]) == 1
@@ -252,7 +263,8 @@ def test_check_benchmark_passes(tmp_path, capsys):
     for row in ("Stilde positive definite",
                 "grad_uff vs finite differences",
                 "grad_theta vs finite differences",
-                "hessian_theta vs finite differences"):
+                "hessian_theta vs finite differences",
+                "structured curvature vs dense causal block"):
         line = next(l for l in out.splitlines() if l.startswith(row))
         assert "PASS" in line
 

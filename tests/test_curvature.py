@@ -1,0 +1,211 @@
+"""The structured causal Hessian H = D + V M V^T against the dense causal
+block: solves, the positive-definiteness decision, lambda_min, the size rule,
+memory at long horizons, and the Loewner direction of the dominance
+certificate."""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    SD_TIGHT,
+    SD_WIDE,
+    double_integrator_problem,
+    long_horizon_problem,
+    rand_causal_theta,
+    rand_problem,
+)
+import wsteer as w
+import wsteer.objective
+from wsteer.objective import (
+    _curvature,
+    _DenseCurvature,
+    _hessian_block,
+    _structured,
+    _StructuredCurvature,
+    _terminal,
+    convexity_certificate,
+)
+
+EPS = np.finfo(float).eps
+
+
+def backward_error(H, x, b):
+    return np.linalg.norm(H @ x - b) / (np.linalg.norm(H, 2) * np.linalg.norm(x)
+                                        + np.linalg.norm(b))
+
+
+def cholesky_succeeds(H):
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def assert_lambda_min_agrees(lmin, eig):
+    # eigvalsh itself is only accurate to about eps ||H||_2 (Weyl): on a
+    # draw with cond(H) = 3.8e8 it was 1.1e-8 off in relative terms, against
+    # 5.9e-11 for the Lanczos value, both measured against a 40-digit eigsy
+    assert abs(lmin - eig[0]) <= 1e-8 * abs(eig[0]) + EPS * np.abs(eig).max()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    N=st.integers(1, 5),
+    n_x=st.integers(1, 3),
+    n_u=st.sampled_from([1, 2]),
+    extra_w=st.sampled_from([0, 1]),
+    log_lam=st.floats(-3.0, 4.0),
+    scale=st.sampled_from([0.3, 1.0, 3.0]),
+)
+# large lambda: Woodbury alone leaves backward errors of 7e-14 to 4e-13 on
+# these two draws; its refinement step brings them to order eps
+@example(seed=0, N=1, n_x=3, n_u=1, extra_w=0, log_lam=3.7, scale=1.0)
+@example(seed=0, N=2, n_x=3, n_u=1, extra_w=0, log_lam=3.8, scale=1.0)
+def test_structured_curvature_matches_dense_block(seed, N, n_x, n_u, extra_w, log_lam, scale):
+    # time-varying systems, lambda log-uniform in [1e-3, 1e4]
+    rng = np.random.default_rng(seed)
+    prob = rand_problem(rng, N=N, n_x=n_x, n_u=n_u, n_w=n_x + extra_w, lam=10.0 ** log_lam)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(N, n_u, n_x)
+    term = _terminal(ops, rand_causal_theta(rng, mask, scale))
+    b = rng.standard_normal(mask.free_entries.size)
+    for kernel in (None, term):  # the CCP curvature, then the Newton Hessian
+        H = _hessian_block(ops, prob.lam, mask.free_entries, kernel)
+        curv = _StructuredCurvature(ops, prob.lam, mask, kernel)
+        eig = np.linalg.eigvalsh(H)
+        if abs(eig[0]) > 1e-8 * np.abs(eig).max():
+            assert curv.pd == cholesky_succeeds(H)
+        if curv.pd:
+            assert backward_error(H, curv.solve(b), b) <= 1e-14
+        assert np.linalg.norm(curv.matvec(b) - H @ b) <= 1e-13 * np.abs(eig).max() * np.linalg.norm(b)
+        assert_lambda_min_agrees(curv.lambda_min(), eig)
+
+
+def test_size_rule_picks_dense_block_only_on_short_horizons():
+    for N, structured in ((10, False), (16, False), (20, True), (40, True)):
+        ops = w.assemble(double_integrator_problem(SD_WIDE, lam=10.0, N=N))
+        mask = w.causality_mask(N, ops.n_u, ops.n_x)
+        assert _structured(ops) == structured
+        curv = _curvature(ops, 10.0, mask)
+        assert isinstance(curv, _StructuredCurvature if structured else _DenseCurvature)
+
+
+@pytest.mark.parametrize("Sd", [SD_TIGHT, SD_WIDE], ids=["tight", "wide"])
+def test_structured_and_dense_solves_agree(monkeypatch, Sd):
+    # N = 20 is above the size rule; forcing the dense block must give the
+    # same solve to round-off
+    prob = double_integrator_problem(Sd, lam=10.0, N=20)
+    opts = w.SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14)
+    fast = w.solve(prob, opts)
+    monkeypatch.setattr(wsteer.objective, "_structured", lambda ops: False)
+    dense = w.solve(prob, opts)
+    assert abs(fast.report.J - dense.report.J) <= 1e-10 * abs(dense.report.J)
+    assert fast.trace.termination == dense.trace.termination == "stationarity"
+    assert fast.certificate.kind == dense.certificate.kind
+    if dense.certificate.lambda_min_hessian is not None:
+        lmin = dense.certificate.lambda_min_hessian
+        assert abs(fast.certificate.lambda_min_hessian - lmin) <= 1e-8 * abs(lmin)
+
+
+def test_structured_solve_memory_stays_below_dense_block():
+    # N = 30, n_x = 4, n_u = 2: 3720 free entries, a 110.7 MB dense block
+    prob = long_horizon_problem(np.random.default_rng(3), N=30)
+    n_free = 2 * 4 * 30 * 31 // 2
+    tracemalloc.start()
+    try:
+        sol = w.solve(prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.trace.termination == "stationarity"
+    assert sol.certificate.kind == "HessianPD"
+    assert peak < 8 * n_free ** 2 / 4
+
+
+SCALE_SCRIPT = """
+import resource, sys, time
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+from conftest import long_horizon_problem
+import wsteer as w
+t = time.perf_counter()
+sol = w.solve(long_horizon_problem(np.random.default_rng(0), N=100))
+print(time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+      sol.trace.termination, sum(r.kind == "newton" for r in sol.trace.records),
+      sol.certificate.kind)
+"""
+
+
+def test_long_horizon_solves_through_newton_and_spectral_certificate():
+    # N = 100, n_x = 4, n_u = 2: the dense causal block would be 13 GB
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    out = subprocess.run([sys.executable, "-c", SCALE_SCRIPT, here, src], check=True,
+                         capture_output=True, text=True).stdout.split()
+    seconds, peak_kb, termination, newton_steps, kind = out
+    assert termination == "stationarity" and int(newton_steps) > 0 and kind == "HessianPD"
+    assert float(seconds) < 60.0
+    assert int(peak_kb) < 1024 * 1024  # ru_maxrss is in KB on Linux
+
+
+def dominated_instance(rng, n_x, n_u, lam, shrink):
+    """A random problem and causal Theta whose terminal covariance Y dominates
+    Sd = Y^(1/2) C Y^(1/2), C with eigenvalues `shrink` in (0, 1]."""
+    prob = rand_problem(rng, N=3, n_x=n_x, n_u=n_u, lam=lam)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(3, n_u, n_x)
+    Theta = rand_causal_theta(rng, mask, 1.0)
+    Y = w.terminal_covariance(ops, Theta)
+    R = w.matops.sqrtm_psd(Y)
+    Qo, _ = np.linalg.qr(rng.standard_normal((n_x, n_x)))
+    Sd = R @ (Qo * shrink) @ Qo.T @ R
+    prob = w.SteeringProblem(prob.system, prob.initial, prob.noise_cov,
+                             w.Gaussian(prob.desired.mean, 0.5 * (Sd + Sd.T)), lam)
+    return w.assemble(prob), mask, Theta
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n_x=st.integers(1, 3),
+    n_u=st.sampled_from([1, 2]),
+    log_lam=st.floats(-3.0, 4.0),
+    shrink=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+)
+def test_dominated_covariance_implies_pd_hessian(seed, n_x, n_u, log_lam, shrink):
+    # Y >= Sd gives Y^-1 <= Sd^-1, so Mt = Sd # Y^-1 <= Sd # Sd^-1 = I by the
+    # monotonicity of the geometric mean; then P >= I and H > 0
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** log_lam
+    ops, mask, Theta = dominated_instance(rng, n_x, n_u, lam, np.array(shrink[:n_x]))
+    assert convexity_certificate(ops, lam, Theta).kind == "DominatedCovariance"
+    curv = _StructuredCurvature(ops, lam, mask, _terminal(ops, Theta))
+    assert curv.pd and curv.lambda_min() > 0.0
+
+
+def test_dominated_by_target_is_not_certified():
+    # the other order, Y <= Sd, does not make H PD: Sd = 10 Y at Theta = 0
+    # on the double integrator at lambda = 300
+    lam = 300.0
+    prob = double_integrator_problem(SD_TIGHT, lam=lam)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
+    Theta = np.zeros(mask.theta_shape)
+    Y = w.terminal_covariance(ops, Theta)
+    ops = w.assemble(double_integrator_problem(10.0 * Y, lam=lam))
+    assert np.linalg.eigvalsh(ops.Sd - Y)[0] > 0.0
+    term = _terminal(ops, Theta)
+    assert not cholesky_succeeds(_hessian_block(ops, lam, mask.free_entries, term))
+    curv = _StructuredCurvature(ops, lam, mask, term)
+    assert not curv.pd and curv.lambda_min() < 0.0
+    cert = convexity_certificate(ops, lam, Theta, mode="spectral")
+    assert cert.kind is None and cert.lambda_min_hessian < 0.0

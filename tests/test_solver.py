@@ -36,7 +36,7 @@ from wsteer.objective import (
 )
 from wsteer.solver import (
     SolverOptions,
-    _cho_solve,
+    _curvature_solve,
     _reduced_curvature_factor,
     ccp_solve,
     ccp_subproblem,
@@ -135,7 +135,7 @@ def normal_equation_step(ops, lam, Theta_k, mask):
     H0 theta = grad J4(Theta_k) - 2 lam FHu^T F Stilde on the free entries."""
     const = 2.0 * lam * (ops.FHu.T @ ops.Stilde[-ops.n_x:, :])
     rhs = mask.gather(grad_theta_j4(ops, lam, Theta_k) - const)
-    return mask.scatter(_cho_solve(_reduced_curvature_factor(ops, lam, mask), rhs))
+    return mask.scatter(_curvature_solve(_reduced_curvature_factor(ops, lam, mask), rhs))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -260,6 +260,20 @@ def test_newton_quadratic_tail():
             assert r_next <= 1e7 * r_prev ** 2 + 1e-12
 
 
+def test_newton_line_search_accepts_steps_within_evaluation_noise():
+    # lambda log-uniform in [1e-3, 1e4].  On draws 3, 254 and 258 of this
+    # sequence the full Newton step near the optimum cuts the residual by
+    # orders of magnitude while the computed J rises by its evaluation noise,
+    # about eps (J1 + J2 + J3 + J4); a search accepting only J <= J_prev
+    # halved such steps to nothing and the solves ended newton_max_iters
+    rng = np.random.default_rng(0)
+    terminations = []
+    for _ in range(300):
+        lam = 10.0 ** rng.uniform(-3.0, 4.0)
+        terminations.append(solve(rand_problem(rng, lam=lam)).trace.termination)
+    assert terminations == ["stationarity"] * 300
+
+
 def saddle_start():
     """A point between the two lambda=2000 basins of the tight target where
     the reduced Hessian is indefinite."""
@@ -350,10 +364,10 @@ def test_cho_solve_rejects_non_finite_rhs():
     _, prob, ops, mask = setup_random(21)
     factor = _reduced_curvature_factor(ops, prob.lam, mask)
     rhs = np.ones(mask.free_entries.size)
-    assert np.all(np.isfinite(_cho_solve(factor, rhs)))
+    assert np.all(np.isfinite(_curvature_solve(factor, rhs)))
     rhs[0] = np.nan
     with pytest.raises(NonFiniteError):
-        _cho_solve(factor, rhs)
+        _curvature_solve(factor, rhs)
 
 
 def test_solve_rejects_invalid_problem():
