@@ -291,17 +291,30 @@ def _fd_grad_check(ops, lam, mask, rng):
             rel(hessian_theta(ops, lam, Theta), fd_h))
 
 
+def _cholesky_succeeds(H):
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _structured_row(ops, lam, mask, Theta, rng):
     """The structured curvature H = D + V M V^T at Theta against the dense
-    causal block: the backward error of a Newton solve with it, and its
-    lambda_min against eigvalsh, whose own round-off is eps ||H||_2."""
+    causal block: its inertia PD decision against dense Cholesky (counted
+    only when |lambda_min| > 1e-8 ||H||_2), the backward error of a Newton
+    solve with it, and its lambda_min against eigvalsh, whose own round-off
+    is eps ||H||_2."""
     term = _terminal(ops, Theta)
     H = _hessian_block(ops, lam, mask.free_entries, term)
     curv = _StructuredCurvature(ops, lam, mask, term)
     eig = np.linalg.eigvalsh(H)
     lmin = float(curv.lambda_min())
     agree = abs(lmin - eig[0]) <= 1e-8 * abs(eig[0]) + np.finfo(float).eps * abs(eig).max()
-    detail = f"min eig {lmin:.9e} vs dense {eig[0]:.9e}"
+    dense_pd = _cholesky_succeeds(H)
+    agree = agree and (curv.pd == dense_pd or abs(eig[0]) <= 1e-8 * abs(eig).max())
+    detail = (f"neg(H_U) {curv.neg_U}, neg(S) {curv.neg_S}, PD {curv.pd} vs dense "
+              f"Cholesky {dense_pd}, min eig {lmin:.9e} vs dense {eig[0]:.9e}")
     if not curv.pd:
         return ("structured curvature vs dense causal block", bool(agree and eig[0] <= 0.0),
                 detail + ", not PD: no Newton solve")

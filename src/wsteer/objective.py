@@ -32,14 +32,22 @@ U(Y) = FHu^T Y on the free entries and U^T(X) = FHu X; neither is formed.
 The CCP curvature has Mt = 0 and no Z.  In the coordinates Phi = X L, D = 2I,
 the U part of G = V^T D^-1 V is block-diagonal with blocks Q_t / 2, where
 Q_t = sum_(i >= t) F_i F_i^T over the input blocks F_i of FHu, and that of M
-is I kron 2 lam (I - Mt).  `_StructuredCurvature` solves with the Woodbury
-form D^-1 - D^-1 V (I + M G)^-1 M V^T D^-1 (no M^-1, valid at lam = 0) and
-one step of iterative refinement, decides positive definiteness in the small
-space (H > 0 iff I + G^(1/2) M G^(1/2) > 0, as D > 0), and finds lambda_min(H)
-by Lanczos on H^-1 from a fixed start vector.  Size rule: this runs when
-the free entries outnumber STRUCTURED_RATIO times (N + 1) n_x^2, the side of
-G; on smaller problems the dense causal block of `_hessian_block` is
-faster, and is Cholesky-factored, with eigvalsh for lambda_min.
+is I kron A, A = 2 lam (I - Mt).  `_StructuredCurvature` solves with the
+Woodbury form D^-1 - D^-1 V (I + M G)^-1 M V^T D^-1 (no M^-1, valid at
+lam = 0) and one step of iterative refinement.  I + M G is block-diagonal
+with the N distinct blocks B_t = I + A Q_t / 2 plus an n_x^2-wide border,
+so it is solved by block elimination onto the n_x^2-sided Schur complement
+S = I + G_ZZ - G_ZU E M_U G_UZ, E = blkdiag(B_t)^-1.  Positive definiteness
+is decided by inertia: with H_U = D + U M_U U^T (H without the Frechet
+rows), H > 0 iff S is nonsingular and has as many negative eigenvalues as
+H_U (Haynsworth), whose count comes from the N blocks
+I + (Q_t/2)^(1/2) A (Q_t/2)^(1/2).  A nearly singular block falls back to
+the dense small space (pivoted Cholesky of G and LU of I + M G).
+lambda_min(H) comes from Lanczos on H^-1 from a fixed start vector.  Size
+rule: this runs when the free entries outnumber STRUCTURED_RATIO times
+(N + 1) n_x^2, the side of G; on smaller problems the dense causal block of
+`_hessian_block` is faster, and is Cholesky-factored, with eigvalsh for
+lambda_min.
 `_hessian_block` also stays the test oracle.  `_terminal` and `_values`
 (J1..J4 and the W2 check) also take a stack of policies along leading axes,
 with the bits of each member equal to those of a lone policy; `line_scan`
@@ -47,10 +55,10 @@ evaluates its grid that way.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -336,6 +344,15 @@ STRUCTURED_RATIO = 4
 # which bounds the relative error of that eigenvalue by the same share.
 LANCZOS_TOL = 1e-10
 
+# A block I + K_t of H_U, K_t = C_t^T A C_t, counts as singular, and the PD
+# test and solve fall back to the dense small space, when an eigenvalue is
+# within BLOCK_TOL of zero, or within n_x eps (1 + ||K_t||_2), eigvalsh's own
+# error, if that is larger.  Elimination through a nearly singular block
+# loses accuracy: over 10k random and crafted Hessians, the refined solve's
+# backward error reached 3e-11 at block eigenvalues of 1e-6 to 1e-5, and
+# stayed below 1e-15 from 2e-5 on, whatever ||K_t||_2 (up to 1e6).
+BLOCK_TOL = 1e-4
+
 
 def _structured(ops):
     n_free = ops.n_u * ops.n_x * ops.N * (ops.N + 1) // 2
@@ -348,14 +365,15 @@ class _DenseCurvature:
     needs no copy).  pd is False when the factorization fails."""
 
     def __init__(self, H):
-        try:
-            self.factor = scipy.linalg.cho_factor(H.T, overwrite_a=True)
-        except np.linalg.LinAlgError:
-            self.factor = None
-        self.pd = self.factor is not None
+        import scipy.linalg
 
-    def solve(self, v):
-        return scipy.linalg.cho_solve(self.factor, v, check_finite=False)
+        try:
+            factor = scipy.linalg.cho_factor(H.T, overwrite_a=True)
+        except np.linalg.LinAlgError:
+            factor = None
+        self.pd = factor is not None
+        # solve(v) = H^-1 v, bound once so that each solve imports nothing
+        self.solve = partial(scipy.linalg.cho_solve, factor, check_finite=False)
 
 
 class _StructuredCurvature:
@@ -364,7 +382,10 @@ class _StructuredCurvature:
     docstring.  Free entries are held as causal matrices X of N n_u x N n_x
     (the last block column of Theta is never free), and the work is done in
     the coordinates Phi = X L, L = chol(Stilde), where D = 2I.  pd tells
-    whether H is positive definite, tested in the small space; solve needs it.
+    whether H is positive definite, tested by inertia; solve needs it.
+    neg_U and neg_S are the negative eigenvalue counts of H_U and S in that
+    test, None when a block of H_U is singular and the dense small space
+    decided instead.
     """
 
     def __init__(self, ops, lam, mask, term=None):
@@ -373,48 +394,74 @@ class _StructuredCurvature:
         self.cols, self.rows = np.divmod(mask.free_entries, p)
         self.free = np.arange(qq) // n_x <= (np.arange(p) // n_u)[:, None]
         self.FHu = ops.FHu
-        self.L = np.linalg.cholesky(ops.Stilde[:qq, :qq])
-        # explicit, since a matmul is faster than a triangular solve at these sizes
-        self.Linv = scipy.linalg.solve_triangular(self.L, np.eye(qq), lower=True)
-        # G_UU is block-diagonal: Q_t / 2 at column c of Phi, t = c // n_x
-        F = ops.FHu.reshape(n_x, N, n_u).transpose(1, 0, 2)
-        Q = np.cumsum((F @ _mT(F))[::-1], axis=0)[::-1][np.arange(qq) // n_x]
-        G = (0.5 * np.eye(qq)[:, None, :, None] * Q[:, :, None, :]).reshape(qq * n_x, -1)
-        # M_U = I kron A acts on the first k entries of V^T X
+        self.L, self.Linv = ops.causal_cholesky
+        # M_U = I kron A acts on the first k entries of V^T X, column by column of Phi
         self.k = qq * n_x
         self.A = 2.0 * lam * np.eye(n_x)
         self.Z = np.zeros((0, p * qq))
+        self.GUZ = np.zeros((self.k, 0))
         if term is not None:
             self.A = 2.0 * lam * (np.eye(n_x) - term.Mt)
             s = term.r
             g = 1.0 / (np.outer(s, s) * np.add.outer(s, s))
-            Aw, Bw = (term.W.T @ term.Om @ ops.Stilde)[:, :qq], term.W.T @ ops.FHu
-            # row (a, b) of Z is sqrt(lam g_ab) (Bw_b^T Aw_a + Bw_a^T Aw_b) on the free entries
+            # row (a, b) of Z is sqrt(lam g_ab) (Bw_b^T Aw_a + Bw_a^T Aw_b) on the
+            # free entries; `_dual_whiten` of free o (b kron v) is free o (b kron L^-1 v)
+            Aw = (term.W.T @ term.Om @ ops.Stilde)[:, :qq] @ self.Linv.T
+            Bw = term.W.T @ ops.FHu
             Z = Bw[None, :, :, None] * Aw[:, None, None, :]
-            Z = np.sqrt(lam * g)[..., None, None] * (Z + Z.swapaxes(0, 1))
-            Z = self._dual_whiten(Z.reshape(n_x * n_x, p, qq) * self.free)
+            Z = (Z + Z.swapaxes(0, 1)).reshape(n_x * n_x, p, qq)
+            Z *= np.sqrt(lam * g).reshape(-1, 1, 1)
+            Z *= self.free
             self.Z = Z.reshape(n_x * n_x, -1)
-            GUZ = 0.5 * (ops.FHu @ Z).swapaxes(1, 2).reshape(n_x * n_x, -1).T
-            G = np.block([[G, GUZ], [GUZ.T, 0.5 * self.Z @ self.Z.T]])
-        G = symmetrize(G)
-        self.pd = term is None or self._pd_in_small_space(G)
-        if self.pd:
-            self.lu = scipy.linalg.lu_factor(np.eye(G.shape[0]) + self._M(G),
-                                             check_finite=False)
+            self.GUZ = 0.5 * (ops.FHu @ Z).swapaxes(1, 2).reshape(n_x * n_x, -1).T
+        # H_U = D + U M_U U^T, H without the Frechet rows, is block-diagonal: its
+        # block at column c of Phi has, besides eigenvalues 2, those of
+        # 2 (I + C_t^T A C_t), t = c // n_x
+        Q, C = ops.input_grams
+        sig = np.linalg.eigvalsh(np.eye(n_x) + _mT(C) @ self.A @ C)
+        tol = np.maximum(BLOCK_TOL, n_x * np.finfo(float).eps
+                         * (1.0 + np.abs(sig - 1.0).max(axis=-1, keepdims=True)))
+        self.lu = self.neg_U = self.neg_S = None
+        if (np.abs(sig) <= tol).any():
+            self._dense_small_space(Q)
+            return
+        # the blocks of I + M_U G_UU are B_t = I + A Q_t / 2, and E M_U, E =
+        # blkdiag(B_t)^-1, is symmetric; eliminate onto the border Schur
+        # complement S = I + G_ZZ - G_ZU E M_U G_UZ, which is I + Z H_U^-1 Z^T
+        self.Einv = np.linalg.inv(np.eye(n_x) + 0.5 * self.A @ Q)
+        self.EM = symmetrize(self.Einv @ self.A)
+        EMGUZ = (self.EM[:, None] @ self.GUZ.reshape(N, n_x, n_x, -1)).reshape(self.k, -1)
+        S = np.eye(self.Z.shape[0]) + 0.5 * self.Z @ self.Z.T - self.GUZ.T @ EMGUZ
+        self.s, self.SV = np.linalg.eigh(symmetrize(S))
+        # Haynsworth on [[H_U, Z^T], [Z, -I]]: H > 0 iff S is nonsingular and
+        # has as many negative eigenvalues as H_U
+        self.neg_U = n_x * int(np.count_nonzero(sig < 0.0))
+        self.neg_S = int(np.count_nonzero(self.s < 0.0))
+        self.pd = self.neg_S == self.neg_U and bool(np.all(self.s != 0.0))
 
-    def _pd_in_small_space(self, G):
-        """H is congruent to I + D^(-1/2) V M V^T D^(-1/2), whose second term
-        has the nonzero eigenvalues of G^(1/2) M G^(1/2), and so of R^T M R for
-        any R with G = R R^T: here the pivoted Cholesky factor of G, cut at
-        its numerical rank."""
+    def _dense_small_space(self, Q):
+        """The fallback when a block of H_U is singular: form G = V^T D^-1 V,
+        decide PD from I + R^T M R with R the pivoted Cholesky factor of G,
+        cut at its numerical rank (H is congruent to I + D^-1/2 V M V^T D^-1/2,
+        whose second term has the nonzero eigenvalues of R^T M R), and LU-factor
+        I + M G."""
+        import scipy.linalg
+
+        qq = self.free.shape[1]
+        n_x = self.A.shape[0]
+        GUU = 0.5 * np.eye(qq)[:, None, :, None] * Q[np.arange(qq) // n_x][:, :, None, :]
+        G = symmetrize(np.block([[GUU.reshape(self.k, -1), self.GUZ],
+                                 [self.GUZ.T, 0.5 * self.Z @ self.Z.T]]))
         c, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, lower=1)
         R = np.zeros((G.shape[0], rank))
         R[piv - 1] = np.tril(c)[:, :rank]
         try:
             np.linalg.cholesky(symmetrize(np.eye(rank) + R.T @ self._M(R)))
         except np.linalg.LinAlgError:
-            return False
-        return True
+            self.pd = False
+            return
+        self.pd = True
+        self.lu = scipy.linalg.lu_factor(np.eye(G.shape[0]) + self._M(G), check_finite=False)
 
     def _M(self, y):
         """M y, M = blkdiag(I kron A, I), for a vector y or the columns of a matrix."""
@@ -440,11 +487,25 @@ class _StructuredCurvature:
         HPhi = 2.0 * Phi + self._V(self._M(self._Vt(Phi)))
         return (HPhi @ self.L.T) * self.free
 
+    def _small_solve(self, r):
+        """(I + M G)^-1 r: E r_U, then S w_Z = r_Z - G_ZU E r_U and
+        w_U = E (r_U - M_U G_UZ w_Z), with E applied block by block."""
+        if self.lu is not None:
+            import scipy.linalg
+
+            return scipy.linalg.lu_solve(self.lu, r, check_finite=False)
+        N, n_x = self.Einv.shape[:2]
+        k = self.k
+        yU = (r[:k].reshape(N, n_x, n_x) @ _mT(self.Einv)).reshape(-1)
+        wZ = self.SV @ ((self.SV.T @ (r[k:] - self.GUZ.T @ yU)) / self.s)
+        wU = yU - ((self.GUZ @ wZ).reshape(N, n_x, n_x) @ self.EM).reshape(-1)
+        return np.concatenate([wU, wZ])
+
     def _woodbury(self, B):
         """H^-1 B by D^-1 - D^-1 V (I + M G)^-1 M V^T D^-1, in the coordinates
         Phi (D = 2I), a form that needs no M^-1 and holds at lam = 0."""
         Bw = 0.5 * self._dual_whiten(B)
-        w = scipy.linalg.lu_solve(self.lu, self._M(self._Vt(Bw)), check_finite=False)
+        w = self._small_solve(self._M(self._Vt(Bw)))
         return (Bw - 0.5 * self._V(w)) @ self.Linv
 
     def _matrix(self, v):

@@ -7,6 +7,7 @@ assembled once and shared immutably by the objective, solver, and simulator.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -181,6 +182,27 @@ class BlockOperators:
     FGamma_mu0: np.ndarray = field(repr=False, default=None)
     sqrt_Sd: np.ndarray = field(repr=False, default=None)
 
+    @cached_property
+    def causal_cholesky(self):
+        """(L, L^-1), L = chol(Stilde[:N n_x, :N n_x]): the leading block of
+        Stilde that the free entries of Theta see, factored once."""
+        import scipy.linalg
+
+        qq = self.N * self.n_x
+        L = np.linalg.cholesky(self.Stilde[:qq, :qq])
+        # explicit, since a matmul is faster than a triangular solve at these sizes
+        return L, scipy.linalg.solve_triangular(L, np.eye(qq), lower=True)
+
+    @cached_property
+    def input_grams(self):
+        """(Q, C), stacked over t < N: Q_t = sum_(i >= t) F_i F_i^T over the
+        input blocks F_i of FHu, and a square C_t with C_t C_t^T = Q_t / 2."""
+        N, n_x, n_u = self.N, self.n_x, self.n_u
+        F = self.FHu.reshape(n_x, N, n_u).transpose(1, 0, 2)
+        Q = np.cumsum((F @ F.transpose(0, 2, 1))[::-1], axis=0)[::-1]
+        q, V = np.linalg.eigh(0.5 * Q)
+        return Q, V * np.sqrt(np.maximum(q, 0.0))[:, None, :]
+
 
 @dataclass(frozen=True)
 class CausalityMask:
@@ -251,15 +273,9 @@ def causality_mask(N, n_u, n_x):
     with column-major entries inside each block.
     """
     rows = N * n_u
-    free = []
-    for i in range(N):
-        for j in range(i + 1):
-            for c in range(n_x):
-                col = j * n_x + c
-                for r in range(n_u):
-                    row = i * n_u + r
-                    free.append(col * rows + row)
-    free = np.asarray(free, dtype=np.intp)
+    i, j = np.tril_indices(N)  # the blocks, row-major
+    c, r = np.divmod(np.arange(n_x * n_u), n_u)  # the entries of a block, column-major
+    free = ((j[:, None] * n_x + c) * rows + i[:, None] * n_u + r).ravel()
     total = rows * (N + 1) * n_x
     comp_mask = np.ones(total, dtype=bool)
     comp_mask[free] = False

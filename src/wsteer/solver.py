@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     HessianNotPDError,
@@ -118,6 +117,8 @@ def solve_feedforward(ops, lam, mu0=None, mud=None):
 
     Solves (I + lam FHu^T FHu) u = lam FHu^T (mud - F Gamma mu0) by Cholesky.
     """
+    import scipy.linalg
+
     mu0 = ops.mu0 if mu0 is None else np.asarray(mu0, dtype=float).reshape(-1)
     mud = ops.mud if mud is None else np.asarray(mud, dtype=float).reshape(-1)
     FHu = ops.FHu
@@ -133,6 +134,8 @@ def solve_feedforward_woodbury(ops, lam, mu0=None, mud=None):
 
     u = (I - lam FHu^T (I + lam FHu FHu^T)^(-1) FHu) lam FHu^T (mud - F Gamma mu0).
     """
+    import scipy.linalg
+
     mu0 = ops.mu0 if mu0 is None else np.asarray(mu0, dtype=float).reshape(-1)
     mud = ops.mud if mud is None else np.asarray(mud, dtype=float).reshape(-1)
     FHu = ops.FHu

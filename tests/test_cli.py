@@ -9,6 +9,7 @@ import pytest
 
 from conftest import SD_TIGHT, SD_WIDE
 import wsteer as w
+import wsteer.cli as cli
 from wsteer.cli import load_config, main, solver_options_from_config
 from wsteer.objective import Policy, evaluate
 
@@ -267,6 +268,21 @@ def test_check_benchmark_passes(tmp_path, capsys):
                 "structured curvature vs dense causal block"):
         line = next(l for l in out.splitlines() if l.startswith(row))
         assert "PASS" in line
+
+
+def test_check_reports_inertia_decision(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path / "p.json")
+    row = "structured curvature vs dense causal block"
+    assert main(["check", str(cfg)]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(row))
+    assert "neg(H_U) 0, neg(S) 0, PD True vs dense Cholesky True" in line
+
+    # a dense Cholesky that fails on this clearly PD block: the decisions
+    # disagree outside the margin, and the row fails
+    monkeypatch.setattr(cli, "_cholesky_succeeds", lambda H: False)
+    assert main(["check", str(cfg)]) == 1
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(row))
+    assert "FAIL" in line and "PD True vs dense Cholesky False" in line
 
 
 def test_check_lambda_zero_reports_pd_hessian(tmp_path, capsys):

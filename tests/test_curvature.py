@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,81 @@ def test_structured_curvature_matches_dense_block(seed, N, n_x, n_u, extra_w, lo
             assert backward_error(H, curv.solve(b), b) <= 1e-14
         assert np.linalg.norm(curv.matvec(b) - H @ b) <= 1e-13 * np.abs(eig).max() * np.linalg.norm(b)
         assert_lambda_min_agrees(curv.lambda_min(), eig)
+
+
+def singular_block_kernel(ops, lam, term, t, sigma=0.0):
+    """term with W changed so that A = 2 lam (I - Mt) gives the block
+    I + C_t^T A C_t of H_U the eigenvalue sigma: C_t^T A C_t =
+    diag(sigma - 1, 0, ..., 0)."""
+    _, C = ops.input_grams
+    Cinv = np.linalg.inv(C[t])
+    K = np.diag([sigma - 1.0] + [0.0] * (ops.n_x - 1))
+    m, Vm = np.linalg.eigh(np.eye(ops.n_x) - Cinv.T @ K @ Cinv / (2.0 * lam))
+    return term._replace(W=Vm * np.sqrt(m * term.r))
+
+
+# with block 0 singular the later blocks are PD, and so is H; with block 2
+# singular the blocks before it are negative, and H is not PD.  An
+# eigenvalue of 1e-6, below BLOCK_TOL, counts as singular too
+@pytest.mark.parametrize("n_x,t,sigma,pd", [(1, 0, 0.0, True), (2, 0, 0.0, True), (3, 0, 0.0, True),
+                                            (1, 2, 0.0, False), (2, 2, 0.0, False), (3, 2, 0.0, False),
+                                            (2, 0, 1e-6, True), (2, 2, -1e-6, False)])
+def test_singular_block_falls_back_to_dense_small_space(n_x, t, sigma, pd):
+    # a block of H_U with a zero eigenvalue leaves no block elimination; the
+    # dense small space decides, and agrees with dense Cholesky
+    rng = np.random.default_rng(n_x)
+    prob = rand_problem(rng, N=3, n_x=n_x, n_u=n_x, n_w=n_x, lam=10.0)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(3, n_x, n_x)
+    term = singular_block_kernel(ops, prob.lam, _terminal(ops, rand_causal_theta(rng, mask)), t, sigma)
+    curv = _StructuredCurvature(ops, prob.lam, mask, term)
+    H = _hessian_block(ops, prob.lam, mask.free_entries, term)
+    eig = np.linalg.eigvalsh(H)
+    assert curv.neg_U is None and curv.neg_S is None
+    assert abs(eig[0]) > 1e-8 * np.abs(eig).max()
+    assert curv.pd == cholesky_succeeds(H) == pd
+    if pd:
+        b = rng.standard_normal(H.shape[0])
+        assert backward_error(H, curv.solve(b), b) <= 1e-14
+    assert_lambda_min_agrees(curv.lambda_min(), eig)
+
+
+@pytest.mark.parametrize("seed", [443, 1336, 1771])
+def test_inertia_certifies_pd_hessian_with_indefinite_h_u(seed):
+    # H = H_U + Z^T Z is PD although H_U, H without its Frechet rows, has
+    # negative eigenvalues: S must have as many (Haynsworth); these seeds are
+    # draws of this generator with that property
+    rng = np.random.default_rng(seed)
+    N, n_x, n_u = int(rng.integers(1, 5)), int(rng.integers(2, 4)), int(rng.integers(1, 3))
+    lam = 10.0 ** rng.uniform(-1, 3)
+    prob = rand_problem(rng, N=N, n_x=n_x, n_u=n_u, n_w=n_x, lam=lam)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(N, n_u, n_x)
+    term = _terminal(ops, rand_causal_theta(rng, mask, 1.0))
+    curv = _StructuredCurvature(ops, lam, mask, term)
+    H = _hessian_block(ops, lam, mask.free_entries, term)
+    assert curv.neg_U > 0 and curv.neg_S == curv.neg_U
+    assert curv.pd and cholesky_succeeds(H)
+    b = rng.standard_normal(H.shape[0])
+    assert backward_error(H, curv.solve(b), b) <= 1e-14
+
+
+def test_structured_solve_forms_no_dense_small_space_factor(monkeypatch):
+    # N = 30 runs structured: with the m x m LU and pivoted Cholesky removed,
+    # the solve must still finish with the same J
+    prob = long_horizon_problem(np.random.default_rng(3), N=30)
+    assert _structured(w.assemble(prob))
+    ref = w.solve(prob)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense small-space factor formed")
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", refuse)
+    sol = w.solve(prob)
+    assert sol.trace.termination == ref.trace.termination == "stationarity"
+    assert sol.report.J == ref.report.J
+    assert sol.certificate.kind == ref.certificate.kind == "HessianPD"
 
 
 def test_size_rule_picks_dense_block_only_on_short_horizons():

@@ -178,6 +178,30 @@ def test_causality_mask_ordering_deterministic():
     assert list(a.free_entries[:4]) == expected_first
 
 
+def _loop_causality_mask(N, n_u, n_x):
+    """The index split by explicit loops over blocks and entries."""
+    rows = N * n_u
+    free = []
+    for i in range(N):
+        for j in range(i + 1):
+            for c in range(n_x):
+                for r in range(n_u):
+                    free.append((j * n_x + c) * rows + i * n_u + r)
+    complement = sorted(set(range(rows * (N + 1) * n_x)) - set(free))
+    return np.asarray(free, dtype=np.intp), np.asarray(complement, dtype=np.intp)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 40])
+@pytest.mark.parametrize("n_u", [1, 3])
+@pytest.mark.parametrize("n_x", [1, 2, 4])
+def test_causality_mask_matches_loop_oracle(N, n_u, n_x):
+    mask = w.causality_mask(N, n_u, n_x)
+    free, complement = _loop_causality_mask(N, n_u, n_x)
+    assert mask.free_entries.dtype == free.dtype
+    assert np.array_equal(mask.free_entries, free)
+    assert np.array_equal(mask.complement, complement)
+
+
 def _block(Theta, i, j, n_u, n_x):
     return Theta[i * n_u:(i + 1) * n_u, j * n_x:(j + 1) * n_x]
 
