@@ -20,42 +20,32 @@ W diag(1/r) W^T of the J4 gradient.  The Hessian of J in vec(Theta) is
 with Z = sqrt(lam g) * (T + K T), T = (W^T Omega Stilde) kron (W^T FHu) (n_x^2
 rows), K the commutation matrix and g = vec(G), G_ij = 1/(r_i r_j (r_i + r_j)).
 The second term is the Frechet derivative of C^(-1/2), diagonal in the
-eigenbasis.  The CCP curvature is the first term with Mt = 0.  The solver
-works only on the causal (free) entries of Theta, where
+eigenbasis.  The CCP curvature H0 is the first term with Mt = 0, and all of
+H at lam = 0.  The solver works on the free (causal) entries of Theta as
+causal matrices X, in the coordinates Phi = X L, L = chol(Stilde), where
+J2's curvature is D = 2I and
 
-    H = D + V M V^T,  V = [U, Z^T],  M = blkdiag(2 lam Stilde kron (I - Mt), I).
+    H = D + V M V^T,  V = [U, Z^T],  M = blkdiag(I kron A, I),  A = 2 lam (I - Mt),
 
-D, the curvature of J2, is block-diagonal over the rows of Theta: row r is
-free on its first l = (floor(r / n_u) + 1) n_x columns and has the block
-2 Stilde[:l, :l], factored by the leading block of L = chol(Stilde).
-U(Y) = FHu^T Y on the free entries and U^T(X) = FHu X; neither is formed.
-The CCP curvature has Mt = 0 and no Z.  In the coordinates Phi = X L, D = 2I,
-the U part of G = V^T D^-1 V is block-diagonal with blocks Q_t / 2, where
-Q_t = sum_(i >= t) F_i F_i^T over the input blocks F_i of FHu, and that of M
-is I kron A, A = 2 lam (I - Mt).  `_StructuredCurvature` solves with the
-Woodbury form D^-1 - D^-1 V (I + M G)^-1 M V^T D^-1 (no M^-1, valid at
-lam = 0) and one step of iterative refinement.  I + M G is block-diagonal
-with the N distinct blocks B_t = I + A Q_t / 2 plus an n_x^2-wide border,
-so it is solved by block elimination onto the n_x^2-sided Schur complement
-S = I + G_ZZ - G_ZU E M_U G_UZ, E = blkdiag(B_t)^-1.  Positive definiteness
-is decided by inertia: with H_U = D + U M_U U^T (H without the Frechet
-rows), H > 0 iff S is nonsingular and has as many negative eigenvalues as
-H_U (Haynsworth), whose count comes from the N blocks
-I + (Q_t/2)^(1/2) A (Q_t/2)^(1/2).  A nearly singular block falls back to
-the dense small space (pivoted Cholesky of G and LU of I + M G).
-lambda_min(H) comes from Lanczos on H^-1 from a fixed start vector.  Size
-rule: this runs when the free entries outnumber STRUCTURED_RATIO times
-(N + 1) n_x^2, the side of G; on smaller problems the dense causal block of
-`_hessian_block` is faster, and is Cholesky-factored, with eigvalsh for
-lambda_min.
-`_hessian_block` also stays the test oracle.  `_terminal` and `_values`
-(J1..J4 and the W2 check) also take a stack of policies along leading axes,
-with the bits of each member equal to those of a lone policy; `line_scan`
+U(Y) = FHu^T Y on the free entries; neither is formed.  Column c of Phi is
+free on the rows that the input blocks F_t, ..., F_(N-1) of FHu act on
+(t = c // n_x), whose Gram matrix is Q_t.  So H0 is block-diagonal over the
+columns, and `_ConvexCurvature` inverts it in closed form, (I - F^T E_t F) / 2
+with E_t = lam (I + lam Q_t)^-1.  `_StructuredCurvature` solves H by
+Woodbury, eliminating I + M G (G = V^T V / 2: N distinct blocks
+B_t = I + A Q_t / 2 and an n_x^2-wide border) onto the Schur complement
+S = I + G_ZZ - G_ZU E M_U G_UZ, E = blkdiag(B_t)^-1, and decides positive
+definiteness by inertia (Haynsworth), with a dense fallback for a nearly
+singular block.  Both solves take one step of iterative refinement.  The
+dense causal block of `_hessian_block` is the test oracle and the reference
+of `wsteer check`; the spectral certificate takes lambda_min from its
+eigvalsh below the size rule and from Lanczos on H^-1 above it.  `_terminal`
+and `_values` (J1..J4 and the W2 check) also take a stack of policies along
+leading axes, each member's bits equal to those of a lone policy; `line_scan`
 evaluates its grid that way.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -287,10 +277,8 @@ def _grad_j4(ops, lam, term):
 
 
 def grad_theta_j4(ops, lam, Theta):
-    """Gradient of the concave-side term J4 alone.
-
-    Equals 2 lam FHu^T (Sd # (Omega Stilde Omega^T)^(-1)) Omega Stilde.
-    """
+    """Gradient of the concave-side term J4 alone,
+    2 lam FHu^T (Sd # (Omega Stilde Omega^T)^(-1)) Omega Stilde."""
     if lam == 0.0:
         return np.zeros_like(np.asarray(Theta, dtype=float))
     return _grad_j4(ops, lam, _terminal(ops, Theta))
@@ -311,6 +299,12 @@ def grad_theta(ops, lam, Theta):
     return _grad_theta(ops, lam, Theta, term)
 
 
+def _coupling_weight(lam, n_x, term=None):
+    """A = 2 lam (I - Mt), or 2 lam I with term None, as in P = I + sym(FHu^T A FHu) / 2:
+    the dense block and the structured curvature both take A from here."""
+    return 2.0 * lam * (np.eye(n_x) - (0.0 if term is None else term.Mt))
+
+
 def _hessian_block(ops, lam, idx, term=None):
     """Rows and columns idx of the Hessian of J in vec(Theta), symmetric by
     construction; with term None, of J2 + J3 alone (the CCP curvature).
@@ -319,8 +313,8 @@ def _hessian_block(ops, lam, idx, term=None):
     """
     FHu = ops.FHu
     c, r = np.divmod(idx, FHu.shape[1])
-    R = FHu if term is None else FHu - term.Mt @ FHu
-    P2 = 2.0 * (np.eye(FHu.shape[1]) + lam * symmetrize(FHu.T @ R))
+    A = _coupling_weight(lam, ops.n_x, term)
+    P2 = 2.0 * np.eye(FHu.shape[1]) + symmetrize(FHu.T @ A @ FHu)
     H = ops.Stilde[c[:, None], c]
     H *= P2[r[:, None], r]  # in place: one full-size temporary fewer
     if term is not None:
@@ -333,10 +327,11 @@ def _hessian_block(ops, lam, idx, term=None):
     return H
 
 
-# The size rule: solve with H = D + V M V^T when the free-entry count exceeds
-# STRUCTURED_RATIO times the coupling rank n_x * N n_x + n_x^2 (the side of
-# G).  On the double integrator (n_x = 2, n_u = 1) the dense causal block
-# solved faster up to N = 15 and slower from N = 20 on.
+# The spectral certificate's size rule: Lanczos on the structured curvature
+# when the free entries outnumber STRUCTURED_RATIO times the coupling rank
+# n_x * N n_x + n_x^2, eigvalsh of the dense causal block below.  On the wide
+# double integrator at lam = 10 (ms, dense/Lanczos): N = 10 1.4/10.4, 14 5.0/12.1,
+# 16 6.7/8.7, 18 10.4/12.4, 20 17.2/11.1, 24 37.8/18.8.
 STRUCTURED_RATIO = 4
 
 
@@ -344,13 +339,11 @@ STRUCTURED_RATIO = 4
 # which bounds the relative error of that eigenvalue by the same share.
 LANCZOS_TOL = 1e-10
 
-# A block I + K_t of H_U, K_t = C_t^T A C_t, counts as singular, and the PD
-# test and solve fall back to the dense small space, when an eigenvalue is
-# within BLOCK_TOL of zero, or within n_x eps (1 + ||K_t||_2), eigvalsh's own
-# error, if that is larger.  Elimination through a nearly singular block
-# loses accuracy: over 10k random and crafted Hessians, the refined solve's
-# backward error reached 3e-11 at block eigenvalues of 1e-6 to 1e-5, and
-# stayed below 1e-15 from 2e-5 on, whatever ||K_t||_2 (up to 1e6).
+# A block I + K_t of H_U, K_t = C_t^T A C_t, counts as singular (the PD test
+# and solve fall back to the dense small space) when an eigenvalue is within
+# BLOCK_TOL, or eigvalsh's own error n_x eps (1 + ||K_t||_2), of zero.  Over 10k
+# random and crafted Hessians, the refined solve's backward error reached 3e-11
+# at block eigenvalues of 1e-6 to 1e-5, and stayed below 1e-15 from 2e-5 on.
 BLOCK_TOL = 1e-4
 
 
@@ -359,61 +352,112 @@ def _structured(ops):
     return n_free > STRUCTURED_RATIO * ops.n_x * (ops.N + 1) * ops.n_x
 
 
-class _DenseCurvature:
-    """A causal block of `_hessian_block`, Cholesky-factored in its own memory
-    (H.T is the same exactly symmetric matrix in Fortran order, so LAPACK
-    needs no copy).  pd is False when the factorization fails."""
+class _CausalCurvature:
+    """A curvature H = D + V M V^T on causal matrices X of N n_u x N n_x (the
+    last block column of Theta is never free), in the coordinates Phi = X L;
+    see the module docstring.  A subclass gives _VMVt(Phi) and _correction,
+    with H^-1 = (I - _correction) D^-1 in Phi, and pd, which solve needs."""
 
-    def __init__(self, H):
-        import scipy.linalg
-
-        try:
-            factor = scipy.linalg.cho_factor(H.T, overwrite_a=True)
-        except np.linalg.LinAlgError:
-            factor = None
-        self.pd = factor is not None
-        # solve(v) = H^-1 v, bound once so that each solve imports nothing
-        self.solve = partial(scipy.linalg.cho_solve, factor, check_finite=False)
-
-
-class _StructuredCurvature:
-    """The causal Hessian H = D + V M V^T at the terminal kernel term, or with
-    term None the CCP curvature, without its dense block; see the module
-    docstring.  Free entries are held as causal matrices X of N n_u x N n_x
-    (the last block column of Theta is never free), and the work is done in
-    the coordinates Phi = X L, L = chol(Stilde), where D = 2I.  pd tells
-    whether H is positive definite, tested by inertia; solve needs it.
-    neg_U and neg_S are the negative eigenvalue counts of H_U and S in that
-    test, None when a block of H_U is singular and the dense small space
-    decided instead.
-    """
-
-    def __init__(self, ops, lam, mask, term=None):
-        N, n_x, n_u = ops.N, ops.n_x, ops.n_u
-        p, qq = N * n_u, N * n_x
+    def __init__(self, ops, mask):
+        p, qq = ops.N * ops.n_u, ops.N * ops.n_x
         self.cols, self.rows = np.divmod(mask.free_entries, p)
-        self.free = np.arange(qq) // n_x <= (np.arange(p) // n_u)[:, None]
+        self.free = np.arange(qq) // ops.n_x <= (np.arange(p) // ops.n_u)[:, None]
         self.FHu = ops.FHu
         self.L, self.Linv = ops.causal_cholesky
+
+    def _dual_whiten(self, B):
+        """The B~ with <B~, X L> = <B, X> for every causal X: on its prefix, row
+        r of B~ is b_r L_l^-T, with L_l the leading block of L."""
+        return (B @ self.Linv.T) * self.free
+
+    def _apply(self, X):
+        Phi = X @ self.L
+        return ((2.0 * Phi + self._VMVt(Phi)) @ self.L.T) * self.free
+
+    def _inverse(self, B):
+        Bw = 0.5 * self._dual_whiten(B)
+        return (Bw - self._correction(Bw)) @ self.Linv
+
+    def _matrix(self, v):
+        X = np.zeros(self.free.shape)
+        X[self.rows, self.cols] = v
+        return X
+
+    def matvec(self, v):
+        """H v, for v in mask.free_entries order."""
+        return self._apply(self._matrix(v))[self.rows, self.cols]
+
+    def solve(self, v):
+        """H^-1 v and one step of iterative refinement, which restores a
+        backward error of order eps when the low-rank part of H is large."""
+        B = self._matrix(v)
+        X = self._inverse(B)
+        X += self._inverse(B - self._apply(X))
+        return X[self.rows, self.cols]
+
+    def lambda_min(self):
+        """lambda_min(H) by Lanczos from a fixed start vector: on H^-1 when H
+        is PD, else on H itself."""
+        n = self.rows.size
+        if n < 3:  # below ARPACK's smallest size
+            return np.linalg.eigvalsh(np.column_stack([self.matvec(e) for e in np.eye(n)]))[0]
+        import scipy.sparse.linalg  # here: its import costs about 0.1 s, and only this needs it
+
+        op = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=self.solve if self.pd else self.matvec, dtype=float)
+        val = scipy.sparse.linalg.eigsh(op, k=1, which="LA" if self.pd else "SA", tol=LANCZOS_TOL,
+                                        v0=np.random.default_rng(0).standard_normal(n),
+                                        return_eigenvectors=False)[0]
+        return 1.0 / val if self.pd else val
+
+
+class _ConvexCurvature(_CausalCurvature):
+    """The CCP curvature H0 = Stilde kron 2(I + lam FHu^T FHu), PD, whose
+    block 2(I + lam F^T F) on column c of Phi is inverted in closed form; see
+    the module docstring."""
+
+    pd = True
+
+    def __init__(self, ops, lam, mask):
+        super().__init__(ops, mask)
+        self.lam = lam
+        self.E = lam * np.linalg.inv(np.eye(ops.n_x) + lam * ops.input_grams[0])
+
+    def _VMVt(self, Phi):
+        return (2.0 * self.lam) * (self.FHu.T @ (self.FHu @ Phi)) * self.free
+
+    def _correction(self, Bw):
+        N, n_x = self.E.shape[:2]
+        # column t n_x + j of FHu Bw becomes Y[t, :, j], which E_t multiplies
+        Y = (self.FHu @ Bw).reshape(n_x, N, n_x).transpose(1, 0, 2)
+        EY = (self.E @ Y).transpose(1, 0, 2).reshape(n_x, -1)
+        return (self.FHu.T @ EY) * self.free
+
+
+class _StructuredCurvature(_CausalCurvature):
+    """The causal Hessian H = D + V M V^T of J at the terminal kernel term
+    (see the module docstring).  pd is decided by inertia: neg_U and neg_S
+    count the negative eigenvalues of H_U and S, None when a block of H_U is
+    singular and the dense small space decided instead."""
+
+    def __init__(self, ops, lam, mask, term):
+        super().__init__(ops, mask)
+        N, n_x = ops.N, ops.n_x
+        p, qq = self.free.shape
         # M_U = I kron A acts on the first k entries of V^T X, column by column of Phi
         self.k = qq * n_x
-        self.A = 2.0 * lam * np.eye(n_x)
-        self.Z = np.zeros((0, p * qq))
-        self.GUZ = np.zeros((self.k, 0))
-        if term is not None:
-            self.A = 2.0 * lam * (np.eye(n_x) - term.Mt)
-            s = term.r
-            g = 1.0 / (np.outer(s, s) * np.add.outer(s, s))
-            # row (a, b) of Z is sqrt(lam g_ab) (Bw_b^T Aw_a + Bw_a^T Aw_b) on the
-            # free entries; `_dual_whiten` of free o (b kron v) is free o (b kron L^-1 v)
-            Aw = (term.W.T @ term.Om @ ops.Stilde)[:, :qq] @ self.Linv.T
-            Bw = term.W.T @ ops.FHu
-            Z = Bw[None, :, :, None] * Aw[:, None, None, :]
-            Z = (Z + Z.swapaxes(0, 1)).reshape(n_x * n_x, p, qq)
-            Z *= np.sqrt(lam * g).reshape(-1, 1, 1)
-            Z *= self.free
-            self.Z = Z.reshape(n_x * n_x, -1)
-            self.GUZ = 0.5 * (ops.FHu @ Z).swapaxes(1, 2).reshape(n_x * n_x, -1).T
+        self.A = _coupling_weight(lam, n_x, term)
+        g = 1.0 / (np.outer(term.r, term.r) * np.add.outer(term.r, term.r))
+        # row (a, b) of Z is sqrt(lam g_ab) (Bw_b^T Aw_a + Bw_a^T Aw_b) on the
+        # free entries; `_dual_whiten` of free o (b kron v) is free o (b kron L^-1 v)
+        Aw = (term.W.T @ term.Om @ ops.Stilde)[:, :qq] @ self.Linv.T
+        Bw = term.W.T @ ops.FHu
+        Z = Bw[None, :, :, None] * Aw[:, None, None, :]
+        Z = (Z + Z.swapaxes(0, 1)).reshape(n_x * n_x, p, qq)
+        Z *= np.sqrt(lam * g).reshape(-1, 1, 1)
+        Z *= self.free
+        self.Z = Z.reshape(n_x * n_x, -1)
+        self.GUZ = 0.5 * (ops.FHu @ Z).swapaxes(1, 2).reshape(n_x * n_x, -1).T
         # H_U = D + U M_U U^T, H without the Frechet rows, is block-diagonal: its
         # block at column c of Phi has, besides eigenvalues 2, those of
         # 2 (I + C_t^T A C_t), t = c // n_x
@@ -477,15 +521,8 @@ class _StructuredCurvature:
         U = self.FHu.T @ y[:k].reshape(self.FHu.shape[0], -1, order="F")
         return U * self.free + (y[k:] @ self.Z).reshape(U.shape)
 
-    def _dual_whiten(self, B):
-        """The B~ with <B~, X L> = <B, X> for every causal X: on its prefix, row
-        r of B~ is b_r L_l^-T, with L_l the leading block of L."""
-        return (B @ self.Linv.T) * self.free
-
-    def _apply(self, X):
-        Phi = X @ self.L
-        HPhi = 2.0 * Phi + self._V(self._M(self._Vt(Phi)))
-        return (HPhi @ self.L.T) * self.free
+    def _VMVt(self, Phi):
+        return self._V(self._M(self._Vt(Phi)))
 
     def _small_solve(self, r):
         """(I + M G)^-1 r: E r_U, then S w_Z = r_Z - G_ZU E r_U and
@@ -495,71 +532,30 @@ class _StructuredCurvature:
 
             return scipy.linalg.lu_solve(self.lu, r, check_finite=False)
         N, n_x = self.Einv.shape[:2]
-        k = self.k
-        yU = (r[:k].reshape(N, n_x, n_x) @ _mT(self.Einv)).reshape(-1)
-        wZ = self.SV @ ((self.SV.T @ (r[k:] - self.GUZ.T @ yU)) / self.s)
+        yU = (r[:self.k].reshape(N, n_x, n_x) @ _mT(self.Einv)).reshape(-1)
+        wZ = self.SV @ ((self.SV.T @ (r[self.k:] - self.GUZ.T @ yU)) / self.s)
         wU = yU - ((self.GUZ @ wZ).reshape(N, n_x, n_x) @ self.EM).reshape(-1)
         return np.concatenate([wU, wZ])
 
-    def _woodbury(self, B):
-        """H^-1 B by D^-1 - D^-1 V (I + M G)^-1 M V^T D^-1, in the coordinates
-        Phi (D = 2I), a form that needs no M^-1 and holds at lam = 0."""
-        Bw = 0.5 * self._dual_whiten(B)
-        w = self._small_solve(self._M(self._Vt(Bw)))
-        return (Bw - 0.5 * self._V(w)) @ self.Linv
-
-    def _matrix(self, v):
-        X = np.zeros(self.free.shape)
-        X[self.rows, self.cols] = v
-        return X
-
-    def matvec(self, v):
-        """H v, for v in mask.free_entries order."""
-        return self._apply(self._matrix(v))[self.rows, self.cols]
-
-    def solve(self, v):
-        """H^-1 v by Woodbury and one step of iterative refinement, which
-        restores a backward error of order eps when M G is large."""
-        B = self._matrix(v)
-        X = self._woodbury(B)
-        X += self._woodbury(B - self._apply(X))
-        return X[self.rows, self.cols]
-
-    def lambda_min(self):
-        """lambda_min(H) by Lanczos from a fixed start vector: on H^-1 when H
-        is PD, else on H itself."""
-        n = self.rows.size
-        if n < 3:  # below ARPACK's smallest size
-            return np.linalg.eigvalsh(np.column_stack([self.matvec(e) for e in np.eye(n)]))[0]
-        import scipy.sparse.linalg  # here: its import costs about 0.1 s, and only this needs it
-
-        v0 = np.random.default_rng(0).standard_normal(n)
-        if self.pd:
-            op = scipy.sparse.linalg.LinearOperator((n, n), matvec=self.solve, dtype=float)
-            return 1.0 / scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, tol=LANCZOS_TOL,
-                                                   return_eigenvectors=False)[0]
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=self.matvec, dtype=float)
-        return scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=v0, tol=LANCZOS_TOL,
-                                         return_eigenvectors=False)[0]
+    def _correction(self, Bw):
+        """Woodbury's D^-1 V (I + M G)^-1 M V^T Bw (D = 2I), a form that needs
+        no M^-1 and holds at lam = 0."""
+        return 0.5 * self._V(self._small_solve(self._M(self._Vt(Bw))))
 
 
 def _curvature(ops, lam, mask, term=None):
     """The causal Hessian of J at the terminal kernel term, or with term None
-    the CCP curvature of J2 + J3, ready to solve with: H = D + V M V^T above
-    the size rule, the dense block Cholesky-factored in place below it."""
-    term = term if lam != 0.0 else None
-    if _structured(ops):
-        return _StructuredCurvature(ops, lam, mask, term)
-    return _DenseCurvature(_hessian_block(ops, lam, mask.free_entries, term))
+    the CCP curvature H0 of J2 + J3, ready to solve with at every horizon: H0
+    in closed form, also at lam = 0 where H = H0, else H = D + V M V^T."""
+    if term is None or lam == 0.0:
+        return _ConvexCurvature(ops, lam, mask)
+    return _StructuredCurvature(ops, lam, mask, term)
 
 
 def hessian_theta(ops, lam, Theta, mask=None):
-    """Exact Hessian of J with respect to vec(Theta) (column stacking).
-
-    Stilde kron 2P, with P = I + lam sym(FHu^T (I - Mt) FHu), plus the
-    rank-n_x^2 Frechet term of J4 in the eigenbasis of
-    C = Sd^(1/2) Y Sd^(1/2); see the module docstring.  With a CausalityMask
-    only the block on mask.free_entries is built.  Exactly symmetric.
+    """Exact Hessian of J with respect to vec(Theta) (column stacking),
+    Stilde kron 2P plus the Frechet term of J4 (see the module docstring);
+    with a CausalityMask only its block on mask.free_entries.  Exactly symmetric.
     """
     idx = np.arange(np.size(Theta)) if mask is None else mask.free_entries
     term = _terminal(ops, Theta) if lam != 0.0 else None

@@ -13,9 +13,9 @@ the residual ratio shows that crawl, damped Newton steps, guarded by a
 positive definite reduced Hessian and a line search that lets J rise only
 within its evaluation noise, and then only when the projected residual falls,
 drive the projected gradient to zero with a quadratic tail; when Newton
-fails, CCP resumes from its iterate.  The factor of H0 and each Newton
-curvature come from `objective._curvature`: the structured H = D + V M V^T
-on long horizons, the dense causal block on short ones (the size rule).
+fails, CCP resumes from its iterate.  `objective._curvature` inverts H0 in
+closed form and solves each Newton step with the structured H = D + V M V^T,
+at every horizon.
 """
 
 from dataclasses import dataclass, field, replace
@@ -170,9 +170,8 @@ def _curvature_solve(factor, rhs):
 
 
 def _reduced_curvature_factor(ops, lam, mask):
-    """The causal restriction of the CCP curvature
-    Stilde kron 2(I + lam FHu^T FHu), the Hessian of J without the J4 terms,
-    factored for `_curvature_solve`."""
+    """The causal restriction of the CCP curvature Stilde kron 2(I + lam FHu^T FHu),
+    the Hessian of J without the J4 terms, ready for `_curvature_solve`."""
     return _curvature(ops, lam, mask)
 
 
@@ -180,9 +179,9 @@ def ccp_subproblem(ops, lam, Theta_k, mask, factor=None, grad=None):
     """One convex-concave step from the causal Theta_k: the minimizer of
     J2 + J3 - <grad J4(Theta_k), Theta> over causal Theta, which is
     Theta_k - H0^(-1) grad J(Theta_k) on the free entries, H0 the constant
-    curvature of J2 + J3.  `factor` is the cached Cholesky factor of the
-    reduced H0 and `grad` the full gradient of J at Theta_k; each is computed
-    when not supplied, with the same result.
+    curvature of J2 + J3.  `factor` is `_reduced_curvature_factor`'s H0 and
+    `grad` the full gradient of J at Theta_k; each is computed when not
+    supplied, with the same result.
     """
     if not mask.is_causal(Theta_k):
         raise ValueError("Theta_k violates the causality pattern")

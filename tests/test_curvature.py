@@ -1,8 +1,10 @@
-"""The structured causal Hessian H = D + V M V^T against the dense causal
-block: solves, the positive-definiteness decision, lambda_min, the size rule,
+"""The closed-form CCP curvature H0 and the structured causal Hessian
+H = D + V M V^T against the dense causal block: solves, the
+positive-definiteness decision, lambda_min, which curvature a solve uses,
 memory at long horizons, and the Loewner direction of the dominance
 certificate."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -24,9 +26,10 @@ from conftest import (
 )
 import wsteer as w
 import wsteer.objective
+import wsteer.solver
 from wsteer.objective import (
+    _ConvexCurvature,
     _curvature,
-    _DenseCurvature,
     _hessian_block,
     _structured,
     _StructuredCurvature,
@@ -71,6 +74,9 @@ def assert_lambda_min_agrees(lmin, eig):
 # these two draws; its refinement step brings them to order eps
 @example(seed=0, N=1, n_x=3, n_u=1, extra_w=0, log_lam=3.7, scale=1.0)
 @example(seed=0, N=2, n_x=3, n_u=1, extra_w=0, log_lam=3.8, scale=1.0)
+# n_u < n_x at large lambda: the closed form of H0^-1 alone leaves a backward
+# error of 4e-8 on this draw, its refinement step 4e-15
+@example(seed=42, N=1, n_x=2, n_u=1, extra_w=0, log_lam=3.8, scale=1.0)
 def test_structured_curvature_matches_dense_block(seed, N, n_x, n_u, extra_w, log_lam, scale):
     # time-varying systems, lambda log-uniform in [1e-3, 1e4]
     rng = np.random.default_rng(seed)
@@ -81,7 +87,8 @@ def test_structured_curvature_matches_dense_block(seed, N, n_x, n_u, extra_w, lo
     b = rng.standard_normal(mask.free_entries.size)
     for kernel in (None, term):  # the CCP curvature, then the Newton Hessian
         H = _hessian_block(ops, prob.lam, mask.free_entries, kernel)
-        curv = _StructuredCurvature(ops, prob.lam, mask, kernel)
+        curv = (_ConvexCurvature(ops, prob.lam, mask) if kernel is None
+                else _StructuredCurvature(ops, prob.lam, mask, kernel))
         eig = np.linalg.eigvalsh(H)
         if abs(eig[0]) > 1e-8 * np.abs(eig).max():
             assert curv.pd == cholesky_succeeds(H)
@@ -166,30 +173,92 @@ def test_structured_solve_forms_no_dense_small_space_factor(monkeypatch):
     assert sol.certificate.kind == ref.certificate.kind == "HessianPD"
 
 
-def test_size_rule_picks_dense_block_only_on_short_horizons():
+def test_curvature_is_closed_form_for_ccp_and_structured_for_newton():
+    # one curvature per step at every horizon; the size rule only picks how
+    # the spectral certificate finds lambda_min
     for N, structured in ((10, False), (16, False), (20, True), (40, True)):
         ops = w.assemble(double_integrator_problem(SD_WIDE, lam=10.0, N=N))
         mask = w.causality_mask(N, ops.n_u, ops.n_x)
         assert _structured(ops) == structured
-        curv = _curvature(ops, 10.0, mask)
-        assert isinstance(curv, _StructuredCurvature if structured else _DenseCurvature)
+        term = _terminal(ops, np.zeros(mask.theta_shape))
+        assert type(_curvature(ops, 10.0, mask)) is _ConvexCurvature
+        assert type(_curvature(ops, 0.0, mask, term)) is _ConvexCurvature
+        assert type(_curvature(ops, 10.0, mask, term)) is _StructuredCurvature
+
+
+class DenseCurvature:
+    """The dense causal block of `_hessian_block`, Cholesky-factored: the
+    oracle for `objective._curvature`, with its signature."""
+
+    def __init__(self, ops, lam, mask, term=None):
+        H = _hessian_block(ops, lam, mask.free_entries, term if lam != 0.0 else None)
+        try:
+            self.factor = scipy.linalg.cho_factor(H)
+        except np.linalg.LinAlgError:
+            self.factor = None
+        self.pd = self.factor is not None
+
+    def solve(self, v):
+        return scipy.linalg.cho_solve(self.factor, v)
 
 
 @pytest.mark.parametrize("Sd", [SD_TIGHT, SD_WIDE], ids=["tight", "wide"])
 def test_structured_and_dense_solves_agree(monkeypatch, Sd):
-    # N = 20 is above the size rule; forcing the dense block must give the
-    # same solve to round-off
-    prob = double_integrator_problem(Sd, lam=10.0, N=20)
+    # the same solve with the dense causal block in place of the operators,
+    # below (N = 10) and above (N = 20) the size rule
     opts = w.SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14)
-    fast = w.solve(prob, opts)
-    monkeypatch.setattr(wsteer.objective, "_structured", lambda ops: False)
-    dense = w.solve(prob, opts)
-    assert abs(fast.report.J - dense.report.J) <= 1e-10 * abs(dense.report.J)
-    assert fast.trace.termination == dense.trace.termination == "stationarity"
-    assert fast.certificate.kind == dense.certificate.kind
-    if dense.certificate.lambda_min_hessian is not None:
-        lmin = dense.certificate.lambda_min_hessian
-        assert abs(fast.certificate.lambda_min_hessian - lmin) <= 1e-8 * abs(lmin)
+    for N in (10, 20):
+        prob = double_integrator_problem(Sd, lam=10.0, N=N)
+        with monkeypatch.context() as m:
+            fast = w.solve(prob, opts)
+            m.setattr(wsteer.solver, "_curvature", DenseCurvature)
+            dense = w.solve(prob, opts)
+        assert abs(fast.report.J - dense.report.J) <= 1e-10 * abs(dense.report.J)
+        assert fast.trace.termination == dense.trace.termination == "stationarity"
+        assert [r.kind for r in fast.trace.records] == [r.kind for r in dense.trace.records]
+        assert fast.certificate.kind == dense.certificate.kind
+        if dense.certificate.lambda_min_hessian is not None:
+            lmin = dense.certificate.lambda_min_hessian
+            assert abs(fast.certificate.lambda_min_hessian - lmin) <= 1e-8 * abs(lmin)
+
+
+@pytest.mark.parametrize("Sd,calls", [(SD_TIGHT, 0), (SD_WIDE, 1)], ids=["tight", "wide"])
+def test_short_horizon_solve_forms_dense_block_only_for_certificate(monkeypatch, Sd, calls):
+    # at N = 10 CCP and Newton solve with the operators; the dense block is
+    # formed once, for eigvalsh in the spectral certificate, which the wide
+    # target needs and the tight one does not
+    block = []
+
+    def counted(*args, **kwargs):
+        block.append(args)
+        return _hessian_block(*args, **kwargs)
+
+    monkeypatch.setattr(wsteer.objective, "_hessian_block", counted)
+    sol = w.solve(double_integrator_problem(Sd, lam=100.0))
+    assert sol.trace.termination == "stationarity"
+    assert any(r.kind == "newton" for r in sol.trace.records)
+    assert len(block) == calls
+    assert sol.certificate.kind == ("HessianPD" if calls else "DominatedCovariance")
+
+
+def test_dense_block_weights_fhu_with_the_structured_a():
+    # at large lambda with Mt near I, P = I + lam sym(FHu^T (I - Mt) FHu)
+    # cancels unless formed from the same A = 2 lam (I - Mt) as the
+    # structured curvature; formed as FHu^T (FHu - Mt FHu), the block put
+    # backward errors of up to 1.4e-14 on exact structured solves of these
+    # crafted kernels (N = 1, n_x = 1, Mt = 1.0005, lambda = 1750), 3e-16 now
+    lam, s = 1750.0, 1.0005
+    for n_u, seed in itertools.product((1, 2), range(100)):
+        rng = np.random.default_rng(seed)
+        prob = rand_problem(rng, N=1, n_x=1, n_u=n_u, lam=lam)
+        ops = w.assemble(prob)
+        mask = w.causality_mask(1, n_u, 1)
+        term = _terminal(ops, rand_causal_theta(rng, mask))._replace(W=np.sqrt([[s]]), r=np.ones(1))
+        curv = _StructuredCurvature(ops, lam, mask, term)
+        assert curv.pd
+        b = rng.standard_normal(mask.free_entries.size)
+        H = _hessian_block(ops, lam, mask.free_entries, term)
+        assert backward_error(H, curv.solve(b), b) <= 1e-14
 
 
 def test_structured_solve_memory_stays_below_dense_block():
