@@ -46,10 +46,20 @@ def _fail(msg):
     return EXIT_INPUT
 
 
-def _matrix(cfg, key):
+def _object(value, what):
+    """value when it is a JSON object; raises ValueError naming what otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _matrix(cfg, key, source="config"):
     if key not in cfg:
-        raise ValueError(f"config missing field '{key}'")
-    return np.asarray(cfg[key], dtype=float)
+        raise ValueError(f"{source} missing field '{key}'")
+    try:
+        return np.asarray(cfg[key], dtype=float)
+    except (TypeError, ValueError) as e:  # a ragged array, a string, an object entry
+        raise ValueError(f"field '{key}' is not a numeric array: {e}") from None
 
 
 def _number_field(name, value, integer=True, minimum=None):
@@ -68,7 +78,7 @@ def _number_field(name, value, integer=True, minimum=None):
 def load_config(path):
     """Parse a problem config; raises ValueError naming the offending field."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = _object(json.load(fh), "config")
     if "N" not in cfg:
         raise ValueError("config missing field 'N'")
     N = _number_field("N", cfg["N"], minimum=1)
@@ -113,7 +123,7 @@ def load_config(path):
 
 
 def solver_options_from_config(cfg):
-    raw = cfg.get("solver", {})
+    raw = _object(cfg.get("solver", {}), "field 'solver'")
     kwargs = {}
     for key in ("max_ccp_iters", "newton_max_iters"):
         if key in raw:
@@ -128,7 +138,7 @@ def solver_options_from_config(cfg):
         if theta_init != "zero":
             raise ValueError("solver.theta_init must be 'zero' or a matrix")
     else:
-        kwargs["theta_init"] = np.asarray(theta_init, dtype=float)
+        kwargs["theta_init"] = _matrix(raw, "theta_init")
     return SolverOptions(**kwargs)
 
 
@@ -204,10 +214,10 @@ def cmd_solve(config_path, out_path):
     return EXIT_OK
 
 
-def _scan_one_lambda(problem_a, problem_b, cfg_a, cfg_b, lam, grid):
+def _scan_one_lambda(problem_a, problem_b, options_a, options_b, lam, grid):
     pa, pb = replace(problem_a, lam=lam), replace(problem_b, lam=lam)
-    sol_a = solve(pa, solver_options_from_config(cfg_a))
-    sol_b = solve(pb, solver_options_from_config(cfg_b))
+    sol_a = solve(pa, options_a)
+    sol_b = solve(pb, options_b)
     ops_a = assemble(pa)
     samples = line_scan(ops_a, lam, Policy(sol_a.u_ff, sol_a.Theta),
                         Policy(sol_b.u_ff, sol_b.Theta), grid)
@@ -219,6 +229,8 @@ def cmd_scan(config_a, config_b, gamma_min, gamma_max, points, lambda_sweep, out
     try:
         problem_a, cfg_a = load_config(config_a)
         problem_b, cfg_b = load_config(config_b)
+        options_a = solver_options_from_config(cfg_a)
+        options_b = solver_options_from_config(cfg_b)
         lams = _parse_lambda_sweep(lambda_sweep) or [problem_a.lam]
     except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
         return _fail(str(e))
@@ -235,7 +247,7 @@ def cmd_scan(config_a, config_b, gamma_min, gamma_max, points, lambda_sweep, out
     grid = np.linspace(gamma_min, gamma_max, points)
 
     try:
-        results = [_scan_one_lambda(problem_a, problem_b, cfg_a, cfg_b, lam, grid)
+        results = [_scan_one_lambda(problem_a, problem_b, options_a, options_b, lam, grid)
                    for lam in lams]
     except (ValueError, WsteerError) as e:
         return _fail(str(e))
@@ -397,22 +409,21 @@ def _print_check_table(rows):
 def cmd_simulate(config_path, solution_path, samples=None, seed=None, out_path=None):
     try:
         problem, cfg = load_config(config_path)
-        with open(solution_path, "r", encoding="utf-8") as fh:
-            sol = json.load(fh)
-        sim_cfg = cfg.get("simulation", {})
+        sim_cfg = _object(cfg.get("simulation", {}), "field 'simulation'")
         if samples is None:
             samples = _number_field("simulation.samples", sim_cfg.get("samples", 100000))
         if seed is None:
             seed = _number_field("simulation.seed", sim_cfg.get("seed", 42))
+        if _rejected(problem):
+            return EXIT_INPUT
+        with open(solution_path, "r", encoding="utf-8") as fh:
+            sol = _object(json.load(fh), "solution file")
+        u_ff = _matrix(sol, "u_ff", "solution file")
+        Theta = _matrix(sol, "Theta", "solution file")
     except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
         return _fail(str(e))
 
-    if _rejected(problem):
-        return EXIT_INPUT
-
     sysm = problem.system
-    u_ff = np.asarray(sol.get("u_ff", []), dtype=float)
-    Theta = np.asarray(sol.get("Theta", []), dtype=float)
     want_u = sysm.horizon * sysm.n_u
     want_T = (sysm.horizon * sysm.n_u, (sysm.horizon + 1) * sysm.n_x)
     if u_ff.shape != (want_u,) or Theta.shape != want_T:

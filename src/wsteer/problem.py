@@ -17,7 +17,6 @@ from .errors import (
     NonFiniteError,
     NotPDError,
     NotSymmetricError,
-    SingularMatrixError,
 )
 from .matops import check_symmetric, require_conditioned, symmetrize
 
@@ -186,16 +185,13 @@ class BlockOperators:
     @cached_property
     def causal_cholesky(self):
         """(L, L^-1), L = chol(Stilde[:N n_x, :N n_x]): the leading block of
-        Stilde that the free entries of Theta see, factored once."""
-        from scipy.linalg.lapack import dtrtri
-
+        Stilde that the free entries of Theta see, factored once.  `assemble`
+        has checked Stilde at rcond RCOND_DATA, so L has a positive diagonal
+        and its inverse exists; tril keeps L^-1 exactly lower triangular, which
+        the curvature's dual whitening relies on."""
         qq = self.N * self.n_x
         L = np.linalg.cholesky(self.Stilde[:qq, :qq])
-        # explicit for matmuls; amid solves at N = 10 dtrtri took 20 us, solve_triangular 2.4 ms
-        Linv, info = dtrtri(L, lower=1)
-        if info != 0:
-            raise SingularMatrixError(f"inverting chol(Stilde) failed: dtrtri info {info}")
-        return L, Linv
+        return L, np.tril(np.linalg.inv(L))
 
     @cached_property
     def input_grams(self):

@@ -112,38 +112,25 @@ class Solution:
         return self.report.certificate
 
 
-def solve_feedforward(ops, lam, mu0=None, mud=None):
-    """Unique optimal feedforward from the PD normal equations.
-
-    Solves (I + lam FHu^T FHu) u = lam FHu^T (mud - F Gamma mu0) by Cholesky.
+def solve_feedforward(ops, lam):
+    """Unique optimal feedforward from the normal equations
+    (I + lam FHu^T FHu) u = lam FHu^T (mud - F Gamma mu0), whose matrix has
+    eigenvalues >= 1, so an LU solve is as accurate as Cholesky.
     """
-    import scipy.linalg
-
-    mu0 = ops.mu0 if mu0 is None else np.asarray(mu0, dtype=float).reshape(-1)
-    mud = ops.mud if mud is None else np.asarray(mud, dtype=float).reshape(-1)
     FHu = ops.FHu
-    m = FHu.shape[1]
-    A = np.eye(m) + lam * (FHu.T @ FHu)
-    rhs = lam * (FHu.T @ (mud - ops.Gamma[-ops.n_x:, :] @ mu0))
-    c, low = scipy.linalg.cho_factor(A)
-    return scipy.linalg.cho_solve((c, low), rhs)
+    A = np.eye(FHu.shape[1]) + lam * (FHu.T @ FHu)
+    return np.linalg.solve(A, lam * (FHu.T @ (ops.mud - ops.FGamma_mu0)))
 
 
-def solve_feedforward_woodbury(ops, lam, mu0=None, mud=None):
+def solve_feedforward_woodbury(ops, lam):
     """Feedforward via the matrix-inversion-lemma form, as a cross-check.
 
     u = (I - lam FHu^T (I + lam FHu FHu^T)^(-1) FHu) lam FHu^T (mud - F Gamma mu0).
     """
-    import scipy.linalg
-
-    mu0 = ops.mu0 if mu0 is None else np.asarray(mu0, dtype=float).reshape(-1)
-    mud = ops.mud if mud is None else np.asarray(mud, dtype=float).reshape(-1)
     FHu = ops.FHu
-    d = mud - ops.Gamma[-ops.n_x:, :] @ mu0
     small = np.eye(ops.n_x) + lam * (FHu @ FHu.T)
-    c, low = scipy.linalg.cho_factor(small)
-    v = lam * (FHu.T @ d)
-    return v - lam * (FHu.T @ scipy.linalg.cho_solve((c, low), FHu @ v))
+    v = lam * (FHu.T @ (ops.mud - ops.FGamma_mu0))
+    return v - lam * (FHu.T @ np.linalg.solve(small, FHu @ v))
 
 
 # Switch rule of solve() with newton="when_certified".  After step k of a CCP

@@ -257,6 +257,59 @@ def test_scan_bad_lambda_sweep_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_parses_both_solver_sections_before_any_solve(tmp_path, capsys, monkeypatch):
+    cfg_a = write_config(tmp_path / "a.json")
+    cfg_b = write_config(tmp_path / "b.json", solver={"max_ccp_iters": 2.5})
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return w.solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", counted)
+    assert main(["scan", str(cfg_a), str(cfg_b), "--lambda-sweep", "0.1,1",
+                 "-o", str(tmp_path / "s.csv")]) == 1
+    assert "field 'solver.max_ccp_iters'" in capsys.readouterr().err
+    assert calls == []
+
+
+ZERO_POLICY = {"u_ff": [0.0] * 10, "Theta": [[0.0] * 22] * 10}
+ALL_COMMANDS = ("solve", "check", "scan", "simulate")
+# (payload id, file, payload, the commands that read the malformed part)
+MALFORMED = [
+    ("config 5", "config", 5, ALL_COMMANDS),
+    ("config list", "config", ["N"], ALL_COMMANDS),
+    ("config string", "config", "N", ALL_COMMANDS),
+    ("object in A", "config", {**BASE_CONFIG, "A": [[{"a": 1.0}, 0.1], [0.0, 1.0]]},
+     ALL_COMMANDS),
+    ("solver list", "config", {**BASE_CONFIG, "solver": [1]}, ("solve", "check", "scan")),
+    ("simulation number", "config", {**BASE_CONFIG, "simulation": 5}, ("simulate",)),
+    ("solution list", "solution", [ZERO_POLICY], ("simulate",)),
+    ("ragged Theta", "solution", {**ZERO_POLICY, "Theta": [[0.0] * 22] * 9 + [[0.0] * 21]},
+     ("simulate",)),
+    ("string u_ff", "solution", {**ZERO_POLICY, "u_ff": "zero"}, ("simulate",)),
+]
+
+
+@pytest.mark.parametrize("command, which, payload", [
+    pytest.param(command, which, payload, id=f"{name}-{command}")
+    for name, which, payload, commands in MALFORMED for command in commands])
+def test_malformed_json_one_error_line_exit_one(tmp_path, capsys, command, which, payload):
+    files = {"config": write_config(tmp_path / "p.json"), "solution": tmp_path / "sol.json"}
+    files["solution"].write_text(json.dumps(ZERO_POLICY))
+    files[which].write_text(json.dumps(payload))
+    cfg, sol = str(files["config"]), str(files["solution"])
+    argv = {"solve": ["solve", cfg, "-o", str(tmp_path / "out.json")],
+            "check": ["check", cfg],
+            "scan": ["scan", cfg, cfg, "--points", "3", "-o", str(tmp_path / "s.csv")],
+            "simulate": ["simulate", cfg, sol, "--samples", "100"]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
 def test_check_benchmark_passes(tmp_path, capsys):
     cfg = write_config(tmp_path / "p.json")
     assert main(["check", str(cfg)]) == 0

@@ -184,6 +184,11 @@ def test_curvature_is_closed_form_for_ccp_and_structured_for_newton():
         assert type(_curvature(ops, 10.0, mask)) is _ConvexCurvature
         assert type(_curvature(ops, 0.0, mask, term)) is _ConvexCurvature
         assert type(_curvature(ops, 10.0, mask, term)) is _StructuredCurvature
+        # the dual whitening needs L^-1 exactly lower triangular; np.linalg.inv
+        # pivots and leaves round-off above the diagonal, which tril removes
+        L, Linv = ops.causal_cholesky
+        assert not np.triu(Linv, 1).any()
+        assert np.linalg.norm(L @ Linv - np.eye(N * ops.n_x)) <= 1e-13
 
 
 class DenseCurvature:

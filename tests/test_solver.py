@@ -1,5 +1,9 @@
 """Feedforward solve, convex-concave iteration, Newton refinement, line scans."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -73,8 +77,9 @@ def certified_problem(rng, N=3, n_x=2, n_u=1):
 
 def test_feedforward_zero_cases():
     _, prob, ops, _ = setup_random(0)
-    mud_trivial = ops.Gamma[-ops.n_x:, :] @ prob.initial.mean
-    u = solve_feedforward(ops, prob.lam, mud=mud_trivial)
+    # the target mean the uncontrolled mean already reaches
+    trivial = replace(prob, desired=w.Gaussian(ops.FGamma_mu0, prob.desired.cov))
+    u = solve_feedforward(w.assemble(trivial), prob.lam)
     assert np.linalg.norm(u) <= 1e-12
     assert_allclose(solve_feedforward(ops, 0.0), np.zeros(ops.N * ops.n_u))
 
@@ -611,3 +616,46 @@ def test_multistart_agreement_on_certified_instance():
         sols.append(solve(prob, opts).Theta)
     for s in sols[1:]:
         assert np.linalg.norm(s - sols[0]) <= 1e-5 * max(1.0, np.linalg.norm(sols[0]))
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+from dataclasses import replace
+configs, src = sys.argv[1:]
+sys.path.insert(0, src)
+import numpy as np
+import wsteer as w
+from wsteer.cli import load_config, solver_options_from_config
+out = {}
+sols = {}
+for name in ("tight", "wide"):
+    prob, cfg = load_config(f"{configs}/double_integrator_{name}.json")
+    for lam in (1.0, 100.0):
+        sol = w.solve(replace(prob, lam=lam), solver_options_from_config(cfg))
+        sols[name, lam] = prob, sol
+        out[f"{name} {lam:g}"] = (sol.trace.termination, sol.certificate.kind,
+                                  sum(r.kind == "newton" for r in sol.trace.records))
+(prob, a), (_, b) = sols["tight", 1.0], sols["wide", 1.0]
+scan = w.line_scan(w.assemble(prob), 1.0, w.Policy(a.u_ff, a.Theta),
+                   w.Policy(b.u_ff, b.Theta), np.linspace(-0.5, 1.5, 41))
+out["scan"] = len(scan)
+out["rollout"] = w.rollout(prob, w.Policy(a.u_ff, a.Theta), 1000, 0).samples
+out["scipy"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps(out))
+"""
+
+
+def test_solve_path_never_imports_scipy():
+    # a fresh interpreter: both shipped configs at lambda 1 and 100 (the wide
+    # target takes the dense spectral certificate, lambda 100 takes Newton
+    # steps), a line scan and a rollout, and scipy stays unloaded
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, os.path.join(root, "configs"),
+                          os.path.join(root, "src")], check=True, capture_output=True, text=True)
+    out = json.loads(run.stdout)
+    for lam in ("1", "100"):
+        assert out[f"tight {lam}"][:2] == ["stationarity", "DominatedCovariance"]
+        assert out[f"wide {lam}"][:2] == ["stationarity", "HessianPD"]
+    assert out["tight 100"][2] > 0 and out["wide 100"][2] > 0
+    assert out["scan"] == 41 and out["rollout"] == 1000
+    assert out["scipy"] == []
