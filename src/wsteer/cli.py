@@ -54,12 +54,20 @@ def _object(value, what):
 
 
 def _matrix(cfg, key, source="config"):
+    """cfg[key] as a float array; raises ValueError naming source and key when
+    it is missing, not a numeric array, or holds a null (which numpy would
+    read as nan).  A solution file's NaN and Infinity entries are rejected
+    too; a config's are left to SteeringProblem, whose error names the field."""
     if key not in cfg:
         raise ValueError(f"{source} missing field '{key}'")
     try:
-        return np.asarray(cfg[key], dtype=float)
+        M = np.asarray(cfg[key], dtype=float)
     except (TypeError, ValueError) as e:  # a ragged array, a string, an object entry
         raise ValueError(f"field '{key}' is not a numeric array: {e}") from None
+    if not np.isfinite(M).all() and (source != "config"
+                                     or None in np.asarray(cfg[key], dtype=object)):
+        raise ValueError(f"{source} field '{key}' has a null or non-finite entry")
+    return M
 
 
 def _number_field(name, value, integer=True, minimum=None):

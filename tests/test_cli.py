@@ -310,6 +310,53 @@ def test_malformed_json_one_error_line_exit_one(tmp_path, capsys, command, which
     assert captured.out == ""
 
 
+
+def _with_entry(matrix, value):
+    """A copy of a nested list whose last entry is value."""
+    out = json.loads(json.dumps(matrix))
+    row = out
+    while isinstance(row[-1], list):
+        row = row[-1]
+    row[-1] = value
+    return out
+
+
+# (payload id, file, payload, the field named, the commands that read it)
+NON_FINITE = [
+    ("null u_ff", "solution", {**ZERO_POLICY, "u_ff": _with_entry(ZERO_POLICY["u_ff"], None)},
+     "solution file field 'u_ff'", ("simulate",)),
+    ("null Theta", "solution",
+     {**ZERO_POLICY, "Theta": _with_entry(ZERO_POLICY["Theta"], None)},
+     "solution file field 'Theta'", ("simulate",)),
+    ("NaN Theta", "solution",
+     {**ZERO_POLICY, "Theta": _with_entry(ZERO_POLICY["Theta"], float("nan"))},
+     "solution file field 'Theta'", ("simulate",)),
+    ("Infinity u_ff", "solution",
+     {**ZERO_POLICY, "u_ff": _with_entry(ZERO_POLICY["u_ff"], float("-inf"))},
+     "solution file field 'u_ff'", ("simulate",)),
+    ("null Sd", "config", {**BASE_CONFIG, "Sd": _with_entry(BASE_CONFIG["Sd"], None)},
+     "config field 'Sd'", ALL_COMMANDS),
+]
+
+
+@pytest.mark.parametrize("command, which, payload, field", [
+    pytest.param(command, which, payload, field, id=f"{name}-{command}")
+    for name, which, payload, field, commands in NON_FINITE for command in commands])
+def test_null_or_non_finite_entry_names_file_and_field(tmp_path, capsys, command, which,
+                                                        payload, field):
+    files = {"config": write_config(tmp_path / "p.json"), "solution": tmp_path / "sol.json"}
+    files["solution"].write_text(json.dumps(ZERO_POLICY))
+    files[which].write_text(json.dumps(payload))
+    cfg, sol = str(files["config"]), str(files["solution"])
+    argv = {"solve": ["solve", cfg, "-o", str(tmp_path / "out.json")],
+            "check": ["check", cfg],
+            "scan": ["scan", cfg, cfg, "--points", "3", "-o", str(tmp_path / "s.csv")],
+            "simulate": ["simulate", cfg, sol, "--samples", "100"]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {field} has a null or non-finite entry"]
+    assert captured.out == ""
+
 def test_check_benchmark_passes(tmp_path, capsys):
     cfg = write_config(tmp_path / "p.json")
     assert main(["check", str(cfg)]) == 0

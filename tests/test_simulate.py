@@ -1,6 +1,11 @@
 """Gain transforms and Monte Carlo rollout validation."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +20,17 @@ from conftest import (
     rand_problem,
 )
 import wsteer as w
+from wsteer import simulate
 from wsteer.errors import SingularTransformError
 from wsteer.objective import Policy
-from wsteer.simulate import _closed_loop_states, _sample_noise, k_to_theta, rollout, theta_to_k
+from wsteer.simulate import (
+    _closed_loop,
+    _closed_loop_states,
+    _sample_noise,
+    k_to_theta,
+    rollout,
+    theta_to_k,
+)
 
 
 def setup_random(seed, **kw):
@@ -143,7 +156,7 @@ def test_closed_loop_matches_lifted_parametrization():
         pol = Policy(u, Theta)
         S = 5
         Z0, Zw = _sample_noise(4, S, ops.n_x, ops.N, ops.n_w)
-        X = _closed_loop_states(prob, pol, ops.Hu, Z0, Zw)
+        X = _closed_loop_states(_closed_loop(prob, pol, ops.Hu), Z0, Zw)
         L0 = np.linalg.cholesky(prob.initial.cov)
         Lw = np.linalg.cholesky(prob.noise_cov)
         IHuT = np.eye(ops.Hu.shape[0]) + ops.Hu @ Theta
@@ -168,7 +181,7 @@ def test_closed_loop_lifted_form_zero_mean():
     Theta = rand_causal_theta(rng, mask, scale=0.6)
     u = rng.standard_normal(3)
     Z0, Zw = _sample_noise(2, 4, 2, 3, prob.system.n_w)
-    X = _closed_loop_states(prob, Policy(u, Theta), ops.Hu, Z0, Zw)
+    X = _closed_loop_states(_closed_loop(prob, Policy(u, Theta), ops.Hu), Z0, Zw)
     L0 = np.linalg.cholesky(prob.initial.cov)
     Lw = np.linalg.cholesky(prob.noise_cov)
     IHuT = np.eye(ops.Hu.shape[0]) + ops.Hu @ Theta
@@ -213,6 +226,17 @@ def test_sample_noise_counter_addressing():
         assert np.array_equal(Zw[:j], Zwj)
 
 
+@pytest.mark.parametrize("first", [0, 1, 2, 5, 1001])
+def test_sample_noise_from_any_first_sample(first):
+    # per = 1 + 2*2 = 5, m = 6: sample f starts at word 6f, which is a
+    # multiple of the 4-word Philox step only for even f
+    seed, count, n_x, N, n_w, per, m = 4, 3, 1, 2, 2, 5, 6
+    Z0, Zw = _sample_noise(seed, count, n_x, N, n_w, first=first)
+    ref = _philox_normals(seed, first * m, count * m).reshape(count, m)[:, :per]
+    assert np.array_equal(Z0, ref[:, :n_x])
+    assert np.array_equal(Zw, ref[:, n_x:].reshape(count, N, n_w))
+
+
 def test_sample_noise_standard_normal_moments():
     # 50000 samples x (3 + 9*2) = 1.05e6 normals; each statistic within 5 sigma
     Z0, Zw = _sample_noise(123, 50000, 3, 9, 2)
@@ -244,7 +268,7 @@ def test_closed_loop_matches_lifted_form_property(seed, N, n_x, n_u, extra_w):
     u = rng.standard_normal(N * n_u)
     S = 7
     Z0, Zw = _sample_noise(seed, S, n_x, N, ops.n_w)
-    X = _closed_loop_states(prob, Policy(u, Theta), ops.Hu, Z0, Zw)
+    X = _closed_loop_states(_closed_loop(prob, Policy(u, Theta), ops.Hu), Z0, Zw)
     x0 = prob.initial.mean + Z0 @ np.linalg.cholesky(prob.initial.cov).T
     wn = (Zw @ np.linalg.cholesky(prob.noise_cov).T).reshape(S, -1)
     IHuT = np.eye(ops.Hu.shape[0]) + ops.Hu @ Theta
@@ -261,3 +285,112 @@ def test_rollout_rejects_seed_out_of_range(seed):
     with pytest.raises(ValueError, match="seed"):
         rollout(prob, pol, 16, seed)
     assert rollout(prob, pol, 16, 2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("samples", [100.0, True, "100", None])
+def test_rollout_rejects_non_integer_samples(samples):
+    prob = double_integrator_problem(SD_TIGHT)
+    pol = Policy(np.zeros(10), np.zeros((10, 22)))
+    with pytest.raises(ValueError, match="samples"):
+        rollout(prob, pol, samples, 0)
+    assert rollout(prob, pol, np.int64(16), 0).samples == 16
+
+
+@pytest.fixture(scope="module")
+def tight_policy():
+    prob = double_integrator_problem(SD_TIGHT)
+    sol = w.solve(prob)
+    return prob, Policy(sol.u_ff, sol.Theta)
+
+
+def _moments(rep):
+    return rep.empirical_mean.tobytes() + rep.empirical_cov.tobytes()
+
+
+@pytest.mark.parametrize("samples", [2, simulate.BLOCK - 1, simulate.BLOCK,
+                                     simulate.BLOCK + 1, 3 * simulate.BLOCK + 7])
+def test_rollout_bitwise_independent_of_worker_count(monkeypatch, tight_policy, samples):
+    prob, pol = tight_policy
+    reps = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_cpus", lambda: workers)
+        reps[workers] = rollout(prob, pol, samples, 5)
+    assert _moments(reps[1]) == _moments(reps[2]) == _moments(reps[3])
+    # blocking changes the order of no sum: the one-batch rollout agrees to round-off
+    ops = w.assemble(prob)
+    Z0, Zw = _sample_noise(5, samples, ops.n_x, ops.N, ops.n_w)
+    XN = _closed_loop_states(_closed_loop(prob, pol, ops.Hu), Z0, Zw)[:, -ops.n_x:]
+    assert_allclose(reps[1].empirical_mean, XN.mean(axis=0), rtol=1e-13)
+    assert_allclose(reps[1].empirical_cov, np.cov(XN.T), rtol=1e-10, atol=1e-14)
+
+
+def test_rollout_leaves_no_thread_behind(monkeypatch, tight_policy):
+    prob, pol = tight_policy
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    ran_on = set()
+    noise = simulate._sample_noise
+
+    def recording_noise(*args, **kwargs):
+        ran_on.add(threading.get_ident())
+        return noise(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_sample_noise", recording_noise)
+    before = set(threading.enumerate())
+    rollout(prob, pol, 3 * simulate.BLOCK + 7, 1)
+    assert set(threading.enumerate()) == before
+    # the blocks ran on the pool's threads, not on the caller's
+    assert ran_on and threading.get_ident() not in ran_on
+
+
+def test_concurrent_rollouts_match_sequential(monkeypatch, tight_policy):
+    # two callers at once, each with more workers than this host may have
+    # cores, and thread switches as often as the interpreter allows
+    prob, pol = tight_policy
+    args = [(3 * simulate.BLOCK + 7, 2), (2 * simulate.BLOCK + 1, 3)]
+    monkeypatch.setattr(simulate, "_cpus", lambda: 1)
+    sequential = [_moments(rollout(prob, pol, *a)) for a in args]
+    monkeypatch.setattr(simulate, "_cpus", lambda: 8)
+    concurrent = [None, None]
+
+    def call(i):
+        concurrent[i] = _moments(rollout(prob, pol, *args[i]))
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert concurrent == sequential
+
+
+def test_rollout_never_holds_whole_trajectories(monkeypatch):
+    # N = 40, 25k samples: every sample's trajectory would be
+    # 25000 * 41 * 2 doubles (16.4 MB); two workers hold two blocks at a time
+    N, samples = 40, 25_000
+    prob = double_integrator_problem(SD_TIGHT, N=N)
+    pol = Policy(np.zeros(N), np.zeros((N, 2 * (N + 1))))
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    rollout(prob, pol, 100, 0)
+    tracemalloc.start()
+    try:
+        rep = rollout(prob, pol, samples, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.within_band
+    assert peak < 0.5 * samples * (N + 1) * 2 * 8
+
+
+def test_import_leaves_thread_pool_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import wsteer; "
+            "print('concurrent.futures' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "False"
