@@ -2,21 +2,24 @@
 and Monte Carlo validation.
 
 Configs are UTF-8 JSON with row-major nested arrays for matrices.  With
-"time_invariant": true the single A/B/G matrices are broadcast over the
-horizon N; otherwise A/B/G are lists of N per-step matrices.  Exit codes:
-0 success, 1 input/validation error, 2 the solve stopped above its
-stationarity tolerance (a step budget ran out, or the objective stalled).
+"time_invariant": true (a JSON boolean) the single A/B/G matrices are
+broadcast over the horizon N; otherwise A/B/G are lists of N per-step
+matrices.  The "solver" and "simulation" sections reject unknown keys.
+Commands raise; `main` alone turns an error into exit code 1, printing one
+"validation: ..." line per violation, or one "error: ..." line for an input,
+file or solver error.  Exit code 2: the solve stopped above its stationarity
+tolerance (a step budget ran out, or the objective stalled); 0: success.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import simulate as sim
-from .errors import WsteerError
+from .errors import ValidationError, WsteerError
 from .objective import (
     Policy,
     _hessian_block,
@@ -41,16 +44,21 @@ EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 
 
-def _fail(msg):
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_INPUT
-
-
 def _object(value, what):
     """value when it is a JSON object; raises ValueError naming what otherwise."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def _section(cfg, name, known):
+    """cfg[name] as a JSON object ({} when absent); raises ValueError naming
+    the first key that is not in known."""
+    raw = _object(cfg.get(name, {}), f"field '{name}'")
+    for key in raw:
+        if key not in known:
+            raise ValueError(f"unknown field '{name}.{key}'")
+    return raw
 
 
 def _matrix(cfg, key, source="config"):
@@ -91,7 +99,10 @@ def load_config(path):
         raise ValueError("config missing field 'N'")
     N = _number_field("N", cfg["N"], minimum=1)
 
-    if cfg.get("time_invariant", False):
+    time_invariant = cfg.get("time_invariant", False)
+    if not isinstance(time_invariant, bool):
+        raise ValueError(f"field 'time_invariant' must be true or false, got {time_invariant!r}")
+    if time_invariant:
         A = _matrix(cfg, "A")
         B = _matrix(cfg, "B")
         G = _matrix(cfg, "G")
@@ -131,7 +142,7 @@ def load_config(path):
 
 
 def solver_options_from_config(cfg):
-    raw = _object(cfg.get("solver", {}), "field 'solver'")
+    raw = _section(cfg, "solver", {f.name for f in fields(SolverOptions)})
     kwargs = {}
     for key in ("max_ccp_iters", "newton_max_iters"):
         if key in raw:
@@ -150,13 +161,12 @@ def solver_options_from_config(cfg):
     return SolverOptions(**kwargs)
 
 
-def _rejected(problem, label="validation"):
-    """Print the `validate` violations of problem to stderr, one a line after
-    label; true when there are any."""
+def _require_valid(problem, source=None):
+    """Raises ValidationError with the `validate` violations of problem, each
+    prefixed by source when one is given."""
     violations = validate(problem)
-    for v in violations:
-        print(f"{label}: {v}", file=sys.stderr)
-    return bool(violations)
+    if violations:
+        raise ValidationError([f"{source}: {v}" if source else v for v in violations])
 
 
 def _solution_payload(problem, sol):
@@ -181,39 +191,31 @@ def _solution_payload(problem, sol):
             "cov": rep.terminal.cov.tolist(),
         },
         "certificate": {
-            "kind": cert.kind if cert else None,
-            "dominance_gap": cert.dominance_gap if cert else None,
-            "lambda_min_hessian": cert.lambda_min_hessian if cert else None,
+            "kind": cert.kind,
+            "dominance_gap": cert.dominance_gap,
+            "lambda_min_hessian": cert.lambda_min_hessian,
         },
         "trace": {
             "iterations": sol.trace.iterations,
             "termination": sol.trace.termination,
-            "final_J": sol.trace.records[-1].J if sol.trace.records else None,
-            "final_residual": sol.trace.records[-1].residual if sol.trace.records else None,
+            "final_J": sol.trace.records[-1].J,
+            "final_residual": sol.trace.records[-1].residual,
         },
     }
 
 
-def cmd_solve(config_path, out_path):
-    try:
-        problem, cfg = load_config(config_path)
-    except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
-        return _fail(str(e))
-    if _rejected(problem):
-        return EXIT_INPUT
-    try:
-        options = solver_options_from_config(cfg)
-        sol = solve(problem, options)
-    except (ValueError, WsteerError) as e:
-        return _fail(str(e))
+def cmd_solve(args):
+    problem, cfg = load_config(args.config)
+    options = solver_options_from_config(cfg)
+    sol = solve(problem, options)  # raises ValidationError on invalid data
 
     payload = _solution_payload(problem, sol)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
     print(
         f"solved: J={sol.report.J:.12g} termination={sol.trace.termination} "
-        f"iterations={sol.trace.iterations} -> {out_path}"
+        f"iterations={sol.trace.iterations} -> {args.output}"
     )
     if not sol.trace.converged:
         print(f"not converged: final residual {sol.trace.records[-1].residual:.3e} > "
@@ -222,45 +224,32 @@ def cmd_solve(config_path, out_path):
     return EXIT_OK
 
 
-def _scan_one_lambda(problem_a, problem_b, options_a, options_b, lam, grid):
-    pa, pb = replace(problem_a, lam=lam), replace(problem_b, lam=lam)
-    sol_a = solve(pa, options_a)
-    sol_b = solve(pb, options_b)
-    ops_a = assemble(pa)
-    samples = line_scan(ops_a, lam, Policy(sol_a.u_ff, sol_a.Theta),
-                        Policy(sol_b.u_ff, sol_b.Theta), grid)
-    minima = count_strict_local_minima([s.J for s in samples])
-    return lam, samples, minima
-
-
-def cmd_scan(config_a, config_b, gamma_min, gamma_max, points, lambda_sweep, out_csv):
-    try:
-        problem_a, cfg_a = load_config(config_a)
-        problem_b, cfg_b = load_config(config_b)
-        options_a = solver_options_from_config(cfg_a)
-        options_b = solver_options_from_config(cfg_b)
-        lams = _parse_lambda_sweep(lambda_sweep) or [problem_a.lam]
-    except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
-        return _fail(str(e))
+def cmd_scan(args):
+    problem_a, cfg_a = load_config(args.config_a)
+    problem_b, cfg_b = load_config(args.config_b)
+    options_a = solver_options_from_config(cfg_a)
+    options_b = solver_options_from_config(cfg_b)
+    lams = _parse_lambda_sweep(args.lambda_sweep) or [problem_a.lam]
 
     sa, sb = problem_a.system, problem_b.system
     if (sa.horizon, sa.n_x, sa.n_u, sa.n_w) != (sb.horizon, sb.n_x, sb.n_u, sb.n_w):
-        return _fail("configs have mismatched system dimensions")
-    for prob, name in ((problem_a, config_a), (problem_b, config_b)):
-        if _rejected(prob, f"validation ({name})"):
-            return EXIT_INPUT
-    if points < 2:
-        return _fail("need at least 2 grid points")
+        raise ValueError("configs have mismatched system dimensions")
+    for prob, name in ((problem_a, args.config_a), (problem_b, args.config_b)):
+        _require_valid(prob, name)
+    if args.points < 2:
+        raise ValueError("need at least 2 grid points")
 
-    grid = np.linspace(gamma_min, gamma_max, points)
+    grid = np.linspace(args.gamma_min, args.gamma_max, args.points)
+    results = []
+    for lam in lams:
+        pa, pb = replace(problem_a, lam=lam), replace(problem_b, lam=lam)
+        sol_a = solve(pa, options_a)
+        sol_b = solve(pb, options_b)
+        samples = line_scan(assemble(pa), lam, Policy(sol_a.u_ff, sol_a.Theta),
+                            Policy(sol_b.u_ff, sol_b.Theta), grid)
+        results.append((lam, samples, count_strict_local_minima([s.J for s in samples])))
 
-    try:
-        results = [_scan_one_lambda(problem_a, problem_b, options_a, options_b, lam, grid)
-                   for lam in lams]
-    except (ValueError, WsteerError) as e:
-        return _fail(str(e))
-
-    with open(out_csv, "w", encoding="utf-8") as fh:
+    with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("lambda,gamma,J,J1,J2,J3,J4\n")
         for lam, samples, _ in results:
             for s in samples:
@@ -268,7 +257,7 @@ def cmd_scan(config_a, config_b, gamma_min, gamma_max, points, lambda_sweep, out
 
     for lam, _, minima in results:
         print(f"lambda={lam:g}: strict local minima on grid = {minima}")
-    print(f"wrote {out_csv} ({len(lams)} lambda value(s) x {points} points); "
+    print(f"wrote {args.output} ({len(lams)} lambda value(s) x {args.points} points); "
           f"max local minima over sweep = {max(m for _, _, m in results)}")
     return EXIT_OK
 
@@ -345,12 +334,9 @@ def _structured_row(ops, lam, mask, Theta, rng):
             f"Newton solve backward error {err:.3e}, " + detail)
 
 
-def cmd_check(config_path):
-    try:
-        problem, cfg = load_config(config_path)
-        options = solver_options_from_config(cfg)
-    except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
-        return _fail(str(e))
+def cmd_check(args):
+    problem, cfg = load_config(args.config)
+    options = solver_options_from_config(cfg)
 
     rows = []
     try:
@@ -387,17 +373,14 @@ def cmd_check(config_path):
     except WsteerError as e:
         rows.append(("derivatives and Theta=0 certificate", False, f"{type(e).__name__}: {e}"))
 
-    violations = validate(problem)
-    if not violations:
-        try:
-            sol = solve(problem, options)
-            _certificate_row("Hessian PD at Theta* (certificate)", sol.Theta)
-            rows.append(_structured_row(ops, lam, mask, sol.Theta, rng))
-        except WsteerError as e:
-            rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved: {e}"))
-    else:
-        rows.append(("Hessian PD at Theta* (certificate)", None,
-                     f"not solved (validation: {'; '.join(violations)})"))
+    try:
+        sol = solve(problem, options)
+        _certificate_row("Hessian PD at Theta* (certificate)", sol.Theta)
+        rows.append(_structured_row(ops, lam, mask, sol.Theta, rng))
+    except ValidationError as e:
+        rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved (validation: {e})"))
+    except WsteerError as e:
+        rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved: {e}"))
 
     _print_check_table(rows)
     failed = [name for name, ok, _ in rows if ok is False]
@@ -414,36 +397,30 @@ def _print_check_table(rows):
         print(f"{name:<{width}} {status}  {detail}")
 
 
-def cmd_simulate(config_path, solution_path, samples=None, seed=None, out_path=None):
-    try:
-        problem, cfg = load_config(config_path)
-        sim_cfg = _object(cfg.get("simulation", {}), "field 'simulation'")
-        if samples is None:
-            samples = _number_field("simulation.samples", sim_cfg.get("samples", 100000))
-        if seed is None:
-            seed = _number_field("simulation.seed", sim_cfg.get("seed", 42))
-        if _rejected(problem):
-            return EXIT_INPUT
-        with open(solution_path, "r", encoding="utf-8") as fh:
-            sol = _object(json.load(fh), "solution file")
-        u_ff = _matrix(sol, "u_ff", "solution file")
-        Theta = _matrix(sol, "Theta", "solution file")
-    except (OSError, ValueError, json.JSONDecodeError, WsteerError) as e:
-        return _fail(str(e))
+def cmd_simulate(args):
+    problem, cfg = load_config(args.config)
+    sim_cfg = _section(cfg, "simulation", {"samples", "seed"})
+    samples, seed = args.samples, args.seed
+    if samples is None:
+        samples = _number_field("simulation.samples", sim_cfg.get("samples", 100000))
+    if seed is None:
+        seed = _number_field("simulation.seed", sim_cfg.get("seed", 42))
+    _require_valid(problem)  # rollout does not validate
+    with open(args.solution, "r", encoding="utf-8") as fh:
+        sol = _object(json.load(fh), "solution file")
+    u_ff = _matrix(sol, "u_ff", "solution file")
+    Theta = _matrix(sol, "Theta", "solution file")
 
     sysm = problem.system
     want_u = sysm.horizon * sysm.n_u
     want_T = (sysm.horizon * sysm.n_u, (sysm.horizon + 1) * sysm.n_x)
     if u_ff.shape != (want_u,) or Theta.shape != want_T:
-        return _fail(
+        raise ValueError(
             f"solution dimensions {u_ff.shape}/{Theta.shape} do not match config "
             f"({(want_u,)}/{want_T})"
         )
 
-    try:
-        report = sim.rollout(problem, Policy(u_ff, Theta), samples, seed)
-    except (ValueError, WsteerError) as e:
-        return _fail(str(e))
+    report = sim.rollout(problem, Policy(u_ff, Theta), samples, seed)
     payload = {
         "samples": report.samples,
         "seed": report.seed,
@@ -459,8 +436,8 @@ def cmd_simulate(config_path, solution_path, samples=None, seed=None, out_path=N
         "within_band": report.within_band,
     }
     text = json.dumps(payload, indent=1)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")
     print(text)
@@ -489,6 +466,7 @@ def main(argv=None):
     p_solve = sub.add_parser("solve", help="solve a steering problem")
     p_solve.add_argument("config")
     p_solve.add_argument("-o", "--output", default="solution.json")
+    p_solve.set_defaults(run=cmd_solve)
 
     p_scan = sub.add_parser("scan", help="objective line scan between two solved policies")
     p_scan.add_argument("config_a")
@@ -499,9 +477,11 @@ def main(argv=None):
     p_scan.add_argument("--lambda-sweep", default="",
                         help="comma-separated lambda overrides, e.g. 0.1,1,10,100,2000")
     p_scan.add_argument("-o", "--output", default="scan.csv")
+    p_scan.set_defaults(run=cmd_scan)
 
     p_check = sub.add_parser("check", help="finite-difference and certificate checks")
     p_check.add_argument("config")
+    p_check.set_defaults(run=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo validation of a solved policy")
     p_sim.add_argument("config")
@@ -511,19 +491,17 @@ def main(argv=None):
     p_sim.add_argument("--seed", type=int, default=None,
                        help="overrides config simulation.seed (default 42)")
     p_sim.add_argument("-o", "--output", default=None)
+    p_sim.set_defaults(run=cmd_simulate)
 
     args = parser.parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args.config, args.output)
-    if args.command == "scan":
-        return cmd_scan(args.config_a, args.config_b, args.gamma_min,
-                        args.gamma_max, args.points, args.lambda_sweep, args.output)
-    if args.command == "check":
-        return cmd_check(args.config)
-    if args.command == "simulate":
-        return cmd_simulate(args.config, args.solution, args.samples,
-                            args.seed, args.output)
-    return EXIT_INPUT  # pragma: no cover
+    try:
+        return args.run(args)
+    except ValidationError as e:
+        for v in e.violations:
+            print(f"validation: {v}", file=sys.stderr)
+    except (OSError, ValueError, WsteerError) as e:
+        print(f"error: {e}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -87,7 +87,7 @@ def _iter_record(k, kind, rep, residual):
 @dataclass
 class SolveTrace:
     records: list = field(default_factory=list)
-    # "stationarity" | "objective_stalled" | "max_iters" | "newton_max_iters"
+    # "stationarity" | "objective_stalled" | "max_iters" | "newton_max_iters" | "switch"
     termination: str = ""
 
     @property

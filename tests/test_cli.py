@@ -1,7 +1,10 @@
 """Command-line interface: config parsing, exit codes, artifact files."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +17,7 @@ from wsteer.cli import load_config, main, solver_options_from_config
 from wsteer.objective import Policy, evaluate
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 BASE_CONFIG = {
     "N": 10,
@@ -468,3 +472,98 @@ def test_shipped_configs_parse():
         problem, _ = load_config(str(root / name))
         import wsteer as w
         assert w.validate(problem) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "scan", "simulate"])
+def test_output_into_missing_directory_one_error_line_exit_one(tmp_path, capsys, command):
+    cfg = str(write_config(tmp_path / "p.json", Sd=SD_TIGHT))
+    sol = tmp_path / "sol.json"
+    assert main(["solve", cfg, "-o", str(sol)]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "missing" / "out")
+    argv = {"solve": ["solve", cfg, "-o", out],
+            "scan": ["scan", cfg, cfg, "--points", "3", "-o", out],
+            "simulate": ["simulate", cfg, str(sol), "--samples", "2000", "-o", out]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and out in err[0]
+    assert captured.out == ""
+
+
+def test_solve_validates_once(tmp_path, monkeypatch):
+    from wsteer.problem import validate
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return validate(problem)
+
+    monkeypatch.setattr(cli, "validate", counted)
+    monkeypatch.setattr("wsteer.solver.validate", counted)
+    assert main(["solve", str(write_config(tmp_path / "p.json")),
+                 "-o", str(tmp_path / "s.json")]) == 0
+    assert len(calls) == 1
+
+
+# (payload id, config overrides, the error line, the commands that read the field)
+REJECTED_FIELDS = [
+    ("unknown solver key", {"solver": {**BASE_CONFIG["solver"], "stationarity_tolerance": 1e-30}},
+     "error: unknown field 'solver.stationarity_tolerance'", ("solve", "check", "scan")),
+    ("unknown simulation key", {"simulation": {"samples": 2000, "sed": 1}},
+     "error: unknown field 'simulation.sed'", ("simulate",)),
+    ("time_invariant string", {"time_invariant": "false"},
+     "error: field 'time_invariant' must be true or false, got 'false'", ALL_COMMANDS),
+    ("time_invariant 1", {"time_invariant": 1},
+     "error: field 'time_invariant' must be true or false, got 1", ALL_COMMANDS),
+]
+
+
+@pytest.mark.parametrize("command, overrides, line", [
+    pytest.param(command, overrides, line, id=f"{name}-{command}")
+    for name, overrides, line, commands in REJECTED_FIELDS for command in commands])
+def test_rejected_field_one_error_line_exit_one(tmp_path, capsys, command, overrides, line):
+    cfg = str(write_config(tmp_path / "p.json", **overrides))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(ZERO_POLICY))
+    argv = {"solve": ["solve", cfg, "-o", str(tmp_path / "out.json")],
+            "check": ["check", cfg],
+            "scan": ["scan", cfg, cfg, "--points", "3", "-o", str(tmp_path / "s.csv")],
+            "simulate": ["simulate", cfg, str(sol), "--samples", "100"]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    """A config and its solution file, for the entry-point smoke test."""
+    root = tmp_path_factory.mktemp("entry")
+    cfg = write_config(root / "p.json", Sd=SD_TIGHT)
+    assert main(["solve", str(cfg), "-o", str(root / "sol.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{missing}"],
+    ["check", "{missing}"],
+    ["scan", "{cfg}", "{missing}"],
+    ["simulate", "{cfg}", "{missing}"],
+    ["solve", "{cfg}", "-o", "{missing}/s.json"],
+    ["scan", "{cfg}", "{cfg}", "--points", "3", "-o", "{missing}/s.csv"],
+    ["simulate", "{cfg}", "{sol}", "--samples", "2000", "-o", "{missing}/r.json"],
+], ids=["solve input", "check input", "scan input", "simulate input",
+        "solve output", "scan output", "simulate output"])
+def test_entry_point_reports_without_traceback(solved, argv):
+    # the real entry point in a fresh interpreter, not main() in this one
+    paths = {"cfg": solved / "p.json", "sol": solved / "sol.json", "missing": solved / "missing"}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-m", "wsteer.cli", *(a.format(**paths) for a in argv)],
+                         capture_output=True, text=True, env=env, cwd=solved)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    err = run.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert run.stdout == ""
