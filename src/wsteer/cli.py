@@ -4,15 +4,18 @@ and Monte Carlo validation.
 Configs are UTF-8 JSON with row-major nested arrays for matrices.  With
 "time_invariant": true (a JSON boolean) the single A/B/G matrices are
 broadcast over the horizon N; otherwise A/B/G are lists of N per-step
-matrices.  The "solver" and "simulation" sections reject unknown keys.
-Commands raise; `main` alone turns an error into exit code 1, printing one
-"validation: ..." line per violation, or one "error: ..." line for an input,
-file or solver error.  Exit code 2: the solve stopped above its stationarity
-tolerance (a step budget ran out, or the objective stalled); 0: success.
+matrices.  An unknown top-level key, or one unknown to the "solver" or
+"simulation" section, is rejected.  `solve` and `scan` check that the
+directory of -o is writable before any solve.  Commands raise; `main` alone
+turns an error into exit code 1, printing one "validation: ..." line per
+violation, or one "error: ..." line for an input, file or solver error.
+Exit code 2: the solve stopped above its stationarity tolerance (a step
+budget ran out, or the objective stalled); 0: success.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -43,6 +46,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 
+# the top-level keys of a config
+CONFIG_FIELDS = {"N", "A", "B", "G", "mu0", "S0", "Sw", "mud", "Sd", "lambda",
+                 "time_invariant", "solver", "simulation"}
+
 
 def _object(value, what):
     """value when it is a JSON object; raises ValueError naming what otherwise."""
@@ -51,14 +58,26 @@ def _object(value, what):
     return value
 
 
+def _known(raw, known, prefix=""):
+    """raw; raises ValueError naming the first key of raw that is not in known."""
+    for key in raw:
+        if key not in known:
+            raise ValueError(f"unknown field '{prefix}{key}'")
+    return raw
+
+
 def _section(cfg, name, known):
     """cfg[name] as a JSON object ({} when absent); raises ValueError naming
     the first key that is not in known."""
-    raw = _object(cfg.get(name, {}), f"field '{name}'")
-    for key in raw:
-        if key not in known:
-            raise ValueError(f"unknown field '{name}.{key}'")
-    return raw
+    return _known(_object(cfg.get(name, {}), f"field '{name}'"), known, f"{name}.")
+
+
+def _writable_output(path):
+    """Raises OSError naming path unless its directory exists and is writable.
+    The file itself is not opened, so a later input error leaves it as it was."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise OSError(f"cannot write {path!r}: {parent!r} is not a writable directory")
 
 
 def _matrix(cfg, key, source="config"):
@@ -94,7 +113,7 @@ def _number_field(name, value, integer=True, minimum=None):
 def load_config(path):
     """Parse a problem config; raises ValueError naming the offending field."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = _object(json.load(fh), "config")
+        cfg = _known(_object(json.load(fh), "config"), CONFIG_FIELDS)
     if "N" not in cfg:
         raise ValueError("config missing field 'N'")
     N = _number_field("N", cfg["N"], minimum=1)
@@ -205,6 +224,7 @@ def _solution_payload(problem, sol):
 
 
 def cmd_solve(args):
+    _writable_output(args.output)
     problem, cfg = load_config(args.config)
     options = solver_options_from_config(cfg)
     sol = solve(problem, options)  # raises ValidationError on invalid data
@@ -225,6 +245,7 @@ def cmd_solve(args):
 
 
 def cmd_scan(args):
+    _writable_output(args.output)
     problem_a, cfg_a = load_config(args.config_a)
     problem_b, cfg_b = load_config(args.config_b)
     options_a = solver_options_from_config(cfg_a)
@@ -410,15 +431,6 @@ def cmd_simulate(args):
         sol = _object(json.load(fh), "solution file")
     u_ff = _matrix(sol, "u_ff", "solution file")
     Theta = _matrix(sol, "Theta", "solution file")
-
-    sysm = problem.system
-    want_u = sysm.horizon * sysm.n_u
-    want_T = (sysm.horizon * sysm.n_u, (sysm.horizon + 1) * sysm.n_x)
-    if u_ff.shape != (want_u,) or Theta.shape != want_T:
-        raise ValueError(
-            f"solution dimensions {u_ff.shape}/{Theta.shape} do not match config "
-            f"({(want_u,)}/{want_T})"
-        )
 
     report = sim.rollout(problem, Policy(u_ff, Theta), samples, seed)
     payload = {

@@ -3,7 +3,8 @@
 The horizon-N system x_{k+1} = A_k x_k + B_k u_k + G_k w_k is lifted to
 x = Gamma x0 + Hu u + Hw w over the stacked state/input/noise vectors, and the
 total state covariance factor Stilde = Gamma S0 Gamma^T + Hw (I_N kron Sw) Hw^T is
-assembled once and shared immutably by the objective, solver, and simulator.
+assembled once and shared immutably by the objective and solver.  A rollout
+needs only the lifted maps (`lifted_maps`), never Stilde.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +25,8 @@ from .matops import check_symmetric, require_conditioned, symmetrize
 RANK_TOL = 1e-10
 # Reciprocal-condition threshold for the covariance data S0, Sw, Sd and Stilde.
 RCOND_DATA = 1e-12
+# what assemble, and a rollout that checks Stilde without forming it, report
+STILDE_NOT_PD = "Stilde is not PD (are S0, Sw PD and every G_k of full row rank?)"
 
 
 @dataclass(frozen=True)
@@ -283,6 +286,24 @@ def causality_mask(N, n_u, n_x):
     return CausalityMask(N=N, n_u=n_u, n_x=n_x, free_entries=free, complement=complement)
 
 
+def lifted_maps(system):
+    """(Gamma, Hu, Hw) of the lifted system x = Gamma x0 + Hu u + Hw w, where
+    x stacks x_0 ... x_N and u, w stack the N inputs and noises."""
+    N, n_x, n_u, n_w = system.horizon, system.n_x, system.n_u, system.n_w
+    # block row k+1 is A_k times block row k, plus B_k (G_k) at block column k
+    Gamma = np.eye((N + 1) * n_x, n_x)
+    Hu = np.zeros(((N + 1) * n_x, N * n_u))
+    Hw = np.zeros(((N + 1) * n_x, N * n_w))
+    for k in range(N):
+        row, nxt = slice(k * n_x, (k + 1) * n_x), slice((k + 1) * n_x, (k + 2) * n_x)
+        Gamma[nxt] = system.A[k] @ Gamma[row]
+        Hu[nxt, :k * n_u] = system.A[k] @ Hu[row, :k * n_u]
+        Hw[nxt, :k * n_w] = system.A[k] @ Hw[row, :k * n_w]
+        Hu[nxt, k * n_u:(k + 1) * n_u] = system.B[k]
+        Hw[nxt, k * n_w:(k + 1) * n_w] = system.G[k]
+    return Gamma, Hu, Hw
+
+
 def assemble(problem):
     """Assemble the lifted block operators for a steering problem.
 
@@ -291,24 +312,12 @@ def assemble(problem):
     """
     sysm = problem.system
     N, n_x, n_u, n_w = sysm.horizon, sysm.n_x, sysm.n_u, sysm.n_w
-
-    # block row k+1 is A_k times block row k, plus B_k (G_k) at block column k
-    Gamma = np.eye((N + 1) * n_x, n_x)
-    Hu = np.zeros(((N + 1) * n_x, N * n_u))
-    Hw = np.zeros(((N + 1) * n_x, N * n_w))
-    for k in range(N):
-        row, nxt = slice(k * n_x, (k + 1) * n_x), slice((k + 1) * n_x, (k + 2) * n_x)
-        Gamma[nxt] = sysm.A[k] @ Gamma[row]
-        Hu[nxt, :k * n_u] = sysm.A[k] @ Hu[row, :k * n_u]
-        Hw[nxt, :k * n_w] = sysm.A[k] @ Hw[row, :k * n_w]
-        Hu[nxt, k * n_u:(k + 1) * n_u] = sysm.B[k]
-        Hw[nxt, k * n_w:(k + 1) * n_w] = sysm.G[k]
+    Gamma, Hu, Hw = lifted_maps(sysm)
 
     W = np.kron(np.eye(N), problem.noise_cov)
     S0 = problem.initial.cov
     Stilde = symmetrize(Gamma @ S0 @ Gamma.T + Hw @ W @ Hw.T)
-    require_conditioned(np.linalg.eigvalsh(Stilde), "Stilde is not PD (are S0, Sw PD and "
-                        "every G_k of full row rank?)", rcond=RCOND_DATA)
+    require_conditioned(np.linalg.eigvalsh(Stilde), STILDE_NOT_PD, rcond=RCOND_DATA)
 
     F = np.zeros((n_x, (N + 1) * n_x))
     F[:, N * n_x:] = np.eye(n_x)

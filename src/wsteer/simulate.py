@@ -16,6 +16,11 @@ count, and sample i's draws do not depend on how many samples are drawn
 alongside it.  Memory is about samples*n_x + workers*BLOCK*(n_x + N*n_w +
 (N+1)*n_x) doubles, the terminal states plus one block's noise and
 trajectories per worker, instead of every sample's whole trajectory.
+
+The predicted terminal Gaussian that a rollout is judged against comes from
+the lifted maps (`problem.lifted_maps`) and products with n_x rows alone; a
+rollout never forms Stilde, and checks it through the singular values of a
+factor (see _predicted_terminal).
 """
 
 import operator
@@ -25,10 +30,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularTransformError
-from .matops import require_conditioned
-from .objective import terminal_gaussian, wasserstein_sq_gaussian
-from .problem import Gaussian, assemble
+from .errors import DimensionMismatchError, NotPDError, SingularTransformError
+from .matops import require_conditioned, symmetrize
+from .objective import wasserstein_sq_gaussian
+from .problem import (
+    RCOND_DATA,
+    STILDE_NOT_PD,
+    Gaussian,
+    assemble,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
+    lifted_maps,
+)
 
 # samples per rollout block: on a 2-core x86_64 host blocks of 1024, 2048 and
 # 4096 ran the benchmark's N = 10 and N = 40 rollouts equally fast within
@@ -117,8 +128,8 @@ def _sample_noise(seed, n_samples, n_x, N, n_w, first=0):
 class _ClosedLoop(NamedTuple):
     """What every block of a rollout shares: the step matrices A_k and B_k,
     the noise inputs G_k Lw, the K-form gain, the mean trajectory xbar
-    driven by the feedforward alone, and the Cholesky factor L0 of the
-    initial covariance."""
+    driven by the feedforward alone, and the Cholesky factors L0 and Lw of
+    the initial and noise covariances."""
 
     A: tuple
     B: tuple
@@ -126,6 +137,15 @@ class _ClosedLoop(NamedTuple):
     K: np.ndarray
     xbar: np.ndarray
     L0: np.ndarray
+    Lw: np.ndarray
+
+
+def _cholesky(S, name):
+    """chol(S); raises NotPDError naming S when S has no Cholesky factor."""
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise NotPDError(f"{STILDE_NOT_PD}: {name} has no Cholesky factor") from None
 
 
 def _closed_loop(problem, policy, Hu):
@@ -137,10 +157,36 @@ def _closed_loop(problem, policy, Hu):
     for k in range(N):
         uk = policy.u_ff[k * n_u:(k + 1) * n_u]
         xbar[k + 1] = sysm.A[k] @ xbar[k] + sysm.B[k] @ uk
-    Lw = np.linalg.cholesky(problem.noise_cov)
+    L0 = _cholesky(problem.initial.cov, "S0")
+    Lw = _cholesky(problem.noise_cov, "Sw")
     return _ClosedLoop(A=sysm.A, B=sysm.B, GLw=tuple(G @ Lw for G in sysm.G),
-                       K=theta_to_k(policy.Theta, Hu), xbar=xbar,
-                       L0=np.linalg.cholesky(problem.initial.cov))
+                       K=theta_to_k(policy.Theta, Hu), xbar=xbar, L0=L0, Lw=Lw)
+
+
+def _predicted_terminal(problem, policy, loop, Gamma, Hu, Hw):
+    """The terminal Gaussian that policy predicts, from the lifted maps and
+    products with n_x rows; Stilde is never formed.
+
+    Stilde = R R^T with R = [Gamma L0, Hw (I_N kron Lw)], so the terminal
+    covariance Omega Stilde Omega^T, Omega = F + FHu Theta, is C C^T with
+    C = Omega R.  Stilde's eigenvalues are the squared singular values of R,
+    plus a zero for each row of R beyond its columns; like `assemble`, this
+    raises NotPDError when they fail rcond RCOND_DATA.
+    """
+    N, n_x, n_w = problem.system.horizon, problem.system.n_x, problem.system.n_w
+    q = (N + 1) * n_x
+    R = np.hstack([Gamma @ loop.L0, (Hw.reshape(q * N, n_w) @ loop.Lw).reshape(q, N * n_w)])
+    eig = np.zeros(q)
+    sv = np.linalg.svd(R, compute_uv=False)
+    eig[:sv.size] = sv * sv
+    require_conditioned(eig, STILDE_NOT_PD, rcond=RCOND_DATA)
+
+    FHu = Hu[N * n_x:]
+    Om = FHu @ policy.Theta
+    Om[:, N * n_x:] += np.eye(n_x)
+    C = Om @ R
+    return Gaussian(mean=Gamma[N * n_x:] @ problem.initial.mean + FHu @ policy.u_ff,
+                    cov=symmetrize(C @ C.T))
 
 
 def _closed_loop_states(loop, Z0, Zw):
@@ -190,7 +236,9 @@ def rollout(problem, policy, samples, seed):
     Returns a RolloutReport comparing the empirical terminal moments with the
     analytic prediction; the 5-sigma sampling bands are
     5*sqrt(trace(cov)/samples) for the mean and 5*sqrt(2/samples)*||cov||_F
-    for the covariance.
+    for the covariance.  Raises DimensionMismatchError when u_ff or Theta has
+    the wrong shape, and NotPDError when Stilde is not PD, as `assemble` would,
+    before any sample is drawn.
     """
     samples = _integer("samples", samples)
     if samples < 2:
@@ -199,10 +247,16 @@ def rollout(problem, policy, samples, seed):
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"rollout seed must be in [0, 2**64), got {seed}")
     sysm = problem.system
-    N, n_x, n_w = sysm.horizon, sysm.n_x, sysm.n_w
+    N, n_x, n_u, n_w = sysm.horizon, sysm.n_x, sysm.n_u, sysm.n_w
+    for name, shape, want in (("u_ff", policy.u_ff.shape, (N * n_u,)),
+                              ("Theta", policy.Theta.shape, (N * n_u, (N + 1) * n_x))):
+        if shape != want:
+            raise DimensionMismatchError(
+                f"policy {name} has dimensions {shape}, the problem needs {want}")
 
-    ops = assemble(problem)
-    loop = _closed_loop(problem, policy, ops.Hu)
+    Gamma, Hu, Hw = lifted_maps(sysm)
+    loop = _closed_loop(problem, policy, Hu)
+    predicted = _predicted_terminal(problem, policy, loop, Gamma, Hu, Hw)
     XN = np.empty((samples, n_x))
 
     def block(first):
@@ -226,8 +280,6 @@ def rollout(problem, policy, samples, seed):
     Xc = XN - mean
     cov = (Xc.T @ Xc) / (samples - 1)
     cov = 0.5 * (cov + cov.T)
-
-    predicted = terminal_gaussian(ops, policy)
 
     mean_err = float(np.linalg.norm(mean - predicted.mean))
     cov_err = float(np.linalg.norm(cov - predicted.cov))

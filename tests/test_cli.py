@@ -567,3 +567,40 @@ def test_entry_point_reports_without_traceback(solved, argv):
     err = run.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert run.stdout == ""
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_unknown_top_level_key_one_error_line_exit_one(tmp_path, capsys, command):
+    # a misspelled section would otherwise be ignored and its defaults used
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["solvr"] = {**cfg.pop("solver"), "stationarity_tol": 1e-30}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(ZERO_POLICY))
+    out = tmp_path / "out"
+    argv = {"solve": ["solve", str(path), "-o", str(out)],
+            "check": ["check", str(path)],
+            "scan": ["scan", str(path), str(path), "--points", "3", "-o", str(out)],
+            "simulate": ["simulate", str(path), str(sol), "--samples", "100"]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: unknown field 'solvr'"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "scan"])
+@pytest.mark.parametrize("parent", ["missing", "a_file"])
+def test_unwritable_output_fails_before_any_solve(tmp_path, capsys, monkeypatch, command, parent):
+    cfg = str(write_config(tmp_path / "p.json"))
+    (tmp_path / "a_file").write_text("")
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
+    out = str(tmp_path / parent / "out")
+    argv = {"solve": ["solve", cfg, "-o", out],
+            "scan": ["scan", cfg, cfg, "--points", "3", "-o", out]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and out in err[0]
+    assert captured.out == "" and calls == []

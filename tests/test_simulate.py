@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -21,8 +22,9 @@ from conftest import (
 )
 import wsteer as w
 from wsteer import simulate
-from wsteer.errors import SingularTransformError
-from wsteer.objective import Policy
+from wsteer.errors import DimensionMismatchError, NotPDError, SingularTransformError
+from wsteer.objective import Policy, terminal_gaussian
+from wsteer.problem import RCOND_DATA, STILDE_NOT_PD
 from wsteer.simulate import (
     _closed_loop,
     _closed_loop_states,
@@ -394,3 +396,87 @@ def test_import_leaves_thread_pool_unloaded():
     run = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True)
     assert run.stdout.strip() == "False"
+
+
+def test_rollout_never_assembles(monkeypatch, tight_policy):
+    prob, pol = tight_policy
+    expect = _moments(rollout(prob, pol, 3000, 2))
+
+    def refuse(problem):
+        raise AssertionError("rollout called assemble")
+
+    monkeypatch.setattr("wsteer.problem.assemble", refuse)
+    monkeypatch.setattr("wsteer.simulate.assemble", refuse)
+    rep = rollout(prob, pol, 3000, 2)
+    assert rep.within_band and _moments(rep) == expect
+
+
+def _random_time_varying_policy():
+    # n_u = 2 and n_w = 3 > n_x = 2, with A_k, B_k, G_k drawn per step
+    rng = np.random.default_rng(21)
+    prob = rand_problem(rng, N=5, n_x=2, n_u=2, n_w=3)
+    mask = w.causality_mask(5, 2, 2)
+    return prob, Policy(rng.standard_normal(10), rand_causal_theta(rng, mask, scale=0.6))
+
+
+def _solved_tight(N):
+    prob = double_integrator_problem(SD_TIGHT, N=N)
+    sol = w.solve(prob)
+    return prob, Policy(sol.u_ff, sol.Theta)
+
+
+@pytest.mark.parametrize("case", [lambda: _solved_tight(10), lambda: _solved_tight(40),
+                                  _random_time_varying_policy],
+                         ids=["tight-N10", "tight-N40", "time-varying"])
+def test_rollout_prediction_matches_dense_terminal_gaussian(case):
+    # the dense formula Omega Stilde Omega^T survives as the oracle
+    prob, pol = case()
+    oracle = terminal_gaussian(w.assemble(prob), pol)
+    predicted = rollout(prob, pol, 2, 0).predicted
+    assert np.linalg.norm(predicted.mean - oracle.mean) <= 1e-13 * np.linalg.norm(oracle.mean)
+    assert np.linalg.norm(predicted.cov - oracle.cov) <= 1e-13 * np.linalg.norm(oracle.cov)
+
+
+def _scalar_problem(sw):
+    # A = 0 and N = 1 make Stilde = diag(S0, G Sw G^T) = diag(1, sw)
+    sysm = w.TimeVaryingLinearSystem.time_invariant([[0.0]], [[1.0]], [[1.0]], 1)
+    return w.SteeringProblem(sysm, w.Gaussian([0.0], [[1.0]]), [[sw]],
+                             w.Gaussian([0.0], [[1.0]]), 1.0)
+
+
+def _starved_problem(S0):
+    # n_w = 1 < n_x = 2 starves the noise span, so Stilde is singular
+    sysm = w.TimeVaryingLinearSystem.time_invariant(np.eye(2), [[0.0], [1.0]], [[1.0], [0.0]], 1)
+    return w.SteeringProblem(sysm, w.Gaussian([0.0, 0.0], S0), [[1.0]],
+                             w.Gaussian([0.0, 0.0], np.eye(2)), 1.0)
+
+
+def test_rollout_keeps_assemble_stilde_threshold():
+    pol = Policy(np.zeros(1), np.zeros((1, 2)))
+    assert rollout(_scalar_problem(RCOND_DATA * (1 + 1e-6)), pol, 16, 0).within_band
+    with pytest.raises(NotPDError, match=re.escape(STILDE_NOT_PD)):
+        rollout(_scalar_problem(RCOND_DATA * (1 - 1e-6)), pol, 16, 0)
+
+
+@pytest.mark.parametrize("prob", [_starved_problem(1e-30 * np.eye(2)),
+                                  _starved_problem(np.zeros((2, 2))),
+                                  _scalar_problem(-1.0)],
+                         ids=["singular-stilde", "S0-zero", "Sw-negative"])
+def test_rollout_rejects_what_assemble_rejects(prob):
+    with pytest.raises(NotPDError):
+        w.assemble(prob)
+    n_x, N = prob.system.n_x, prob.system.horizon
+    pol = Policy(np.zeros(N * prob.system.n_u), np.zeros((N * prob.system.n_u, (N + 1) * n_x)))
+    with pytest.raises(NotPDError, match="Stilde is not PD"):
+        rollout(prob, pol, 16, 0)
+
+
+@pytest.mark.parametrize("field, pol", [
+    ("u_ff", Policy(np.zeros(9), np.zeros((10, 22)))),
+    ("Theta", Policy(np.zeros(10), np.zeros((10, 20)))),
+    ("Theta", Policy(np.zeros(10), np.zeros((11, 22)))),
+])
+def test_rollout_rejects_policy_of_wrong_shape(field, pol):
+    prob = double_integrator_problem(SD_TIGHT)
+    with pytest.raises(DimensionMismatchError, match=f"policy {field} has dimensions"):
+        rollout(prob, pol, 16, 0)
