@@ -419,6 +419,8 @@ def _print_check_table(rows):
 
 
 def cmd_simulate(args):
+    if args.output:
+        _writable_output(args.output)
     problem, cfg = load_config(args.config)
     sim_cfg = _section(cfg, "simulation", {"samples", "seed"})
     samples, seed = args.samples, args.seed
@@ -511,8 +513,9 @@ def main(argv=None):
     except ValidationError as e:
         for v in e.violations:
             print(f"validation: {v}", file=sys.stderr)
-    except (OSError, ValueError, WsteerError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (MemoryError, OSError, OverflowError, ValueError, WsteerError) as e:
+        # an input too large to allocate may raise a MemoryError without a message
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
     return EXIT_INPUT
 
 

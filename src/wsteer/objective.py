@@ -13,9 +13,11 @@ functions.  Every terminal quantity at an iterate comes from one kernel,
 `_terminal`, which takes a single eigendecomposition C = Sd^(1/2) Y Sd^(1/2) =
 V diag(r^2) V^T with Y the terminal covariance; with W = Sd^(1/2) V it gives
 trace C^(1/2) = sum(r) (J4, W2) and the geometric mean Mt = Sd # Y^(-1) =
-W diag(1/r) W^T of the J4 gradient.  The Hessian of J in vec(Theta) is
+W diag(1/r) W^T of the J4 gradient.  The gradient of J in Theta and its
+Hessian in vec(Theta) share the weight A = 2 lam (I - Mt):
 
-    H = Stilde kron 2P + Z^T Z,  P = I + lam sym(FHu^T (I - Mt) FHu),
+    grad J = 2 Theta Stilde + FHu^T A Omega Stilde,
+    H = Stilde kron 2P + Z^T Z,  P = I + sym(FHu^T A FHu) / 2,
 
 with Z = sqrt(lam g) * (T + K T), T = (W^T Omega Stilde) kron (W^T FHu) (n_x^2
 rows), K the commutation matrix and g = vec(G), G_ij = 1/(r_i r_j (r_i + r_j)).
@@ -25,7 +27,7 @@ H at lam = 0.  The solver works on the free (causal) entries of Theta as
 causal matrices X, in the coordinates Phi = X L, L = chol(Stilde), where
 J2's curvature is D = 2I and
 
-    H = D + V M V^T,  V = [U, Z^T],  M = blkdiag(I kron A, I),  A = 2 lam (I - Mt),
+    H = D + V M V^T,  V = [U, Z^T],  M = blkdiag(I kron A, I),
 
 U(Y) = FHu^T Y on the free entries; neither is formed.  Column c of Phi is
 free on the rows that the input blocks F_t, ..., F_(N-1) of FHu act on
@@ -179,7 +181,7 @@ def _mT(M):
 class _Terminal(NamedTuple):
     """Terminal quantities at one Theta, or per member of a stack; see `_terminal`."""
 
-    Om: np.ndarray          # Omega = F(I + Hu Theta)
+    OmS: np.ndarray         # Omega Stilde, Omega = F(I + Hu Theta)
     Y: np.ndarray           # terminal covariance Omega Stilde Omega^T
     Y_eigvals: np.ndarray   # eigenvalues of Y, ascending
     trace_root: np.ndarray  # trace C^(1/2), C = Sd^(1/2) Y Sd^(1/2)
@@ -206,13 +208,14 @@ def _terminal(ops, Theta):
     if ops.sqrt_Sd is None:
         raise NotPDError("desired covariance Sd is not positive definite")
     Om = omega(ops, Theta)
-    Y = symmetrize(Om @ ops.Stilde @ _mT(Om))
+    OmS = Om @ ops.Stilde
+    Y = symmetrize(OmS @ _mT(Om))
     y = np.linalg.eigvalsh(Y)
     require_conditioned(y, "terminal covariance is singular", SingularTerminalCovarianceError)
     c, V = np.linalg.eigh(symmetrize(ops.sqrt_Sd @ Y @ ops.sqrt_Sd))
     require_conditioned(c, "Sd^1/2 Y Sd^1/2 is not PD", SingularTerminalCovarianceError, rcond=0.0)
     r = np.sqrt(c)
-    return _Terminal(Om=Om, Y=Y, Y_eigvals=y, trace_root=np.sum(r, axis=-1),
+    return _Terminal(OmS=OmS, Y=Y, Y_eigvals=y, trace_root=np.sum(r, axis=-1),
                      W=ops.sqrt_Sd @ V, r=r)
 
 
@@ -228,6 +231,7 @@ class _Values(NamedTuple):
     W2_sq: np.ndarray
     uu: np.ndarray          # ||u_ff||^2
     mean: np.ndarray        # terminal mean
+    ThS: np.ndarray         # Theta Stilde
     term: _Terminal
 
 
@@ -255,13 +259,14 @@ def _values(ops, lam, u, Theta):
     trace_Sd = float(np.trace(ops.Sd))
 
     J1 = uu + lam * dd
-    J2 = np.trace(Theta @ ops.Stilde @ _mT(Theta), axis1=-2, axis2=-1)
+    ThS = Theta @ ops.Stilde
+    J2 = np.trace(ThS @ _mT(Theta), axis1=-2, axis2=-1)
     J3 = lam * (trace_Y + trace_Sd)
     J4 = 2.0 * lam * term.trace_root
     return _Values(
         J=J1 + J2 + J3 - J4, J1=J1, J2=J2, J3=J3, J4=J4,
         W2_sq=_w2_sq(dd, trace_Y, trace_Sd, term.trace_root),
-        uu=uu, mean=mean, term=term,
+        uu=uu, mean=mean, ThS=ThS, term=term,
     )
 
 
@@ -272,36 +277,32 @@ def grad_uff(ops, lam, u_ff):
     return 2.0 * u_ff + 2.0 * lam * (ops.FHu.T @ (mean - ops.mud))
 
 
-def _grad_j4(ops, lam, term):
-    return 2.0 * lam * (ops.FHu.T @ term.Mt @ term.Om @ ops.Stilde)
-
-
 def grad_theta_j4(ops, lam, Theta):
     """Gradient of the concave-side term J4 alone,
     2 lam FHu^T (Sd # (Omega Stilde Omega^T)^(-1)) Omega Stilde."""
     if lam == 0.0:
         return np.zeros_like(np.asarray(Theta, dtype=float))
-    return _grad_j4(ops, lam, _terminal(ops, Theta))
+    term = _terminal(ops, Theta)
+    return ops.FHu.T @ (2.0 * lam * term.Mt @ term.OmS)
 
 
-def _grad_theta(ops, lam, Theta, term):
-    G = 2.0 * Theta @ ops.Stilde
-    if lam != 0.0:
-        G = G + 2.0 * lam * (ops.FHu.T @ term.Om @ ops.Stilde)
-        G = G - _grad_j4(ops, lam, term)
-    return G
+def _grad_theta(ops, lam, ThS, term):
+    """grad J = 2 ThS + FHu^T A Omega Stilde, ThS = Theta Stilde; term unused at lam = 0."""
+    if lam == 0.0:
+        return 2.0 * ThS
+    return 2.0 * ThS + ops.FHu.T @ (_coupling_weight(lam, ops.n_x, term) @ term.OmS)
 
 
 def grad_theta(ops, lam, Theta):
     """Full (unprojected) gradient of J with respect to Theta."""
     Theta = np.asarray(Theta, dtype=float)
     term = _terminal(ops, Theta) if lam != 0.0 else None
-    return _grad_theta(ops, lam, Theta, term)
+    return _grad_theta(ops, lam, Theta @ ops.Stilde, term)
 
 
 def _coupling_weight(lam, n_x, term=None):
     """A = 2 lam (I - Mt), or 2 lam I with term None, as in P = I + sym(FHu^T A FHu) / 2:
-    the dense block and the structured curvature both take A from here."""
+    the gradient, the dense block and the structured curvature all take A from here."""
     return 2.0 * lam * (np.eye(n_x) - (0.0 if term is None else term.Mt))
 
 
@@ -320,7 +321,7 @@ def _hessian_block(ops, lam, idx, term=None):
     if term is not None:
         n_x, s = ops.n_x, term.r
         g = 1.0 / (np.outer(s, s) * np.add.outer(s, s))
-        A, B = term.W.T @ term.Om @ ops.Stilde, term.W.T @ FHu
+        A, B = term.W.T @ term.OmS, term.W.T @ FHu
         T = (A[:, None, c] * B[None, :, r]).reshape(n_x * n_x, -1)
         Z = np.sqrt(lam * g).reshape(-1, 1) * (T + commutation_apply(T, n_x, n_x))
         H += Z.T @ Z
@@ -450,7 +451,7 @@ class _StructuredCurvature(_CausalCurvature):
         g = 1.0 / (np.outer(term.r, term.r) * np.add.outer(term.r, term.r))
         # row (a, b) of Z is sqrt(lam g_ab) (Bw_b^T Aw_a + Bw_a^T Aw_b) on the
         # free entries; `_dual_whiten` of free o (b kron v) is free o (b kron L^-1 v)
-        Aw = (term.W.T @ term.Om @ ops.Stilde)[:, :qq] @ self.Linv.T
+        Aw = (term.W.T @ term.OmS)[:, :qq] @ self.Linv.T
         Bw = term.W.T @ ops.FHu
         Z = Bw[None, :, :, None] * Aw[:, None, None, :]
         Z = (Z + Z.swapaxes(0, 1)).reshape(n_x * n_x, p, qq)
@@ -570,16 +571,14 @@ def evaluate(ops, lam, policy, mask=None):
     if mask is not None and not mask.is_causal(policy.Theta):
         raise ValueError("policy violates the causality pattern")
 
-    u = policy.u_ff
-    Theta = policy.Theta
-    v = _values(ops, lam, u, Theta)
+    v = _values(ops, lam, policy.u_ff, policy.Theta)
     return ObjectiveReport(
         J=float(v.J), J1=float(v.J1), J2=float(v.J2), J3=float(v.J3), J4=float(v.J4),
         W2_sq=float(v.W2_sq),
         cost_to_go=float(v.uu + v.J2),
         terminal=Gaussian(mean=v.mean, cov=v.term.Y),
-        grad_uff=grad_uff(ops, lam, u),
-        grad_theta=_grad_theta(ops, lam, Theta, v.term),
+        grad_uff=grad_uff(ops, lam, policy.u_ff),
+        grad_theta=_grad_theta(ops, lam, v.ThS, v.term),
         kernel=v.term,
     )
 

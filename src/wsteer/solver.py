@@ -204,7 +204,7 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_af
         u_ff = np.zeros(ops.N * ops.n_u)
 
     def _record(k, kind, Theta_k):
-        rep = evaluate(ops, lam, Policy(u_ff, Theta_k), mask)
+        rep = evaluate(ops, lam, Policy(u_ff, Theta_k))
         # Theta_k is causal, so this is stationarity_residual at Theta_k
         res = float(np.linalg.norm(mask.gather(rep.grad_theta)))
         trace.records.append(_iter_record(k, kind, rep, res))
@@ -269,7 +269,7 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
         u_ff = np.zeros(ops.N * ops.n_u)
     Theta = mask.project(np.asarray(Theta, dtype=float))
 
-    rep = evaluate(ops, lam, Policy(u_ff, Theta), mask)
+    rep = evaluate(ops, lam, Policy(u_ff, Theta))
     base_iter = trace.records[-1].k if trace and trace.records else 0
 
     for k in range(1, options.newton_max_iters + 1):
@@ -289,7 +289,7 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
         t = 1.0
         for _ in range(60):
             cand = mask.scatter(theta_free - t * step)
-            rep_c = evaluate(ops, lam, Policy(u_ff, cand), mask)
+            rep_c = evaluate(ops, lam, Policy(u_ff, cand))
             if rep_c.J <= rep.J or (rep_c.J <= rep.J + noise and
                                     np.linalg.norm(mask.gather(rep_c.grad_theta)) < res):
                 break
@@ -363,7 +363,7 @@ def solve(problem, options=None):
         cert = convexity_certificate(ops, lam, Theta, mode="spectral")
 
     policy = Policy(u_star, Theta)
-    report = replace(evaluate(ops, lam, policy, mask), certificate=cert)
+    report = replace(evaluate(ops, lam, policy), certificate=cert)
     K = theta_to_k(Theta, ops.Hu)
     return Solution(u_ff=u_star, Theta=Theta, K=K, report=report, trace=trace)
 
@@ -422,6 +422,7 @@ def line_scan(ops, lam, policy_a, policy_b, grid):
             raise err
         samples += map(LineScanSample, g.tolist(), v.J.tolist(), v.J1.tolist(),
                        v.J2.tolist(), v.J3.tolist(), v.J4.tolist())
+        del v  # the next chunk's stack is built without this one's alive
     return samples
 
 

@@ -589,18 +589,45 @@ def test_unknown_top_level_key_one_error_line_exit_one(tmp_path, capsys, command
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "scan"])
+@pytest.mark.parametrize("command", ["solve", "scan", "simulate"])
 @pytest.mark.parametrize("parent", ["missing", "a_file"])
 def test_unwritable_output_fails_before_any_solve(tmp_path, capsys, monkeypatch, command, parent):
     cfg = str(write_config(tmp_path / "p.json"))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(ZERO_POLICY))
     (tmp_path / "a_file").write_text("")
     calls = []
     monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(cli.sim, "rollout", lambda *args, **kwargs: calls.append(args))
     out = str(tmp_path / parent / "out")
     argv = {"solve": ["solve", cfg, "-o", out],
-            "scan": ["scan", cfg, cfg, "--points", "3", "-o", out]}[command]
+            "scan": ["scan", cfg, cfg, "--points", "3", "-o", out],
+            "simulate": ["simulate", cfg, str(sol), "--samples", "100", "-o", out]}[command]
     assert main(argv) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and out in err[0]
     assert captured.out == "" and calls == []
+
+
+# Every size here is above the 128 TiB x86-64 user address space, or rejected
+# by CPython's own size check, so nothing is allocated under any overcommit mode.
+@pytest.mark.parametrize("overrides, argv, line", [
+    ({"N": 1e300}, ["solve", "{cfg}", "-o", "{out}"],
+     "error: cannot fit 'int' into an index-sized integer"),
+    ({"N": 10 ** 18}, ["solve", "{cfg}", "-o", "{out}"], "error: MemoryError"),
+    ({}, ["simulate", "{cfg}", "{sol}", "--samples", "100000000000000"],
+     "error: Unable to allocate 1.42 PiB for an array with shape (100000000000000, 2) "
+     "and data type float64"),
+    ({}, ["scan", "{cfg}", "{cfg}", "--points", "100000000000000", "-o", "{out}"],
+     "error: Unable to allocate 728. TiB for an array with shape (100000000000000,) "
+     "and data type float64"),
+], ids=["N 1e300", "N 10**18", "simulate samples", "scan points"])
+def test_input_too_large_to_allocate_one_error_line(tmp_path, capsys, overrides, argv, line):
+    paths = {"cfg": write_config(tmp_path / "p.json", **overrides),
+             "sol": tmp_path / "sol.json", "out": tmp_path / "out"}
+    paths["sol"].write_text(json.dumps(ZERO_POLICY))
+    assert main([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert captured.out == "" and not paths["out"].exists()

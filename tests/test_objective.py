@@ -2,6 +2,7 @@
 stationarity residual, and convexity certificates."""
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,6 +239,67 @@ def test_grad_theta_j4_term_alone_fd():
     g4 = grad_theta_j4(ops, prob.lam, Theta)
     fd = fd_grad_matrix(lambda T: evaluate(ops, prob.lam, Policy(u, T)).J4, Theta)
     assert rel_err(fd, g4) < 1e-6
+
+
+class _CountedMatmul(np.ndarray):
+    """Counts in .matmuls the np.matmul calls that take it as an operand;
+    every ufunc result is a plain array."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.matmuls += 1
+        plain = [np.asarray(x) if isinstance(x, _CountedMatmul) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_evaluate_multiplies_by_stilde_twice():
+    # Theta Stilde serves J2 and the gradient, Omega Stilde serves Y and the gradient
+    rng, prob, ops, mask = setup_random(22, N=3, n_x=2, n_u=2)
+    policy = Policy(rng.standard_normal(ops.N * ops.n_u), rand_causal_theta(rng, mask))
+    counted = ops.Stilde.view(_CountedMatmul)
+    counted.matmuls = 0
+    rep = evaluate(replace(ops, Stilde=counted), prob.lam, policy)
+    assert counted.matmuls == 2
+    ref = evaluate(ops, prob.lam, policy)
+    assert (rep.J1, rep.J2, rep.J3, rep.J4) == (ref.J1, ref.J2, ref.J3, ref.J4)
+    assert np.array_equal(rep.grad_theta, ref.grad_theta)
+    # Y and J2 keep the bits of their left-associated products
+    Om, T, S = omega(ops, policy.Theta), policy.Theta, ops.Stilde
+    assert np.array_equal(ref.terminal.cov, mo.symmetrize(Om @ S @ Om.T))
+    assert ref.J2 == np.trace(T @ S @ T.T)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    N=st.integers(1, 5),
+    n_x=st.integers(1, 3),
+    n_u=st.sampled_from([1, 2]),
+    extra_w=st.sampled_from([0, 1, 2]),
+    log_lam=st.floats(-3.0, 4.0),
+)
+@example(seed=0, N=4, n_x=2, n_u=2, extra_w=2, log_lam=4.0)
+@example(seed=1, N=3, n_x=3, n_u=2, extra_w=1, log_lam=-3.0)
+def test_grad_theta_matches_three_term_oracle(seed, N, n_x, n_u, extra_w, log_lam):
+    # grad J = 2 Theta Stilde + FHu^T A Omega Stilde, A = 2 lam (I - Mt),
+    # against its three terms 2 Theta Stilde + 2 lam FHu^T Omega Stilde
+    # - 2 lam FHu^T Mt Omega Stilde, each multiplied out on its own; the error
+    # is measured against the terms' sizes, since grad J itself may cancel
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** log_lam
+    prob = rand_problem(rng, N=N, n_x=n_x, n_u=n_u, n_w=n_x + extra_w, lam=lam)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(N, n_u, n_x)
+    Theta = rand_causal_theta(rng, mask, scale=0.6)
+    Om, S, FHu = omega(ops, Theta), ops.Stilde, ops.FHu
+    terms = (2.0 * Theta @ S, 2.0 * lam * (FHu.T @ Om @ S),
+             -2.0 * lam * (FHu.T @ _terminal(ops, Theta).Mt @ Om @ S))
+    G = grad_theta(ops, lam, Theta)
+    scale = sum(np.linalg.norm(t) for t in terms)
+    assert np.linalg.norm(G - sum(terms)) <= 1e-14 * scale
+    rep = evaluate(ops, lam, Policy(np.zeros(N * n_u), Theta), mask)
+    assert np.array_equal(rep.grad_theta, G)
+    assert np.linalg.norm(grad_theta_j4(ops, lam, Theta) + terms[2]) <= 1e-14 * scale
 
 
 def test_grad_theta_singular_terminal_guard():
