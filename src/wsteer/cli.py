@@ -26,16 +26,18 @@ from .errors import ValidationError, WsteerError
 from .objective import (
     Policy,
     _hessian_block,
+    _mT,
     _StructuredCurvature,
     _terminal,
+    _values,
     convexity_certificate,
-    evaluate,
     grad_theta,
     grad_uff,
     hessian_theta,
 )
 from .problem import Gaussian, SteeringProblem, TimeVaryingLinearSystem, assemble, causality_mask, validate
 from .solver import (
+    SCAN_CHUNK,
     SolverOptions,
     count_strict_local_minima,
     line_scan,
@@ -128,7 +130,11 @@ def load_config(path):
         for name, M in (("A", A), ("B", B), ("G", G)):
             if M.ndim != 2:
                 raise ValueError(f"field '{name}' must be a matrix when time_invariant")
-        system = TimeVaryingLinearSystem.time_invariant(A, B, G, N)
+        try:
+            system = TimeVaryingLinearSystem.time_invariant(A, B, G, N)
+        except (MemoryError, OverflowError):  # N copies of each matrix do not fit
+            raise ValueError(f"field 'N' is too large to build the system, "
+                             f"got {cfg['N']!r}") from None
     else:
         seqs = {}
         for name in ("A", "B", "G"):
@@ -285,39 +291,37 @@ def cmd_scan(args):
 
 def _central_diff(f, x):
     """Central differences of f at the 1-D x, with step max(1e-6, 1e-6 |x_i|)
-    along coordinate i; the difference along x_i is entry i of the last axis."""
-    cols = []
-    for i in range(x.size):
-        h = max(1e-6, 1e-6 * abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((f(xp) - f(xm)) / (2 * h))
-    return np.stack(cols, axis=-1)
+    along coordinate i; the difference along x_i is entry i of the last axis.
+    f maps a stack of points to values stacked on the leading axis; it runs on
+    stacks of SCAN_CHUNK points, x + h_i e_i or x - h_i e_i for a chunk of i."""
+    h = np.maximum(1e-6, 1e-6 * np.abs(x))
+    diffs = []
+    for lo in range(0, x.size, SCAN_CHUNK):
+        i = np.arange(lo, min(lo + SCAN_CHUNK, x.size))
+        X = np.tile(x, (2, i.size, 1))  # X[0] = x + h_i e_i, X[1] = x - h_i e_i
+        X[:, np.arange(i.size), i] += [h[i], -h[i]]
+        diffs.append(np.moveaxis(f(X[0]) - f(X[1]), 0, -1) / (2 * h[i]))
+    # C order: a norm sums in memory order, so the layout fixes its last bits
+    return np.ascontiguousarray(np.concatenate(diffs, axis=-1))
 
 
 def _fd_grad_check(ops, lam, mask, rng):
     """Relative errors of the analytic gradients against central differences."""
-    n_uff = ops.N * ops.n_u
-    u = 0.5 * rng.standard_normal(n_uff)
+    u = 0.5 * rng.standard_normal(ops.N * ops.n_u)
     Theta = mask.project(0.2 * rng.standard_normal(mask.theta_shape))
-    shape = Theta.shape
+    m, q = Theta.shape
 
-    def J_of(u_vec, T):
-        return evaluate(ops, lam, Policy(u_vec, T)).J
-
-    def vec_grad(flat):
-        # the Hessian's rows and columns follow vec(Theta), column-stacked
-        return grad_theta(ops, lam, flat.reshape(shape, order="F")).reshape(-1, order="F")
+    def vec_grad(flats):  # the Hessian's rows and columns follow vec(Theta), column-stacked
+        return _mT(grad_theta(ops, lam, _mT(flats.reshape(-1, q, m)))).reshape(len(flats), -1)
 
     def rel(exact, approx):
         return np.linalg.norm(exact - approx) / max(1.0, np.linalg.norm(exact))
 
-    fd_u = _central_diff(lambda v: J_of(v, Theta), u)
-    fd_t = _central_diff(lambda v: J_of(u, v.reshape(shape)), Theta.ravel()).reshape(shape)
+    fd_u = _central_diff(lambda U: _values(ops, lam, U, Theta).J, u)
+    fd_t = _central_diff(lambda T: _values(ops, lam, u, T.reshape(-1, m, q)).J, Theta.ravel())
     fd_h = _central_diff(vec_grad, Theta.reshape(-1, order="F"))
     return (rel(grad_uff(ops, lam, u), fd_u),
-            rel(grad_theta(ops, lam, Theta), fd_t),
+            rel(grad_theta(ops, lam, Theta), fd_t.reshape(m, q)),
             rel(hessian_theta(ops, lam, Theta), fd_h))
 
 

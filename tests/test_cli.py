@@ -10,11 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import SD_TIGHT, SD_WIDE
+from conftest import SD_TIGHT, SD_WIDE, rand_problem
 import wsteer as w
 import wsteer.cli as cli
 from wsteer.cli import load_config, main, solver_options_from_config
-from wsteer.objective import Policy, evaluate
+from wsteer.objective import Policy, evaluate, grad_theta, grad_uff, hessian_theta
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -162,6 +162,28 @@ def test_solve_max_iters_exit_two(tmp_path):
     assert main(["solve", str(cfg), "-o", str(tmp_path / "s.json")]) == 2
 
 
+def test_solve_newton_budget_spent_exit_two(tmp_path, capsys):
+    # one Newton step cannot bring the tight target at lambda=100 to 1e-6
+    cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT, **{"lambda": 100.0},
+                       solver={**BASE_CONFIG["solver"], "newton_max_iters": 1})
+    out = tmp_path / "s.json"
+    assert main(["solve", str(cfg), "-o", str(out)]) == 2
+    trace = json.loads(out.read_text())["trace"]
+    assert trace["termination"] == "newton_max_iters"
+    assert capsys.readouterr().err.splitlines() == [
+        f"not converged: final residual {trace['final_residual']:.3e} > stationarity_tol 1e-06"]
+
+
+def test_explicit_zero_theta_init_writes_the_default_solution(tmp_path):
+    zero = tmp_path / "zero.json"
+    matrix = tmp_path / "matrix.json"
+    write_config(zero, solver={**BASE_CONFIG["solver"], "theta_init": "zero"})
+    write_config(matrix, solver={**BASE_CONFIG["solver"], "theta_init": [[0.0] * 22] * 10})
+    assert main(["solve", str(zero), "-o", str(tmp_path / "a.json")]) == 0
+    assert main(["solve", str(matrix), "-o", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_solve_stalled_above_tol_exit_two(tmp_path, capsys):
     # the tight target at lambda=100 stalls at residual ~1e-5 > 1e-6
     cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT, **{"lambda": 100.0},
@@ -288,6 +310,9 @@ MALFORMED = [
      ALL_COMMANDS),
     ("solver list", "config", {**BASE_CONFIG, "solver": [1]}, ("solve", "check", "scan")),
     ("simulation number", "config", {**BASE_CONFIG, "simulation": 5}, ("simulate",)),
+    ("ragged theta_init", "config",
+     {**BASE_CONFIG, "solver": {"theta_init": [[0.0] * 22] * 9 + [[0.0] * 21]}},
+     ("solve", "check", "scan")),
     ("solution list", "solution", [ZERO_POLICY], ("simulate",)),
     ("ragged Theta", "solution", {**ZERO_POLICY, "Theta": [[0.0] * 22] * 9 + [[0.0] * 21]},
      ("simulate",)),
@@ -313,6 +338,24 @@ def test_malformed_json_one_error_line_exit_one(tmp_path, capsys, command, which
     assert len(err) == 1 and err[0].startswith("error: ")
     assert captured.out == ""
 
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+@pytest.mark.parametrize("name", ["N", "lambda"])
+def test_missing_scalar_field_one_error_line_exit_one(tmp_path, capsys, name, command):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    del cfg[name]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(ZERO_POLICY))
+    argv = {"solve": ["solve", str(path), "-o", str(tmp_path / "out.json")],
+            "check": ["check", str(path)],
+            "scan": ["scan", str(path), str(path), "--points", "3", "-o", str(tmp_path / "s.csv")],
+            "simulate": ["simulate", str(path), str(sol), "--samples", "100"]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: config missing field '{name}'"]
+    assert captured.out == ""
 
 
 def _with_entry(matrix, value):
@@ -413,6 +456,71 @@ def test_check_singular_sd_fails_rows_exit_one(tmp_path, capsys):
                 if l.startswith("derivatives and Theta=0 certificate"))
     assert "FAIL" in line and "NotPDError" in line
     assert "desired covariance not PD" in out
+
+
+def pointwise_central_diff(f, x):
+    """The oracle: `cli._central_diff` evaluating f one perturbed point at a time."""
+    cols = []
+    for i in range(x.size):
+        h = max(1e-6, 1e-6 * abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        cols.append((f(xp) - f(xm)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def pointwise_fd_grad_check(ops, lam, mask, rng):
+    """The oracle: `cli._fd_grad_check` through lone `evaluate` and `grad_theta` calls."""
+    u = 0.5 * rng.standard_normal(ops.N * ops.n_u)
+    Theta = mask.project(0.2 * rng.standard_normal(mask.theta_shape))
+    shape = Theta.shape
+
+    def J_of(u_vec, T):
+        return evaluate(ops, lam, Policy(u_vec, T)).J
+
+    def vec_grad(flat):
+        return grad_theta(ops, lam, flat.reshape(shape, order="F")).reshape(-1, order="F")
+
+    def rel(exact, approx):
+        return np.linalg.norm(exact - approx) / max(1.0, np.linalg.norm(exact))
+
+    fd_u = pointwise_central_diff(lambda v: J_of(v, Theta), u)
+    fd_t = pointwise_central_diff(lambda v: J_of(u, v.reshape(shape)), Theta.ravel())
+    fd_h = pointwise_central_diff(vec_grad, Theta.reshape(-1, order="F"))
+    return (rel(grad_uff(ops, lam, u), fd_u),
+            rel(grad_theta(ops, lam, Theta), fd_t.reshape(shape)),
+            rel(hessian_theta(ops, lam, Theta), fd_h))
+
+
+def fd_check_inputs(source):
+    if source == "time-varying":
+        problem = rand_problem(np.random.default_rng(0), N=4, n_x=2, n_u=2, n_w=3, lam=2.0)
+    else:
+        problem, _ = load_config(CONFIGS / f"double_integrator_{source}.json")
+    ops = w.assemble(problem)
+    return ops, problem.lam, w.causality_mask(ops.N, ops.n_u, ops.n_x)
+
+
+@pytest.mark.parametrize("source", ["tight", "wide", "time-varying"])
+def test_fd_grad_check_equals_pointwise_loop(source):
+    # each stacked member is bit-identical to a lone evaluation, so the
+    # relative errors, not only the printed table, equal the loop's
+    ops, lam, mask = fd_check_inputs(source)
+    assert (cli._fd_grad_check(ops, lam, mask, np.random.default_rng(0))
+            == pointwise_fd_grad_check(ops, lam, mask, np.random.default_rng(0)))
+
+
+def test_fd_grad_check_runs_few_terminal_kernels(monkeypatch):
+    # one kernel pass per stack, 2 + 8 + 8 for this config's 10 + 220 + 220
+    # coordinates, and one each for the exact gradient and Hessian
+    ops, lam, mask = fd_check_inputs("tight")
+    calls = []
+    real = w.objective._terminal
+    monkeypatch.setattr(w.objective, "_terminal",
+                        lambda *args: calls.append(1) or real(*args))
+    cli._fd_grad_check(ops, lam, mask, np.random.default_rng(0))
+    assert 0 < len(calls) <= 30
 
 
 def test_simulate_roundtrip_and_determinism(tmp_path, capsys):
@@ -614,8 +722,9 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, capsys, monkeypatch,
 # by CPython's own size check, so nothing is allocated under any overcommit mode.
 @pytest.mark.parametrize("overrides, argv, line", [
     ({"N": 1e300}, ["solve", "{cfg}", "-o", "{out}"],
-     "error: cannot fit 'int' into an index-sized integer"),
-    ({"N": 10 ** 18}, ["solve", "{cfg}", "-o", "{out}"], "error: MemoryError"),
+     "error: field 'N' is too large to build the system, got 1e+300"),
+    ({"N": 10 ** 18}, ["solve", "{cfg}", "-o", "{out}"],
+     "error: field 'N' is too large to build the system, got 1000000000000000000"),
     ({}, ["simulate", "{cfg}", "{sol}", "--samples", "100000000000000"],
      "error: Unable to allocate 1.42 PiB for an array with shape (100000000000000, 2) "
      "and data type float64"),

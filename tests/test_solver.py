@@ -279,6 +279,67 @@ def test_newton_line_search_accepts_steps_within_evaluation_noise():
     assert terminations == ["stationarity"] * 300
 
 
+def test_newton_budget_spent_ends_newton_max_iters():
+    # the tight target at lambda=100 hands over to Newton, and one step
+    # leaves the residual far above 1e-6
+    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, newton_max_iters=1)
+    sol = solve(double_integrator_problem(SD_TIGHT, lam=100.0), opts)
+    assert sol.trace.termination == "newton_max_iters" and not sol.trace.converged
+    assert [r.kind for r in sol.trace.records].count("newton") == 1
+    assert sol.trace.records[-1].residual > opts.stationarity_tol
+
+
+def test_exhausted_line_search_ends_as_pure_ccp(monkeypatch):
+    # every Newton candidate's J is raised far above the current J plus its
+    # noise allowance, so each line search runs out of halvings
+    real_refine, real_evaluate = wsteer.solver.newton_refine, wsteer.solver.evaluate
+    evals = []  # evaluations made by each newton_refine call
+    inside = [False]
+
+    def evaluate(*args, **kwargs):
+        rep = real_evaluate(*args, **kwargs)
+        if not inside[0]:
+            return rep
+        evals[-1] += 1
+        # the first evaluation is the current iterate, every later one a candidate
+        return rep if evals[-1] == 1 else replace(rep, J=rep.J + 1.0)
+
+    def refine(*args, **kwargs):
+        evals.append(0)
+        inside[0] = True
+        try:
+            return real_refine(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(wsteer.solver, "evaluate", evaluate)
+    monkeypatch.setattr(wsteer.solver, "newton_refine", refine)
+    prob = double_integrator_problem(SD_TIGHT, lam=100.0)
+    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14)
+    sol = solve(prob, opts)
+    monkeypatch.undo()
+    ccp_only = solve(prob, replace(opts, newton="off"))
+
+    assert evals and all(n == 1 + 60 for n in evals)
+    assert "newton" not in [r.kind for r in sol.trace.records]
+    assert sol.trace.termination == ccp_only.trace.termination
+    assert abs(sol.report.J - ccp_only.report.J) <= 1e-10 * abs(ccp_only.report.J)
+
+
+def test_error_inside_ccp_step_names_the_iteration(monkeypatch):
+    calls = []
+
+    def failing_solve(factor, rhs):
+        calls.append(rhs)
+        if len(calls) == 2:
+            raise NonFiniteError("injected")
+        return _curvature_solve(factor, rhs)
+
+    monkeypatch.setattr(wsteer.solver, "_curvature_solve", failing_solve)
+    with pytest.raises(NonFiniteError, match=r"^CCP iteration 2: injected$"):
+        solve(double_integrator_problem(SD_TIGHT), SolverOptions(newton="off"))
+
+
 def saddle_start():
     """A point between the two lambda=2000 basins of the tight target where
     the reduced Hessian is indefinite."""
