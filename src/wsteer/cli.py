@@ -22,7 +22,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import simulate as sim
-from .errors import ValidationError, WsteerError
+from .errors import DimensionMismatchError, ValidationError, WsteerError
 from .objective import (
     Policy,
     _hessian_block,
@@ -82,20 +82,20 @@ def _writable_output(path):
         raise OSError(f"cannot write {path!r}: {parent!r} is not a writable directory")
 
 
-def _matrix(cfg, key, source="config"):
-    """cfg[key] as a float array; raises ValueError naming source and key when
-    it is missing, not a numeric array, or holds a null (which numpy would
-    read as nan).  A solution file's NaN and Infinity entries are rejected
-    too; a config's are left to SteeringProblem, whose error names the field."""
+def _matrix(cfg, key, source="config", prefix=""):
+    """cfg[key] as a float array; raises ValueError naming source and field
+    prefix + key when it is missing, not a numeric array, or holds a null (which
+    numpy would read as nan), NaN or Infinity; a config's problem fields (no
+    prefix) keep NaN and Infinity for SteeringProblem, whose error names them."""
     if key not in cfg:
-        raise ValueError(f"{source} missing field '{key}'")
+        raise ValueError(f"{source} missing field '{prefix}{key}'")
     try:
         M = np.asarray(cfg[key], dtype=float)
     except (TypeError, ValueError) as e:  # a ragged array, a string, an object entry
-        raise ValueError(f"field '{key}' is not a numeric array: {e}") from None
-    if not np.isfinite(M).all() and (source != "config"
+        raise ValueError(f"field '{prefix}{key}' is not a numeric array: {e}") from None
+    if not np.isfinite(M).all() and (source != "config" or prefix
                                      or None in np.asarray(cfg[key], dtype=object)):
-        raise ValueError(f"{source} field '{key}' has a null or non-finite entry")
+        raise ValueError(f"{source} field '{prefix}{key}' has a null or non-finite entry")
     return M
 
 
@@ -182,7 +182,7 @@ def solver_options_from_config(cfg):
         if theta_init != "zero":
             raise ValueError("solver.theta_init must be 'zero' or a matrix")
     else:
-        kwargs["theta_init"] = _matrix(raw, "theta_init")
+        kwargs["theta_init"] = _matrix(raw, "theta_init", prefix="solver.")
     return SolverOptions(**kwargs)
 
 
@@ -334,7 +334,7 @@ def _cholesky_succeeds(H):
 
 
 def _structured_row(ops, lam, mask, Theta, rng):
-    """The structured curvature H = D + V M V^T at Theta against the dense
+    """The structured curvature H = H_U + Z^T Z at Theta against the dense
     causal block: its inertia PD decision against dense Cholesky (counted
     only when |lambda_min| > 1e-8 ||H||_2), the backward error of a Newton
     solve with it, and its lambda_min against eigvalsh, whose own round-off
@@ -402,6 +402,8 @@ def cmd_check(args):
         sol = solve(problem, options)
         _certificate_row("Hessian PD at Theta* (certificate)", sol.Theta)
         rows.append(_structured_row(ops, lam, mask, sol.Theta, rng))
+    except DimensionMismatchError:  # a theta_init that does not fit the problem
+        raise
     except ValidationError as e:
         rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved (validation: {e})"))
     except WsteerError as e:

@@ -27,27 +27,26 @@ H at lam = 0.  The solver works on the free (causal) entries of Theta as
 causal matrices X, in the coordinates Phi = X L, L = chol(Stilde), where
 J2's curvature is D = 2I and
 
-    H = D + V M V^T,  V = [U, Z^T],  M = blkdiag(I kron A, I),
+    H = H_U + Z^T Z,  H_U = D + U (I kron A) U^T,
 
 U(Y) = FHu^T Y on the free entries; neither is formed.  Column c of Phi is
 free on the rows that the input blocks F_t, ..., F_(N-1) of FHu act on
-(t = c // n_x), whose Gram matrix is Q_t.  So H0 is block-diagonal over the
-columns, and `_ConvexCurvature` inverts it in closed form, (I - F^T E_t F) / 2
-with E_t = lam (I + lam Q_t)^-1.  `_StructuredCurvature` solves H by
-Woodbury, eliminating I + M G (G = V^T V / 2: N distinct blocks
-B_t = I + A Q_t / 2 and an n_x^2-wide border) onto the Schur complement
-S = I + G_ZZ - G_ZU E M_U G_UZ, E = blkdiag(B_t)^-1, and decides positive
-definiteness by inertia (Haynsworth), with a dense fallback for a nearly
-singular block.  Both solves take one step of iterative refinement.  The
-dense causal block of `_hessian_block` is the test oracle and the reference
-of `wsteer check`; the spectral certificate takes lambda_min from its
-eigvalsh below the size rule and from Lanczos on H^-1 above it.  `_terminal`
-and `_values` (J1..J4 and the W2 check) also take a stack of policies along
-leading axes, each member's bits equal to those of a lone policy; `line_scan`
-evaluates its grid that way.
+(t = c // n_x), whose Gram matrix is Q_t, so H_U is block-diagonal over the
+columns and `_ConvexCurvature` inverts it in closed form, (I - F^T E_t F) / 2
+with E_t = (I + A Q_t / 2)^-1 A / 2 (for H0, A = 2 lam I: lam (I + lam Q_t)^-1).
+`_StructuredCurvature` adds Z by Woodbury through S = I + Z H_U^-1 Z^T and
+decides positive definiteness by inertia (Haynsworth); a nearly singular
+block of H_U falls back to the dense small space of V = [U, Z^T].  Both
+solves take one step of iterative refinement.  The dense causal block of
+`_hessian_block` is the test oracle and the reference of `wsteer check`; the
+spectral certificate takes lambda_min from its eigvalsh below the size rule
+and from Lanczos on H^-1 above it.  `_terminal` and `_values` (J1..J4 and the
+W2 check) also take a stack of policies along leading axes, each member's
+bits equal to those of a lone policy; `line_scan` evaluates its grid that way.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -342,9 +341,10 @@ LANCZOS_TOL = 1e-10
 
 # A block I + K_t of H_U, K_t = C_t^T A C_t, counts as singular (the PD test
 # and solve fall back to the dense small space) when an eigenvalue is within
-# BLOCK_TOL, or eigvalsh's own error n_x eps (1 + ||K_t||_2), of zero.  Over 10k
-# random and crafted Hessians, the refined solve's backward error reached 3e-11
-# at block eigenvalues of 1e-6 to 1e-5, and stayed below 1e-15 from 2e-5 on.
+# BLOCK_TOL, or eigvalsh's own error n_x eps (1 + ||K_t||_2), of zero.  With the
+# fallback off, over 10k random and crafted Hessians at lam from 1e-3 to 1e4,
+# the refined solve's backward error reached 4e-6 at block eigenvalues of 1e-6
+# to 1e-5, and stayed below 5e-14 from 1e-5 on.
 BLOCK_TOL = 1e-4
 
 
@@ -353,18 +353,41 @@ def _structured(ops):
     return n_free > STRUCTURED_RATIO * ops.n_x * (ops.N + 1) * ops.n_x
 
 
-class _CausalCurvature:
-    """A curvature H = D + V M V^T on causal matrices X of N n_u x N n_x (the
-    last block column of Theta is never free), in the coordinates Phi = X L;
-    see the module docstring.  A subclass gives _VMVt(Phi) and _correction,
-    with H^-1 = (I - _correction) D^-1 in Phi, and pd, which solve needs."""
+class _ConvexCurvature:
+    """H_U = D + U (I kron A) U^T, A = `_coupling_weight(lam, n_x, term)`, on
+    causal matrices X of N n_u x N n_x (the last block column of Theta is
+    never free) in the coordinates Phi = X L, inverted block by block in
+    closed form; see the module docstring.  With term None it is the CCP
+    curvature H0, which is PD."""
 
-    def __init__(self, ops, mask):
+    pd = True
+
+    def __init__(self, ops, lam, mask, term=None):
         p, qq = ops.N * ops.n_u, ops.N * ops.n_x
         self.cols, self.rows = np.divmod(mask.free_entries, p)
         self.free = np.arange(qq) // ops.n_x <= (np.arange(p) // ops.n_u)[:, None]
         self.FHu = ops.FHu
         self.L, self.Linv = ops.causal_cholesky
+        self.A = _coupling_weight(lam, ops.n_x, term)
+        self.Q = ops.input_grams[0]
+
+    @cached_property
+    def E(self):
+        """E_t = (I + A Q_t / 2)^-1 A / 2, formed on first use, so never for a singular block."""
+        return 0.5 * np.linalg.inv(np.eye(self.A.shape[0]) + 0.5 * self.A @ self.Q) @ self.A
+
+    def _VMVt(self, Phi):
+        return (self.FHu.T @ (self.A @ (self.FHu @ Phi))) * self.free
+
+    def _block_E(self, Y):
+        """E_t times column t n_x + j of Y, n_x x N n_x, or of each member of a stack."""
+        N, n_x = self.E.shape[:2]
+        Yt = Y.reshape(-1, n_x, N, n_x).transpose(2, 1, 0, 3).reshape(N, n_x, -1)
+        return (self.E @ Yt).reshape(N, n_x, -1, n_x).transpose(2, 1, 0, 3).reshape(Y.shape)
+
+    def _correction(self, Bw):
+        """H_U^-1 = (I - _correction) D^-1 in Phi, D = 2I."""
+        return (self.FHu.T @ self._block_E(self.FHu @ Bw)) * self.free
 
     def _dual_whiten(self, B):
         """The B~ with <B~, X L> = <B, X> for every causal X: on its prefix, row
@@ -412,71 +435,41 @@ class _CausalCurvature:
         return 1.0 / val if self.pd else val
 
 
-class _ConvexCurvature(_CausalCurvature):
-    """The CCP curvature H0 = Stilde kron 2(I + lam FHu^T FHu), PD, whose
-    block 2(I + lam F^T F) on column c of Phi is inverted in closed form; see
-    the module docstring."""
-
-    pd = True
-
-    def __init__(self, ops, lam, mask):
-        super().__init__(ops, mask)
-        self.lam = lam
-        self.E = lam * np.linalg.inv(np.eye(ops.n_x) + lam * ops.input_grams[0])
-
-    def _VMVt(self, Phi):
-        return (2.0 * self.lam) * (self.FHu.T @ (self.FHu @ Phi)) * self.free
-
-    def _correction(self, Bw):
-        N, n_x = self.E.shape[:2]
-        # column t n_x + j of FHu Bw becomes Y[t, :, j], which E_t multiplies
-        Y = (self.FHu @ Bw).reshape(n_x, N, n_x).transpose(1, 0, 2)
-        EY = (self.E @ Y).transpose(1, 0, 2).reshape(n_x, -1)
-        return (self.FHu.T @ EY) * self.free
-
-
-class _StructuredCurvature(_CausalCurvature):
-    """The causal Hessian H = D + V M V^T of J at the terminal kernel term
-    (see the module docstring).  pd is decided by inertia: neg_U and neg_S
-    count the negative eigenvalues of H_U and S, None when a block of H_U is
-    singular and the dense small space decided instead."""
+class _StructuredCurvature(_ConvexCurvature):
+    """The causal Hessian H = H_U + Z^T Z of J at the terminal kernel term,
+    solved by Woodbury through S = I + Z H_U^-1 Z^T (see the module
+    docstring).  pd is decided by inertia: neg_U and neg_S count the negative
+    eigenvalues of H_U and S, None when a block of H_U is singular and the
+    dense small space decided instead."""
 
     def __init__(self, ops, lam, mask, term):
-        super().__init__(ops, mask)
-        N, n_x = ops.N, ops.n_x
+        super().__init__(ops, lam, mask, term)
+        n_x, m = ops.n_x, ops.n_x * ops.n_x
         p, qq = self.free.shape
-        # M_U = I kron A acts on the first k entries of V^T X, column by column of Phi
-        self.k = qq * n_x
-        self.A = _coupling_weight(lam, n_x, term)
         g = 1.0 / (np.outer(term.r, term.r) * np.add.outer(term.r, term.r))
         # row (a, b) of Z is sqrt(lam g_ab) (Bw_b^T Aw_a + Bw_a^T Aw_b) on the
         # free entries; `_dual_whiten` of free o (b kron v) is free o (b kron L^-1 v)
         Aw = (term.W.T @ term.OmS)[:, :qq] @ self.Linv.T
         Bw = term.W.T @ ops.FHu
         Z = Bw[None, :, :, None] * Aw[:, None, None, :]
-        Z = (Z + Z.swapaxes(0, 1)).reshape(n_x * n_x, p, qq)
+        Z = (Z + Z.swapaxes(0, 1)).reshape(m, p, qq)
         Z *= np.sqrt(lam * g).reshape(-1, 1, 1)
         Z *= self.free
-        self.Z = Z.reshape(n_x * n_x, -1)
-        self.GUZ = 0.5 * (ops.FHu @ Z).swapaxes(1, 2).reshape(n_x * n_x, -1).T
-        # H_U = D + U M_U U^T, H without the Frechet rows, is block-diagonal: its
-        # block at column c of Phi has, besides eigenvalues 2, those of
-        # 2 (I + C_t^T A C_t), t = c // n_x
-        Q, C = ops.input_grams
+        self.Z = Z.reshape(m, -1)
+        # H_U is block-diagonal: its block at column c of Phi has, besides
+        # eigenvalues 2, those of 2 (I + C_t^T A C_t), t = c // n_x
+        C = ops.input_grams[1]
         sig = np.linalg.eigvalsh(np.eye(n_x) + _mT(C) @ self.A @ C)
         tol = np.maximum(BLOCK_TOL, n_x * np.finfo(float).eps
                          * (1.0 + np.abs(sig - 1.0).max(axis=-1, keepdims=True)))
-        self.lu = self.neg_U = self.neg_S = None
+        self.neg_U = self.neg_S = None
         if (np.abs(sig) <= tol).any():
-            self._dense_small_space(Q)
+            self._dense_small_space()
             return
-        # the blocks of I + M_U G_UU are B_t = I + A Q_t / 2, and E M_U, E =
-        # blkdiag(B_t)^-1, is symmetric; eliminate onto the border Schur
-        # complement S = I + G_ZZ - G_ZU E M_U G_UZ, which is I + Z H_U^-1 Z^T
-        self.Einv = np.linalg.inv(np.eye(n_x) + 0.5 * self.A @ Q)
-        self.EM = symmetrize(self.Einv @ self.A)
-        EMGUZ = (self.EM[:, None] @ self.GUZ.reshape(N, n_x, n_x, -1)).reshape(self.k, -1)
-        S = np.eye(self.Z.shape[0]) + 0.5 * self.Z @ self.Z.T - self.GUZ.T @ EMGUZ
+        # S = I + Z H_U^-1 Z^T = I + (Z Z^T - Z _correction(Z^T)) / 2, and as Z is
+        # zero off the free entries, Z _correction(Z^T) = (FHu Z)^T E (FHu Z)
+        FZ = (ops.FHu @ Z).reshape(m, -1)
+        S = np.eye(m) + 0.5 * (self.Z @ self.Z.T - FZ @ self._block_E(FZ).T)
         self.s, self.SV = np.linalg.eigh(symmetrize(S))
         # Haynsworth on [[H_U, Z^T], [Z, -I]]: H > 0 iff S is nonsingular and
         # has as many negative eigenvalues as H_U
@@ -484,70 +477,66 @@ class _StructuredCurvature(_CausalCurvature):
         self.neg_S = int(np.count_nonzero(self.s < 0.0))
         self.pd = self.neg_S == self.neg_U and bool(np.all(self.s != 0.0))
 
-    def _dense_small_space(self, Q):
-        """The fallback when a block of H_U is singular: form G = V^T D^-1 V,
+    @cached_property
+    def E(self):
+        # symmetric, but not as formed from an indefinite A (a 1.6e-12 backward error)
+        return symmetrize(super().E)
+
+    def _VMVt(self, Phi):
+        return super()._VMVt(Phi) + ((self.Z @ Phi.ravel()) @ self.Z).reshape(Phi.shape)
+
+    def _correction(self, Bw):
+        """Woodbury: with c = H_U's correction of Bw, w = S^-1 Z (Bw - c) and
+        X = Z^T w, H's is c + (X - H_U's correction of X) / 2."""
+        c = super()._correction(Bw)
+        w = self.SV @ ((self.SV.T @ (self.Z @ (Bw - c).ravel())) / self.s)
+        X = (w @ self.Z).reshape(Bw.shape)
+        return c + 0.5 * (X - super()._correction(X))
+
+    def _dense_small_space(self):
+        """The fallback when a block of H_U is singular, in the stacked layout
+        y = V^T Phi, V = [U, Z^T], M = blkdiag(I kron A, I): form G = V^T D^-1 V,
         decide PD from I + R^T M R with R the pivoted Cholesky factor of G,
         cut at its numerical rank (H is congruent to I + D^-1/2 V M V^T D^-1/2,
-        whose second term has the nonzero eigenvalues of R^T M R), and LU-factor
-        I + M G."""
+        whose second term has the nonzero eigenvalues of R^T M R), and solve by
+        Woodbury, D^-1 V (I + M G)^-1 M V^T D^-1, which needs no M^-1 and holds
+        at lam = 0, with the LU factor of I + M G, in place of `_correction`."""
         import scipy.linalg
 
-        qq = self.free.shape[1]
-        n_x = self.A.shape[0]
+        FHu, Z, A, Q, free = self.FHu, self.Z, self.A, self.Q, self.free
+        qq, n_x = free.shape[1], A.shape[0]
+        k = qq * n_x  # M_U = I kron A acts on the first k entries of y
+
+        def M(y):
+            return np.concatenate([(A @ y[:k].reshape(qq, n_x, -1)).reshape(y[:k].shape), y[k:]])
+
+        GUZ = 0.5 * (FHu @ Z.reshape(-1, *free.shape)).swapaxes(1, 2).reshape(Z.shape[0], -1).T
         GUU = 0.5 * np.eye(qq)[:, None, :, None] * Q[np.arange(qq) // n_x][:, :, None, :]
-        G = symmetrize(np.block([[GUU.reshape(self.k, -1), self.GUZ],
-                                 [self.GUZ.T, 0.5 * self.Z @ self.Z.T]]))
+        G = symmetrize(np.block([[GUU.reshape(k, -1), GUZ], [GUZ.T, 0.5 * Z @ Z.T]]))
         c, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, lower=1)
         R = np.zeros((G.shape[0], rank))
         R[piv - 1] = np.tril(c)[:, :rank]
         try:
-            np.linalg.cholesky(symmetrize(np.eye(rank) + R.T @ self._M(R)))
+            np.linalg.cholesky(symmetrize(np.eye(rank) + R.T @ M(R)))
         except np.linalg.LinAlgError:
             self.pd = False
             return
         self.pd = True
-        self.lu = scipy.linalg.lu_factor(np.eye(G.shape[0]) + self._M(G), check_finite=False)
+        lu = scipy.linalg.lu_factor(np.eye(G.shape[0]) + M(G), check_finite=False)
 
-    def _M(self, y):
-        """M y, M = blkdiag(I kron A, I), for a vector y or the columns of a matrix."""
-        k = self.k
-        MU = self.A @ y[:k].reshape(self.free.shape[1], self.A.shape[0], -1)
-        return np.concatenate([MU.reshape(y[:k].shape), y[k:]])
+        def correction(Bw):
+            y = M(np.concatenate([(FHu @ Bw).reshape(-1, order="F"), Z @ Bw.ravel()]))
+            y = scipy.linalg.lu_solve(lu, y, check_finite=False)
+            U = FHu.T @ y[:k].reshape(n_x, -1, order="F")
+            return 0.5 * (U * free + (y[k:] @ Z).reshape(U.shape))
 
-    def _Vt(self, Phi):
-        return np.concatenate([(self.FHu @ Phi).reshape(-1, order="F"), self.Z @ Phi.ravel()])
-
-    def _V(self, y):
-        k = self.k
-        U = self.FHu.T @ y[:k].reshape(self.FHu.shape[0], -1, order="F")
-        return U * self.free + (y[k:] @ self.Z).reshape(U.shape)
-
-    def _VMVt(self, Phi):
-        return self._V(self._M(self._Vt(Phi)))
-
-    def _small_solve(self, r):
-        """(I + M G)^-1 r: E r_U, then S w_Z = r_Z - G_ZU E r_U and
-        w_U = E (r_U - M_U G_UZ w_Z), with E applied block by block."""
-        if self.lu is not None:
-            import scipy.linalg
-
-            return scipy.linalg.lu_solve(self.lu, r, check_finite=False)
-        N, n_x = self.Einv.shape[:2]
-        yU = (r[:self.k].reshape(N, n_x, n_x) @ _mT(self.Einv)).reshape(-1)
-        wZ = self.SV @ ((self.SV.T @ (r[self.k:] - self.GUZ.T @ yU)) / self.s)
-        wU = yU - ((self.GUZ @ wZ).reshape(N, n_x, n_x) @ self.EM).reshape(-1)
-        return np.concatenate([wU, wZ])
-
-    def _correction(self, Bw):
-        """Woodbury's D^-1 V (I + M G)^-1 M V^T Bw (D = 2I), a form that needs
-        no M^-1 and holds at lam = 0."""
-        return 0.5 * self._V(self._small_solve(self._M(self._Vt(Bw))))
+        self._correction = correction
 
 
 def _curvature(ops, lam, mask, term=None):
     """The causal Hessian of J at the terminal kernel term, or with term None
     the CCP curvature H0 of J2 + J3, ready to solve with at every horizon: H0
-    in closed form, also at lam = 0 where H = H0, else H = D + V M V^T."""
+    in closed form, also at lam = 0 where H = H0, else H = H_U + Z^T Z."""
     if term is None or lam == 0.0:
         return _ConvexCurvature(ops, lam, mask)
     return _StructuredCurvature(ops, lam, mask, term)

@@ -227,13 +227,12 @@ class CausalityMask:
     def theta_shape(self):
         return (self.N * self.n_u, (self.N + 1) * self.n_x)
 
-    def gather(self, M):
-        """The free entries of vec(M), column-stacked, in free_entries order."""
+    def gather(self, M, name="Theta"):
+        """The free entries of vec(M), column-stacked, in free_entries order;
+        a DimensionMismatchError names M as name."""
         M = np.asarray(M, dtype=float)
         if M.shape != self.theta_shape:
-            raise DimensionMismatchError(
-                f"Theta shape {M.shape} != {self.theta_shape}"
-            )
+            raise DimensionMismatchError(f"{name} shape {M.shape} != {self.theta_shape}")
         return M.reshape(-1, order="F")[self.free_entries]
 
     def scatter(self, v):
@@ -242,9 +241,10 @@ class CausalityMask:
         flat[self.free_entries] = v
         return flat.reshape(self.theta_shape, order="F")
 
-    def project(self, Theta):
-        """Zero out the constrained (complement) entries of Theta."""
-        return self.scatter(self.gather(Theta))
+    def project(self, Theta, name="Theta"):
+        """Zero out the constrained (complement) entries of Theta, named name
+        in a DimensionMismatchError."""
+        return self.scatter(self.gather(Theta, name))
 
     def is_causal(self, Theta, tol=0.0):
         Theta = np.asarray(Theta, dtype=float)
@@ -314,9 +314,10 @@ def assemble(problem):
     N, n_x, n_u, n_w = sysm.horizon, sysm.n_x, sysm.n_u, sysm.n_w
     Gamma, Hu, Hw = lifted_maps(sysm)
 
-    W = np.kron(np.eye(N), problem.noise_cov)
+    # Hw (I_N kron Sw): each n_w-wide block column of Hw times Sw
+    HwSw = (Hw.reshape(-1, n_w) @ problem.noise_cov).reshape(Hw.shape)
     S0 = problem.initial.cov
-    Stilde = symmetrize(Gamma @ S0 @ Gamma.T + Hw @ W @ Hw.T)
+    Stilde = symmetrize(Gamma @ S0 @ Gamma.T + HwSw @ Hw.T)
     require_conditioned(np.linalg.eigvalsh(Stilde), STILDE_NOT_PD, rcond=RCOND_DATA)
 
     F = np.zeros((n_x, (N + 1) * n_x))

@@ -14,8 +14,8 @@ positive definite reduced Hessian and a line search that lets J rise only
 within its evaluation noise, and then only when the projected residual falls,
 drive the projected gradient to zero with a quadratic tail; when Newton
 fails, CCP resumes from its iterate.  `objective._curvature` inverts H0 in
-closed form and solves each Newton step with the structured H = D + V M V^T,
-at every horizon.
+closed form, and each Newton step's H = H_U + Z^T Z by the same block closed
+form plus a Woodbury border for Z, at every horizon.
 """
 
 from dataclasses import dataclass, field, replace
@@ -64,6 +64,12 @@ class SolverOptions:
             raise ValueError(f"unknown newton mode {self.newton!r}")
         if self.newton_max_iters < 1:
             raise ValueError("newton_max_iters must be >= 1")
+        if self.theta_init is not None:
+            T = np.asarray(self.theta_init, dtype=float)
+            if T.ndim != 2:
+                raise ValueError(f"theta_init must be a 2-D matrix, got shape {T.shape}")
+            if not np.isfinite(T).all():
+                raise ValueError("theta_init holds an inf or NaN entry")
 
 
 @dataclass(frozen=True)
@@ -214,7 +220,7 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_af
         if options.theta_init is None:
             Theta = np.zeros((ops.N * ops.n_u, (ops.N + 1) * ops.n_x))
         else:
-            Theta = mask.project(np.asarray(options.theta_init, dtype=float))
+            Theta = mask.project(options.theta_init, "theta_init")
         trace = SolveTrace()
         J_prev, res_prev, grad = _record(0, "init", Theta)
         if res_prev <= tol:

@@ -404,6 +404,38 @@ def test_null_or_non_finite_entry_names_file_and_field(tmp_path, capsys, command
     assert captured.err.splitlines() == [f"error: {field} has a null or non-finite entry"]
     assert captured.out == ""
 
+
+ZERO_THETA = ZERO_POLICY["Theta"]
+NOT_FINITE_THETA_INIT = "error: config field 'solver.theta_init' has a null or non-finite entry"
+# (theta_init id, theta_init, the start of the one error line)
+BAD_THETA_INIT = [
+    ("ragged", ZERO_THETA[:9] + [[0.0] * 21],
+     "error: field 'solver.theta_init' is not a numeric array: "),
+    ("null", _with_entry(ZERO_THETA, None), NOT_FINITE_THETA_INIT),
+    ("NaN", _with_entry(ZERO_THETA, float("nan")), NOT_FINITE_THETA_INIT),
+    ("Infinity", _with_entry(ZERO_THETA, float("inf")), NOT_FINITE_THETA_INIT),
+    ("2 x 2", [[0.0, 0.0], [0.0, 0.0]], "error: theta_init shape (2, 2) != (10, 22)"),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "scan"])
+@pytest.mark.parametrize("theta_init, line", [
+    pytest.param(theta_init, line, id=name) for name, theta_init, line in BAD_THETA_INIT])
+def test_bad_theta_init_names_the_field_exit_one(tmp_path, capsys, command, theta_init, line):
+    # caught before any solve, or for a shape that does not fit the problem
+    # before the first evaluation: one error line, also from check
+    cfg = str(write_config(tmp_path / "p.json",
+                           solver={**BASE_CONFIG["solver"], "theta_init": theta_init}))
+    argv = {"solve": ["solve", cfg, "-o", str(tmp_path / "out.json")],
+            "check": ["check", cfg],
+            "scan": ["scan", cfg, cfg, "--points", "3", "-o", str(tmp_path / "s.csv")]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(line)
+    assert captured.out == ""
+
+
 def test_check_benchmark_passes(tmp_path, capsys):
     cfg = write_config(tmp_path / "p.json")
     assert main(["check", str(cfg)]) == 0

@@ -1,5 +1,5 @@
 """The closed-form CCP curvature H0 and the structured causal Hessian
-H = D + V M V^T against the dense causal block: solves, the
+H = H_U + Z^T Z against the dense causal block: solves, the
 positive-definiteness decision, lambda_min, which curvature a solve uses,
 memory at long horizons, and the Loewner direction of the dominance
 certificate."""
@@ -28,7 +28,9 @@ import wsteer as w
 import wsteer.objective
 import wsteer.solver
 from wsteer.objective import (
+    BLOCK_TOL,
     _ConvexCurvature,
+    _coupling_weight,
     _curvature,
     _hessian_block,
     _structured,
@@ -110,14 +112,23 @@ def singular_block_kernel(ops, lam, term, t, sigma=0.0):
 
 
 # with block 0 singular the later blocks are PD, and so is H; with block 2
-# singular the blocks before it are negative, and H is not PD.  An
-# eigenvalue of 1e-6, below BLOCK_TOL, counts as singular too
+# singular the blocks before it are negative, and H is not PD.  Eigenvalues
+# of +-1e-6 and +-2e-5, below BLOCK_TOL, count as singular too; from 1.5e-4,
+# just above it, the blocks are inverted in closed form
 @pytest.mark.parametrize("n_x,t,sigma,pd", [(1, 0, 0.0, True), (2, 0, 0.0, True), (3, 0, 0.0, True),
                                             (1, 2, 0.0, False), (2, 2, 0.0, False), (3, 2, 0.0, False),
-                                            (2, 0, 1e-6, True), (2, 2, -1e-6, False)])
+                                            (2, 0, 1e-6, True), (2, 2, -1e-6, False),
+                                            (2, 0, -1e-6, True), (2, 0, 2e-5, True),
+                                            (2, 0, -2e-5, True), (2, 2, 2e-5, False),
+                                            (2, 0, 1.5e-4, True), (2, 0, -1.5e-4, True),
+                                            (2, 0, 1e-3, True), (2, 0, -1e-3, True),
+                                            (2, 0, 1e-2, True), (2, 0, -1e-2, True),
+                                            (2, 2, 1.5e-4, False), (2, 2, -1e-2, False),
+                                            (1, 1, 1e-2, True), (1, 1, -1e-2, False)])
 def test_singular_block_falls_back_to_dense_small_space(n_x, t, sigma, pd):
     # a block of H_U with a zero eigenvalue leaves no block elimination; the
-    # dense small space decides, and agrees with dense Cholesky
+    # dense small space decides, and agrees with dense Cholesky.  A block
+    # just above BLOCK_TOL is eliminated and agrees too
     rng = np.random.default_rng(n_x)
     prob = rand_problem(rng, N=3, n_x=n_x, n_u=n_x, n_w=n_x, lam=10.0)
     ops = w.assemble(prob)
@@ -126,13 +137,36 @@ def test_singular_block_falls_back_to_dense_small_space(n_x, t, sigma, pd):
     curv = _StructuredCurvature(ops, prob.lam, mask, term)
     H = _hessian_block(ops, prob.lam, mask.free_entries, term)
     eig = np.linalg.eigvalsh(H)
-    assert curv.neg_U is None and curv.neg_S is None
+    if abs(sigma) <= BLOCK_TOL:
+        assert curv.neg_U is None and curv.neg_S is None
+    else:
+        assert curv.neg_U is not None
     assert abs(eig[0]) > 1e-8 * np.abs(eig).max()
     assert curv.pd == cholesky_succeeds(H) == pd
     if pd:
         b = rng.standard_normal(H.shape[0])
         assert backward_error(H, curv.solve(b), b) <= 1e-14
     assert_lambda_min_agrees(curv.lambda_min(), eig)
+
+
+@pytest.mark.parametrize("seed, t", [(39, 0), (10, 1), (8, 2)])
+def test_exactly_singular_block_is_never_inverted(seed, t):
+    # on these draws I + A Q_t / 2 is singular in floating point, so the
+    # closed form's E_t does not exist; the dense small space decides alone
+    rng = np.random.default_rng(seed)
+    prob = rand_problem(rng, N=3, n_x=1, n_u=1, n_w=1, lam=10.0)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(3, 1, 1)
+    term = singular_block_kernel(ops, prob.lam, _terminal(ops, rand_causal_theta(rng, mask)), t)
+    A = _coupling_weight(prob.lam, 1, term)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.eye(1) + 0.5 * A @ ops.input_grams[0][t])
+    curv = _StructuredCurvature(ops, prob.lam, mask, term)
+    H = _hessian_block(ops, prob.lam, mask.free_entries, term)
+    assert curv.neg_U is None and curv.pd == cholesky_succeeds(H)
+    if curv.pd:
+        b = rng.standard_normal(H.shape[0])
+        assert backward_error(H, curv.solve(b), b) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", [443, 1336, 1771])

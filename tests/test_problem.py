@@ -1,5 +1,7 @@
 """Data model validation and lifted-operator assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -147,6 +149,24 @@ def test_assemble_blocks_match_state_transition_products():
         for got, want in ((ops.Gamma, Gamma), (ops.Hu, Hu), (ops.Hw, Hw)):
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_assemble_stilde_matches_noise_kron_oracle(monkeypatch):
+    # assemble forms Hw (I_N kron Sw) Hw^T one n_w-wide block column at a
+    # time; the dense Kronecker formula survives as the oracle, also on
+    # time-varying draws with n_w > n_x and on the double integrator at N = 40
+    kron = np.kron
+    monkeypatch.setattr(np, "kron", None)  # assemble must not call it
+    rng = np.random.default_rng(8)
+    probs = [rand_problem(rng, N=int(rng.integers(1, 13)), n_x=n_x, n_w=n_x + extra)
+             for n_x, extra in itertools.product((1, 2, 3), (0, 1, 3))]
+    probs.append(double_integrator_problem(SD_WIDE, lam=10.0, N=40))
+    for prob in probs:
+        ops = w.assemble(prob)
+        W = kron(np.eye(ops.N), prob.noise_cov)
+        want = ops.Gamma @ prob.initial.cov @ ops.Gamma.T + ops.Hw @ W @ ops.Hw.T
+        want = 0.5 * (want + want.T)
+        assert np.abs(ops.Stilde - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_stilde_pd_random_instances():

@@ -24,6 +24,7 @@ import wsteer as w
 import wsteer.solver
 from wsteer import matops as mo
 from wsteer.errors import (
+    DimensionMismatchError,
     HessianNotPDError,
     NonFiniteError,
     SingularTerminalCovarianceError,
@@ -490,6 +491,31 @@ def test_solver_options_validation():
         SolverOptions(obj_rel_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(newton="always")
+
+
+@pytest.mark.parametrize("theta_init, message", [
+    (np.full((10, 22), np.inf), "theta_init holds an inf or NaN entry"),
+    (np.pad(np.full((1, 1), np.nan), ((0, 9), (0, 21))), "theta_init holds an inf or NaN entry"),
+    (np.zeros(22), r"theta_init must be a 2-D matrix, got shape \(22,\)"),
+    (np.zeros((2, 10, 22)), r"theta_init must be a 2-D matrix, got shape \(2, 10, 22\)"),
+], ids=["inf", "nan", "vector", "3-d"])
+def test_solver_options_reject_bad_theta_init(theta_init, message):
+    with pytest.raises(ValueError, match=message):
+        SolverOptions(theta_init=theta_init)
+
+
+def test_wrong_shaped_theta_init_names_both_shapes_before_evaluating(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(wsteer.solver, "evaluate", counted)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^theta_init shape \(2, 2\) != \(10, 22\)$"):
+        solve(double_integrator_problem(SD_TIGHT), SolverOptions(theta_init=np.zeros((2, 2))))
+    assert calls == []
 
 
 def test_line_scan_constant_and_endpoints():
