@@ -48,6 +48,11 @@ class HessianNotPDError(WsteerError):
         super().__init__(message)
 
 
+class CertificateMismatchError(WsteerError):
+    """The spectral certificate's lambda_min contradicts the inertia count of
+    the same Hessian: a defect in one of the two, not a property of the data."""
+
+
 class NonFiniteError(WsteerError):
     """An operand holds an infinite or NaN entry."""
 

@@ -39,10 +39,12 @@ decides positive definiteness by inertia (Haynsworth); a nearly singular
 block of H_U falls back to the dense small space of V = [U, Z^T].  Both
 solves take one step of iterative refinement.  The dense causal block of
 `_hessian_block` is the test oracle and the reference of `wsteer check`; the
-spectral certificate takes lambda_min from its eigvalsh below the size rule
-and from Lanczos on H^-1 above it.  `_terminal` and `_values` (J1..J4 and the
-W2 check) also take a stack of policies along leading axes, each member's
-bits equal to those of a lone policy; `line_scan` evaluates its grid that way.
+spectral certificate takes lambda_min from its eigvalsh below the size rule.
+Above it the certificate's kind is the inertia count, and lambda_min is the
+Rayleigh quotient, with the exact H, of a Ritz vector that plain Lanczos
+finds on the unrefined H^-1.  `_terminal` and `_values` (J1..J4 and the W2
+check) also take a stack of policies along leading axes, each member's bits
+equal to those of a lone policy; `line_scan` evaluates its grid that way.
 """
 
 from dataclasses import dataclass, field
@@ -52,6 +54,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import (
+    CertificateMismatchError,
     DimensionMismatchError,
     NotPDError,
     SingularTerminalCovarianceError,
@@ -330,13 +333,15 @@ def _hessian_block(ops, lam, idx, term=None):
 # The spectral certificate's size rule: Lanczos on the structured curvature
 # when the free entries outnumber STRUCTURED_RATIO times the coupling rank
 # n_x * N n_x + n_x^2, eigvalsh of the dense causal block below.  On the wide
-# double integrator at lam = 10 (ms, dense/Lanczos): N = 10 1.4/10.4, 14 5.0/12.1,
-# 16 6.7/8.7, 18 10.4/12.4, 20 17.2/11.1, 24 37.8/18.8.
+# double integrator at its solution at lam = 10, one BLAS thread (ms,
+# dense/Lanczos): N = 10 0.6/3.9, 14 2.4/2.6, 16 4.1/3.7, 18 9.1/6.3,
+# 20 13.5/6.2, 24 32.7/5.9; the rule switches at N = 17.
 STRUCTURED_RATIO = 4
 
 
-# Lanczos stops when its Ritz residual is below this share of the Ritz value,
-# which bounds the relative error of that eigenvalue by the same share.
+# Lanczos stops when its Ritz residual |beta_j s_j| is below this share of the
+# Ritz value, which bounds the relative error of that eigenvalue by the same
+# share; the Rayleigh quotient that `lambda_min` returns squares that error.
 LANCZOS_TOL = 1e-10
 
 # A block I + K_t of H_U, K_t = C_t^T A C_t, counts as singular (the PD test
@@ -351,6 +356,16 @@ BLOCK_TOL = 1e-4
 def _structured(ops):
     n_free = ops.n_u * ops.n_x * ops.N * (ops.N + 1) // 2
     return n_free > STRUCTURED_RATIO * ops.n_x * (ops.N + 1) * ops.n_x
+
+
+def _top_ritz_pair(alpha, beta):
+    """The largest eigenvalue of the Lanczos tridiagonal with diagonal alpha
+    and off-diagonal beta, and its unit eigenvector; only T and its
+    eigenvectors are ever held, and are freed on return."""
+    T = np.diag(alpha)  # eigh reads the lower triangle
+    T[np.arange(1, len(alpha)), np.arange(len(alpha) - 1)] = beta
+    theta, S = np.linalg.eigh(T)
+    return theta[-1], S[:, -1].copy()
 
 
 class _ConvexCurvature:
@@ -420,19 +435,52 @@ class _ConvexCurvature:
         return X[self.rows, self.cols]
 
     def lambda_min(self):
-        """lambda_min(H) by Lanczos from a fixed start vector: on H^-1 when H
-        is PD, else on H itself."""
-        n = self.rows.size
-        if n < 3:  # below ARPACK's smallest size
-            return np.linalg.eigvalsh(np.column_stack([self.matvec(e) for e in np.eye(n)]))[0]
-        import scipy.sparse.linalg  # here: its import costs about 0.1 s, and only this needs it
+        """lambda_min(H): the Rayleigh quotient x^T H x / x^T x, taken with
+        the exact `matvec`, of the Ritz vector x of the largest eigenvalue of
+        the unrefined H^-1 when H is PD, else of -H.
 
-        op = scipy.sparse.linalg.LinearOperator(
-            (n, n), matvec=self.solve if self.pd else self.matvec, dtype=float)
-        val = scipy.sparse.linalg.eigsh(op, k=1, which="LA" if self.pd else "SA", tol=LANCZOS_TOL,
-                                        v0=np.random.default_rng(0).standard_normal(n),
-                                        return_eigenvectors=False)[0]
-        return 1.0 / val if self.pd else val
+        Plain three-term Lanczos from a fixed start vector, without
+        reorthogonalization: the extreme Ritz pair still converges (Paige
+        1976), and the quotient's error is quadratic in x's, so H^-1 needs no
+        refinement step (Parlett 1998); a quotient is never below
+        lambda_min.  Convergence, |beta_j s_j| <= LANCZOS_TOL |theta|, is
+        tested at geometrically spaced steps, where the blocks of the basis
+        end, so the basis is never copied and holds just the steps taken.  A
+        run still short of it after n steps has lost orthogonality, and
+        eigvalsh of H's n columns answers instead."""
+        n = self.rows.size
+        if self.pd:
+            def op(v):
+                return self._inverse(self._matrix(v))[self.rows, self.cols]
+        else:
+            def op(v):
+                return -self.matvec(v)
+        v = np.random.default_rng(0).standard_normal(n)
+        v /= np.linalg.norm(v)
+        v_prev, alpha, beta, basis = np.zeros(n), [], [0.0], []
+        while True:
+            Q = np.empty((min(n, max(20, 5 * len(alpha) // 4)) - len(alpha), n))
+            for i, q in enumerate(Q):
+                q[:] = v
+                w = op(q)
+                alpha.append(q @ w)
+                w -= alpha[-1] * q + beta[-1] * v_prev
+                beta.append(float(np.linalg.norm(w)))
+                if beta[-1] == 0.0:  # an invariant subspace: its Ritz values are exact
+                    Q = Q[:i + 1]
+                    break
+                v_prev, v = q, w / beta[-1]
+            basis.append(Q)
+            theta, s = _top_ritz_pair(alpha, beta[1:-1])
+            if abs(beta[-1] * s[-1]) <= LANCZOS_TOL * abs(theta):
+                break
+            if len(alpha) == n:  # unconverged: the basis has lost orthogonality
+                return np.linalg.eigvalsh(np.column_stack([self.matvec(e) for e in np.eye(n)]))[0]
+        x = np.zeros(n)
+        for Q in basis:
+            x += Q.T @ s[:len(Q)]
+            s = s[len(Q):]
+        return (x @ self.matvec(x)) / (x @ x)
 
 
 class _StructuredCurvature(_ConvexCurvature):
@@ -603,8 +651,13 @@ def convexity_certificate(ops, lam, Theta, mode="dominance"):
         return Certificate(kind=kind, dominance_gap=gap)
     mask = causality_mask(ops.N, ops.n_u, ops.n_x)
     if _structured(ops):
-        Hmin = float(_StructuredCurvature(ops, lam, mask, term).lambda_min())
+        # the kind comes from the exact inertia count; Lanczos only measures
+        curv = _StructuredCurvature(ops, lam, mask, term)
+        Hmin, pd = float(curv.lambda_min()), curv.pd
+        if (Hmin > 0.0) != pd:
+            raise CertificateMismatchError(
+                f"Lanczos lambda_min {Hmin:.6e} contradicts the inertia count (PD {pd})")
     else:
         Hmin = float(np.linalg.eigvalsh(_hessian_block(ops, lam, mask.free_entries, term))[0])
-    kind = "HessianPD" if Hmin > 0.0 else None
-    return Certificate(kind=kind, dominance_gap=gap, lambda_min_hessian=Hmin)
+        pd = Hmin > 0.0
+    return Certificate(kind="HessianPD" if pd else None, dominance_gap=gap, lambda_min_hessian=Hmin)

@@ -27,6 +27,7 @@ from conftest import (
 import wsteer as w
 import wsteer.objective
 import wsteer.solver
+from wsteer.errors import CertificateMismatchError
 from wsteer.objective import (
     BLOCK_TOL,
     _ConvexCurvature,
@@ -62,6 +63,13 @@ def assert_lambda_min_agrees(lmin, eig):
     assert abs(lmin - eig[0]) <= 1e-8 * abs(eig[0]) + EPS * np.abs(eig).max()
 
 
+# A Rayleigh quotient is never below lambda_min, but lambda_min's is taken
+# with `matvec`, which rounds otherwise than the dense block: over these
+# tests' PD draws it came to 1.8 eps ||H||_2 below eigvalsh, on n = 1 draws
+# where both are the one entry of H
+QUOTIENT_ROUNDING = 4 * EPS
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
@@ -79,6 +87,10 @@ def assert_lambda_min_agrees(lmin, eig):
 # n_u < n_x at large lambda: the closed form of H0^-1 alone leaves a backward
 # error of 4e-8 on this draw, its refinement step 4e-15
 @example(seed=42, N=1, n_x=2, n_u=1, extra_w=0, log_lam=3.8, scale=1.0)
+# not PD, with |lambda_min| far below ||H||_2: Lanczos on -H loses
+# orthogonality and is unconverged after n = 12 steps, so lambda_min takes
+# eigvalsh of H's columns (a Ritz value 7e-6 off before that fallback)
+@example(seed=2, N=2, n_x=2, n_u=2, extra_w=0, log_lam=0.75, scale=0.3)
 def test_structured_curvature_matches_dense_block(seed, N, n_x, n_u, extra_w, log_lam, scale):
     # time-varying systems, lambda log-uniform in [1e-3, 1e4]
     rng = np.random.default_rng(seed)
@@ -97,7 +109,79 @@ def test_structured_curvature_matches_dense_block(seed, N, n_x, n_u, extra_w, lo
         if curv.pd:
             assert backward_error(H, curv.solve(b), b) <= 1e-14
         assert np.linalg.norm(curv.matvec(b) - H @ b) <= 1e-13 * np.abs(eig).max() * np.linalg.norm(b)
-        assert_lambda_min_agrees(curv.lambda_min(), eig)
+        lmin = curv.lambda_min()
+        assert_lambda_min_agrees(lmin, eig)
+        if curv.pd:
+            assert lmin >= eig[0] - QUOTIENT_ROUNDING * np.abs(eig).max()
+
+
+# lambda_min runs Lanczos on the unrefined H^-1 and takes the Rayleigh
+# quotient with the exact H; at lambda 1e3 and 1e4, where the Newton solve
+# needs its refinement step, the quotient alone must carry the accuracy
+@pytest.mark.parametrize("lam", [1e3, 1e4])
+@pytest.mark.parametrize("Sd", [SD_TIGHT, SD_WIDE], ids=["tight", "wide"])
+def test_lambda_min_at_large_lambda_above_size_rule(Sd, lam):
+    N = 20
+    ops = w.assemble(double_integrator_problem(Sd, lam=lam, N=N))
+    mask = w.causality_mask(N, ops.n_u, ops.n_x)
+    assert _structured(ops)
+    rng = np.random.default_rng(0)
+    for scale in (0.3, 1.0):
+        term = _terminal(ops, rand_causal_theta(rng, mask, scale))
+        for kernel in (None, term):
+            curv = (_ConvexCurvature(ops, lam, mask) if kernel is None
+                    else _StructuredCurvature(ops, lam, mask, kernel))
+            eig = np.linalg.eigvalsh(_hessian_block(ops, lam, mask.free_entries, kernel))
+            assert curv.pd == (eig[0] > 0.0)
+            lmin = curv.lambda_min()
+            assert_lambda_min_agrees(lmin, eig)
+            if curv.pd:
+                assert lmin >= eig[0] - QUOTIENT_ROUNDING * np.abs(eig).max()
+
+
+@pytest.fixture(scope="module")
+def clustered():
+    """The tight double integrator at N = 40, lambda = 10, at its solution:
+    the two smallest eigenvalues of H lie 1.0e-4 apart in relative terms,
+    so Lanczos takes about 530 steps there."""
+    prob = double_integrator_problem(SD_TIGHT, lam=10.0, N=40)
+    sol = w.solve(prob, w.SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14,
+                                        stationarity_tol=1e-6))
+    ops = w.assemble(prob)
+    mask = w.causality_mask(40, ops.n_u, ops.n_x)
+    return ops, mask, _terminal(ops, sol.Theta)
+
+
+def test_lambda_min_resolves_clustered_spectrum(clustered):
+    ops, mask, term = clustered
+    eig = np.linalg.eigvalsh(_hessian_block(ops, 10.0, mask.free_entries, term))
+    assert eig[1] - eig[0] <= 2e-4 * eig[0]
+    curv = _StructuredCurvature(ops, 10.0, mask, term)
+    lmin = curv.lambda_min()
+    assert curv.pd
+    assert_lambda_min_agrees(lmin, eig)
+    assert lmin >= eig[0] - QUOTIENT_ROUNDING * eig[-1]
+
+
+def test_lambda_min_holds_one_krylov_basis(clustered):
+    # the peak is one basis of steps x n doubles, the tridiagonal T and its
+    # eigenvectors (2 steps^2 doubles), and 1 MB for a step's vectors and
+    # the first use of the random generator; a copy of the basis would add
+    # 7 MB here
+    ops, mask, term = clustered
+    curv = _StructuredCurvature(ops, 10.0, mask, term)
+    steps, inverse = [], curv._inverse
+    curv._inverse = lambda B: steps.append(1) or inverse(B)
+    n = mask.free_entries.size
+    tracemalloc.start()
+    try:
+        curv.lambda_min()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    j = len(steps)
+    assert j > n // 4
+    assert peak <= 8 * (j * n + 2 * j * j) + 2 ** 20
 
 
 def singular_block_kernel(ops, lam, term, t, sigma=0.0):
@@ -378,18 +462,38 @@ def test_dominated_covariance_implies_pd_hessian(seed, n_x, n_u, log_lam, shrink
 
 def test_dominated_by_target_is_not_certified():
     # the other order, Y <= Sd, does not make H PD: Sd = 10 Y at Theta = 0
-    # on the double integrator at lambda = 300
+    # on the double integrator at lambda = 300, below the size rule (N = 10,
+    # dense eigvalsh) and above it (N = 20, inertia and Lanczos)
     lam = 300.0
-    prob = double_integrator_problem(SD_TIGHT, lam=lam)
-    ops = w.assemble(prob)
-    mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
-    Theta = np.zeros(mask.theta_shape)
-    Y = w.terminal_covariance(ops, Theta)
-    ops = w.assemble(double_integrator_problem(10.0 * Y, lam=lam))
-    assert np.linalg.eigvalsh(ops.Sd - Y)[0] > 0.0
-    term = _terminal(ops, Theta)
-    assert not cholesky_succeeds(_hessian_block(ops, lam, mask.free_entries, term))
-    curv = _StructuredCurvature(ops, lam, mask, term)
-    assert not curv.pd and curv.lambda_min() < 0.0
-    cert = convexity_certificate(ops, lam, Theta, mode="spectral")
-    assert cert.kind is None and cert.lambda_min_hessian < 0.0
+    for N in (10, 20):
+        prob = double_integrator_problem(SD_TIGHT, lam=lam, N=N)
+        ops = w.assemble(prob)
+        mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
+        Theta = np.zeros(mask.theta_shape)
+        Y = w.terminal_covariance(ops, Theta)
+        ops = w.assemble(double_integrator_problem(10.0 * Y, lam=lam, N=N))
+        assert _structured(ops) == (N == 20)
+        assert np.linalg.eigvalsh(ops.Sd - Y)[0] > 0.0
+        term = _terminal(ops, Theta)
+        assert not cholesky_succeeds(_hessian_block(ops, lam, mask.free_entries, term))
+        curv = _StructuredCurvature(ops, lam, mask, term)
+        assert not curv.pd and curv.lambda_min() < 0.0
+        cert = convexity_certificate(ops, lam, Theta, mode="spectral")
+        assert cert.kind is None and cert.lambda_min_hessian < 0.0
+
+
+def test_structured_certificate_kind_is_the_inertia_count(monkeypatch):
+    # above the size rule the kind comes from the structured curvature's pd;
+    # a Lanczos lambda_min of the other sign is a defect, and raises
+    lam, N = 10.0, 20
+    for Sd in (SD_TIGHT, SD_WIDE):
+        ops = w.assemble(double_integrator_problem(Sd, lam=lam, N=N))
+        mask = w.causality_mask(N, ops.n_u, ops.n_x)
+        Theta = w.solve(double_integrator_problem(Sd, lam=lam, N=N)).Theta
+        pd = _StructuredCurvature(ops, lam, mask, _terminal(ops, Theta)).pd
+        cert = convexity_certificate(ops, lam, Theta, mode="spectral")
+        assert pd and cert.kind == "HessianPD" and cert.lambda_min_hessian > 0.0
+        with monkeypatch.context() as m:
+            m.setattr(_StructuredCurvature, "lambda_min", lambda self: -cert.lambda_min_hessian)
+            with pytest.raises(CertificateMismatchError):
+                convexity_certificate(ops, lam, Theta, mode="spectral")
