@@ -338,7 +338,8 @@ def _structured_row(ops, lam, mask, Theta, rng):
     causal block: its inertia PD decision against dense Cholesky (counted
     only when |lambda_min| > 1e-8 ||H||_2), the backward error of a Newton
     solve with it, and its lambda_min against eigvalsh, whose own round-off
-    is eps ||H||_2."""
+    is eps ||H||_2; the row ends with the number of rows P that nearly
+    singular blocks of H_U shifted into the Woodbury border."""
     term = _terminal(ops, Theta)
     H = _hessian_block(ops, lam, mask.free_entries, term)
     curv = _StructuredCurvature(ops, lam, mask, term)
@@ -349,14 +350,15 @@ def _structured_row(ops, lam, mask, Theta, rng):
     agree = agree and (curv.pd == dense_pd or abs(eig[0]) <= 1e-8 * abs(eig).max())
     detail = (f"neg(H_U) {curv.neg_U}, neg(S) {curv.neg_S}, PD {curv.pd} vs dense "
               f"Cholesky {dense_pd}, min eig {lmin:.9e} vs dense {eig[0]:.9e}")
+    rows = f", {curv.k} shifted border rows"
     if not curv.pd:
         return ("structured curvature vs dense causal block", bool(agree and eig[0] <= 0.0),
-                detail + ", not PD: no Newton solve")
+                detail + ", not PD: no Newton solve" + rows)
     b = rng.standard_normal(H.shape[0])
     x = curv.solve(b)
     err = np.linalg.norm(H @ x - b) / (eig[-1] * np.linalg.norm(x) + np.linalg.norm(b))
     return ("structured curvature vs dense causal block", bool(agree and err <= 1e-14),
-            f"Newton solve backward error {err:.3e}, " + detail)
+            f"Newton solve backward error {err:.3e}, " + detail + rows)
 
 
 def cmd_check(args):

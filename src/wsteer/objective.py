@@ -35,9 +35,10 @@ free on the rows that the input blocks F_t, ..., F_(N-1) of FHu act on
 columns and `_ConvexCurvature` inverts it in closed form, (I - F^T E_t F) / 2
 with E_t = (I + A Q_t / 2)^-1 A / 2 (for H0, A = 2 lam I: lam (I + lam Q_t)^-1).
 `_StructuredCurvature` adds Z by Woodbury through S = I + Z H_U^-1 Z^T and
-decides positive definiteness by inertia (Haynsworth); a nearly singular
-block of H_U falls back to the dense small space of V = [U, Z^T].  Both
-solves take one step of iterative refinement.  The dense causal block of
+decides positive definiteness by inertia (Haynsworth).  A nearly singular
+block of H_U takes the positive part A_+ of A, which makes it >= 2I, and
+H_U' - H_U = P^T P joins Z in the border with the sign -1.  Both solves
+take one step of iterative refinement.  The dense causal block of
 `_hessian_block` is the test oracle and the reference of `wsteer check`; the
 spectral certificate takes lambda_min from its eigvalsh below the size rule.
 Above it the certificate's kind is the inertia count, and lambda_min is the
@@ -344,13 +345,14 @@ STRUCTURED_RATIO = 4
 # share; the Rayleigh quotient that `lambda_min` returns squares that error.
 LANCZOS_TOL = 1e-10
 
-# A block I + K_t of H_U, K_t = C_t^T A C_t, counts as singular (the PD test
-# and solve fall back to the dense small space) when an eigenvalue is within
-# BLOCK_TOL, or eigvalsh's own error n_x eps (1 + ||K_t||_2), of zero.  With the
-# fallback off, over 10k random and crafted Hessians at lam from 1e-3 to 1e4,
-# the refined solve's backward error reached 4e-6 at block eigenvalues of 1e-6
-# to 1e-5, and stayed below 5e-14 from 1e-5 on.
-BLOCK_TOL = 1e-4
+# A block I + K_t of H_U, K_t = C_t^T A C_t, is shifted (takes A_+ for A) when
+# an eigenvalue is within BLOCK_TOL, or eigvalsh's error n_x eps (1 + ||K_t||),
+# of zero.  Refined backward errors: at most 1.9e-16 over 5k draws with one at
+# +-10^U(-4, -2), where the closed form kept down to 1e-4 reached 8.6e-7; over
+# 5k crafted to +-10^U(-8, -1), lam 1e-3 to 1e4, 1.5e-14 below 1e-6, 2.5e-13
+# to 1e-4 (an n = 1 draw whose dense block differs from `matvec` by 1.6e-13),
+# and 1.5e-15 from there to 1e-2.
+BLOCK_TOL = 1e-2
 
 
 def _structured(ops):
@@ -383,13 +385,13 @@ class _ConvexCurvature:
         self.free = np.arange(qq) // ops.n_x <= (np.arange(p) // ops.n_u)[:, None]
         self.FHu = ops.FHu
         self.L, self.Linv = ops.causal_cholesky
-        self.A = _coupling_weight(lam, ops.n_x, term)
+        self.A = self.A_t = _coupling_weight(lam, ops.n_x, term)
         self.Q = ops.input_grams[0]
 
     @cached_property
     def E(self):
-        """E_t = (I + A Q_t / 2)^-1 A / 2, formed on first use, so never for a singular block."""
-        return 0.5 * np.linalg.inv(np.eye(self.A.shape[0]) + 0.5 * self.A @ self.Q) @ self.A
+        """E_t = (I + A_t Q_t / 2)^-1 A_t / 2, A_t = A, or A_+ on a shifted block."""
+        return 0.5 * np.linalg.inv(np.eye(self.A.shape[0]) + 0.5 * self.A_t @ self.Q) @ self.A_t
 
     def _VMVt(self, Phi):
         return (self.FHu.T @ (self.A @ (self.FHu @ Phi))) * self.free
@@ -485,10 +487,10 @@ class _ConvexCurvature:
 
 class _StructuredCurvature(_ConvexCurvature):
     """The causal Hessian H = H_U + Z^T Z of J at the terminal kernel term,
-    solved by Woodbury through S = I + Z H_U^-1 Z^T (see the module
-    docstring).  pd is decided by inertia: neg_U and neg_S count the negative
-    eigenvalues of H_U and S, None when a block of H_U is singular and the
-    dense small space decided instead."""
+    solved by Woodbury on the signed border B = [Z; P] (see the module
+    docstring): shifted lists the columns of Phi whose blocks take A_+, and k
+    counts P's rows.  pd is decided by inertia: neg_U and neg_S count the
+    negative eigenvalues of H_U' and S."""
 
     def __init__(self, ops, lam, mask, term):
         super().__init__(ops, lam, mask, term)
@@ -507,23 +509,39 @@ class _StructuredCurvature(_ConvexCurvature):
         # H_U is block-diagonal: its block at column c of Phi has, besides
         # eigenvalues 2, those of 2 (I + C_t^T A C_t), t = c // n_x
         C = ops.input_grams[1]
-        sig = np.linalg.eigvalsh(np.eye(n_x) + _mT(C) @ self.A @ C)
+        self.sig = np.linalg.eigvalsh(np.eye(n_x) + _mT(C) @ self.A @ C)
         tol = np.maximum(BLOCK_TOL, n_x * np.finfo(float).eps
-                         * (1.0 + np.abs(sig - 1.0).max(axis=-1, keepdims=True)))
-        self.neg_U = self.neg_S = None
-        if (np.abs(sig) <= tol).any():
-            self._dense_small_space()
-            return
-        # S = I + Z H_U^-1 Z^T = I + (Z Z^T - Z _correction(Z^T)) / 2, and as Z is
-        # zero off the free entries, Z _correction(Z^T) = (FHu Z)^T E (FHu Z)
-        FZ = (ops.FHu @ Z).reshape(m, -1)
-        S = np.eye(m) + 0.5 * (self.Z @ self.Z.T - FZ @ self._block_E(FZ).T)
+                         * (1.0 + np.abs(self.sig - 1.0).max(axis=-1, keepdims=True)))
+        shift = (np.abs(self.sig) <= tol).any(axis=-1)
+        self.shifted = sc = np.flatnonzero(np.repeat(shift, n_x))
+        self.k = 0
+        if sc.size:
+            # A = V diag(a) V^T: a shifted block takes A_+ = V max(a, 0) V^T,
+            # and its columns the rows W^T F of P, W = V sqrt(-a) over a < 0
+            a, V = np.linalg.eigh(self.A)
+            self.W = V[:, a < 0.0] * np.sqrt(-a[a < 0.0])
+            self.k = sc.size * self.W.shape[1]
+            A_plus = symmetrize((V * np.maximum(a, 0.0)) @ V.T)
+            self.A_t = np.where(shift[:, None, None], A_plus, self.A)
+        # S = J + B H_U'^-1 B^T, H_U'^-1 = (I - F^T E_t F) / 2 on column c: as Z
+        # is zero off the free entries, Z H_U'^-1 Z^T = (Z Z^T - FZ^T E FZ) / 2
+        # with FZ = FHu Z; with R_t = (I - E_t Q_t) W, Z H_U'^-1 P^T holds
+        # FZ[:, :, c]^T R_t / 2 and P H_U'^-1 P^T the diagonal blocks W^T Q_t R_t / 2
+        FZ = ops.FHu @ Z
+        FZm = FZ.reshape(m, -1)
+        S = np.eye(m) + 0.5 * (self.Z @ self.Z.T - FZm @ self._block_E(FZm).T)
+        if self.k:
+            t = sc // n_x
+            R = self.W - self.E[t] @ self.Q[t] @ self.W
+            ZP = 0.5 * (FZ[:, :, sc].transpose(2, 0, 1) @ R).transpose(1, 0, 2).reshape(m, -1)
+            S = np.block([[S, ZP], [ZP.T, -np.eye(self.k)]])
+            d = m + np.arange(self.k).reshape(t.size, -1)  # P's rows, by column
+            S[d[:, :, None], d[:, None, :]] += 0.5 * self.W.T @ self.Q[t] @ R
         self.s, self.SV = np.linalg.eigh(symmetrize(S))
-        # Haynsworth on [[H_U, Z^T], [Z, -I]]: H > 0 iff S is nonsingular and
-        # has as many negative eigenvalues as H_U
-        self.neg_U = n_x * int(np.count_nonzero(sig < 0.0))
+        # Haynsworth on [[H_U', B^T], [B, -J]]: neg(H) = neg(H_U') + k - neg(S)
+        self.neg_U = n_x * int(np.count_nonzero(self.sig[~shift] < 0.0))
         self.neg_S = int(np.count_nonzero(self.s < 0.0))
-        self.pd = self.neg_S == self.neg_U and bool(np.all(self.s != 0.0))
+        self.pd = self.neg_S == self.neg_U + self.k and bool(np.all(self.s != 0.0))
 
     @cached_property
     def E(self):
@@ -534,51 +552,20 @@ class _StructuredCurvature(_ConvexCurvature):
         return super()._VMVt(Phi) + ((self.Z @ Phi.ravel()) @ self.Z).reshape(Phi.shape)
 
     def _correction(self, Bw):
-        """Woodbury: with c = H_U's correction of Bw, w = S^-1 Z (Bw - c) and
-        X = Z^T w, H's is c + (X - H_U's correction of X) / 2."""
+        """Woodbury: with c = H_U's correction of Bw, w = S^-1 B (Bw - c) and
+        X = B^T w, H's is c + (X - H_U's correction of X) / 2; P and P^T
+        act through FHu on the shifted columns, and are never formed."""
         c = super()._correction(Bw)
-        w = self.SV @ ((self.SV.T @ (self.Z @ (Bw - c).ravel())) / self.s)
-        X = (w @ self.Z).reshape(Bw.shape)
+        y, sc, m = Bw - c, self.shifted, self.Z.shape[0]
+        By = self.Z @ y.ravel()
+        if self.k:
+            By = np.concatenate([By, ((self.FHu @ y[:, sc]).T @ self.W).ravel()])
+        w = self.SV @ ((self.SV.T @ By) / self.s)
+        X = (w[:m] @ self.Z).reshape(Bw.shape)
+        if self.k:
+            wP = w[m:].reshape(sc.size, -1)
+            X[:, sc] += (self.FHu.T @ (self.W @ wP.T)) * self.free[:, sc]
         return c + 0.5 * (X - super()._correction(X))
-
-    def _dense_small_space(self):
-        """The fallback when a block of H_U is singular, in the stacked layout
-        y = V^T Phi, V = [U, Z^T], M = blkdiag(I kron A, I): form G = V^T D^-1 V,
-        decide PD from I + R^T M R with R the pivoted Cholesky factor of G,
-        cut at its numerical rank (H is congruent to I + D^-1/2 V M V^T D^-1/2,
-        whose second term has the nonzero eigenvalues of R^T M R), and solve by
-        Woodbury, D^-1 V (I + M G)^-1 M V^T D^-1, which needs no M^-1 and holds
-        at lam = 0, with the LU factor of I + M G, in place of `_correction`."""
-        import scipy.linalg
-
-        FHu, Z, A, Q, free = self.FHu, self.Z, self.A, self.Q, self.free
-        qq, n_x = free.shape[1], A.shape[0]
-        k = qq * n_x  # M_U = I kron A acts on the first k entries of y
-
-        def M(y):
-            return np.concatenate([(A @ y[:k].reshape(qq, n_x, -1)).reshape(y[:k].shape), y[k:]])
-
-        GUZ = 0.5 * (FHu @ Z.reshape(-1, *free.shape)).swapaxes(1, 2).reshape(Z.shape[0], -1).T
-        GUU = 0.5 * np.eye(qq)[:, None, :, None] * Q[np.arange(qq) // n_x][:, :, None, :]
-        G = symmetrize(np.block([[GUU.reshape(k, -1), GUZ], [GUZ.T, 0.5 * Z @ Z.T]]))
-        c, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, lower=1)
-        R = np.zeros((G.shape[0], rank))
-        R[piv - 1] = np.tril(c)[:, :rank]
-        try:
-            np.linalg.cholesky(symmetrize(np.eye(rank) + R.T @ M(R)))
-        except np.linalg.LinAlgError:
-            self.pd = False
-            return
-        self.pd = True
-        lu = scipy.linalg.lu_factor(np.eye(G.shape[0]) + M(G), check_finite=False)
-
-        def correction(Bw):
-            y = M(np.concatenate([(FHu @ Bw).reshape(-1, order="F"), Z @ Bw.ravel()]))
-            y = scipy.linalg.lu_solve(lu, y, check_finite=False)
-            U = FHu.T @ y[:k].reshape(n_x, -1, order="F")
-            return 0.5 * (U * free + (y[k:] @ Z).reshape(U.shape))
-
-        self._correction = correction
 
 
 def _curvature(ops, lam, mask, term=None):

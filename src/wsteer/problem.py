@@ -308,7 +308,8 @@ def assemble(problem):
     """Assemble the lifted block operators for a steering problem.
 
     Raises NotPDError if the assembled Stilde is not numerically positive
-    definite (it always is when S0, Sw are PD and the G_k have full row rank).
+    definite (it is PD when S0, Sw are PD and the G_k have full row rank,
+    but the open-loop chain can make it too ill-conditioned over the horizon).
     """
     sysm = problem.system
     N, n_x, n_u, n_w = sysm.horizon, sysm.n_x, sysm.n_u, sysm.n_w
@@ -318,7 +319,12 @@ def assemble(problem):
     HwSw = (Hw.reshape(-1, n_w) @ problem.noise_cov).reshape(Hw.shape)
     S0 = problem.initial.cov
     Stilde = symmetrize(Gamma @ S0 @ Gamma.T + HwSw @ Hw.T)
-    require_conditioned(np.linalg.eigvalsh(Stilde), STILDE_NOT_PD, rcond=RCOND_DATA)
+    eig = np.linalg.eigvalsh(Stilde)
+    # a PD Stilde can fail only on its conditioning, which the message names
+    what = (f"Stilde is not PD at rcond {RCOND_DATA:g}: its condition number "
+            f"{eig[-1] / eig[0]:.3e} exceeds {1.0 / RCOND_DATA:g}, with largest eigenvalue "
+            f"{eig[-1]:.3e} (how far the open-loop chain grows)") if eig[0] > 0.0 else STILDE_NOT_PD
+    require_conditioned(eig, what, rcond=RCOND_DATA)
 
     F = np.zeros((n_x, (N + 1) * n_x))
     F[:, N * n_x:] = np.eye(n_x)

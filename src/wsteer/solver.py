@@ -15,7 +15,8 @@ within its evaluation noise, and then only when the projected residual falls,
 drive the projected gradient to zero with a quadratic tail; when Newton
 fails, CCP resumes from its iterate.  `objective._curvature` inverts H0 in
 closed form, and each Newton step's H = H_U + Z^T Z by the same block closed
-form plus a Woodbury border for Z, at every horizon.
+form plus a signed Woodbury border for Z and the shifted nearly singular
+blocks, at every horizon.
 """
 
 from dataclasses import dataclass, field, replace

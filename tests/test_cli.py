@@ -455,6 +455,7 @@ def test_check_reports_inertia_decision(tmp_path, capsys, monkeypatch):
     assert main(["check", str(cfg)]) == 0
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(row))
     assert "neg(H_U) 0, neg(S) 0, PD True vs dense Cholesky True" in line
+    assert line.endswith(", 0 shifted border rows")
 
     # a dense Cholesky that fails on this clearly PD block: the decisions
     # disagree outside the margin, and the row fails

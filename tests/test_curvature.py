@@ -195,10 +195,32 @@ def singular_block_kernel(ops, lam, term, t, sigma=0.0):
     return term._replace(W=Vm * np.sqrt(m * term.r))
 
 
+def assert_singular_block_agrees(ops, lam, mask, term, t, pd, rng):
+    """The structured curvature at a kernel whose block t of H_U is (nearly)
+    singular: block t is shifted into the border exactly when an eigenvalue
+    the curvature computed for it is within BLOCK_TOL of zero; the PD
+    decision agrees with dense Cholesky, a solve meets a backward error of
+    1e-14 and lambda_min agrees with eigvalsh.  Returns H's eigenvalues."""
+    curv = _StructuredCurvature(ops, lam, mask, term)
+    H = _hessian_block(ops, lam, mask.free_entries, term)
+    eig = np.linalg.eigvalsh(H)
+    shifted = np.abs(curv.sig[t]).min() <= BLOCK_TOL
+    assert (t in curv.shifted // ops.n_x) == shifted
+    assert curv.k > 0 or not shifted
+    assert curv.pd == cholesky_succeeds(H) == pd
+    if pd:
+        b = rng.standard_normal(H.shape[0])
+        assert backward_error(H, curv.solve(b), b) <= 1e-14
+    assert_lambda_min_agrees(curv.lambda_min(), eig)
+    return eig
+
+
 # with block 0 singular the later blocks are PD, and so is H; with block 2
 # singular the blocks before it are negative, and H is not PD.  Eigenvalues
-# of +-1e-6 and +-2e-5, below BLOCK_TOL, count as singular too; from 1.5e-4,
-# just above it, the blocks are inverted in closed form
+# up to 1e-2 (BLOCK_TOL) in size are shifted into the signed border; the rows
+# at +-1e-2 sit on the tolerance, and take the path the computed eigenvalue
+# gives (the test's name predates the shift: a dense small space used to decide
+# these blocks)
 @pytest.mark.parametrize("n_x,t,sigma,pd", [(1, 0, 0.0, True), (2, 0, 0.0, True), (3, 0, 0.0, True),
                                             (1, 2, 0.0, False), (2, 2, 0.0, False), (3, 2, 0.0, False),
                                             (2, 0, 1e-6, True), (2, 2, -1e-6, False),
@@ -210,33 +232,38 @@ def singular_block_kernel(ops, lam, term, t, sigma=0.0):
                                             (2, 2, 1.5e-4, False), (2, 2, -1e-2, False),
                                             (1, 1, 1e-2, True), (1, 1, -1e-2, False)])
 def test_singular_block_falls_back_to_dense_small_space(n_x, t, sigma, pd):
-    # a block of H_U with a zero eigenvalue leaves no block elimination; the
-    # dense small space decides, and agrees with dense Cholesky.  A block
-    # just above BLOCK_TOL is eliminated and agrees too
     rng = np.random.default_rng(n_x)
     prob = rand_problem(rng, N=3, n_x=n_x, n_u=n_x, n_w=n_x, lam=10.0)
     ops = w.assemble(prob)
     mask = w.causality_mask(3, n_x, n_x)
     term = singular_block_kernel(ops, prob.lam, _terminal(ops, rand_causal_theta(rng, mask)), t, sigma)
-    curv = _StructuredCurvature(ops, prob.lam, mask, term)
-    H = _hessian_block(ops, prob.lam, mask.free_entries, term)
-    eig = np.linalg.eigvalsh(H)
-    if abs(sigma) <= BLOCK_TOL:
-        assert curv.neg_U is None and curv.neg_S is None
-    else:
-        assert curv.neg_U is not None
+    eig = assert_singular_block_agrees(ops, prob.lam, mask, term, t, pd, rng)
     assert abs(eig[0]) > 1e-8 * np.abs(eig).max()
-    assert curv.pd == cholesky_succeeds(H) == pd
-    if pd:
-        b = rng.standard_normal(H.shape[0])
-        assert backward_error(H, curv.solve(b), b) <= 1e-14
-    assert_lambda_min_agrees(curv.lambda_min(), eig)
+
+
+# draws d of a seeded sweep (N <= 2, n_x = n_u = n_w = 3, lam = 10^U(-1, 4),
+# one block eigenvalue +-10^U(-4, -2)) on which the closed form of a block
+# just above the old BLOCK_TOL of 1e-4, refined once, left backward errors of
+# 8.6e-7 (d = 4411, sigma 6.2e-4, lam 2648), 8.0e-12 (d = 520, sigma 6.1e-4,
+# lam 400) and 3.3e-13 (d = 2784, sigma 1.3e-4, lam 1.1)
+@pytest.mark.parametrize("d", [4411, 520, 2784])
+def test_singular_block_sweep_draws_shift_into_border(d):
+    rng = np.random.default_rng([3, d])
+    N = int(rng.integers(1, 3))
+    lam = 10.0 ** rng.uniform(-1, 4)
+    t = int(rng.integers(0, N))
+    sigma = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4, -2)
+    prob = rand_problem(rng, N=N, n_x=3, n_u=3, n_w=3, lam=lam)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(N, 3, 3)
+    term = singular_block_kernel(ops, lam, _terminal(ops, rand_causal_theta(rng, mask)), t, sigma)
+    assert_singular_block_agrees(ops, lam, mask, term, t, True, rng)
 
 
 @pytest.mark.parametrize("seed, t", [(39, 0), (10, 1), (8, 2)])
 def test_exactly_singular_block_is_never_inverted(seed, t):
     # on these draws I + A Q_t / 2 is singular in floating point, so the
-    # closed form's E_t does not exist; the dense small space decides alone
+    # closed form's E_t does not exist for A; the block is shifted to A_+
     rng = np.random.default_rng(seed)
     prob = rand_problem(rng, N=3, n_x=1, n_u=1, n_w=1, lam=10.0)
     ops = w.assemble(prob)
@@ -247,7 +274,7 @@ def test_exactly_singular_block_is_never_inverted(seed, t):
         np.linalg.inv(np.eye(1) + 0.5 * A @ ops.input_grams[0][t])
     curv = _StructuredCurvature(ops, prob.lam, mask, term)
     H = _hessian_block(ops, prob.lam, mask.free_entries, term)
-    assert curv.neg_U is None and curv.pd == cholesky_succeeds(H)
+    assert t in curv.shifted // ops.n_x and curv.pd == cholesky_succeeds(H)
     if curv.pd:
         b = rng.standard_normal(H.shape[0])
         assert backward_error(H, curv.solve(b), b) <= 1e-14
@@ -271,24 +298,6 @@ def test_inertia_certifies_pd_hessian_with_indefinite_h_u(seed):
     assert curv.pd and cholesky_succeeds(H)
     b = rng.standard_normal(H.shape[0])
     assert backward_error(H, curv.solve(b), b) <= 1e-14
-
-
-def test_structured_solve_forms_no_dense_small_space_factor(monkeypatch):
-    # N = 30 runs structured: with the m x m LU and pivoted Cholesky removed,
-    # the solve must still finish with the same J
-    prob = long_horizon_problem(np.random.default_rng(3), N=30)
-    assert _structured(w.assemble(prob))
-    ref = w.solve(prob)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense small-space factor formed")
-
-    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
-    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", refuse)
-    sol = w.solve(prob)
-    assert sol.trace.termination == ref.trace.termination == "stationarity"
-    assert sol.report.J == ref.report.J
-    assert sol.certificate.kind == ref.certificate.kind == "HessianPD"
 
 
 def test_curvature_is_closed_form_for_ccp_and_structured_for_newton():
@@ -423,6 +432,44 @@ def test_long_horizon_solves_through_newton_and_spectral_certificate():
     assert termination == "stationarity" and int(newton_steps) > 0 and kind == "HessianPD"
     assert float(seconds) < 60.0
     assert int(peak_kb) < 1024 * 1024  # ru_maxrss is in KB on Linux
+
+
+SHIFT_SCRIPT = """
+import resource, sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+from conftest import long_horizon_problem
+import wsteer as w
+import wsteer.solver
+curvature, rows = wsteer.solver._curvature, []
+def counted(*args, **kwargs):
+    curv = curvature(*args, **kwargs)
+    rows.append(getattr(curv, "k", 0))
+    return curv
+wsteer.solver._curvature = counted
+sol = w.solve(long_horizon_problem(np.random.default_rng(0), N=130))
+records = sol.trace.records
+print(sum(k > 0 for k in rows), sol.trace.termination, sum(r.kind == "ccp" for r in records),
+      sum(r.kind == "newton" for r in records), repr(sol.report.J),
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+      any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+"""
+
+
+def test_shifted_block_long_horizon_solve_stays_small():
+    # N = 130, seed 0: a Newton step meets a block of H_U within BLOCK_TOL of
+    # singular, which the signed border takes in closed form.  The dense
+    # small space that decided such a block before peaked at 363 MB here
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    out = subprocess.run([sys.executable, "-c", SHIFT_SCRIPT, here, src], check=True,
+                         capture_output=True, text=True).stdout.split()
+    shifted, termination, ccp, newton, J, peak_kb, scipy_loaded = out
+    assert int(shifted) >= 1
+    assert (termination, int(ccp), int(newton)) == ("stationarity", 33, 11)
+    assert abs(float(J) - 15.59123263329724) <= 1e-10 * 15.59123263329724
+    assert int(peak_kb) < 200 * 1024  # ru_maxrss is in KB on Linux
+    assert scipy_loaded == "False"
 
 
 def dominated_instance(rng, n_x, n_u, lam, shrink):

@@ -1,6 +1,7 @@
 """Data model validation and lifted-operator assembly."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from conftest import (
     SD_TIGHT,
     SD_WIDE,
     double_integrator_problem,
+    long_horizon_problem,
     rand_problem,
     rand_system,
 )
 import wsteer as w
 from wsteer.errors import DimensionMismatchError, IndexOrderError, NonFiniteError, NotPDError
+from wsteer.problem import RCOND_DATA
 
 
 def scalar_problem(N=2):
@@ -90,6 +93,20 @@ def test_assemble_rejects_singular_stilde():
     )
     with pytest.raises(NotPDError):
         w.assemble(prob)
+
+
+def test_assemble_names_the_condition_number_of_a_pd_stilde():
+    # S0 = Sw = I and G_k = 0.1 I, so Stilde is PD; over N = 200 steps the
+    # open-loop chain grows until its condition number passes 1/RCOND_DATA,
+    # and the message says that rather than asking about S0, Sw or G_k
+    prob = long_horizon_problem(np.random.default_rng(1), N=200)
+    with pytest.raises(NotPDError) as err:
+        w.assemble(prob)
+    msg = str(err.value)
+    assert msg.startswith("Stilde is not PD") and "S0" not in msg and "G_k" not in msg
+    cond, hi = map(float, re.search(r"condition number (\S+) exceeds 1e\+12, "
+                                    r"with largest eigenvalue (\S+) ", msg).groups())
+    assert 1.0 / RCOND_DATA < cond < 2e12 and 3e9 < hi < 4e9
 
 
 def test_assemble_block_structure_invariants():
