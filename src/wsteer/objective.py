@@ -29,23 +29,24 @@ J2's curvature is D = 2I and
 
     H = H_U + Z^T Z,  H_U = D + U (I kron A) U^T,
 
-U(Y) = FHu^T Y on the free entries; neither is formed.  Column c of Phi is
-free on the rows that the input blocks F_t, ..., F_(N-1) of FHu act on
+U(Y) = FHu^T Y on the free entries.  Row (a, b) of Z is U(W X_ab Aw) with
+X_ab = sqrt(lam g_ab) (e_a e_b^T + e_b e_a^T) and Aw = W^T Omega Stilde L^-T,
+so Z acts like H_U through n_x x N n_x products; neither is formed.  Column c
+of Phi is free on the rows of the input blocks F_t, ..., F_(N-1) of FHu
 (t = c // n_x), whose Gram matrix is Q_t, so H_U is block-diagonal over the
-columns and `_ConvexCurvature` inverts it in closed form, (I - F^T E_t F) / 2
-with E_t = (I + A Q_t / 2)^-1 A / 2 (for H0, A = 2 lam I: lam (I + lam Q_t)^-1).
-`_StructuredCurvature` adds Z by Woodbury through S = I + Z H_U^-1 Z^T and
-decides positive definiteness by inertia (Haynsworth).  A nearly singular
-block of H_U takes the positive part A_+ of A, which makes it >= 2I, and
-H_U' - H_U = P^T P joins Z in the border with the sign -1.  Both solves
-take one step of iterative refinement.  The dense causal block of
-`_hessian_block` is the test oracle and the reference of `wsteer check`; the
-spectral certificate takes lambda_min from its eigvalsh below the size rule.
-Above it the certificate's kind is the inertia count, and lambda_min is the
-Rayleigh quotient, with the exact H, of a Ritz vector that plain Lanczos
-finds on the unrefined H^-1.  `_terminal` and `_values` (J1..J4 and the W2
-check) also take a stack of policies along leading axes, each member's bits
-equal to those of a lone policy; `line_scan` evaluates its grid that way.
+columns, and `_ConvexCurvature` inverts it as (I - F^T E_t F) / 2 with
+E_t = (I + A Q_t / 2)^-1 A / 2.  `_StructuredCurvature` adds Z by Woodbury
+through S = I + Z H_U^-1 Z^T, built from G_t = Q_t (I - E_t Q_t), and decides
+positive definiteness by inertia (Haynsworth).  A nearly singular block of
+H_U takes A_+, the positive part of A, so it is >= 2I, and H_U' - H_U = P^T P
+joins Z in the border with the sign -1.  Both solves take one refinement
+step.  `_hessian_block`'s dense causal block is the test oracle and the
+reference of `wsteer check`; the spectral certificate takes lambda_min from
+its eigvalsh below the size rule.  Above it the kind is the inertia count,
+and lambda_min the Rayleigh quotient, with the exact H, of a Ritz vector of
+plain Lanczos on the unrefined H^-1.  `_terminal` and `_values` (J1..J4, W2)
+also take a stack of policies along leading axes, each member's bits equal
+to a lone policy's; `line_scan` evaluates its grid that way.
 """
 
 from dataclasses import dataclass, field
@@ -347,11 +348,10 @@ LANCZOS_TOL = 1e-10
 
 # A block I + K_t of H_U, K_t = C_t^T A C_t, is shifted (takes A_+ for A) when
 # an eigenvalue is within BLOCK_TOL, or eigvalsh's error n_x eps (1 + ||K_t||),
-# of zero.  Refined backward errors: at most 1.9e-16 over 5k draws with one at
-# +-10^U(-4, -2), where the closed form kept down to 1e-4 reached 8.6e-7; over
-# 5k crafted to +-10^U(-8, -1), lam 1e-3 to 1e4, 1.5e-14 below 1e-6, 2.5e-13
-# to 1e-4 (an n = 1 draw whose dense block differs from `matvec` by 1.6e-13),
-# and 1.5e-15 from there to 1e-2.
+# of zero.  Refined backward errors against the dense block, over 3000 draws of
+# each family of tests/curvature_sweep.py: at most 5.8e-16 with one block
+# eigenvalue at +-10^U(-4, -2), where the closed form kept down to 1e-4 reached
+# 8.6e-7, and 6.4e-15 with one at +-10^U(-8, -1).
 BLOCK_TOL = 1e-2
 
 
@@ -393,18 +393,22 @@ class _ConvexCurvature:
         """E_t = (I + A_t Q_t / 2)^-1 A_t / 2, A_t = A, or A_+ on a shifted block."""
         return 0.5 * np.linalg.inv(np.eye(self.A.shape[0]) + 0.5 * self.A_t @ self.Q) @ self.A_t
 
-    def _VMVt(self, Phi):
-        return (self.FHu.T @ (self.A @ (self.FHu @ Phi))) * self.free
+    def _weight(self, FPhi):
+        """The V with (H - D) Phi = U(V), from F Phi = FHu Phi: A F Phi for H_U."""
+        return self.A @ FPhi
 
-    def _block_E(self, Y):
-        """E_t times column t n_x + j of Y, n_x x N n_x, or of each member of a stack."""
-        N, n_x = self.E.shape[:2]
+    def _VMVt(self, Phi):
+        return (self.FHu.T @ self._weight(self.FHu @ Phi)) * self.free
+
+    def _blocks(self, M, Y):
+        """M_t times column t n_x + j of Y, n_x x N n_x, or of each member of a stack."""
+        N, n_x = M.shape[:2]
         Yt = Y.reshape(-1, n_x, N, n_x).transpose(2, 1, 0, 3).reshape(N, n_x, -1)
-        return (self.E @ Yt).reshape(N, n_x, -1, n_x).transpose(2, 1, 0, 3).reshape(Y.shape)
+        return (M @ Yt).reshape(N, n_x, -1, n_x).transpose(2, 1, 0, 3).reshape(Y.shape)
 
     def _correction(self, Bw):
         """H_U^-1 = (I - _correction) D^-1 in Phi, D = 2I."""
-        return (self.FHu.T @ self._block_E(self.FHu @ Bw)) * self.free
+        return (self.FHu.T @ self._blocks(self.E, self.FHu @ Bw)) * self.free
 
     def _dual_whiten(self, B):
         """The B~ with <B~, X L> = <B, X> for every causal X: on its prefix, row
@@ -487,25 +491,16 @@ class _ConvexCurvature:
 
 class _StructuredCurvature(_ConvexCurvature):
     """The causal Hessian H = H_U + Z^T Z of J at the terminal kernel term,
-    solved by Woodbury on the signed border B = [Z; P] (see the module
-    docstring): shifted lists the columns of Phi whose blocks take A_+, and k
-    counts P's rows.  pd is decided by inertia: neg_U and neg_S count the
-    negative eigenvalues of H_U' and S."""
+    solved by Woodbury on the signed border B = [Z; P], neither formed:
+    shifted lists the columns of Phi whose blocks take A_+, k counts P's rows,
+    and neg_U and neg_S, the negative eigenvalues of H_U' and S, decide pd."""
 
     def __init__(self, ops, lam, mask, term):
         super().__init__(ops, lam, mask, term)
         n_x, m = ops.n_x, ops.n_x * ops.n_x
-        p, qq = self.free.shape
-        g = 1.0 / (np.outer(term.r, term.r) * np.add.outer(term.r, term.r))
-        # row (a, b) of Z is sqrt(lam g_ab) (Bw_b^T Aw_a + Bw_a^T Aw_b) on the
-        # free entries; `_dual_whiten` of free o (b kron v) is free o (b kron L^-1 v)
-        Aw = (term.W.T @ term.OmS)[:, :qq] @ self.Linv.T
-        Bw = term.W.T @ ops.FHu
-        Z = Bw[None, :, :, None] * Aw[:, None, None, :]
-        Z = (Z + Z.swapaxes(0, 1)).reshape(m, p, qq)
-        Z *= np.sqrt(lam * g).reshape(-1, 1, 1)
-        Z *= self.free
-        self.Z = Z.reshape(m, -1)
+        # row (a, b) of Z is U(W X_ab Aw), X_ab = sg_ab (e_a e_b^T + e_b e_a^T)
+        self.sg = np.sqrt(lam / (np.outer(term.r, term.r) * np.add.outer(term.r, term.r)))
+        self.W, self.Aw = term.W, (term.W.T @ term.OmS)[:, :self.free.shape[1]] @ self.Linv.T
         # H_U is block-diagonal: its block at column c of Phi has, besides
         # eigenvalues 2, those of 2 (I + C_t^T A C_t), t = c // n_x
         C = ops.input_grams[1]
@@ -517,26 +512,23 @@ class _StructuredCurvature(_ConvexCurvature):
         self.k = 0
         if sc.size:
             # A = V diag(a) V^T: a shifted block takes A_+ = V max(a, 0) V^T,
-            # and its columns the rows W^T F of P, W = V sqrt(-a) over a < 0
+            # and its columns the rows Wn^T F of P, Wn = V sqrt(-a) over a < 0
             a, V = np.linalg.eigh(self.A)
-            self.W = V[:, a < 0.0] * np.sqrt(-a[a < 0.0])
-            self.k = sc.size * self.W.shape[1]
+            self.Wn = V[:, a < 0.0] * np.sqrt(-a[a < 0.0])
+            self.k = sc.size * self.Wn.shape[1]
             A_plus = symmetrize((V * np.maximum(a, 0.0)) @ V.T)
             self.A_t = np.where(shift[:, None, None], A_plus, self.A)
-        # S = J + B H_U'^-1 B^T, H_U'^-1 = (I - F^T E_t F) / 2 on column c: as Z
-        # is zero off the free entries, Z H_U'^-1 Z^T = (Z Z^T - FZ^T E FZ) / 2
-        # with FZ = FHu Z; with R_t = (I - E_t Q_t) W, Z H_U'^-1 P^T holds
-        # FZ[:, :, c]^T R_t / 2 and P H_U'^-1 P^T the diagonal blocks W^T Q_t R_t / 2
-        FZ = ops.FHu @ Z
-        FZm = FZ.reshape(m, -1)
-        S = np.eye(m) + 0.5 * (self.Z @ self.Z.T - FZm @ self._block_E(FZm).T)
+        # S = J + B H_U'^-1 B^T from <U(Y), H_U'^-1 U(Y')> = sum_c Y_c^T G_t Y'_c / 2,
+        # G_t = Q_t (I - E_t Q_t): Z's rows have Y = R_ab, P's Wn on a column of sc
+        G = self.Q @ (np.eye(n_x) - self.E @ self.Q)
+        R = self._Zt(np.eye(m).reshape(m, n_x, n_x))
+        GR = self._blocks(G, R)
+        S = np.eye(m) + 0.5 * R.reshape(m, -1) @ GR.reshape(m, -1).T
         if self.k:
-            t = sc // n_x
-            R = self.W - self.E[t] @ self.Q[t] @ self.W
-            ZP = 0.5 * (FZ[:, :, sc].transpose(2, 0, 1) @ R).transpose(1, 0, 2).reshape(m, -1)
+            ZP = 0.5 * (_mT(GR[:, :, sc]) @ self.Wn).reshape(m, -1)
             S = np.block([[S, ZP], [ZP.T, -np.eye(self.k)]])
-            d = m + np.arange(self.k).reshape(t.size, -1)  # P's rows, by column
-            S[d[:, :, None], d[:, None, :]] += 0.5 * self.W.T @ self.Q[t] @ R
+            d = m + np.arange(self.k).reshape(sc.size, -1)  # P's rows, by column
+            S[d[:, :, None], d[:, None, :]] += 0.5 * self.Wn.T @ G[sc // n_x] @ self.Wn
         self.s, self.SV = np.linalg.eigh(symmetrize(S))
         # Haynsworth on [[H_U', B^T], [B, -J]]: neg(H) = neg(H_U') + k - neg(S)
         self.neg_U = n_x * int(np.count_nonzero(self.sig[~shift] < 0.0))
@@ -548,24 +540,33 @@ class _StructuredCurvature(_ConvexCurvature):
         # symmetric, but not as formed from an indefinite A (a 1.6e-12 backward error)
         return symmetrize(super().E)
 
-    def _VMVt(self, Phi):
-        return super()._VMVt(Phi) + ((self.Z @ Phi.ravel()) @ self.Z).reshape(Phi.shape)
+    def _Z(self, FPhi):
+        """Z Phi as an n_x x n_x matrix, from F Phi = FHu Phi."""
+        M = self.W.T @ FPhi @ self.Aw.T
+        return self.sg * (M + M.T)
+
+    def _Zt(self, w):
+        """The Y with Z^T w = U(Y), for one n_x x n_x w or a stack."""
+        return self.W @ (self.sg * (w + _mT(w))) @ self.Aw
+
+    def _weight(self, FPhi):
+        return super()._weight(FPhi) + self._Zt(self._Z(FPhi))
 
     def _correction(self, Bw):
-        """Woodbury: with c = H_U's correction of Bw, w = S^-1 B (Bw - c) and
-        X = B^T w, H's is c + (X - H_U's correction of X) / 2; P and P^T
-        act through FHu on the shifted columns, and are never formed."""
-        c = super()._correction(Bw)
-        y, sc, m = Bw - c, self.shifted, self.Z.shape[0]
-        By = self.Z @ y.ravel()
+        """Woodbury: with y = Bw - (H_U's correction of Bw) and w = S^-1 B y,
+        H's is H_U's plus (B^T w - H_U's correction of B^T w) / 2.  B y comes
+        from FHu y, and B^T w = U(Y) has H_U's correction U(E_t Q_t Y_c)."""
+        Fx = self.FHu @ Bw
+        EF = self._blocks(self.E, Fx)
+        Fy = Fx - self._blocks(self.Q, EF)
+        By = self._Z(Fy).ravel()
         if self.k:
-            By = np.concatenate([By, ((self.FHu @ y[:, sc]).T @ self.W).ravel()])
+            By = np.concatenate([By, (Fy[:, self.shifted].T @ self.Wn).ravel()])
         w = self.SV @ ((self.SV.T @ By) / self.s)
-        X = (w[:m] @ self.Z).reshape(Bw.shape)
+        Y = self._Zt(w[:self.sg.size].reshape(self.sg.shape))
         if self.k:
-            wP = w[m:].reshape(sc.size, -1)
-            X[:, sc] += (self.FHu.T @ (self.W @ wP.T)) * self.free[:, sc]
-        return c + 0.5 * (X - super()._correction(X))
+            Y[:, self.shifted] += self.Wn @ w[self.sg.size:].reshape(self.shifted.size, -1).T
+        return (self.FHu.T @ (EF + 0.5 * (Y - self._blocks(self.E @ self.Q, Y)))) * self.free
 
 
 def _curvature(ops, lam, mask, term=None):

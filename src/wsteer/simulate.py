@@ -227,7 +227,7 @@ def _integer(name, value):
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"rollout {name} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def rollout(problem, policy, samples, seed):
@@ -240,10 +240,10 @@ def rollout(problem, policy, samples, seed):
     the wrong shape, and NotPDError when Stilde is not PD, as `assemble` would,
     before any sample is drawn.
     """
-    samples = _integer("samples", samples)
+    samples = _integer("rollout samples", samples)
     if samples < 2:
         raise ValueError("rollout needs samples >= 2")
-    seed = _integer("seed", seed)
+    seed = _integer("rollout seed", seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"rollout seed must be in [0, 2**64), got {seed}")
     sysm = problem.system

@@ -42,7 +42,7 @@ from .objective import (
     stationarity_residual,
 )
 from .problem import assemble, causality_mask, validate
-from .simulate import theta_to_k
+from .simulate import _integer, theta_to_k
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,15 @@ class SolverOptions:
     newton_max_iters: int = 20
 
     def __post_init__(self):
-        if self.max_ccp_iters < 1:
-            raise ValueError("max_ccp_iters must be >= 1")
+        for name in ("max_ccp_iters", "newton_max_iters"):
+            if _integer(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("obj_rel_tol", "stationarity_tol"):
             tol = getattr(self, name)
             if not 0.0 < tol < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
         if self.newton not in ("off", "when_certified"):
             raise ValueError(f"unknown newton mode {self.newton!r}")
-        if self.newton_max_iters < 1:
-            raise ValueError("newton_max_iters must be >= 1")
         if self.theta_init is not None:
             T = np.asarray(self.theta_init, dtype=float)
             if T.ndim != 2:

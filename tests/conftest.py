@@ -81,6 +81,17 @@ def rand_causal_theta(rng, mask, scale=0.3):
     return mask.project(scale * rng.standard_normal(mask.theta_shape))
 
 
+def singular_block_kernel(ops, lam, term, t, sigma=0.0):
+    """term with W changed so that A = 2 lam (I - Mt) gives the block
+    I + C_t^T A C_t of H_U the eigenvalue sigma: C_t^T A C_t =
+    diag(sigma - 1, 0, ..., 0)."""
+    _, C = ops.input_grams
+    Cinv = np.linalg.inv(C[t])
+    K = np.diag([sigma - 1.0] + [0.0] * (ops.n_x - 1))
+    m, Vm = np.linalg.eigh(np.eye(ops.n_x) - Cinv.T @ K @ Cinv / (2.0 * lam))
+    return term._replace(W=Vm * np.sqrt(m * term.r))
+
+
 # finite-difference oracles ---------------------------------------------------
 
 FD_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)

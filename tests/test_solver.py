@@ -484,13 +484,28 @@ def test_solve_post_conditions():
     assert_allclose(sol.K, w.theta_to_k(sol.Theta, ops.Hu))
 
 
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(max_ccp_iters=0)
-    with pytest.raises(ValueError):
-        SolverOptions(obj_rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(newton="always")
+@pytest.mark.parametrize("field, value, message", [
+    ("max_ccp_iters", 0, "max_ccp_iters must be >= 1"),
+    ("obj_rel_tol", 0.0, "obj_rel_tol must be finite and > 0"),
+    ("newton", "always", "unknown newton mode 'always'"),
+    # a step count that is not an integer is named here, not met later as a
+    # bare TypeError from range() inside solve
+    ("max_ccp_iters", 2.5, "max_ccp_iters must be an integer, got 2.5"),
+    ("max_ccp_iters", 3.0, "max_ccp_iters must be an integer, got 3.0"),
+    ("max_ccp_iters", True, "max_ccp_iters must be an integer, got True"),
+    ("newton_max_iters", 2.5, "newton_max_iters must be an integer, got 2.5"),
+    ("newton_max_iters", np.float64(4.0), "newton_max_iters must be an integer"),
+    ("newton_max_iters", False, "newton_max_iters must be an integer, got False"),
+], ids=["ccp-0", "obj_rel_tol-0", "newton-always", "ccp-2.5", "ccp-3.0", "ccp-True",
+        "newton_max-2.5", "newton_max-float64", "newton_max-False"])
+def test_solver_options_validation(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SolverOptions(**{field: value})
+
+
+def test_solver_options_accept_numpy_integer_step_counts():
+    opts = SolverOptions(max_ccp_iters=np.int64(3), newton_max_iters=np.int32(2))
+    assert (opts.max_ccp_iters, opts.newton_max_iters) == (3, 2)
 
 
 @pytest.mark.parametrize("theta_init, message", [
