@@ -304,6 +304,16 @@ def lifted_maps(system):
     return Gamma, Hu, Hw
 
 
+def require_stilde_conditioned(eig):
+    """Raise NotPDError unless Stilde's spectrum eig, sorted either way, passes rcond
+    RCOND_DATA; a PD Stilde can fail only on its conditioning, which the message names."""
+    lo, hi = sorted((eig[0], eig[-1]))
+    what = (f"Stilde is not PD at rcond {RCOND_DATA:g}: its condition number "
+            f"{hi / lo:.3e} exceeds {1.0 / RCOND_DATA:g}, with largest eigenvalue "
+            f"{hi:.3e} (how far the open-loop chain grows)") if lo > 0.0 else STILDE_NOT_PD
+    require_conditioned(eig, what, rcond=RCOND_DATA)
+
+
 def assemble(problem):
     """Assemble the lifted block operators for a steering problem.
 
@@ -319,12 +329,7 @@ def assemble(problem):
     HwSw = (Hw.reshape(-1, n_w) @ problem.noise_cov).reshape(Hw.shape)
     S0 = problem.initial.cov
     Stilde = symmetrize(Gamma @ S0 @ Gamma.T + HwSw @ Hw.T)
-    eig = np.linalg.eigvalsh(Stilde)
-    # a PD Stilde can fail only on its conditioning, which the message names
-    what = (f"Stilde is not PD at rcond {RCOND_DATA:g}: its condition number "
-            f"{eig[-1] / eig[0]:.3e} exceeds {1.0 / RCOND_DATA:g}, with largest eigenvalue "
-            f"{eig[-1]:.3e} (how far the open-loop chain grows)") if eig[0] > 0.0 else STILDE_NOT_PD
-    require_conditioned(eig, what, rcond=RCOND_DATA)
+    require_stilde_conditioned(np.linalg.eigvalsh(Stilde))
 
     F = np.zeros((n_x, (N + 1) * n_x))
     F[:, N * n_x:] = np.eye(n_x)

@@ -6,12 +6,12 @@ Theta = K (I - Hu K)^(-1) and K = (I + Theta Hu)^(-1) Theta; for causal
 Theta Hu and Hu K are strictly block lower triangular.
 
 Rollouts simulate the step dynamics with the K-form feedback acting on state
-deviations from the analytically propagated mean trajectory.  Noise comes
-from one counter-based Philox stream keyed on the seed, in which sample i owns
-a fixed range of raw counters (see _sample_noise).  A rollout runs in blocks
-of BLOCK samples spread over the CPUs the process may use; each block draws
-its own counter range, propagates it and keeps only its terminal states.  So
-the result is bitwise reproducible given (seed, samples) whatever the CPU
+deviations from the analytically propagated mean trajectory.  Noise comes from
+one counter-based Philox stream keyed on the seed, in which sample i owns a
+fixed range of raw counters (see _sample_noise).  A rollout runs in blocks of
+BLOCK samples on a thread pool, one worker per CPU it may use; each block
+draws its own counter range, propagates it and keeps only its terminal states.
+So the result is bitwise reproducible given (seed, samples) whatever the CPU
 count, and sample i's draws do not depend on how many samples are drawn
 alongside it.  Memory is about samples*n_x + workers*BLOCK*(n_x + N*n_w +
 (N+1)*n_x) doubles, the terminal states plus one block's noise and
@@ -34,11 +34,11 @@ from .errors import DimensionMismatchError, NotPDError, SingularTransformError
 from .matops import require_conditioned, symmetrize
 from .objective import wasserstein_sq_gaussian
 from .problem import (
-    RCOND_DATA,
     STILDE_NOT_PD,
     Gaussian,
     assemble,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
     lifted_maps,
+    require_stilde_conditioned,
 )
 
 # samples per rollout block: on a 2-core x86_64 host blocks of 1024, 2048 and
@@ -170,8 +170,8 @@ def _predicted_terminal(problem, policy, loop, Gamma, Hu, Hw):
     Stilde = R R^T with R = [Gamma L0, Hw (I_N kron Lw)], so the terminal
     covariance Omega Stilde Omega^T, Omega = F + FHu Theta, is C C^T with
     C = Omega R.  Stilde's eigenvalues are the squared singular values of R,
-    plus a zero for each row of R beyond its columns; like `assemble`, this
-    raises NotPDError when they fail rcond RCOND_DATA.
+    plus a zero for each row of R beyond its columns, and
+    `require_stilde_conditioned` judges them as it does for `assemble`.
     """
     N, n_x, n_w = problem.system.horizon, problem.system.n_x, problem.system.n_w
     q = (N + 1) * n_x
@@ -179,7 +179,7 @@ def _predicted_terminal(problem, policy, loop, Gamma, Hu, Hw):
     eig = np.zeros(q)
     sv = np.linalg.svd(R, compute_uv=False)
     eig[:sv.size] = sv * sv
-    require_conditioned(eig, STILDE_NOT_PD, rcond=RCOND_DATA)
+    require_stilde_conditioned(eig)
 
     FHu = Hu[N * n_x:]
     Om = FHu @ policy.Theta
@@ -237,8 +237,8 @@ def rollout(problem, policy, samples, seed):
     analytic prediction; the 5-sigma sampling bands are
     5*sqrt(trace(cov)/samples) for the mean and 5*sqrt(2/samples)*||cov||_F
     for the covariance.  Raises DimensionMismatchError when u_ff or Theta has
-    the wrong shape, and NotPDError when Stilde is not PD, as `assemble` would,
-    before any sample is drawn.
+    the wrong shape, and NotPDError when Stilde fails `assemble`'s check, with
+    `assemble`'s message, before any sample is drawn.
     """
     samples = _integer("rollout samples", samples)
     if samples < 2:
@@ -264,17 +264,11 @@ def rollout(problem, policy, samples, seed):
         Z0, Zw = _sample_noise(seed, count, n_x, N, n_w, first=first)
         XN[first:first + count] = _closed_loop_states(loop, Z0, Zw)[:, N * n_x:]
 
+    from concurrent.futures import ThreadPoolExecutor
     firsts = range(0, samples, BLOCK)
-    workers = min(_cpus(), len(firsts))
-    if workers == 1:
-        for first in firsts:
-            block(first)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            for done in [pool.submit(block, first) for first in firsts]:
-                done.result()
+    with ThreadPoolExecutor(min(_cpus(), len(firsts))) as pool:
+        for done in [pool.submit(block, first) for first in firsts]:
+            done.result()
 
     mean = XN.sum(axis=0) / samples
     Xc = XN - mean

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import SD_TIGHT, SD_WIDE, rand_problem
+from test_solver import saddle_start
 import wsteer as w
 import wsteer.cli as cli
 from wsteer.cli import load_config, main, solver_options_from_config
@@ -465,6 +466,34 @@ def test_check_reports_inertia_decision(tmp_path, capsys, monkeypatch):
     assert "FAIL" in line and "PD True vs dense Cholesky False" in line
 
 
+def test_check_at_a_saddle_reports_no_newton_solve(tmp_path, capsys):
+    # one CCP step from the saddle of the lambda = 2000 tight target leaves an
+    # indefinite block that both decisions call not PD
+    lam, Theta = saddle_start()
+    cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT, **{"lambda": lam}, solver={
+        "theta_init": Theta.tolist(), "max_ccp_iters": 1, "newton": "off"})
+    assert main(["check", str(cfg)]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("structured curvature vs dense causal block"))
+    assert " PASS  neg(H_U) 20, neg(S) 1, PD False vs dense Cholesky False, min eig " in line
+    assert line.endswith(", not PD: no Newton solve, 0 shifted border rows")
+    lmin, dense = line.split("min eig ")[1].split(",")[0].split(" vs dense ")
+    assert lmin == dense and float(lmin) < 0.0
+
+
+def test_check_reports_an_unsolved_start(tmp_path, capsys):
+    # a 1e9 first column makes the terminal covariance singular
+    Theta = np.zeros((10, 22))
+    Theta[:, 0] = 1e9
+    cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT,
+                       solver={**BASE_CONFIG["solver"], "theta_init": Theta.tolist()})
+    assert main(["check", str(cfg)]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("Hessian PD at Theta* (certificate)"))
+    assert line.endswith(" INFO  not solved: terminal covariance is singular: "
+                         "min 0.000e+00 <= 1e-13 * max 1.203e+18")
+
+
 def test_check_lambda_zero_reports_pd_hessian(tmp_path, capsys):
     cfg = write_config(tmp_path / "p.json")
     raw = json.loads(cfg.read_text())
@@ -749,6 +778,25 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, capsys, monkeypatch,
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and out in err[0]
     assert captured.out == "" and calls == []
+
+
+@pytest.mark.parametrize("overrides, points, lines", [
+    ({"S0": [[0.0, 0.0], [0.0, 0.0]], "lambda": 0.0}, "3",
+     ["validation: {b}: initial covariance not PD: min 0.000e+00 <= 1e-12 * max 0.000e+00",
+      "validation: {b}: lambda must be > 0, got 0.0"]),
+    ({}, "1", ["error: need at least 2 grid points"]),
+], ids=["second config invalid", "one point"])
+def test_scan_rejects_bad_input_before_any_solve(tmp_path, capsys, monkeypatch, overrides,
+                                                 points, lines):
+    cfg = str(write_config(tmp_path / "p.json"))
+    b = str(write_config(tmp_path / "b.json", **overrides))
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "s.csv"
+    assert main(["scan", cfg, b, "--points", points, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [l.format(b=b) for l in lines]
+    assert captured.out == "" and calls == [] and not out.exists()
 
 
 # Every size here is above the 128 TiB x86-64 user address space, or rejected

@@ -209,9 +209,7 @@ def assert_singular_block_agrees(ops, lam, mask, term, t, pd, rng):
 # with block 0 singular the later blocks are PD, and so is H; with block 2
 # singular the blocks before it are negative, and H is not PD.  Eigenvalues
 # up to 1e-2 (BLOCK_TOL) in size are shifted into the signed border; the rows
-# at +-1e-2 sit on the tolerance, and take the path the computed eigenvalue
-# gives (the test's name predates the shift: a dense small space used to decide
-# these blocks)
+# at +-1e-2 sit on the tolerance, and take the path the computed eigenvalue gives
 @pytest.mark.parametrize("n_x,t,sigma,pd", [(1, 0, 0.0, True), (2, 0, 0.0, True), (3, 0, 0.0, True),
                                             (1, 2, 0.0, False), (2, 2, 0.0, False), (3, 2, 0.0, False),
                                             (2, 0, 1e-6, True), (2, 2, -1e-6, False),
@@ -222,7 +220,7 @@ def assert_singular_block_agrees(ops, lam, mask, term, t, pd, rng):
                                             (2, 0, 1e-2, True), (2, 0, -1e-2, True),
                                             (2, 2, 1.5e-4, False), (2, 2, -1e-2, False),
                                             (1, 1, 1e-2, True), (1, 1, -1e-2, False)])
-def test_singular_block_falls_back_to_dense_small_space(n_x, t, sigma, pd):
+def test_singular_block_shifts_into_signed_border(n_x, t, sigma, pd):
     rng = np.random.default_rng(n_x)
     prob = rand_problem(rng, N=3, n_x=n_x, n_u=n_x, n_w=n_x, lam=10.0)
     ops = w.assemble(prob)

@@ -195,6 +195,13 @@ def test_evaluate_rejects_non_causal():
         evaluate(ops, prob.lam, Policy(np.zeros(ops.N * ops.n_u), Theta), mask)
 
 
+def test_evaluate_rejects_negative_lambda():
+    _, prob, ops, mask = setup_random(13, N=3)
+    pol = Policy(np.zeros(ops.N * ops.n_u), np.zeros(mask.theta_shape))
+    with pytest.raises(ValueError, match="^lam must be nonnegative$"):
+        evaluate(ops, -1.0, pol)
+
+
 def test_coercivity_probe():
     rng, prob, ops, mask = setup_random(14)
     u = rng.standard_normal(ops.N * ops.n_u)

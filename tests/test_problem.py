@@ -22,7 +22,9 @@ from conftest import (
 )
 import wsteer as w
 from wsteer.errors import DimensionMismatchError, IndexOrderError, NonFiniteError, NotPDError
+from wsteer.objective import Policy
 from wsteer.problem import RCOND_DATA
+from wsteer.simulate import rollout
 
 
 def scalar_problem(N=2):
@@ -107,6 +109,11 @@ def test_assemble_names_the_condition_number_of_a_pd_stilde():
     cond, hi = map(float, re.search(r"condition number (\S+) exceeds 1e\+12, "
                                     r"with largest eigenvalue (\S+) ", msg).groups())
     assert 1.0 / RCOND_DATA < cond < 2e12 and 3e9 < hi < 4e9
+    # rollout reads the same spectrum from a factor of Stilde and says the same
+    N, n_u, n_x = prob.system.horizon, prob.system.n_u, prob.system.n_x
+    with pytest.raises(NotPDError) as rolled:
+        rollout(prob, Policy(np.zeros(N * n_u), np.zeros((N * n_u, (N + 1) * n_x))), 16, 0)
+    assert str(rolled.value) == msg
 
 
 def test_assemble_block_structure_invariants():

@@ -2,7 +2,6 @@
 
 import math
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -24,7 +23,7 @@ import wsteer as w
 from wsteer import simulate
 from wsteer.errors import DimensionMismatchError, NotPDError, SingularTransformError
 from wsteer.objective import Policy, terminal_gaussian
-from wsteer.problem import RCOND_DATA, STILDE_NOT_PD
+from wsteer.problem import RCOND_DATA
 from wsteer.simulate import (
     _closed_loop,
     _closed_loop_states,
@@ -454,8 +453,13 @@ def _starved_problem(S0):
 def test_rollout_keeps_assemble_stilde_threshold():
     pol = Policy(np.zeros(1), np.zeros((1, 2)))
     assert rollout(_scalar_problem(RCOND_DATA * (1 + 1e-6)), pol, 16, 0).within_band
-    with pytest.raises(NotPDError, match=re.escape(STILDE_NOT_PD)):
-        rollout(_scalar_problem(RCOND_DATA * (1 - 1e-6)), pol, 16, 0)
+    # a PD Stilde = diag(1, ~1e-12): rollout names its condition number as assemble does
+    prob = _scalar_problem(RCOND_DATA * (1 - 1e-6))
+    with pytest.raises(NotPDError) as assembled:
+        w.assemble(prob)
+    with pytest.raises(NotPDError) as rolled:
+        rollout(prob, pol, 16, 0)
+    assert str(rolled.value) == str(assembled.value)
 
 
 @pytest.mark.parametrize("prob", [_starved_problem(1e-30 * np.eye(2)),
