@@ -608,30 +608,34 @@ def evaluate(ops, lam, policy, mask=None):
     )
 
 
-def stationarity_residual(ops, lam, policy, mask):
+def stationarity_residual(ops, lam, policy, mask, grad=None):
     """Norm of the J gradient projected on the free (causal) entries of Theta.
 
     The input Theta is projected onto the causal pattern first, so entries on
     the constrained complement never influence the result; the Lagrangian
     stationarity condition holds iff this residual vanishes, because the
-    multiplier terms are supported exactly on the complement.
+    multiplier terms are supported exactly on the complement.  `grad`, the
+    full gradient at a causal policy.Theta (an `evaluate` report's
+    grad_theta), is used instead of computing it.
     """
-    Theta = mask.project(policy.Theta)
-    return float(np.linalg.norm(mask.gather(grad_theta(ops, lam, Theta))))
+    if grad is None:
+        grad = grad_theta(ops, lam, mask.project(policy.Theta))
+    return float(np.linalg.norm(mask.gather(grad)))
 
 
-def convexity_certificate(ops, lam, Theta, mode="dominance"):
+def convexity_certificate(ops, lam, Theta, mode="dominance", kernel=None):
     """Check the sufficient convexity condition at the given Theta.
 
     mode "dominance" tests lambda_min(Omega Stilde Omega^T - Sd) >= -tol with
     tol = 1e-10 max(1, lambda_max(Omega Stilde Omega^T)) (terminal covariance
     dominates Sd in the Loewner order, which implies a PD Hessian); mode
     "spectral" reports the minimum eigenvalue of the Hessian over the causal
-    entries of Theta, the matrix Newton factors.
+    entries of Theta, the matrix Newton factors.  `kernel`, the terminal
+    kernel of an `evaluate` report at Theta, is used instead of computing it.
     """
     if mode not in ("dominance", "spectral"):
         raise ValueError(f"unknown certificate mode {mode!r}")
-    term = _terminal(ops, Theta)
+    term = _terminal(ops, Theta) if kernel is None else kernel
     gap = float(np.linalg.eigvalsh(term.Y - ops.Sd)[0])
     if mode == "dominance":
         tol = 1e-10 * max(1.0, float(term.Y_eigvals[-1]))

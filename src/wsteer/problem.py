@@ -4,7 +4,8 @@ The horizon-N system x_{k+1} = A_k x_k + B_k u_k + G_k w_k is lifted to
 x = Gamma x0 + Hu u + Hw w over the stacked state/input/noise vectors, and the
 total state covariance factor Stilde = Gamma S0 Gamma^T + Hw (I_N kron Sw) Hw^T is
 assembled once and shared immutably by the objective and solver.  A rollout
-needs only the lifted maps (`lifted_maps`), never Stilde.
+needs only the lifted maps (`lifted_maps`), and forms Stilde only to word its
+error when S0 or Sw has no Cholesky factor (`checked_stilde`).
 """
 
 from dataclasses import dataclass, field
@@ -314,6 +315,17 @@ def require_stilde_conditioned(eig):
     require_conditioned(eig, what, rcond=RCOND_DATA)
 
 
+def checked_stilde(problem, Gamma, Hw):
+    """Stilde = Gamma S0 Gamma^T + Hw (I_N kron Sw) Hw^T from the lifted maps,
+    judged by `require_stilde_conditioned` on its eigenvalues."""
+    # Hw (I_N kron Sw): each n_w-wide block column of Hw times Sw
+    HwSw = (Hw.reshape(-1, problem.system.n_w) @ problem.noise_cov).reshape(Hw.shape)
+    S0 = problem.initial.cov
+    Stilde = symmetrize(Gamma @ S0 @ Gamma.T + HwSw @ Hw.T)
+    require_stilde_conditioned(np.linalg.eigvalsh(Stilde))
+    return Stilde
+
+
 def assemble(problem):
     """Assemble the lifted block operators for a steering problem.
 
@@ -324,12 +336,7 @@ def assemble(problem):
     sysm = problem.system
     N, n_x, n_u, n_w = sysm.horizon, sysm.n_x, sysm.n_u, sysm.n_w
     Gamma, Hu, Hw = lifted_maps(sysm)
-
-    # Hw (I_N kron Sw): each n_w-wide block column of Hw times Sw
-    HwSw = (Hw.reshape(-1, n_w) @ problem.noise_cov).reshape(Hw.shape)
-    S0 = problem.initial.cov
-    Stilde = symmetrize(Gamma @ S0 @ Gamma.T + HwSw @ Hw.T)
-    require_stilde_conditioned(np.linalg.eigvalsh(Stilde))
+    Stilde = checked_stilde(problem, Gamma, Hw)
 
     F = np.zeros((n_x, (N + 1) * n_x))
     F[:, N * n_x:] = np.eye(n_x)

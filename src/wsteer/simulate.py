@@ -6,21 +6,21 @@ Theta = K (I - Hu K)^(-1) and K = (I + Theta Hu)^(-1) Theta; for causal
 Theta Hu and Hu K are strictly block lower triangular.
 
 Rollouts simulate the step dynamics with the K-form feedback acting on state
-deviations from the analytically propagated mean trajectory.  Noise comes from
-one counter-based Philox stream keyed on the seed, in which sample i owns a
-fixed range of raw counters (see _sample_noise).  A rollout runs in blocks of
-BLOCK samples on a thread pool, one worker per CPU it may use; each block
-draws its own counter range, propagates it and keeps only its terminal states.
-So the result is bitwise reproducible given (seed, samples) whatever the CPU
-count, and sample i's draws do not depend on how many samples are drawn
-alongside it.  Memory is about samples*n_x + workers*BLOCK*(n_x + N*n_w +
+deviations from the analytically propagated mean trajectory.  A rollout runs
+in blocks of BLOCK samples on a thread pool, one worker per CPU it may use;
+each block draws its noise from a stream of its own, child b of the seed's
+SeedSequence (see _sample_noise), propagates it and keeps only its terminal
+states.  So the result is bitwise reproducible given (seed, samples) whatever
+the CPU count, and sample i's draws do not depend on how many samples are
+drawn alongside it.  Memory is about samples*n_x + workers*BLOCK*(n_x + N*n_w +
 (N+1)*n_x) doubles, the terminal states plus one block's noise and
 trajectories per worker, instead of every sample's whole trajectory.
 
 The predicted terminal Gaussian that a rollout is judged against comes from
 the lifted maps (`problem.lifted_maps`) and products with n_x rows alone; a
-rollout never forms Stilde, and checks it through the singular values of a
-factor (see _predicted_terminal).
+rollout checks Stilde through the singular values of a factor (see
+_predicted_terminal), and forms it only to word the error when S0 or Sw has
+no Cholesky factor (see _cholesky).
 """
 
 import operator
@@ -37,11 +37,14 @@ from .problem import (
     STILDE_NOT_PD,
     Gaussian,
     assemble,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
+    checked_stilde,
     lifted_maps,
     require_stilde_conditioned,
 )
 
-# samples per rollout block: on a 2-core x86_64 host blocks of 1024, 2048 and
+# samples per rollout block, and per noise stream: sample i is row i % BLOCK
+# of block i // BLOCK's stream, so changing BLOCK changes every rollout
+# number for a given seed.  On a 2-core x86_64 host blocks of 1024, 2048 and
 # 4096 ran the benchmark's N = 10 and N = 40 rollouts equally fast within
 # noise, and 2048 holds half the memory of 4096 per worker
 BLOCK = 2048
@@ -86,43 +89,31 @@ class RolloutReport:
 
 
 def _sample_noise(seed, n_samples, n_x, N, n_w, first=0):
-    """Standard-normal draws of samples [first, first + n_samples) from one
-    Philox stream keyed (seed, 0).
+    """Standard-normal draws of samples [first, first + n_samples), one
+    stream per block of BLOCK samples.
 
     Returns (Z0, Zw) with shapes (n_samples, n_x) and (n_samples, N, n_w).
-    Each sample needs per = n_x + N*n_w normals; sample i owns the raw 64-bit
-    words [i*m, (i+1)*m) of the stream, with m = 2*ceil(per/2).  Each word
-    becomes the uniform ((word >> 11) + 0.5) * 2**-53, which is never 0, and
-    consecutive uniforms (u1, u2) become the Box-Muller pair
-    sqrt(-2 log u1) * (cos 2 pi u2, sin 2 pi u2).  The first per normals of
-    the range are the sample's (Z0[i], Zw[i].ravel()); so sample i's values
-    depend only on (seed, i), never on the batch size or on blocking.
+    Each sample needs per = n_x + N*n_w normals.  Block b, the samples
+    [b*BLOCK, (b+1)*BLOCK), draws its normals row-major, per to a sample,
+    with NumPy's ziggurat `Generator.standard_normal` on SFC64 seeded by
+    SeedSequence(seed, spawn_key=(b,)), child b of SeedSequence(seed).  Row i
+    of a block is the sample's (Z0[i], Zw[i].ravel()), so sample i's values
+    depend only on (seed, i), never on the batch size; BLOCK is part of the
+    stream's definition.  A range that starts inside a block draws that
+    block's earlier rows and drops them.
     """
     per = n_x + N * n_w
-    half = (per + 1) // 2
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    # one Philox counter step yields 4 words: step to the counter that holds
-    # word w0, then drop the words before it
-    w0 = first * 2 * half
-    bitgen.advance(w0 // 4)
-    bitgen.random_raw(w0 % 4)
-    raw = bitgen.random_raw(n_samples * 2 * half).reshape(n_samples, half, 2)
-    raw >>= 11
-    # every step below overwrites its input, so the block holds one array of
-    # words, then uniforms, then normals, plus the radii r
-    Z = raw.view(float)
-    np.add(raw, 0.5, out=Z)
-    Z *= 2.0 ** -53
-    r = np.log(Z[..., 0])
-    r *= -2.0
-    np.sqrt(r, out=r)
-    t = Z[..., 1]
-    t *= 2.0 * np.pi
-    np.cos(t, out=Z[..., 0])
-    np.sin(t, out=t)
-    Z *= r[..., None]
-    Z = Z.reshape(n_samples, 2 * half)
-    return Z[:, :n_x], Z[:, n_x:per].reshape(n_samples, N, n_w)
+    Z = np.empty((n_samples, per))
+    row = 0
+    while row < n_samples:
+        b, skip = divmod(first + row, BLOCK)
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        if skip:
+            gen.standard_normal(skip * per)
+        count = min(BLOCK - skip, n_samples - row)
+        gen.standard_normal(out=Z[row:row + count])
+        row += count
+    return Z[:, :n_x], Z[:, n_x:].reshape(n_samples, N, n_w)
 
 
 class _ClosedLoop(NamedTuple):
@@ -140,12 +131,17 @@ class _ClosedLoop(NamedTuple):
     Lw: np.ndarray
 
 
-def _cholesky(S, name):
-    """chol(S); raises NotPDError naming S when S has no Cholesky factor."""
+def _cholesky(problem, S, name):
+    """chol(S) of problem's covariance S.  When S has no Cholesky factor,
+    raises NotPDError with `assemble`'s text if Stilde fails its check (the
+    only path on which a rollout forms Stilde), else naming S."""
     try:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        raise NotPDError(f"{STILDE_NOT_PD}: {name} has no Cholesky factor") from None
+        pass
+    Gamma, _, Hw = lifted_maps(problem.system)
+    checked_stilde(problem, Gamma, Hw)
+    raise NotPDError(f"{STILDE_NOT_PD}: {name} has no Cholesky factor")
 
 
 def _closed_loop(problem, policy, Hu):
@@ -157,8 +153,8 @@ def _closed_loop(problem, policy, Hu):
     for k in range(N):
         uk = policy.u_ff[k * n_u:(k + 1) * n_u]
         xbar[k + 1] = sysm.A[k] @ xbar[k] + sysm.B[k] @ uk
-    L0 = _cholesky(problem.initial.cov, "S0")
-    Lw = _cholesky(problem.noise_cov, "Sw")
+    L0 = _cholesky(problem, problem.initial.cov, "S0")
+    Lw = _cholesky(problem, problem.noise_cov, "Sw")
     return _ClosedLoop(A=sysm.A, B=sysm.B, GLw=tuple(G @ Lw for G in sysm.G),
                        K=theta_to_k(policy.Theta, Hu), xbar=xbar, L0=L0, Lw=Lw)
 

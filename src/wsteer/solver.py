@@ -95,6 +95,9 @@ class SolveTrace:
     records: list = field(default_factory=list)
     # "stationarity" | "objective_stalled" | "max_iters" | "newton_max_iters" | "switch"
     termination: str = ""
+    # the ObjectiveReport of the last record's iterate, whose gradient and
+    # terminal kernel a resumed CCP run and the certificate reuse
+    report: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def iterations(self):
@@ -199,7 +202,8 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_af
     are spent ("max_iters").
 
     The run starts from options.theta_init, or continues resume = (Theta,
-    trace), whose CCP records count against max_ccp_iters and to which the
+    trace), whose CCP records count against max_ccp_iters, whose report (the
+    evaluation at Theta) gives the first step's gradient, and to which the
     new records are appended.  With switch_after = j the run also stops, with
     termination "switch", after a step k >= j (not the last allowed one) at
     which the crawl rule fires.  Returns (Theta, SolveTrace).
@@ -214,6 +218,7 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_af
         # Theta_k is causal, so this is stationarity_residual at Theta_k
         res = float(np.linalg.norm(mask.gather(rep.grad_theta)))
         trace.records.append(_iter_record(k, kind, rep, res))
+        trace.report = rep
         return rep.J, res, rep.grad_theta
 
     if resume is None:
@@ -229,7 +234,7 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_af
     else:
         Theta, trace = resume
         J_prev, res_prev = trace.records[-1].J, trace.records[-1].residual
-        grad = None
+        grad = trace.report.grad_theta
 
     factor = _reduced_curvature_factor(ops, lam, mask)
     k0 = trace.records[-1].k
@@ -304,8 +309,10 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
             break
         Theta, rep = cand, rep_c
         if trace is not None:
-            res_new = stationarity_residual(ops, lam, Policy(u_ff, Theta), mask)
+            res_new = stationarity_residual(ops, lam, Policy(u_ff, Theta), mask,
+                                            grad=rep.grad_theta)
             trace.records.append(_iter_record(base_iter + k, "newton", rep, res_new))
+            trace.report = rep
     return Theta
 
 
@@ -364,12 +371,13 @@ def solve(problem, options=None):
     else:
         Theta, trace = _ccp_then_newton(ops, lam, mask, options, u_star)
 
-    cert = convexity_certificate(ops, lam, Theta, mode="dominance")
+    # the last record's report is the evaluation at Theta
+    kernel = trace.report.kernel
+    cert = convexity_certificate(ops, lam, Theta, mode="dominance", kernel=kernel)
     if cert.kind is None:
-        cert = convexity_certificate(ops, lam, Theta, mode="spectral")
+        cert = convexity_certificate(ops, lam, Theta, mode="spectral", kernel=kernel)
 
-    policy = Policy(u_star, Theta)
-    report = replace(evaluate(ops, lam, policy), certificate=cert)
+    report = replace(trace.report, certificate=cert)
     K = theta_to_k(Theta, ops.Hu)
     return Solution(u_ff=u_star, Theta=Theta, K=K, report=report, trace=trace)
 

@@ -6,7 +6,10 @@ threads), recording the lines executed in `src/wsteer`.  A statement counts
 when the compiler gave its first line code of its own; docstrings are not
 statements here.  Code that tests run in a subprocess (the CLI entry point,
 fresh-interpreter import checks) is not seen.  Prints, per module, the first
-lines of the statements that never ran.  Run from the repository root:
+lines of the statements that never ran.  Exits 1 when a test fails or when
+a statement outside a module's `if __name__ == "__main__":` block never ran
+(that block runs only when the module is a script, which tests do in a
+subprocess).  Run from the repository root:
 
     PYTHONPATH=src python tests/line_trace.py [PYTEST_ARGS]
 """
@@ -36,6 +39,16 @@ def _statement_lines(source):
                 docstrings.add(first)
     return {node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.stmt) and node not in docstrings}
+
+
+def _main_block_lines(source):
+    """Lines of the statements inside the module-level `if __name__ == "__main__":`."""
+    lines = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            lines |= {n.lineno for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.stmt)}
+    return lines
 
 
 def _code_lines(code):
@@ -77,6 +90,7 @@ def main(args):
         sys.settrace(None)
         threading.settrace(None)
 
+    uncovered = False
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
@@ -87,7 +101,8 @@ def main(args):
         missed = sorted(runnable - executed.get(path, set()))
         if missed:
             print(f"{name}: {', '.join(map(str, missed))}")
-    return int(status)
+        uncovered |= bool(set(missed) - _main_block_lines(source))
+    return 1 if uncovered else int(status)
 
 
 if __name__ == "__main__":

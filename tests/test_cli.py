@@ -416,6 +416,7 @@ BAD_THETA_INIT = [
     ("NaN", _with_entry(ZERO_THETA, float("nan")), NOT_FINITE_THETA_INIT),
     ("Infinity", _with_entry(ZERO_THETA, float("inf")), NOT_FINITE_THETA_INIT),
     ("2 x 2", [[0.0, 0.0], [0.0, 0.0]], "error: theta_init shape (2, 2) != (10, 22)"),
+    ("string", "random", "error: solver.theta_init must be 'zero' or a matrix"),
 ]
 
 
@@ -686,6 +687,11 @@ REJECTED_FIELDS = [
      "error: field 'time_invariant' must be true or false, got 'false'", ALL_COMMANDS),
     ("time_invariant 1", {"time_invariant": 1},
      "error: field 'time_invariant' must be true or false, got 1", ALL_COMMANDS),
+    ("A a vector", {"A": [1.0, 0.1]},
+     "error: field 'A' must be a matrix when time_invariant", ALL_COMMANDS),
+    ("per-step A one matrix", {"time_invariant": False},
+     "error: field 'A' must be a list of N=10 matrices (or set time_invariant: true)",
+     ALL_COMMANDS),
 ]
 
 

@@ -269,6 +269,20 @@ def test_pd_inverse_guard():
         mo.pd_inverse(np.diag([1.0, 1e-15]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mo.check_symmetric(np.ones(3)),
+    lambda: mo.symmetrize(np.ones(3)),
+    lambda: mo.check_symmetric(np.ones((2, 3))),
+    lambda: mo.commutation_matrix(0, 2),
+    lambda: mo.commutation_apply(np.ones(5), 2, 3),
+    lambda: mo.jac_inv(np.ones((2, 3))),
+], ids=["not 2-D", "symmetrize 1-D", "not square", "empty commutation",
+        "commutation length", "jac_inv not square"])
+def test_shape_guards(call):
+    with pytest.raises(DimensionMismatchError):
+        call()
+
+
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         mo.vec(np.array([[np.nan, 0.0], [0.0, 1.0]]))

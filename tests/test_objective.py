@@ -25,6 +25,7 @@ import wsteer as w
 from wsteer import matops as mo
 from wsteer.cli import load_config, solver_options_from_config
 from wsteer.errors import (
+    DimensionMismatchError,
     IndefiniteBeyondToleranceError,
     SingularTerminalCovarianceError,
     WsteerError,
@@ -246,6 +247,21 @@ def test_grad_theta_j4_term_alone_fd():
     g4 = grad_theta_j4(ops, prob.lam, Theta)
     fd = fd_grad_matrix(lambda T: evaluate(ops, prob.lam, Policy(u, T)).J4, Theta)
     assert rel_err(fd, g4) < 1e-6
+    # J4 = 2 lam trace(C^(1/2)) vanishes at lam = 0
+    assert np.array_equal(grad_theta_j4(ops, 0.0, Theta), np.zeros_like(Theta))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda ops: Policy(np.zeros(10), np.zeros(22)), DimensionMismatchError),
+    (lambda ops: omega(ops, np.zeros((10, 20))), DimensionMismatchError),
+    (lambda ops: wasserstein_sq_gaussian(w.Gaussian([0.0], [[1.0]]), w.Gaussian(
+        [0.0, 0.0], np.eye(2))), DimensionMismatchError),
+    (lambda ops: convexity_certificate(ops, 1.0, np.zeros((10, 22)), mode="hessian"),
+     ValueError),
+], ids=["1-D Theta", "omega shape", "W2 dimensions", "certificate mode"])
+def test_objective_rejects_malformed_input(call, error):
+    with pytest.raises(error):
+        call(w.assemble(double_integrator_problem(SD_TIGHT)))
 
 
 class _CountedMatmul(np.ndarray):

@@ -294,6 +294,7 @@ def test_causality_mask_gather_scatter_round_trip(N, n_u, n_x):
     assert np.array_equal(mask.scatter(mask.gather(Theta)), mask.project(Theta))
     assert np.array_equal(mask.gather(mask.scatter(v)), v)
     assert mask.is_causal(mask.scatter(v))
+    assert not mask.is_causal(mask.scatter(v).T)
     with pytest.raises(DimensionMismatchError):
         mask.gather(Theta.T)
 
@@ -328,8 +329,15 @@ def test_negative_lambda_rejected_at_construction():
 
 
 def test_system_shape_validation():
-    with pytest.raises(DimensionMismatchError):
-        w.TimeVaryingLinearSystem((np.eye(2),), (np.zeros((3, 1)),), (np.eye(2),))
+    I, b, g = np.eye(2), np.zeros((2, 1)), np.eye(2)
+    for A, B, G, what in (((I,), (np.zeros((3, 1)),), (I,), "B[0] has shape"),
+                          ((I, I), (b,), (g,), "equal length"),
+                          ((np.ones((2, 3)),), (b,), (g,), "A[0] has shape"),
+                          ((I,), (b,), (np.ones(2),), "G[0] has shape"),
+                          ((I, I), (b, np.zeros((2, 2))), (g, g), "B[1] input dimension"),
+                          ((I, I), (b, b), (g, np.ones((2, 1))), "G[1] noise dimension")):
+        with pytest.raises(DimensionMismatchError, match=re.escape(what)):
+            w.TimeVaryingLinearSystem(A, B, G)
     with pytest.raises(DimensionMismatchError):
         w.TimeVaryingLinearSystem.time_invariant(np.eye(2), np.zeros((2, 1)), np.eye(2), 0)
 

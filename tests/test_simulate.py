@@ -201,25 +201,29 @@ def test_sample_noise_is_chunk_invariant_by_stream():
     assert np.array_equal(Zwa[:3], Zwb)
 
 
-def _philox_normals(seed, first, count):
-    # reference for _sample_noise: raw words [first, first + count) of the
-    # single Philox(seed, 0) stream as 53-bit uniforms, paired by Box-Muller
-    raw = np.random.Philox(key=[seed, 0]).random_raw(first + count)[first:]
-    u = ((raw >> 11) + 0.5) * 2.0 ** -53
-    r = np.sqrt(-2.0 * np.log(u[0::2]))
-    t = 2.0 * np.pi * u[1::2]
-    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1).reshape(-1)
+def _block_rows(seed, first, count, per):
+    # reference for _sample_noise: rows [first, first + count) of the blocks'
+    # streams laid end to end, block b drawn whole, BLOCK rows of per normals,
+    # from child b of SeedSequence(seed) through SFC64
+    blocks = range(first // simulate.BLOCK, (first + count - 1) // simulate.BLOCK + 1)
+    children = np.random.SeedSequence(seed).spawn(blocks[-1] + 1)
+    rows = np.concatenate([
+        np.random.Generator(np.random.SFC64(children[b])).standard_normal((simulate.BLOCK, per))
+        for b in blocks])
+    lo = first - blocks[0] * simulate.BLOCK
+    return rows[lo:lo + count]
 
 
 def test_sample_noise_counter_addressing():
-    # sample i owns raw words [i*m, (i+1)*m) of one stream, m = 2*ceil(per/2);
-    # per = 3 + 2*2 = 7 is odd, so each range ends with one unused normal
-    seed, S, i, n_x, N, n_w = 9, 6, 3, 3, 2, 2
-    per, m = 7, 8
+    # sample i is row i mod BLOCK of block i // BLOCK's stream; per = 3 + 2*2
+    # = 7 is odd, and the batch crosses the first block boundary
+    seed, n_x, N, n_w, per = 9, 3, 2, 2, 7
+    S = simulate.BLOCK + 3
     Z0, Zw = _sample_noise(seed, S, n_x, N, n_w)
     assert Z0.shape == (S, n_x) and Zw.shape == (S, N, n_w)
-    got = np.concatenate([Z0[i], Zw[i].reshape(-1)])
-    assert np.array_equal(got, _philox_normals(seed, i * m, m)[:per])
+    ref = _block_rows(seed, 0, S, per)
+    assert np.array_equal(Z0, ref[:, :n_x])
+    assert np.array_equal(Zw.reshape(S, -1), ref[:, n_x:])
     # a batch's first j samples are the j-sample batch
     for j in (1, 4):
         Z0j, Zwj = _sample_noise(seed, j, n_x, N, n_w)
@@ -227,13 +231,13 @@ def test_sample_noise_counter_addressing():
         assert np.array_equal(Zw[:j], Zwj)
 
 
-@pytest.mark.parametrize("first", [0, 1, 2, 5, 1001])
+@pytest.mark.parametrize("first", [0, 1, 2, 5, 1001, simulate.BLOCK - 1, 2 * simulate.BLOCK + 5])
 def test_sample_noise_from_any_first_sample(first):
-    # per = 1 + 2*2 = 5, m = 6: sample f starts at word 6f, which is a
-    # multiple of the 4-word Philox step only for even f
-    seed, count, n_x, N, n_w, per, m = 4, 3, 1, 2, 2, 5, 6
+    # per = 1 + 2*2 = 5 is odd; a range starting inside a block drops that
+    # block's earlier rows, and BLOCK - 1 crosses into the next block
+    seed, count, n_x, N, n_w, per = 4, 3, 1, 2, 2, 5
     Z0, Zw = _sample_noise(seed, count, n_x, N, n_w, first=first)
-    ref = _philox_normals(seed, first * m, count * m).reshape(count, m)[:, :per]
+    ref = _block_rows(seed, first, count, per)
     assert np.array_equal(Z0, ref[:, :n_x])
     assert np.array_equal(Zw, ref[:, n_x:].reshape(count, N, n_w))
 
@@ -343,6 +347,15 @@ def test_rollout_leaves_no_thread_behind(monkeypatch, tight_policy):
     assert ran_on and threading.get_ident() not in ran_on
 
 
+def test_cpus_without_affinity_mask(monkeypatch):
+    # a platform without os.sched_getaffinity falls back on the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert simulate._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._cpus() == 1
+
+
 def test_concurrent_rollouts_match_sequential(monkeypatch, tight_policy):
     # two callers at once, each with more workers than this host may have
     # cores, and thread switches as often as the interpreter allows
@@ -389,12 +402,14 @@ def test_rollout_never_holds_whole_trajectories(monkeypatch):
 
 
 def test_import_leaves_thread_pool_unloaded():
+    # the rollout's thread pool and noise generators load at call time; an
+    # eager numpy.random would add its import to every command's start-up
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import wsteer; "
-            "print('concurrent.futures' in sys.modules)")
+            "print([m in sys.modules for m in ('concurrent.futures', 'numpy.random')])")
     run = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[False, False]"
 
 
 def test_rollout_never_assembles(monkeypatch, tight_policy):
@@ -462,17 +477,33 @@ def test_rollout_keeps_assemble_stilde_threshold():
     assert str(rolled.value) == str(assembled.value)
 
 
-@pytest.mark.parametrize("prob", [_starved_problem(1e-30 * np.eye(2)),
-                                  _starved_problem(np.zeros((2, 2))),
-                                  _scalar_problem(-1.0)],
+@pytest.mark.parametrize("prob, same_text", [(_starved_problem(1e-30 * np.eye(2)), False),
+                                             (_starved_problem(np.zeros((2, 2))), True),
+                                             (_scalar_problem(-1.0), True)],
                          ids=["singular-stilde", "S0-zero", "Sw-negative"])
-def test_rollout_rejects_what_assemble_rejects(prob):
-    with pytest.raises(NotPDError):
+def test_rollout_rejects_what_assemble_rejects(prob, same_text):
+    with pytest.raises(NotPDError) as assembled:
         w.assemble(prob)
     n_x, N = prob.system.n_x, prob.system.horizon
     pol = Policy(np.zeros(N * prob.system.n_u), np.zeros((N * prob.system.n_u, (N + 1) * n_x)))
-    with pytest.raises(NotPDError, match="Stilde is not PD"):
+    with pytest.raises(NotPDError, match="Stilde is not PD") as rolled:
         rollout(prob, pol, 16, 0)
+    # an S0 or Sw with no Cholesky factor stops rollout with assemble's text;
+    # rollout reads a singular Stilde from R's singular values, so its
+    # minimum differs from that of eigvalsh(Stilde)
+    if same_text:
+        assert str(rolled.value) == str(assembled.value)
+
+
+def test_rollout_names_a_noise_covariance_without_cholesky_factor():
+    # Sw = diag(1, 0) has no Cholesky factor, but G = [1, 1] makes
+    # G Sw G^T = 1 and Stilde = I PD, so assemble passes
+    sysm = w.TimeVaryingLinearSystem.time_invariant([[0.0]], [[1.0]], [[1.0, 1.0]], 1)
+    prob = w.SteeringProblem(sysm, w.Gaussian([0.0], [[1.0]]), np.diag([1.0, 0.0]),
+                             w.Gaussian([0.0], [[1.0]]), 1.0)
+    w.assemble(prob)
+    with pytest.raises(NotPDError, match="Sw has no Cholesky factor"):
+        rollout(prob, Policy(np.zeros(1), np.zeros((1, 2))), 16, 0)
 
 
 @pytest.mark.parametrize("field, pol", [

@@ -664,6 +664,20 @@ def test_line_scan_names_first_failing_point(monkeypatch, chunk):
         assert scanned(ops, prob.lam, a, b, grid) == ref
 
 
+def test_line_scan_reraises_a_chunk_error_no_point_repeats(monkeypatch):
+    rng, prob, ops, mask = setup_random(29, N=3, n_x=2, n_u=1)
+    pa, pb = random_policies(rng, ops, mask)
+    real = wsteer.solver._segment_values
+
+    def stacked_fails(ops, lam, a, b, gammas):
+        if gammas.size > 1:
+            raise SingularTerminalCovarianceError("only the stack fails")
+        return real(ops, lam, a, b, gammas)
+    monkeypatch.setattr(wsteer.solver, "_segment_values", stacked_fails)
+    with pytest.raises(SingularTerminalCovarianceError, match="^only the stack fails$"):
+        line_scan(ops, prob.lam, pa, pb, np.linspace(0.0, 1.0, 5))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_line_scan_non_finite_points_raise_like_evaluate():
     # evaluate rejects a non-finite terminal covariance with NonFiniteError,
