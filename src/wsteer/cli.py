@@ -197,6 +197,7 @@ def _require_valid(problem, source=None):
 def _solution_payload(problem, sol):
     rep = sol.report
     cert = rep.certificate
+    kinds = [r.kind for r in sol.trace.records]
     return {
         "dimensions": {
             "N": problem.system.horizon,
@@ -222,6 +223,8 @@ def _solution_payload(problem, sol):
         },
         "trace": {
             "iterations": sol.trace.iterations,
+            "ccp_steps": kinds.count("ccp"),
+            "newton_steps": kinds.count("newton"),
             "termination": sol.trace.termination,
             "final_J": sol.trace.records[-1].J,
             "final_residual": sol.trace.records[-1].residual,
@@ -239,9 +242,11 @@ def cmd_solve(args):
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
+    trace = payload["trace"]
     print(
         f"solved: J={sol.report.J:.12g} termination={sol.trace.termination} "
-        f"iterations={sol.trace.iterations} -> {args.output}"
+        f"iterations={sol.trace.iterations} ccp_steps={trace['ccp_steps']} "
+        f"newton_steps={trace['newton_steps']} -> {args.output}"
     )
     if not sol.trace.converged:
         print(f"not converged: final residual {sol.trace.records[-1].residual:.3e} > "

@@ -46,7 +46,8 @@ its eigvalsh below the size rule.  Above it the kind is the inertia count,
 and lambda_min the Rayleigh quotient, with the exact H, of a Ritz vector of
 plain Lanczos on the unrefined H^-1.  `_terminal` and `_values` (J1..J4, W2)
 also take a stack of policies along leading axes, each member's bits equal
-to a lone policy's; `line_scan` evaluates its grid that way.
+to a lone policy's; `line_scan` evaluates its grid that way.  `_ray` gives
+J's change along a Newton step in difference form, for its line search.
 """
 
 from dataclasses import dataclass, field
@@ -122,7 +123,7 @@ class ObjectiveReport:
     grad_theta: np.ndarray
     certificate: Optional[Certificate] = None
     # the terminal kernel at the policy, from which the solver's Newton step
-    # builds its curvature
+    # builds its curvature and its line search
     kernel: Optional[object] = field(default=None, repr=False, compare=False)
 
 
@@ -191,11 +192,22 @@ class _Terminal(NamedTuple):
     trace_root: np.ndarray  # trace C^(1/2), C = Sd^(1/2) Y Sd^(1/2)
     W: np.ndarray           # Sd^(1/2) V, with C = V diag(r^2) V^T
     r: np.ndarray           # square roots of the eigenvalues of C, ascending
+    V: np.ndarray           # the eigenvectors of C
 
     @property
     def Mt(self):
         """Sd # Y^(-1) = W diag(1/r) W^T, the geometric mean in the J4 gradient."""
         return symmetrize((self.W / self.r[..., None, :]) @ _mT(self.W))
+
+
+def _spectra(ops, Y):
+    """The eigenvalues y of Y, and c and V of C = Sd^(1/2) Y Sd^(1/2) = V diag(c) V^T,
+    after the conditioning guards of `_terminal`."""
+    y = np.linalg.eigvalsh(Y)
+    require_conditioned(y, "terminal covariance is singular", SingularTerminalCovarianceError)
+    c, V = np.linalg.eigh(symmetrize(ops.sqrt_Sd @ Y @ ops.sqrt_Sd))
+    require_conditioned(c, "Sd^1/2 Y Sd^1/2 is not PD", SingularTerminalCovarianceError, rcond=0.0)
+    return y, c, V
 
 
 def _terminal(ops, Theta):
@@ -214,13 +226,10 @@ def _terminal(ops, Theta):
     Om = omega(ops, Theta)
     OmS = Om @ ops.Stilde
     Y = symmetrize(OmS @ _mT(Om))
-    y = np.linalg.eigvalsh(Y)
-    require_conditioned(y, "terminal covariance is singular", SingularTerminalCovarianceError)
-    c, V = np.linalg.eigh(symmetrize(ops.sqrt_Sd @ Y @ ops.sqrt_Sd))
-    require_conditioned(c, "Sd^1/2 Y Sd^1/2 is not PD", SingularTerminalCovarianceError, rcond=0.0)
+    y, c, V = _spectra(ops, Y)
     r = np.sqrt(c)
     return _Terminal(OmS=OmS, Y=Y, Y_eigvals=y, trace_root=np.sum(r, axis=-1),
-                     W=ops.sqrt_Sd @ V, r=r)
+                     W=ops.sqrt_Sd @ V, r=r, V=V)
 
 
 class _Values(NamedTuple):
@@ -621,6 +630,36 @@ def stationarity_residual(ops, lam, policy, mask, grad=None):
     if grad is None:
         grad = grad_theta(ops, lam, mask.project(policy.Theta))
     return float(np.linalg.norm(mask.gather(grad)))
+
+
+def _ray(ops, lam, Theta, Delta, term):
+    """dJ(t) = J(Theta - t Delta) - J(Theta), u_ff fixed, in difference form
+    from term, the terminal kernel at Theta.  With D = FHu Delta, B = D Stilde
+    Omega^T and C = D Stilde D^T, the terminal covariance moves by
+    dY = -t (B + B^T) + t^2 C, J2 and J3 change by polynomials in t, and
+    J4 by 2 lam tr X, where R(t) X + X R = Sd^(1/2) dY Sd^(1/2) with
+    R(t) = (Sd^(1/2) Y(t) Sd^(1/2))^(1/2), solved in the eigenbases of R and
+    R(t).  Every term's round-off scales with t Delta, not with J, so dJ
+    resolves changes far below J's evaluation noise.  dJ(t) is inf where Y(t)
+    fails `_terminal`'s conditioning guards.  Costs one product of evaluate's
+    size, Delta Stilde, and then two n_x x n_x eigendecompositions per t.
+    """
+    DS = Delta @ ops.Stilde
+    D = ops.FHu @ Delta
+    B = D @ term.OmS.T
+    C = symmetrize(ops.FHu @ DS @ D.T)
+    lin, quad = float(np.vdot(Theta, DS)), float(np.vdot(Delta, DS))
+
+    def dJ(t):
+        dY = t * t * C - t * (B + B.T)
+        try:
+            _, c, U = _spectra(ops, symmetrize(term.Y + dY))
+        except SingularTerminalCovarianceError:
+            return np.inf  # a point evaluate rejects is never a step's end
+        X = ((ops.sqrt_Sd @ U).T @ dY @ term.W) / np.add.outer(np.sqrt(c), term.r)
+        return float(t * (t * quad - 2.0 * lin) + lam * np.trace(dY)
+                     - 2.0 * lam * np.sum(X * (U.T @ term.V)))
+    return dJ
 
 
 def convexity_certificate(ops, lam, Theta, mode="dominance", kernel=None):

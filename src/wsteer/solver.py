@@ -1,5 +1,6 @@
-"""Policy computation: closed-form feedforward, then convex-concave iteration
-on the causal feedback gain that hands over to guarded Newton once it crawls.
+"""Policy computation: closed-form feedforward, then guarded Newton on the
+causal feedback gain from the first iterate, with the convex-concave step as
+its fallback.
 
 The objective splits into a convex quadratic part J1 + J2 + J3 and a convex
 part J4 entering with a minus sign.  Each convex-concave step linearizes J4 at
@@ -7,16 +8,15 @@ the current iterate and minimizes the remaining convex quadratic over the
 causal subspace.  That quadratic has the constant curvature H0 of J2 + J3, so
 its minimizer is Theta_k - H0^(-1) grad J(Theta_k) on the free entries: the
 Newton step with J4's curvature dropped, taken from the gradient the iterate
-already has and a factor of H0 computed once.  This guarantees monotone
-descent of J, but only a linear rate, which at large lambda is a crawl.  Once
-the residual ratio shows that crawl, damped Newton steps, guarded by a
-positive definite reduced Hessian and a line search that lets J rise only
-within its evaluation noise, and then only when the projected residual falls,
-drive the projected gradient to zero with a quadratic tail; when Newton
-fails, CCP resumes from its iterate.  `objective._curvature` inverts H0 in
-closed form, and each Newton step's H = H_U + Z^T Z by the same block closed
-form plus a signed Woodbury border for Z and the shifted nearly singular
-blocks, at every horizon.
+already has and a factor of H0 computed once.  It guarantees monotone descent
+of J, but only a linear rate, which at large lambda is a crawl.  So every
+iterate first tries damped Newton steps, guarded by a positive definite
+reduced Hessian and an Armijo line search on J's change along the step, which
+`objective._ray` evaluates in difference form, free of J's own round-off; the
+convex-concave step is taken only where Newton accepts none.
+`objective._curvature` inverts H0 in closed form, and each Newton step's
+H = H_U + Z^T Z by the same block closed form plus a signed Woodbury border
+for Z and the shifted nearly singular blocks, at every horizon.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,6 +33,7 @@ from .errors import (
 from .objective import (
     Policy,
     _curvature,
+    _ray,
     _values,
     convexity_certificate,
     evaluate,
@@ -93,10 +94,10 @@ def _iter_record(k, kind, rep, residual):
 @dataclass
 class SolveTrace:
     records: list = field(default_factory=list)
-    # "stationarity" | "objective_stalled" | "max_iters" | "newton_max_iters" | "switch"
+    # "stationarity" | "objective_stalled" | "max_iters" | "newton_max_iters"
     termination: str = ""
     # the ObjectiveReport of the last record's iterate, whose gradient and
-    # terminal kernel a resumed CCP run and the certificate reuse
+    # terminal kernel the next Newton or CCP step and the certificate reuse
     report: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
@@ -142,19 +143,10 @@ def solve_feedforward_woodbury(ops, lam):
     return v - lam * (FHu.T @ np.linalg.solve(small, FHu @ v))
 
 
-# Switch rule of solve() with newton="when_certified".  After step k of a CCP
-# run (k at least the run's first switch step), with rho = res_k / res_(k-1),
-# CCP hands over to Newton when rho >= 1 or when linear convergence at rate
-# rho would need more than SWITCH_CRAWL_STEPS further steps to reach the
-# tolerance.  A stall and the max_ccp_iters cap hand over too.
-SWITCH_FIRST_STEP = 3
-SWITCH_CRAWL_STEPS = 20
-# CCP steps after a failed Newton phase before the rule may fire again; the
-# back-off doubles after each failure.
-NEWTON_BACKOFF_STEPS = 10
-# Newton's line search lets J rise by at most this many eps (J1 + J2 + J3 + J4)
-# when the step lowers the projected residual.
-NEWTON_ROUNDOFF = 4
+# Newton's line search tries the step lengths 1, 1/2, ..., 2^-7 and accepts
+# the first whose J change meets the Armijo test dJ(t) <= -ARMIJO t g^T step.
+LINE_SEARCH_TRIALS = 8
+ARMIJO = 1e-4
 
 
 def _curvature_solve(factor, rhs):
@@ -188,25 +180,17 @@ def ccp_subproblem(ops, lam, Theta_k, mask, factor=None, grad=None):
     return mask.scatter(mask.gather(Theta_k) - _curvature_solve(factor, mask.gather(grad)))
 
 
-def _crawling(res_prev, res, tol):
-    """The switch rule: the residual did not drop, or linear convergence at
-    the observed rate needs more than SWITCH_CRAWL_STEPS steps to reach tol."""
-    rho = res / res_prev
-    return rho >= 1.0 or np.log(tol / res) / np.log(rho) > SWITCH_CRAWL_STEPS
-
-
-def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_after=None):
-    """Iterate the convex-concave step until the projected stationarity
-    residual meets its tolerance ("stationarity"), the relative J decrease
-    falls below obj_rel_tol ("objective_stalled"), or max_ccp_iters CCP steps
-    are spent ("max_iters").
-
-    The run starts from options.theta_init, or continues resume = (Theta,
-    trace), whose CCP records count against max_ccp_iters, whose report (the
-    evaluation at Theta) gives the first step's gradient, and to which the
-    new records are appended.  With switch_after = j the run also stops, with
-    termination "switch", after a step k >= j (not the last allowed one) at
-    which the crawl rule fires.  Returns (Theta, SolveTrace).
+def ccp_solve(ops, lam, mask, options=None, u_ff=None):
+    """Iterate from options.theta_init (else Theta = 0) until the projected
+    stationarity residual meets its tolerance ("stationarity").  At each
+    iterate guarded Newton steps run first (`newton_refine`, from the report
+    that accepted the iterate), and one convex-concave step is taken only
+    where Newton accepts none: the reduced Hessian is not positive definite,
+    or the line search runs out of trials.  The solve ends "newton_max_iters"
+    once newton_max_iters Newton steps are accepted, "max_iters" once
+    max_ccp_iters CCP steps are spent, and "objective_stalled" when a CCP step
+    lowers J by less than obj_rel_tol max(1, |J|).  With newton="off" every
+    step is a CCP step.  Returns (Theta, SolveTrace).
     """
     options = options or SolverOptions()
     tol = options.stationarity_tol
@@ -219,43 +203,49 @@ def ccp_solve(ops, lam, mask, options=None, u_ff=None, *, resume=None, switch_af
         res = float(np.linalg.norm(mask.gather(rep.grad_theta)))
         trace.records.append(_iter_record(k, kind, rep, res))
         trace.report = rep
-        return rep.J, res, rep.grad_theta
+        return res
 
-    if resume is None:
-        if options.theta_init is None:
-            Theta = np.zeros((ops.N * ops.n_u, (ops.N + 1) * ops.n_x))
-        else:
-            Theta = mask.project(options.theta_init, "theta_init")
-        trace = SolveTrace()
-        J_prev, res_prev, grad = _record(0, "init", Theta)
-        if res_prev <= tol:
-            trace.termination = "stationarity"
-            return Theta, trace
+    if options.theta_init is None:
+        Theta = np.zeros((ops.N * ops.n_u, (ops.N + 1) * ops.n_x))
     else:
-        Theta, trace = resume
-        J_prev, res_prev = trace.records[-1].J, trace.records[-1].residual
-        grad = trace.report.grad_theta
+        Theta = mask.project(options.theta_init, "theta_init")
+    trace = SolveTrace()
+    if _record(0, "init", Theta) <= tol:
+        trace.termination = "stationarity"
+        return Theta, trace
 
     factor = _reduced_curvature_factor(ops, lam, mask)
-    k0 = trace.records[-1].k
-    steps = options.max_ccp_iters - sum(r.kind == "ccp" for r in trace.records)
-    for j in range(1, steps + 1):
+    budget = options.newton_max_iters
+    for ccp_steps in range(options.max_ccp_iters + 1):
+        if options.newton != "off":
+            n = len(trace.records)
+            try:
+                Theta = newton_refine(ops, lam, Theta, mask,
+                                      replace(options, newton_max_iters=budget),
+                                      u_ff=u_ff, trace=trace)
+            except HessianNotPDError as e:
+                Theta = e.theta
+            budget -= len(trace.records) - n
+            if trace.records[-1].residual <= tol:
+                trace.termination = "stationarity"
+                return Theta, trace
+            if budget == 0:
+                trace.termination = "newton_max_iters"
+                return Theta, trace
+        if ccp_steps == options.max_ccp_iters:
+            break
+        J_prev, k = trace.records[-1].J, trace.records[-1].k + 1
         try:
-            Theta = ccp_subproblem(ops, lam, Theta, mask, factor=factor, grad=grad)
+            Theta = ccp_subproblem(ops, lam, Theta, mask, factor=factor,
+                                   grad=trace.report.grad_theta)
         except WsteerError as e:
-            raise type(e)(f"CCP iteration {k0 + j}: {e}") from e
-        J, res, grad = _record(k0 + j, "ccp", Theta)
-        if res <= tol:
+            raise type(e)(f"CCP iteration {k}: {e}") from e
+        if _record(k, "ccp", Theta) <= tol:
             trace.termination = "stationarity"
             return Theta, trace
-        if J_prev - J < options.obj_rel_tol * max(1.0, abs(J_prev)):
+        if J_prev - trace.records[-1].J < options.obj_rel_tol * max(1.0, abs(J_prev)):
             trace.termination = "objective_stalled"
             return Theta, trace
-        if (switch_after is not None and switch_after <= j < steps
-                and _crawling(res_prev, res, tol)):
-            trace.termination = "switch"
-            return Theta, trace
-        J_prev, res_prev = J, res
 
     trace.termination = "max_iters"
     return Theta, trace
@@ -265,28 +255,31 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
     """Damped Newton on the free entries, guarded by reduced-Hessian PD.
 
     Each step's curvature comes from the terminal kernel of the evaluation
-    that accepted the iterate.  The backtracking line search accepts a
-    candidate whose J does not exceed the current J, or exceeds it by at most
-    NEWTON_ROUNDOFF eps (J1 + J2 + J3 + J4), the evaluation noise of J, while
-    its projected residual falls below the current one.  Takes at most
-    newton_max_iters steps, and stops early at the stationarity tolerance or
-    when the line search accepts no step.  Raises HessianNotPDError, carrying
-    the current iterate as its `theta`, when the reduced Hessian is not
-    positive definite.  Accepted steps are appended to `trace` when one is
-    given.
+    that accepted the iterate, and its length from a backtracking line search
+    that judges J along the step in difference form (`objective._ray`): the
+    first of t = 1, 1/2, ..., 2^-7 with dJ(t) <= -ARMIJO t g^T step, g the
+    projected gradient, is taken, and only that point is evaluated.  Takes at
+    most newton_max_iters steps, and stops early at the stationarity
+    tolerance or when the line search accepts no step.  Raises
+    HessianNotPDError, carrying the current iterate as its `theta`, when the
+    reduced Hessian is not positive definite.  With a `trace`, whose last
+    record must be at Theta, the first step reads that record's report
+    instead of evaluating Theta, and accepted steps are appended to it.
     """
     options = options or SolverOptions()
     if u_ff is None:
         u_ff = np.zeros(ops.N * ops.n_u)
     Theta = mask.project(np.asarray(Theta, dtype=float))
 
-    rep = evaluate(ops, lam, Policy(u_ff, Theta))
+    if trace is not None and trace.report is not None:
+        rep = trace.report
+    else:
+        rep = evaluate(ops, lam, Policy(u_ff, Theta))
     base_iter = trace.records[-1].k if trace and trace.records else 0
 
     for k in range(1, options.newton_max_iters + 1):
         g = mask.gather(rep.grad_theta)
-        res = np.linalg.norm(g)
-        if res <= options.stationarity_tol:
+        if np.linalg.norm(g) <= options.stationarity_tol:
             break
         factor = _curvature(ops, lam, mask, rep.kernel)
         if not factor.pd:
@@ -295,64 +288,27 @@ def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
         step = _curvature_solve(factor, g)
         del factor  # the next curvature is built without this one alive
 
-        theta_free = mask.gather(Theta)
-        noise = NEWTON_ROUNDOFF * np.finfo(float).eps * (rep.J1 + rep.J2 + rep.J3 + rep.J4)
-        t = 1.0
-        for _ in range(60):
-            cand = mask.scatter(theta_free - t * step)
-            rep_c = evaluate(ops, lam, Policy(u_ff, cand))
-            if rep_c.J <= rep.J or (rep_c.J <= rep.J + noise and
-                                    np.linalg.norm(mask.gather(rep_c.grad_theta)) < res):
+        dJ = _ray(ops, lam, Theta, mask.scatter(step), rep.kernel)
+        slope = ARMIJO * float(g @ step)
+        for t in 0.5 ** np.arange(LINE_SEARCH_TRIALS):
+            if dJ(t) <= -t * slope:
                 break
-            t *= 0.5
         else:
             break
-        Theta, rep = cand, rep_c
+        Theta = mask.scatter(mask.gather(Theta) - t * step)
+        rep = evaluate(ops, lam, Policy(u_ff, Theta))
         if trace is not None:
-            res_new = stationarity_residual(ops, lam, Policy(u_ff, Theta), mask,
-                                            grad=rep.grad_theta)
-            trace.records.append(_iter_record(base_iter + k, "newton", rep, res_new))
+            res = stationarity_residual(ops, lam, Policy(u_ff, Theta), mask,
+                                        grad=rep.grad_theta)
+            trace.records.append(_iter_record(base_iter + k, "newton", rep, res))
             trace.report = rep
     return Theta
 
 
-def _ccp_then_newton(ops, lam, mask, options, u_ff):
-    """CCP until the switch rule fires, then guarded Newton.  A Newton phase
-    that ends above tolerance with budget left (reduced Hessian not PD, or a
-    rejected step) hands its iterate back to CCP, which runs a back-off before
-    the rule may fire again; after a stall or at the CCP cap it ends the solve.
-    newton_max_iters bounds the accepted Newton steps of the whole solve."""
-    budget = options.newton_max_iters
-    first_switch = SWITCH_FIRST_STEP
-    resume = None
-    while True:
-        Theta, trace = ccp_solve(ops, lam, mask, options, u_ff,
-                                 resume=resume, switch_after=first_switch)
-        if trace.termination == "stationarity":
-            return Theta, trace
-        n = len(trace.records)
-        try:
-            Theta = newton_refine(ops, lam, Theta, mask,
-                                  replace(options, newton_max_iters=budget),
-                                  u_ff=u_ff, trace=trace)
-        except HessianNotPDError as e:
-            Theta = e.theta
-        budget -= len(trace.records) - n
-        if trace.records[-1].residual <= options.stationarity_tol:
-            trace.termination = "stationarity"
-        elif budget == 0:
-            trace.termination = "newton_max_iters"
-        elif trace.termination == "switch":
-            first_switch = max(NEWTON_BACKOFF_STEPS, 2 * first_switch)
-            resume = (Theta, trace)
-            continue
-        return Theta, trace
-
-
 def solve(problem, options=None):
-    """Full solve: feedforward, the feedback gain (CCP handing over to guarded
-    Newton, or pure CCP with newton="off"), transforms, and the final report
-    with a convexity certificate.
+    """Full solve: feedforward, the feedback gain (`ccp_solve`: guarded Newton
+    with CCP as its fallback step, or pure CCP with newton="off"), transforms,
+    and the final report with a convexity certificate.
 
     Raises ValidationError when the problem data fail `validate`.
     """
@@ -366,10 +322,7 @@ def solve(problem, options=None):
     lam = problem.lam
 
     u_star = solve_feedforward(ops, lam)
-    if options.newton == "off":
-        Theta, trace = ccp_solve(ops, lam, mask, options, u_ff=u_star)
-    else:
-        Theta, trace = _ccp_then_newton(ops, lam, mask, options, u_star)
+    Theta, trace = ccp_solve(ops, lam, mask, options, u_ff=u_star)
 
     # the last record's report is the evaluation at Theta
     kernel = trace.report.kernel

@@ -7,9 +7,11 @@ import pathlib
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from conftest import SD_TIGHT, SD_WIDE, double_integrator_problem
+from conftest import SD_TIGHT, SD_WIDE, double_integrator_problem, rand_causal_theta
+import wsteer
 import wsteer.solver
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -48,6 +50,15 @@ def counted(monkeypatch, name):
     return calls
 
 
+def start(Sd):
+    """A start from which the solve takes both step kinds at lambda=100:
+    Theta = 0 for the wide target (one CCP step), and for the tight target,
+    which takes none from Theta = 0, a far causal gain (three)."""
+    if Sd is SD_WIDE:
+        return None
+    return rand_causal_theta(np.random.default_rng(2), wsteer.causality_mask(10, 1, 2), 3.0)
+
+
 @pytest.mark.parametrize("Sd, kinds", [(SD_TIGHT, ["dominance"]),
                                        (SD_WIDE, ["dominance", "spectral"])])
 def test_solve_calls_what_the_tracer_counts(monkeypatch, Sd, kinds):
@@ -57,7 +68,8 @@ def test_solve_calls_what_the_tracer_counts(monkeypatch, Sd, kinds):
     names = ("ccp_subproblem", "stationarity_residual", "convexity_certificate")
     assert {("wsteer.solver", name) for name in names} <= traced
     steps, residuals, certificates = (counted(monkeypatch, name) for name in names)
-    sol = wsteer.solver.solve(double_integrator_problem(Sd, lam=100.0))
+    sol = wsteer.solver.solve(double_integrator_problem(Sd, lam=100.0),
+                              wsteer.solver.SolverOptions(theta_init=start(Sd)))
     records = Counter(r.kind for r in sol.trace.records)
     assert records["ccp"] > 0 and records["newton"] > 0
     assert len(steps) == records["ccp"]

@@ -156,6 +156,20 @@ def test_bad_problem_data_one_error_line_exit_one(tmp_path, capsys, command, ove
     assert captured.out == ""
 
 
+def test_solve_reports_step_counts(tmp_path, capsys):
+    # the wide target at lambda=100 takes one CCP step, then Newton steps
+    cfg = write_config(tmp_path / "p.json", **{"lambda": 100.0})
+    out = tmp_path / "s.json"
+    assert main(["solve", str(cfg), "-o", str(out)]) == 0
+    trace = json.loads(out.read_text())["trace"]
+    assert trace["ccp_steps"] == 1 and trace["newton_steps"] > 0
+    assert trace["ccp_steps"] + trace["newton_steps"] == trace["iterations"]
+    assert capsys.readouterr().out == (
+        f"solved: J={trace['final_J']:.12g} termination=stationarity "
+        f"iterations={trace['iterations']} ccp_steps=1 "
+        f"newton_steps={trace['newton_steps']} -> {out}\n")
+
+
 def test_solve_max_iters_exit_two(tmp_path):
     cfg = write_config(tmp_path / "p.json",
                        solver={"max_ccp_iters": 1, "obj_rel_tol": 1e-16,

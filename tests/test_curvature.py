@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvature_sweep
+import long_horizon_sweep
 from conftest import (
     SD_TIGHT,
     SD_WIDE,
@@ -452,6 +453,15 @@ def test_long_horizon_solves_through_newton_and_spectral_certificate():
     assert int(peak_kb) < 1024 * 1024  # ru_maxrss is in KB on Linux
 
 
+def test_long_horizon_sweep_first_row():
+    # the first row of tests/long_horizon_sweep.py, solved in its own process
+    row = long_horizon_sweep.run(100, 0)
+    assert row["termination"] == "stationarity"
+    assert row["residual"] <= w.SolverOptions().stationarity_tol
+    assert row["ccp"] + row["newton"] > 0
+    assert long_horizon_sweep.format_row(100, 0, row).split()[:3] == ["100", "0", "stationarity"]
+
+
 SHIFT_SCRIPT = """
 import resource, sys
 sys.path[:0] = sys.argv[1:]
@@ -478,16 +488,16 @@ def test_shifted_block_long_horizon_solve_stays_small():
     # N = 130, seed 0: a Newton step meets a block of H_U within BLOCK_TOL of
     # singular, which the signed border takes in closed form.  The dense
     # small space that decided such a block before peaked at 363 MB here.
-    # The ninth Newton step lands at a residual of 5.6e-5, where round-off
-    # decides whether the tenth converges (1.9e-8) or only halves it, which
-    # costs an eleventh; here it converges on one BLAS thread and on two
+    # The reduced Hessian is indefinite for 22 CCP steps from Theta = 0;
+    # then 12 Newton steps take the residual from 990 to 3e-8, the same on
+    # one BLAS thread and on two
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     out = subprocess.run([sys.executable, "-c", SHIFT_SCRIPT, here, src], check=True,
                          capture_output=True, text=True).stdout.split()
     shifted, termination, ccp, newton, J, peak_kb, scipy_loaded = out
     assert int(shifted) >= 1
-    assert (termination, int(ccp), int(newton)) == ("stationarity", 33, 10)
+    assert (termination, int(ccp), int(newton)) == ("stationarity", 22, 12)
     assert abs(float(J) - 15.59123263329724) <= 1e-10 * 15.59123263329724
     assert int(peak_kb) < 200 * 1024  # ru_maxrss is in KB on Linux
     assert scipy_loaded == "False"

@@ -4,6 +4,7 @@ stationarity residual, and convexity certificates."""
 import pathlib
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    DI_N,
     SD_TIGHT,
     SD_WIDE,
     double_integrator_problem,
@@ -21,6 +23,7 @@ from conftest import (
     rand_problem,
     rel_err,
 )
+from test_solver import rank_one_policy
 import wsteer as w
 from wsteer import matops as mo
 from wsteer.cli import load_config, solver_options_from_config
@@ -32,6 +35,8 @@ from wsteer.errors import (
 )
 from wsteer.objective import (
     Policy,
+    _curvature,
+    _ray,
     _terminal,
     _w2_sq,
     convexity_certificate,
@@ -523,3 +528,71 @@ def test_hessian_matches_kron_sum_oracle(seed, N, n_x, n_u, extra_w, lam):
     H_free_oracle = H_oracle[np.ix_(free, free)]
     assert np.linalg.norm(H_free - H_free_oracle) <= 1e-10 * np.linalg.norm(H_free_oracle)
     assert np.array_equal(H, H.T) and np.array_equal(H_free, H_free.T)
+
+
+def mp_delta_j(ops, lam, Theta, Delta, t):
+    """J(Theta - t Delta) - J(Theta), u_ff fixed, from the double inputs in
+    50-digit arithmetic: the reference of `_ray`."""
+    with mpmath.workdps(50):
+        S, F, FHu, R, Th, De = (mpmath.matrix(np.asarray(M).tolist()) for M in (
+            ops.Stilde, ops.F, ops.FHu, ops.sqrt_Sd, Theta, Delta))
+
+        def J234(T):
+            Om = F + FHu * T
+            Y = Om * S * Om.T
+            C = R * Y * R
+            root = sum(mpmath.sqrt(c) for c in mpmath.eigsy((C + C.T) / 2, eigvals_only=True))
+            return (sum((T * S * T.T)[i, i] for i in range(T.rows))
+                    + lam * sum(Y[i, i] for i in range(Y.rows)) - 2 * lam * root)
+        return float(J234(Th - mpmath.mpf(t) * De) - J234(Th))
+
+
+def newton_ray(Sd, lam):
+    """(ops, lam, u_ff, Theta, Delta) at the double integrator's solution,
+    Delta the Newton step there, whose decrease is far below J's evaluation noise."""
+    prob = double_integrator_problem(Sd, lam=lam)
+    ops, mask = w.assemble(prob), w.causality_mask(DI_N, 1, 2)
+    sol = w.solve(prob)
+    g = mask.gather(sol.report.grad_theta)
+    step = _curvature(ops, lam, mask, sol.report.kernel).solve(g)
+    return ops, lam, sol.u_ff, sol.Theta, mask.scatter(step)
+
+
+def random_ray():
+    rng, prob, ops, mask = setup_random(5, N=3, n_x=2, n_u=2)
+    return (ops, prob.lam, rng.standard_normal(6), rand_causal_theta(rng, mask),
+            rand_causal_theta(rng, mask))
+
+
+def test_ray_matches_a_high_precision_reference():
+    # J along the ray in difference form reads within 1e-3 of a 50-digit
+    # reference, at a random point and along the Newton step at two
+    # solutions, where J's decrease is 1e-13 to 1e-27 and the difference of
+    # two evaluations is round-off of either sign
+    wrong_sign = 0
+    for ops, lam, u, Theta, Delta in (random_ray(), newton_ray(SD_TIGHT, 100.0),
+                                      newton_ray(SD_WIDE, 2000.0)):
+        J = evaluate(ops, lam, Policy(u, Theta)).J
+        dJ = _ray(ops, lam, Theta, Delta, _terminal(ops, Theta))
+        for t in (1.0, 1e-2, 1e-6):
+            ref = mp_delta_j(ops, lam, Theta, Delta, t)
+            assert abs(dJ(t) - ref) <= 1e-3 * abs(ref)
+            wrong_sign += (evaluate(ops, lam, Policy(u, Theta - t * Delta)).J - J) * ref < 0.0
+    assert wrong_sign >= 1
+
+
+def test_ray_is_infinite_where_evaluate_rejects_the_point():
+    # toward a gain whose terminal covariance is singular: the trial at that
+    # gain reads inf, so no line search ends there, and one short of it a
+    # finite change
+    rng, prob, ops, mask = setup_random(29, N=3, n_x=2, n_u=1)
+    u, Theta = np.zeros(3), rand_causal_theta(rng, mask)
+    bad = rank_one_policy(ops, u)
+    with pytest.raises(SingularTerminalCovarianceError):
+        evaluate(ops, prob.lam, bad)
+    Delta = Theta - bad.Theta
+    dJ = _ray(ops, prob.lam, Theta, Delta, _terminal(ops, Theta))
+    assert dJ(1.0) == np.inf
+    two = (evaluate(ops, prob.lam, Policy(u, Theta - 0.5 * Delta)).J
+           - evaluate(ops, prob.lam, Policy(u, Theta)).J)
+    assert dJ(0.5) == pytest.approx(two, rel=1e-10)

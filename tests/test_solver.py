@@ -40,6 +40,7 @@ from wsteer.objective import (
     hessian_theta,
 )
 from wsteer.solver import (
+    LINE_SEARCH_TRIALS,
     SolverOptions,
     _curvature_solve,
     _reduced_curvature_factor,
@@ -281,7 +282,7 @@ def test_newton_line_search_accepts_steps_within_evaluation_noise():
 
 
 def test_newton_budget_spent_ends_newton_max_iters():
-    # the tight target at lambda=100 hands over to Newton, and one step
+    # the tight target at lambda=100 starts with Newton, and one step
     # leaves the residual far above 1e-6
     opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, newton_max_iters=1)
     sol = solve(double_integrator_problem(SD_TIGHT, lam=100.0), opts)
@@ -290,41 +291,111 @@ def test_newton_budget_spent_ends_newton_max_iters():
     assert sol.trace.records[-1].residual > opts.stationarity_tol
 
 
+def exhausted_rays(monkeypatch, exhaust=lambda call: True):
+    """Replace wsteer.solver._ray so that each line search whose call number
+    (from 0) satisfies exhaust rejects every trial; returns the list of each
+    ray's trial count."""
+    trials = []
+    real_ray = wsteer.solver._ray
+
+    def ray(*args):
+        dJ = real_ray(*args)
+        trials.append(0)
+        call, failing = len(trials) - 1, exhaust(len(trials) - 1)
+
+        def counted(t):
+            trials[call] += 1
+            return np.inf if failing else dJ(t)
+        return counted
+    monkeypatch.setattr(wsteer.solver, "_ray", ray)
+    return trials
+
+
 def test_exhausted_line_search_ends_as_pure_ccp(monkeypatch):
-    # every Newton candidate's J is raised far above the current J plus its
-    # noise allowance, so each line search runs out of halvings
-    real_refine, real_evaluate = wsteer.solver.newton_refine, wsteer.solver.evaluate
-    evals = []  # evaluations made by each newton_refine call
-    inside = [False]
-
-    def evaluate(*args, **kwargs):
-        rep = real_evaluate(*args, **kwargs)
-        if not inside[0]:
-            return rep
-        evals[-1] += 1
-        # the first evaluation is the current iterate, every later one a candidate
-        return rep if evals[-1] == 1 else replace(rep, J=rep.J + 1.0)
-
-    def refine(*args, **kwargs):
-        evals.append(0)
-        inside[0] = True
-        try:
-            return real_refine(*args, **kwargs)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(wsteer.solver, "evaluate", evaluate)
-    monkeypatch.setattr(wsteer.solver, "newton_refine", refine)
+    # every line search rejects all its trials, so each iterate falls back
+    # to the CCP step and the solve follows pure CCP
+    trials = exhausted_rays(monkeypatch)
     prob = double_integrator_problem(SD_TIGHT, lam=100.0)
     opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14)
     sol = solve(prob, opts)
     monkeypatch.undo()
     ccp_only = solve(prob, replace(opts, newton="off"))
 
-    assert evals and all(n == 1 + 60 for n in evals)
+    assert trials and all(n == LINE_SEARCH_TRIALS for n in trials)
     assert "newton" not in [r.kind for r in sol.trace.records]
     assert sol.trace.termination == ccp_only.trace.termination
     assert abs(sol.report.J - ccp_only.report.J) <= 1e-10 * abs(ccp_only.report.J)
+
+
+def test_newton_from_zero_takes_no_ccp_step(monkeypatch):
+    # the tight target at lambda=100 has a PD reduced Hessian at Theta = 0,
+    # so Newton runs from the first iterate, reading the initial record's
+    # report: every evaluation is a record
+    evals = counted_evaluations(monkeypatch)
+    sol = solve(double_integrator_problem(SD_TIGHT, lam=100.0))
+    kinds = [r.kind for r in sol.trace.records]
+    assert kinds[0] == "init" and set(kinds[1:]) == {"newton"}
+    assert sol.trace.termination == "stationarity"
+    assert len(evals) == len(kinds)
+    check_monotone(sol.trace)
+
+
+def counted_evaluations(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(wsteer.solver, "evaluate", counted)
+    return calls
+
+
+def newton_outcomes(monkeypatch):
+    """Wrap wsteer.solver.newton_refine; returns the list to which each call
+    appends ("not PD" | "stopped", steps in the trace before it)."""
+    outcomes = []
+    real = wsteer.solver.newton_refine
+
+    def recording(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
+        n = len(trace.records)
+        try:
+            out = real(ops, lam, Theta, mask, options, u_ff=u_ff, trace=trace)
+        except HessianNotPDError:
+            outcomes.append(("not PD", n))
+            raise
+        outcomes.append(("stopped", n))
+        return out
+    monkeypatch.setattr(wsteer.solver, "newton_refine", recording)
+    return outcomes
+
+
+def test_indefinite_hessian_takes_one_ccp_step_then_newton_again(monkeypatch):
+    # at the saddle the reduced Hessian is indefinite: each failed attempt
+    # is followed by exactly one CCP step, and Newton is tried at its iterate
+    lam, Theta_sad = saddle_start()
+    outcomes = newton_outcomes(monkeypatch)
+    sol = solve(double_integrator_problem(SD_TIGHT, lam=lam),
+                SolverOptions(max_ccp_iters=2000, theta_init=Theta_sad))
+    kinds = [r.kind for r in sol.trace.records]
+    assert outcomes[0] == ("not PD", 1)
+    for (outcome, n), (_, n_next) in zip(outcomes, outcomes[1:]):
+        assert outcome == "not PD" and kinds[n] == "ccp" and n_next == n + 1
+    assert outcomes[-1][0] == "stopped" and "newton" in kinds[outcomes[-1][1]:]
+    assert sol.trace.termination == "stationarity"
+    check_monotone(sol.trace)
+
+
+def test_exhausted_line_search_takes_a_ccp_step(monkeypatch):
+    # the first line search (tight target, lambda=100, from Theta = 0) runs
+    # out of trials: one CCP step follows, and Newton finishes from its iterate
+    trials = exhausted_rays(monkeypatch, exhaust=lambda call: call == 0)
+    outcomes = newton_outcomes(monkeypatch)
+    sol = solve(double_integrator_problem(SD_TIGHT, lam=100.0))
+    kinds = [r.kind for r in sol.trace.records]
+    assert trials[0] == LINE_SEARCH_TRIALS and outcomes[:2] == [("stopped", 1), ("stopped", 2)]
+    assert kinds[:3] == ["init", "ccp", "newton"]
+    assert sol.trace.termination == "stationarity"
+    check_monotone(sol.trace)
 
 
 def test_error_inside_ccp_step_names_the_iteration(monkeypatch):
@@ -375,7 +446,7 @@ def test_default_solve_switches_to_newton_and_converges(Sd, lam):
     kinds = [r.kind for r in sol.trace.records]
     assert sol.trace.termination == "stationarity"
     assert sol.trace.records[-1].residual <= SolverOptions().stationarity_tol
-    assert "ccp" in kinds and "newton" in kinds
+    assert "newton" in kinds
     check_monotone(sol.trace)
 
 
@@ -405,26 +476,6 @@ def test_saddle_start_falls_back_to_ccp(monkeypatch):
     assert sol.trace.termination == "stationarity"
     assert sol.report.J <= ccp_only.report.J
     check_monotone(sol.trace)
-
-
-def test_ccp_solve_switch_rule():
-    # at lambda=2000 the CCP residual shrinks by ~0.95 a step, a crawl
-    prob = double_integrator_problem(SD_TIGHT, lam=2000.0)
-    ops = w.assemble(prob)
-    mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
-    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14)
-    u_ff = solve_feedforward(ops, prob.lam)
-    Theta, trace = ccp_solve(ops, prob.lam, mask, opts, u_ff, switch_after=3)
-    assert trace.termination == "switch" and trace.iterations == 3
-    # a resumed run appends to the same trace and counts its steps
-    _, trace = ccp_solve(ops, prob.lam, mask, opts, u_ff,
-                         resume=(Theta, trace), switch_after=5)
-    assert trace.termination == "switch" and trace.iterations == 8
-    assert [r.k for r in trace.records] == list(range(9))
-    # the rule does not fire at the last allowed step: that run ends at the cap
-    _, capped = ccp_solve(ops, prob.lam, mask, replace(opts, max_ccp_iters=3), u_ff,
-                          switch_after=3)
-    assert capped.termination == "max_iters" and capped.iterations == 3
 
 
 def test_cho_solve_rejects_non_finite_rhs():
@@ -708,7 +759,8 @@ def test_ccp_eig_calls_per_iteration(monkeypatch):
             calls[0] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, stationarity_tol=1e-6)
+    opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, stationarity_tol=1e-6,
+                         newton="off")
     _, trace = ccp_solve(ops, prob.lam, mask, opts, u_ff=solve_feedforward(ops, prob.lam))
     assert trace.iterations > 100
     assert calls[0] <= 2 * trace.iterations + 20
