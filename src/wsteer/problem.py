@@ -379,10 +379,9 @@ def validate(problem):
     if not (problem.lam > 0.0):
         violations.append(f"lambda must be > 0, got {problem.lam}")
 
-    for k, Gk in enumerate(problem.system.G):
+    for k, sv in enumerate(np.linalg.svd(np.stack(problem.system.G), compute_uv=False)):
         try:
-            require_conditioned(np.linalg.svd(Gk, compute_uv=False),
-                                f"G[{k}] is rank deficient", rcond=RANK_TOL)
+            require_conditioned(sv, f"G[{k}] is rank deficient", rcond=RANK_TOL)
         except NotPDError as e:
             violations.append(str(e))
 

@@ -6,15 +6,15 @@ Theta = K (I - Hu K)^(-1) and K = (I + Theta Hu)^(-1) Theta; for causal
 Theta Hu and Hu K are strictly block lower triangular.
 
 Rollouts simulate the step dynamics with the K-form feedback acting on state
-deviations from the analytically propagated mean trajectory.  A rollout runs
-in blocks of BLOCK samples on a thread pool, one worker per CPU it may use;
-each block draws its noise from a stream of its own, child b of the seed's
-SeedSequence (see _sample_noise), propagates it and keeps only its terminal
-states.  So the result is bitwise reproducible given (seed, samples) whatever
-the CPU count, and sample i's draws do not depend on how many samples are
-drawn alongside it.  Memory is about samples*n_x + workers*BLOCK*(n_x + N*n_w +
-(N+1)*n_x) doubles, the terminal states plus one block's noise and
-trajectories per worker, instead of every sample's whole trajectory.
+deviations from the analytically propagated mean trajectory.  That is linear
+in a sample's per = n_x + N*n_w normals z, so its terminal state is xbar_N +
+M z: a rollout runs the recursion once, on the per x per identity, for M.
+Blocks of BLOCK samples run on a thread pool, one worker per CPU; block b
+draws its noise Z from a stream of its own, child b of the seed's
+SeedSequence (see _sample_noise), and writes its terminal states Z M^T.  So
+the result is bitwise reproducible given (seed, samples) whatever the CPU
+count, and sample i's draws depend only on (seed, i).  Memory is about
+samples*n_x + workers*BLOCK*(n_x + N*n_w) + per*(N+1)*n_x doubles.
 
 The predicted terminal Gaussian that a rollout is judged against comes from
 the lifted maps (`problem.lifted_maps`) and products with n_x rows alone; a
@@ -186,8 +186,9 @@ def _predicted_terminal(problem, policy, loop, Gamma, Hu, Hw):
 
 
 def _closed_loop_states(loop, Z0, Zw):
-    """Forward-simulate all samples; returns the stacked states (S, (N+1)*n_x),
-    a transposed view of state-major storage.
+    """Forward-simulate the inputs (Z0, Zw); returns the stacked states
+    (S, (N+1)*n_x), a transposed view of state-major storage.  rollout runs
+    it once, on the identity with xbar zeroed, for the terminal map M.
 
     The K-form feedback acts on deviations from the mean trajectory xbar.
     The deviations D are kept state-major, shape ((N+1)*n_x, S), so each
@@ -229,6 +230,13 @@ def _integer(name, value):
 def rollout(problem, policy, samples, seed):
     """Monte Carlo closed-loop rollout; deterministic given (samples, seed).
 
+    Sample i's terminal state is xbar_N + z_i M^T, z_i its per = n_x +
+    N*n_w standard normals (see _sample_noise).  M^T, per x n_x, is the
+    terminal rows of the step recursion run once on the identity with xbar
+    zeroed, from A_k, B_k, G_k Lw, L0 and K = theta_to_k(Theta, Hu), not
+    from the lifted maps the prediction uses, so the rollout still checks
+    the step simulation against the lifted prediction.
+
     Returns a RolloutReport comparing the empirical terminal moments with the
     analytic prediction; the 5-sigma sampling bands are
     5*sqrt(trace(cov)/samples) for the mean and 5*sqrt(2/samples)*||cov||_F
@@ -253,18 +261,25 @@ def rollout(problem, policy, samples, seed):
     Gamma, Hu, Hw = lifted_maps(sysm)
     loop = _closed_loop(problem, policy, Hu)
     predicted = _predicted_terminal(problem, policy, loop, Gamma, Hu, Hw)
+    per = n_x + N * n_w
+    eye = np.eye(per)
+    MT = _closed_loop_states(loop._replace(xbar=np.zeros_like(loop.xbar)), eye[:, :n_x],
+                             eye[:, n_x:].reshape(per, N, n_w))[:, N * n_x:]
     XN = np.empty((samples, n_x))
 
     def block(first):
         count = min(BLOCK, samples - first)
         Z0, Zw = _sample_noise(seed, count, n_x, N, n_w, first=first)
-        XN[first:first + count] = _closed_loop_states(loop, Z0, Zw)[:, N * n_x:]
+        XNb = XN[first:first + count]
+        np.matmul(Zw.reshape(count, N * n_w), MT[n_x:], out=XNb)
+        XNb += Z0 @ MT[:n_x]
 
     from concurrent.futures import ThreadPoolExecutor
     firsts = range(0, samples, BLOCK)
     with ThreadPoolExecutor(min(_cpus(), len(firsts))) as pool:
         for done in [pool.submit(block, first) for first in firsts]:
             done.result()
+    XN += loop.xbar[N]
 
     mean = XN.sum(axis=0) / samples
     Xc = XN - mean

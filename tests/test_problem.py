@@ -23,7 +23,8 @@ from conftest import (
 import wsteer as w
 from wsteer.errors import DimensionMismatchError, IndexOrderError, NonFiniteError, NotPDError
 from wsteer.objective import Policy
-from wsteer.problem import RCOND_DATA
+from wsteer.matops import require_conditioned
+from wsteer.problem import RANK_TOL, RCOND_DATA
 from wsteer.simulate import rollout
 
 
@@ -320,6 +321,28 @@ def test_validate_flags_bad_data():
 
     lam0 = w.SteeringProblem(prob.system, prob.initial, prob.noise_cov, prob.desired, 0.0)
     assert any("lambda" in m for m in w.validate(lam0))
+
+
+def test_validate_names_every_rank_deficient_g_in_order():
+    # time-varying G_k with n_w = 3 > n_x = 2; steps 1 and 3 have rank 1.
+    # The reference is one SVD per G_k, the loop that validate stacks
+    rng = np.random.default_rng(8)
+    sysm = rand_system(rng, 5, 2, 2, 3)
+    G = list(sysm.G)
+    for k in (1, 3):
+        G[k] = np.outer(rng.standard_normal(2), rng.standard_normal(3))
+    sysm = w.TimeVaryingLinearSystem(sysm.A, sysm.B, tuple(G))
+    prob = double_integrator_problem(SD_WIDE)
+    prob = w.SteeringProblem(sysm, prob.initial, 0.1 * np.eye(3), prob.desired, 1.0)
+    expect = []
+    for k, Gk in enumerate(G):
+        try:
+            require_conditioned(np.linalg.svd(Gk, compute_uv=False),
+                                f"G[{k}] is rank deficient", rcond=RANK_TOL)
+        except NotPDError as e:
+            expect.append(str(e))
+    assert [m[:4] for m in expect] == ["G[1]", "G[3]"]
+    assert w.validate(prob) == expect
 
 
 def test_negative_lambda_rejected_at_construction():

@@ -21,6 +21,7 @@ from conftest import (
 )
 import wsteer as w
 from wsteer import simulate
+from wsteer.cli import load_config
 from wsteer.errors import DimensionMismatchError, NotPDError, SingularTransformError
 from wsteer.objective import Policy, terminal_gaussian
 from wsteer.problem import RCOND_DATA
@@ -449,6 +450,72 @@ def test_rollout_prediction_matches_dense_terminal_gaussian(case):
     predicted = rollout(prob, pol, 2, 0).predicted
     assert np.linalg.norm(predicted.mean - oracle.mean) <= 1e-13 * np.linalg.norm(oracle.mean)
     assert np.linalg.norm(predicted.cov - oracle.cov) <= 1e-13 * np.linalg.norm(oracle.cov)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def _solved_config(name):
+    prob, _ = load_config(os.path.join(CONFIGS, f"double_integrator_{name}.json"))
+    sol = w.solve(prob)
+    return prob, Policy(sol.u_ff, sol.Theta)
+
+
+SUPERPOSITION_CASES = pytest.mark.parametrize(
+    "case", [_random_time_varying_policy, lambda: _solved_config("tight"),
+             lambda: _solved_config("wide")],
+    ids=["time-varying", "config-tight", "config-wide"])
+
+
+def _lifted_terminal_map(prob, pol):
+    # C = Omega R of _predicted_terminal, from the dense lifted operators:
+    # R = [Gamma L0, Hw (I_N kron Lw)], Omega = F + FHu Theta
+    ops = w.assemble(prob)
+    L0 = np.linalg.cholesky(prob.initial.cov)
+    Lw = np.linalg.cholesky(prob.noise_cov)
+    R = np.hstack([ops.Gamma @ L0, ops.Hw @ np.kron(np.eye(ops.N), Lw)])
+    Om = ops.FHu @ pol.Theta
+    Om[:, ops.N * ops.n_x:] += np.eye(ops.n_x)
+    return Om @ R
+
+
+@SUPERPOSITION_CASES
+def test_rollout_terminal_map_matches_lifted_map(monkeypatch, case):
+    # the rollout runs the step recursion once, on the identity, and its
+    # terminal rows are M^T, the transpose of the lifted C = Omega R
+    prob, pol = case()
+    N, n_x = prob.system.horizon, prob.system.n_x
+    calls = []
+
+    def recording_states(loop, Z0, Zw):
+        X = _closed_loop_states(loop, Z0, Zw)
+        calls.append((loop, Z0, Zw, X))
+        return X
+
+    monkeypatch.setattr(simulate, "_closed_loop_states", recording_states)
+    rollout(prob, pol, 2 * simulate.BLOCK + 3, 0)
+    [(loop, Z0, Zw, X)] = calls
+    per = n_x + N * prob.system.n_w
+    assert np.array_equal(np.hstack([Z0, Zw.reshape(per, -1)]), np.eye(per))
+    assert not loop.xbar.any()
+    C = _lifted_terminal_map(prob, pol)
+    assert np.linalg.norm(X[:, N * n_x:] - C.T) <= 1e-12 * np.linalg.norm(C)
+
+
+@SUPERPOSITION_CASES
+def test_rollout_matches_per_sample_recursion(case):
+    # two whole blocks and a partial one, against the step recursion run on
+    # every sample's draws
+    prob, pol = case()
+    sysm = prob.system
+    N, n_x, samples, seed = sysm.horizon, sysm.n_x, 2 * simulate.BLOCK + 123, 3
+    rep = rollout(prob, pol, samples, seed)
+    Z0, Zw = _sample_noise(seed, samples, n_x, N, sysm.n_w)
+    XN = _closed_loop_states(_closed_loop(prob, pol, w.assemble(prob).Hu), Z0, Zw)[:, N * n_x:]
+    mean = XN.mean(axis=0)
+    cov = np.cov(XN.T)
+    assert np.linalg.norm(rep.empirical_mean - mean) <= 1e-12 * np.linalg.norm(mean)
+    assert np.linalg.norm(rep.empirical_cov - cov) <= 1e-12 * np.linalg.norm(cov)
 
 
 def _scalar_problem(sw):
