@@ -176,7 +176,10 @@ def solver_options_from_config(cfg):
         if key in raw:
             kwargs[key] = _number_field(f"solver.{key}", raw[key], integer=False)
     if "newton" in raw:
-        kwargs["newton"] = str(raw["newton"])
+        if raw["newton"] not in ("when_certified", "off"):
+            raise ValueError('field \'solver.newton\' must be "when_certified" or "off", '
+                             f"got {raw['newton']!r}")
+        kwargs["newton"] = raw["newton"]
     theta_init = raw.get("theta_init", "zero")
     if isinstance(theta_init, str):
         if theta_init != "zero":

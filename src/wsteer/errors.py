@@ -38,14 +38,7 @@ class SingularTransformError(WsteerError):
 
 
 class HessianNotPDError(WsteerError):
-    """The reduced Hessian is not positive definite at the current iterate.
-
-    Carries that iterate as `theta` when the raiser knows it.
-    """
-
-    def __init__(self, message, theta=None):
-        self.theta = theta
-        super().__init__(message)
+    """The reduced Hessian is not positive definite at the current iterate."""
 
 
 class CertificateMismatchError(WsteerError):

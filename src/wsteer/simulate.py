@@ -37,6 +37,7 @@ from .problem import (
     STILDE_NOT_PD,
     Gaussian,
     assemble,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
+    causality_mask,
     checked_stilde,
     lifted_maps,
     require_stilde_conditioned,
@@ -241,8 +242,9 @@ def rollout(problem, policy, samples, seed):
     analytic prediction; the 5-sigma sampling bands are
     5*sqrt(trace(cov)/samples) for the mean and 5*sqrt(2/samples)*||cov||_F
     for the covariance.  Raises DimensionMismatchError when u_ff or Theta has
-    the wrong shape, and NotPDError when Stilde fails `assemble`'s check, with
-    `assemble`'s message, before any sample is drawn.
+    the wrong shape, ValueError when Theta is not causal, and NotPDError when
+    Stilde fails `assemble`'s check, with `assemble`'s message, before any
+    sample is drawn.
     """
     samples = _integer("rollout samples", samples)
     if samples < 2:
@@ -257,6 +259,8 @@ def rollout(problem, policy, samples, seed):
         if shape != want:
             raise DimensionMismatchError(
                 f"policy {name} has dimensions {shape}, the problem needs {want}")
+    if not causality_mask(N, n_u, n_x).is_causal(policy.Theta):
+        raise ValueError("policy violates the causality pattern")
 
     Gamma, Hu, Hw = lifted_maps(sysm)
     loop = _closed_loop(problem, policy, Hu)

@@ -8,12 +8,14 @@ the current iterate and minimizes the remaining convex quadratic over the
 causal subspace.  That quadratic has the constant curvature H0 of J2 + J3, so
 its minimizer is Theta_k - H0^(-1) grad J(Theta_k) on the free entries: the
 Newton step with J4's curvature dropped, taken from the gradient the iterate
-already has and a factor of H0 computed once.  It guarantees monotone descent
-of J, but only a linear rate, which at large lambda is a crawl.  So every
-iterate first tries damped Newton steps, guarded by a positive definite
-reduced Hessian and an Armijo line search on J's change along the step, which
-`objective._ray` evaluates in difference form, free of J's own round-off; the
-convex-concave step is taken only where Newton accepts none.
+already has and a factor of H0 built at the first such step.  It guarantees
+monotone descent of J, but only a linear rate, which at large lambda is a
+crawl.  So `ccp_solve` takes one step per iterate: a damped Newton step,
+guarded by a positive definite reduced Hessian and an Armijo line search on
+J's change along the step, which `objective._ray` evaluates in difference
+form, free of J's own round-off; the convex-concave step only where Newton
+gives no iterate.  `_evaluate_iterate` evaluates every iterate the solve
+records, whichever step made it.
 `objective._curvature` inverts H0 in closed form, and each Newton step's
 H = H_U + Z^T Z by the same block closed form plus a signed Woodbury border
 for Z and the shifted nearly singular blocks, at every horizon.
@@ -83,12 +85,6 @@ class IterRecord:
     J3: float
     J4: float
     residual: float
-
-
-def _iter_record(k, kind, rep, residual):
-    """The IterRecord of step k from the ObjectiveReport at its iterate."""
-    return IterRecord(k=k, kind=kind, J=rep.J, J1=rep.J1, J2=rep.J2, J3=rep.J3,
-                      J4=rep.J4, residual=residual)
 
 
 @dataclass
@@ -180,129 +176,104 @@ def ccp_subproblem(ops, lam, Theta_k, mask, factor=None, grad=None):
     return mask.scatter(mask.gather(Theta_k) - _curvature_solve(factor, mask.gather(grad)))
 
 
+def _evaluate_iterate(ops, lam, Theta, mask, u_ff):
+    """(Theta, its ObjectiveReport, its projected stationarity residual):
+    what the solve records of every iterate, Theta causal."""
+    policy = Policy(u_ff, Theta)
+    rep = evaluate(ops, lam, policy)
+    return Theta, rep, stationarity_residual(ops, lam, policy, mask, grad=rep.grad_theta)
+
+
 def ccp_solve(ops, lam, mask, options=None, u_ff=None):
     """Iterate from options.theta_init (else Theta = 0) until the projected
-    stationarity residual meets its tolerance ("stationarity").  At each
-    iterate guarded Newton steps run first (`newton_refine`, from the report
-    that accepted the iterate), and one convex-concave step is taken only
-    where Newton accepts none: the reduced Hessian is not positive definite,
-    or the line search runs out of trials.  The solve ends "newton_max_iters"
-    once newton_max_iters Newton steps are accepted, "max_iters" once
-    max_ccp_iters CCP steps are spent, and "objective_stalled" when a CCP step
-    lowers J by less than obj_rel_tol max(1, |J|).  With newton="off" every
-    step is a CCP step.  Returns (Theta, SolveTrace).
+    stationarity residual meets its tolerance ("stationarity"), one step per
+    pass: a guarded Newton step (`newton_refine`, from the report that
+    accepted the iterate), else one convex-concave step, taken where the
+    reduced Hessian is not positive definite or the line search runs out of
+    trials.  The solve ends "newton_max_iters" once newton_max_iters Newton
+    steps are accepted, "max_iters" when a CCP step is due after
+    max_ccp_iters of them, and "objective_stalled" when a CCP step lowers J
+    by less than obj_rel_tol max(1, |J|).  With newton="off" every step is a
+    CCP step.  Returns (Theta, SolveTrace).
     """
     options = options or SolverOptions()
-    tol = options.stationarity_tol
     if u_ff is None:
         u_ff = np.zeros(ops.N * ops.n_u)
-
-    def _record(k, kind, Theta_k):
-        rep = evaluate(ops, lam, Policy(u_ff, Theta_k))
-        # Theta_k is causal, so this is stationarity_residual at Theta_k
-        res = float(np.linalg.norm(mask.gather(rep.grad_theta)))
-        trace.records.append(_iter_record(k, kind, rep, res))
-        trace.report = rep
-        return res
-
     if options.theta_init is None:
         Theta = np.zeros((ops.N * ops.n_u, (ops.N + 1) * ops.n_x))
     else:
         Theta = mask.project(options.theta_init, "theta_init")
+
     trace = SolveTrace()
-    if _record(0, "init", Theta) <= tol:
-        trace.termination = "stationarity"
-        return Theta, trace
-
-    factor = _reduced_curvature_factor(ops, lam, mask)
-    budget = options.newton_max_iters
-    for ccp_steps in range(options.max_ccp_iters + 1):
-        if options.newton != "off":
-            n = len(trace.records)
-            try:
-                Theta = newton_refine(ops, lam, Theta, mask,
-                                      replace(options, newton_max_iters=budget),
-                                      u_ff=u_ff, trace=trace)
-            except HessianNotPDError as e:
-                Theta = e.theta
-            budget -= len(trace.records) - n
-            if trace.records[-1].residual <= tol:
-                trace.termination = "stationarity"
-                return Theta, trace
-            if budget == 0:
-                trace.termination = "newton_max_iters"
-                return Theta, trace
-        if ccp_steps == options.max_ccp_iters:
-            break
-        J_prev, k = trace.records[-1].J, trace.records[-1].k + 1
-        try:
-            Theta = ccp_subproblem(ops, lam, Theta, mask, factor=factor,
-                                   grad=trace.report.grad_theta)
-        except WsteerError as e:
-            raise type(e)(f"CCP iteration {k}: {e}") from e
-        if _record(k, "ccp", Theta) <= tol:
+    factor = None  # the CCP curvature H0, built at the first CCP step
+    kind, steps = "init", {"newton": 0, "ccp": 0}
+    step = _evaluate_iterate(ops, lam, Theta, mask, u_ff)
+    while True:
+        Theta, rep, res = step
+        stalled = kind == "ccp" and (trace.report.J - rep.J
+                                     < options.obj_rel_tol * max(1.0, abs(trace.report.J)))
+        trace.records.append(IterRecord(len(trace.records), kind, rep.J, rep.J1, rep.J2,
+                                        rep.J3, rep.J4, res))
+        trace.report = rep
+        if res <= options.stationarity_tol:
             trace.termination = "stationarity"
-            return Theta, trace
-        if J_prev - trace.records[-1].J < options.obj_rel_tol * max(1.0, abs(J_prev)):
+        elif steps["newton"] == options.newton_max_iters:
+            trace.termination = "newton_max_iters"
+        elif stalled:
             trace.termination = "objective_stalled"
+        if trace.termination:
             return Theta, trace
 
-    trace.termination = "max_iters"
-    return Theta, trace
+        step = None
+        if options.newton != "off":
+            try:
+                step = newton_refine(ops, lam, Theta, mask, u_ff, rep)
+            except HessianNotPDError:
+                pass
+        kind = "ccp" if step is None else "newton"
+        if kind == "ccp":
+            if steps["ccp"] == options.max_ccp_iters:
+                trace.termination = "max_iters"
+                return Theta, trace
+            if factor is None:
+                factor = _reduced_curvature_factor(ops, lam, mask)
+            try:
+                Theta = ccp_subproblem(ops, lam, Theta, mask, factor=factor,
+                                       grad=rep.grad_theta)
+            except WsteerError as e:
+                raise type(e)(f"CCP iteration {len(trace.records)}: {e}") from e
+            step = _evaluate_iterate(ops, lam, Theta, mask, u_ff)
+        steps[kind] += 1
 
 
-def newton_refine(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
-    """Damped Newton on the free entries, guarded by reduced-Hessian PD.
+def newton_refine(ops, lam, Theta, mask, u_ff, rep):
+    """One damped Newton step on the free entries of Theta, guarded by
+    reduced-Hessian PD; rep is `evaluate`'s report at Theta.
 
-    Each step's curvature comes from the terminal kernel of the evaluation
-    that accepted the iterate, and its length from a backtracking line search
-    that judges J along the step in difference form (`objective._ray`): the
-    first of t = 1, 1/2, ..., 2^-7 with dJ(t) <= -ARMIJO t g^T step, g the
-    projected gradient, is taken, and only that point is evaluated.  Takes at
-    most newton_max_iters steps, and stops early at the stationarity
-    tolerance or when the line search accepts no step.  Raises
-    HessianNotPDError, carrying the current iterate as its `theta`, when the
-    reduced Hessian is not positive definite.  With a `trace`, whose last
-    record must be at Theta, the first step reads that record's report
-    instead of evaluating Theta, and accepted steps are appended to it.
+    The step's curvature comes from rep's terminal kernel and its gradient
+    from rep's, and its length from a backtracking line search that judges J
+    along the step in difference form (`objective._ray`): the first of
+    t = 1, 1/2, ..., 2^-7 with dJ(t) <= -ARMIJO t g^T step, g the projected
+    gradient, is taken, and only that point is evaluated.  Returns the new
+    iterate's (Theta, report, residual), as `_evaluate_iterate` gives them,
+    or None when the line search accepts no step.  Raises HessianNotPDError
+    when the reduced Hessian is not positive definite.
     """
-    options = options or SolverOptions()
-    if u_ff is None:
-        u_ff = np.zeros(ops.N * ops.n_u)
     Theta = mask.project(np.asarray(Theta, dtype=float))
+    g = mask.gather(rep.grad_theta)
+    factor = _curvature(ops, lam, mask, rep.kernel)
+    if not factor.pd:
+        raise HessianNotPDError("reduced Hessian not PD at the Newton iterate")
+    step = _curvature_solve(factor, g)
+    del factor  # the ray and the new iterate are built without it alive
 
-    if trace is not None and trace.report is not None:
-        rep = trace.report
-    else:
-        rep = evaluate(ops, lam, Policy(u_ff, Theta))
-    base_iter = trace.records[-1].k if trace and trace.records else 0
-
-    for k in range(1, options.newton_max_iters + 1):
-        g = mask.gather(rep.grad_theta)
-        if np.linalg.norm(g) <= options.stationarity_tol:
-            break
-        factor = _curvature(ops, lam, mask, rep.kernel)
-        if not factor.pd:
-            raise HessianNotPDError(f"reduced Hessian not PD at Newton iteration {k}",
-                                    theta=Theta)
-        step = _curvature_solve(factor, g)
-        del factor  # the next curvature is built without this one alive
-
-        dJ = _ray(ops, lam, Theta, mask.scatter(step), rep.kernel)
-        slope = ARMIJO * float(g @ step)
-        for t in 0.5 ** np.arange(LINE_SEARCH_TRIALS):
-            if dJ(t) <= -t * slope:
-                break
-        else:
-            break
-        Theta = mask.scatter(mask.gather(Theta) - t * step)
-        rep = evaluate(ops, lam, Policy(u_ff, Theta))
-        if trace is not None:
-            res = stationarity_residual(ops, lam, Policy(u_ff, Theta), mask,
-                                        grad=rep.grad_theta)
-            trace.records.append(_iter_record(base_iter + k, "newton", rep, res))
-            trace.report = rep
-    return Theta
+    dJ = _ray(ops, lam, Theta, mask.scatter(step), rep.kernel)
+    slope = ARMIJO * float(g @ step)
+    for t in 0.5 ** np.arange(LINE_SEARCH_TRIALS):
+        if dJ(t) <= -t * slope:
+            return _evaluate_iterate(ops, lam, mask.scatter(mask.gather(Theta) - t * step),
+                                     mask, u_ff)
+    return None
 
 
 def solve(problem, options=None):

@@ -649,6 +649,22 @@ def test_simulate_dimension_mismatch_exit_one(tmp_path, capsys):
     assert "dimensions" in capsys.readouterr().err
 
 
+def test_simulate_non_causal_policy_exit_one(tmp_path, capsys):
+    # the rollout simulates only the causal blocks of a gain, so a solution
+    # with a non-causal entry is rejected, not judged against its prediction
+    cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT)
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(cfg), "-o", str(sol)]) == 0
+    payload = json.loads(sol.read_text())
+    payload["Theta"][0][3] = 0.5  # u_0 reads x_1
+    sol.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["simulate", str(cfg), str(sol), "--samples", "2000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: policy violates the causality pattern"]
+    assert captured.out == ""
+
+
 def test_shipped_configs_parse():
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -691,6 +707,7 @@ def test_solve_validates_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+NEWTON_FIELD = 'error: field \'solver.newton\' must be "when_certified" or "off", got '
 # (payload id, config overrides, the error line, the commands that read the field)
 REJECTED_FIELDS = [
     ("unknown solver key", {"solver": {**BASE_CONFIG["solver"], "stationarity_tolerance": 1e-30}},
@@ -706,6 +723,14 @@ REJECTED_FIELDS = [
     ("per-step A one matrix", {"time_invariant": False},
      "error: field 'A' must be a list of N=10 matrices (or set time_invariant: true)",
      ALL_COMMANDS),
+    ("newton false", {"solver": {**BASE_CONFIG["solver"], "newton": False}},
+     NEWTON_FIELD + "False", ("solve", "check", "scan")),
+    ("newton null", {"solver": {**BASE_CONFIG["solver"], "newton": None}},
+     NEWTON_FIELD + "None", ("solve", "check", "scan")),
+    ("newton 1", {"solver": {**BASE_CONFIG["solver"], "newton": 1}},
+     NEWTON_FIELD + "1", ("solve", "check", "scan")),
+    ("newton OFF", {"solver": {**BASE_CONFIG["solver"], "newton": "OFF"}},
+     NEWTON_FIELD + "'OFF'", ("solve", "check", "scan")),
 ]
 
 

@@ -573,6 +573,21 @@ def test_rollout_names_a_noise_covariance_without_cholesky_factor():
         rollout(prob, Policy(np.zeros(1), np.zeros((1, 2))), 16, 0)
 
 
+def test_rollout_rejects_non_causal_policy_before_drawing(monkeypatch, tight_policy):
+    # the step recursion reads only the causal blocks of K, the prediction
+    # all of Theta: a non-causal Theta would be judged against a terminal
+    # law it does not simulate
+    prob, pol = tight_policy
+    Theta = pol.Theta.copy()
+    Theta[0, 3] = 0.5  # u_0 reads x_1
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(simulate, "_sample_noise", drawn)
+    with pytest.raises(ValueError, match="^policy violates the causality pattern$"):
+        rollout(prob, Policy(pol.u_ff, Theta), 20_000, 1)
+
+
 @pytest.mark.parametrize("field, pol", [
     ("u_ff", Policy(np.zeros(9), np.zeros((10, 22)))),
     ("Theta", Policy(np.zeros(10), np.zeros((10, 20)))),

@@ -241,11 +241,16 @@ def test_ccp_matches_newton_on_certified_instance():
 
 
 def test_newton_single_step_on_quadratic():
+    # at lambda = 0, J is quadratic in Theta with its minimum at Theta = 0
     rng, _, ops, mask = setup_random(16)
     Theta0 = rand_causal_theta(rng, mask)
-    out = newton_refine(ops, 0.0, Theta0, mask,
-                        SolverOptions(newton_max_iters=1, stationarity_tol=1e-14))
-    assert np.abs(out).max() <= 1e-10
+    u_ff = np.zeros(ops.N * ops.n_u)
+    Theta, rep, res = newton_refine(ops, 0.0, Theta0, mask, u_ff,
+                                    evaluate(ops, 0.0, Policy(u_ff, Theta0)))
+    assert np.abs(Theta).max() <= 1e-10
+    # the new iterate comes with its own evaluation and residual
+    assert rep.J == evaluate(ops, 0.0, Policy(u_ff, Theta)).J
+    assert res == np.linalg.norm(mask.gather(rep.grad_theta))
 
 
 def test_newton_quadratic_tail():
@@ -253,12 +258,9 @@ def test_newton_quadratic_tail():
     prob = certified_problem(rng)
     ops = w.assemble(prob)
     mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
-    Theta, trace = ccp_solve(ops, prob.lam, mask,
-                             SolverOptions(max_ccp_iters=40, obj_rel_tol=1e-9,
-                                           stationarity_tol=1e-9))
-    newton_refine(ops, prob.lam, Theta, mask,
-                  SolverOptions(newton_max_iters=25, stationarity_tol=1e-10),
-                  trace=trace)
+    _, trace = ccp_solve(ops, prob.lam, mask,
+                         SolverOptions(max_ccp_iters=40, obj_rel_tol=1e-9,
+                                       stationarity_tol=1e-10, newton_max_iters=25))
     res = [r.residual for r in trace.records if r.kind == "newton"]
     assert res and res[-1] <= 1e-8
     # quadratic tail while above the round-off floor of the gradient
@@ -352,21 +354,27 @@ def counted_evaluations(monkeypatch):
 
 def newton_outcomes(monkeypatch):
     """Wrap wsteer.solver.newton_refine; returns the list to which each call
-    appends ("not PD" | "stopped", steps in the trace before it)."""
+    appends "not PD", "no step" or "step"."""
     outcomes = []
     real = wsteer.solver.newton_refine
 
-    def recording(ops, lam, Theta, mask, options=None, u_ff=None, trace=None):
-        n = len(trace.records)
+    def recording(*args):
         try:
-            out = real(ops, lam, Theta, mask, options, u_ff=u_ff, trace=trace)
+            out = real(*args)
         except HessianNotPDError:
-            outcomes.append(("not PD", n))
+            outcomes.append("not PD")
             raise
-        outcomes.append(("stopped", n))
+        outcomes.append("no step" if out is None else "step")
         return out
     monkeypatch.setattr(wsteer.solver, "newton_refine", recording)
     return outcomes
+
+
+def steps_follow_attempts(trace, outcomes):
+    """Newton is tried once at every record but the last, and the next record
+    is its step, or a CCP step where it gave none."""
+    kinds = [r.kind for r in trace.records]
+    return kinds[1:] == ["newton" if o == "step" else "ccp" for o in outcomes]
 
 
 def test_indefinite_hessian_takes_one_ccp_step_then_newton_again(monkeypatch):
@@ -376,11 +384,9 @@ def test_indefinite_hessian_takes_one_ccp_step_then_newton_again(monkeypatch):
     outcomes = newton_outcomes(monkeypatch)
     sol = solve(double_integrator_problem(SD_TIGHT, lam=lam),
                 SolverOptions(max_ccp_iters=2000, theta_init=Theta_sad))
-    kinds = [r.kind for r in sol.trace.records]
-    assert outcomes[0] == ("not PD", 1)
-    for (outcome, n), (_, n_next) in zip(outcomes, outcomes[1:]):
-        assert outcome == "not PD" and kinds[n] == "ccp" and n_next == n + 1
-    assert outcomes[-1][0] == "stopped" and "newton" in kinds[outcomes[-1][1]:]
+    assert outcomes[0] == "not PD" and outcomes[-1] == "step"
+    assert set(outcomes) == {"not PD", "step"}
+    assert steps_follow_attempts(sol.trace, outcomes)
     assert sol.trace.termination == "stationarity"
     check_monotone(sol.trace)
 
@@ -392,7 +398,8 @@ def test_exhausted_line_search_takes_a_ccp_step(monkeypatch):
     outcomes = newton_outcomes(monkeypatch)
     sol = solve(double_integrator_problem(SD_TIGHT, lam=100.0))
     kinds = [r.kind for r in sol.trace.records]
-    assert trials[0] == LINE_SEARCH_TRIALS and outcomes[:2] == [("stopped", 1), ("stopped", 2)]
+    assert trials[0] == LINE_SEARCH_TRIALS and outcomes[0] == "no step"
+    assert set(outcomes[1:]) == {"step"} and steps_follow_attempts(sol.trace, outcomes)
     assert kinds[:3] == ["init", "ccp", "newton"]
     assert sol.trace.termination == "stationarity"
     check_monotone(sol.trace)
@@ -434,8 +441,9 @@ def test_newton_raises_on_indefinite_reduced_hessian():
     mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
     H = hessian_theta(ops, lam, Theta_sad)[np.ix_(mask.free_entries, mask.free_entries)]
     assert np.linalg.eigvalsh(H)[0] < 0.0
+    u_ff = np.zeros(ops.N * ops.n_u)
     with pytest.raises(HessianNotPDError):
-        newton_refine(ops, lam, Theta_sad, mask, SolverOptions(newton_max_iters=3))
+        newton_refine(ops, lam, Theta_sad, mask, u_ff, evaluate(ops, lam, Policy(u_ff, Theta_sad)))
 
 
 @pytest.mark.parametrize("lam", [100.0, 2000.0, 1e4])
@@ -457,22 +465,12 @@ def test_saddle_start_falls_back_to_ccp(monkeypatch):
     mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
     assert np.linalg.eigvalsh(hessian_theta(ops, lam, Theta_sad, mask))[0] < 0.0
 
-    raised = []
-
-    def recording(*args, **kwargs):
-        try:
-            return newton_refine(*args, **kwargs)
-        except HessianNotPDError as e:
-            assert mask.is_causal(e.theta)
-            raised.append(e)
-            raise
-    monkeypatch.setattr("wsteer.solver.newton_refine", recording)
-
+    outcomes = newton_outcomes(monkeypatch)
     opts = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14, stationarity_tol=1e-6,
                          theta_init=Theta_sad)
     sol = solve(prob, opts)
     ccp_only = solve(prob, replace(opts, newton="off"))
-    assert raised
+    assert "not PD" in outcomes and steps_follow_attempts(sol.trace, outcomes)
     assert sol.trace.termination == "stationarity"
     assert sol.report.J <= ccp_only.report.J
     check_monotone(sol.trace)
