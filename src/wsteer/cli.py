@@ -1,5 +1,5 @@
-"""Command-line interface: config ingestion, solving, scanning, checking,
-and Monte Carlo validation.
+"""Command-line interface: config ingestion, solving, scanning, checking (on
+the code `solve` runs, at every horizon), and Monte Carlo validation.
 
 Configs are UTF-8 JSON with row-major nested arrays for matrices.  With
 "time_invariant": true (a JSON boolean) the single A/B/G matrices are
@@ -25,24 +25,18 @@ from . import simulate as sim
 from .errors import DimensionMismatchError, ValidationError, WsteerError
 from .objective import (
     Policy,
+    _curvature,
     _hessian_block,
-    _mT,
+    _structured,
     _StructuredCurvature,
     _terminal,
     _values,
     convexity_certificate,
     grad_theta,
     grad_uff,
-    hessian_theta,
 )
 from .problem import Gaussian, SteeringProblem, TimeVaryingLinearSystem, assemble, causality_mask, validate
-from .solver import (
-    SCAN_CHUNK,
-    SolverOptions,
-    count_strict_local_minima,
-    line_scan,
-    solve,
-)
+from .solver import SolverOptions, count_strict_local_minima, line_scan, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -297,127 +291,131 @@ def cmd_scan(args):
     return EXIT_OK
 
 
-def _central_diff(f, x):
-    """Central differences of f at the 1-D x, with step max(1e-6, 1e-6 |x_i|)
-    along coordinate i; the difference along x_i is entry i of the last axis.
-    f maps a stack of points to values stacked on the leading axis; it runs on
-    stacks of SCAN_CHUNK points, x + h_i e_i or x - h_i e_i for a chunk of i."""
-    h = np.maximum(1e-6, 1e-6 * np.abs(x))
-    diffs = []
-    for lo in range(0, x.size, SCAN_CHUNK):
-        i = np.arange(lo, min(lo + SCAN_CHUNK, x.size))
-        X = np.tile(x, (2, i.size, 1))  # X[0] = x + h_i e_i, X[1] = x - h_i e_i
-        X[:, np.arange(i.size), i] += [h[i], -h[i]]
-        diffs.append(np.moveaxis(f(X[0]) - f(X[1]), 0, -1) / (2 * h[i]))
-    # C order: a norm sums in memory order, so the layout fixes its last bits
-    return np.ascontiguousarray(np.concatenate(diffs, axis=-1))
+# random directions per finite-difference row; free entries of the principal block
+FD_DIRECTIONS, BLOCK_INDICES = 8, 32
 
 
-def _fd_grad_check(ops, lam, mask, rng):
-    """Relative errors of the analytic gradients against central differences."""
+def _directions(rng, shape):
+    """FD_DIRECTIONS random directions of the given shape, each of unit norm."""
+    D = rng.standard_normal((FD_DIRECTIONS, int(np.prod(shape))))
+    return (D / np.linalg.norm(D, axis=1, keepdims=True)).reshape(-1, *shape)
+
+
+def _central(f, x, D):
+    """Central differences of f at x along each direction of D, from one call of f."""
+    h = 1e-6 * max(1.0, float(np.abs(x).max()))
+    values = f(np.concatenate([x + h * D, x - h * D]))
+    return (values[:len(D)] - values[len(D):]) / (2.0 * h)
+
+
+def _derivative_errors(ops, lam, mask, rng):
+    """Relative errors at a random (u, Theta): <grad_uff, d>, <grad_theta, d>
+    against central differences of J along random d of u, of all of Theta; the
+    causal Hessian's `matvec` against those of the projected gradient along
+    random causal d, and against `_hessian_block` on BLOCK_INDICES free entries."""
+    def rel(exact, approx):
+        return float(np.linalg.norm(exact - approx) / max(1.0, np.linalg.norm(exact)))
+
     u = 0.5 * rng.standard_normal(ops.N * ops.n_u)
     Theta = mask.project(0.2 * rng.standard_normal(mask.theta_shape))
-    m, q = Theta.shape
-
-    def vec_grad(flats):  # the Hessian's rows and columns follow vec(Theta), column-stacked
-        return _mT(grad_theta(ops, lam, _mT(flats.reshape(-1, q, m)))).reshape(len(flats), -1)
-
-    def rel(exact, approx):
-        return np.linalg.norm(exact - approx) / max(1.0, np.linalg.norm(exact))
-
-    fd_u = _central_diff(lambda U: _values(ops, lam, U, Theta).J, u)
-    fd_t = _central_diff(lambda T: _values(ops, lam, u, T.reshape(-1, m, q)).J, Theta.ravel())
-    fd_h = _central_diff(vec_grad, Theta.reshape(-1, order="F"))
-    return (rel(grad_uff(ops, lam, u), fd_u),
-            rel(grad_theta(ops, lam, Theta), fd_t.reshape(m, q)),
-            rel(hessian_theta(ops, lam, Theta), fd_h))
-
-
-def _cholesky_succeeds(H):
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _structured_row(ops, lam, mask, Theta, rng):
-    """The structured curvature H = H_U + Z^T Z at Theta against the dense
-    causal block: its inertia PD decision against dense Cholesky (counted
-    only when |lambda_min| > 1e-8 ||H||_2), the backward error of a Newton
-    solve with it, and its lambda_min against eigvalsh, whose own round-off
-    is eps ||H||_2; the row ends with the number of rows P that nearly
-    singular blocks of H_U shifted into the Woodbury border."""
+    Du, DT, D = (_directions(rng, x.shape) for x in (u, Theta, mask.free_entries))
+    fd_u = _central(lambda U: _values(ops, lam, U, Theta).J, u, Du)
+    fd_t = _central(lambda T: _values(ops, lam, u, T).J, Theta, DT)
+    fd_h = _central(lambda X: np.stack([mask.gather(g) for g in grad_theta(
+        ops, lam, np.stack([mask.scatter(x) for x in X]))]), mask.gather(Theta), D)
     term = _terminal(ops, Theta)
-    H = _hessian_block(ops, lam, mask.free_entries, term)
+    curv = _curvature(ops, lam, mask, term)
+    n = mask.free_entries.size
+    idx = np.sort(rng.choice(n, min(BLOCK_INDICES, n), replace=False))
+    block = np.stack([curv.matvec(np.eye(1, n, i)[0])[idx] for i in idx])
+    return (rel(Du @ grad_uff(ops, lam, u), fd_u),
+            rel(np.tensordot(DT, grad_theta(ops, lam, Theta)), fd_t),
+            rel(np.stack([curv.matvec(d) for d in D]), fd_h),
+            rel(_hessian_block(ops, lam, mask.free_entries[idx], term), block))
+
+
+def _structured_row(ops, lam, mask, term, rng, lmin=None):
+    """H = H_U + Z^T Z at the kernel term: inertia PD against the sign of the Lanczos
+    lambda_min lmin (counted when |lmin| > 1e-8 ||H||_2), a Newton solve's backward
+    error (an upper bound: power iteration's ||H||_2 is a lower one), border rows k."""
     curv = _StructuredCurvature(ops, lam, mask, term)
-    eig = np.linalg.eigvalsh(H)
-    lmin = float(curv.lambda_min())
-    agree = abs(lmin - eig[0]) <= 1e-8 * abs(eig[0]) + np.finfo(float).eps * abs(eig).max()
-    dense_pd = _cholesky_succeeds(H)
-    agree = agree and (curv.pd == dense_pd or abs(eig[0]) <= 1e-8 * abs(eig).max())
-    detail = (f"neg(H_U) {curv.neg_U}, neg(S) {curv.neg_S}, PD {curv.pd} vs dense "
-              f"Cholesky {dense_pd}, min eig {lmin:.9e} vs dense {eig[0]:.9e}")
-    rows = f", {curv.k} shifted border rows"
-    if not curv.pd:
-        return ("structured curvature vs dense causal block", bool(agree and eig[0] <= 0.0),
-                detail + ", not PD: no Newton solve" + rows)
-    b = rng.standard_normal(H.shape[0])
-    x = curv.solve(b)
-    err = np.linalg.norm(H @ x - b) / (eig[-1] * np.linalg.norm(x) + np.linalg.norm(b))
-    return ("structured curvature vs dense causal block", bool(agree and err <= 1e-14),
-            f"Newton solve backward error {err:.3e}, " + detail + rows)
+    lmin = float(curv.lambda_min() if lmin is None else lmin)
+    v = np.random.default_rng(1).standard_normal(mask.free_entries.size)
+    for _ in range(20):  # ||H v|| <= ||H||_2 for a unit v
+        v = curv.matvec(v / np.linalg.norm(v))
+    norm = np.linalg.norm(v)
+    ok = curv.pd == (lmin > 0.0) or abs(lmin) <= 1e-8 * norm
+    detail = (f"neg(H_U) {curv.neg_U}, neg(S) {curv.neg_S}, PD {curv.pd} "
+              f"vs Lanczos min eig {lmin:.9e}")
+    if curv.pd:
+        b = rng.standard_normal(v.size)
+        x = curv.solve(b)
+        err = np.linalg.norm(curv.matvec(x) - b) / (norm * np.linalg.norm(x) + np.linalg.norm(b))
+        ok, detail = ok and err <= 1e-14, f"Newton solve backward error {err:.3e}, {detail}"
+    else:
+        detail += ", not PD: no Newton solve"
+    return ("structured curvature at Theta*", bool(ok), f"{detail}, {curv.k} shifted border rows")
+
+
+def _certificate_row(label, lam, cert, spectral):
+    """cert is `solve`'s certificate (dominance first); dominance (or lam = 0) implies
+    a PD Hessian, so only then the row counts, passing if spectral's lambda_min > 0."""
+    hmin = spectral.lambda_min_hessian
+    detail = f"dominance gap {cert.dominance_gap:.3e}, min eig Hess {hmin:.3e}"
+    if cert.kind == "DominatedCovariance" or lam == 0.0:
+        return (label, bool(hmin > 0.0), detail)
+    return (label, None, detail + " (not dominated)")
 
 
 def cmd_check(args):
     problem, cfg = load_config(args.config)
     options = solver_options_from_config(cfg)
 
-    rows = []
     try:
-        ops = assemble(problem)
-        # assemble has already rejected an Stilde that is not PD
-        smin = float(np.linalg.eigvalsh(ops.Stilde)[0])
-        rows.append(("Stilde positive definite", True, f"min eig {smin:.3e}"))
+        ops = assemble(problem)  # which rejects an Stilde that is not PD
     except WsteerError as e:
-        rows.append(("Stilde positive definite", False, str(e)))
-        _print_check_table(rows)
+        _print_check_table([("Stilde positive definite", False, str(e))])
         return EXIT_INPUT
+    rows = [("Stilde positive definite", True, f"min eig {np.linalg.eigvalsh(ops.Stilde)[0]:.3e}")]
 
     mask = causality_mask(ops.N, ops.n_u, ops.n_x)
-    lam = problem.lam
-    rng = np.random.default_rng(0)
-
-    def _certificate_row(label, Theta):
-        # dominance (or lam = 0) implies a PD Hessian; report the eigenvalue,
-        # and count the row pass/fail only when the implication applies
-        cert = convexity_certificate(ops, lam, Theta, mode="dominance")
-        hmin = float(np.linalg.eigvalsh(hessian_theta(ops, lam, Theta))[0])
-        detail = f"dominance gap {cert.dominance_gap:.3e}, min eig Hess {hmin:.3e}"
-        if cert.kind or lam == 0.0:
-            rows.append((label, bool(hmin > 0.0), detail))
-        else:
-            rows.append((label, None, detail + " (not dominated)"))
+    lam, rng = problem.lam, np.random.default_rng(0)
 
     try:
-        err_u, err_t, err_h = _fd_grad_check(ops, lam, mask, rng)
-        rows.append(("grad_uff vs finite differences", bool(err_u <= 1e-6), f"rel err {err_u:.3e}"))
-        rows.append(("grad_theta vs finite differences", bool(err_t <= 1e-6), f"rel err {err_t:.3e}"))
-        rows.append(("hessian_theta vs finite differences", bool(err_h <= 1e-5), f"rel err {err_h:.3e}"))
-        _certificate_row("Hessian PD at Theta=0 (certificate)", np.zeros(mask.theta_shape))
+        errors = _derivative_errors(ops, lam, mask, rng)
+        along, n = f"along {FD_DIRECTIONS} directions", mask.free_entries.size
+        block = f"on {min(BLOCK_INDICES, n)} of {n} free entries"  # apart by rounding only
+        for (name, tol, where), err in zip([
+                ("grad_uff vs finite differences", 1e-6, along),
+                ("grad_theta vs finite differences", 1e-6, along),
+                ("Hessian matvec vs finite differences", 1e-5, along),
+                ("Hessian matvec vs dense principal block", 1e-10, block)], errors):
+            rows.append((name, bool(err <= tol), f"rel err {err:.3e} {where}"))
+        zero = np.zeros(mask.theta_shape)
+        rows.append(_certificate_row("Hessian PD at Theta=0 (certificate)", lam,
+                                     convexity_certificate(ops, lam, zero),
+                                     convexity_certificate(ops, lam, zero, mode="spectral")))
     except WsteerError as e:
         rows.append(("derivatives and Theta=0 certificate", False, f"{type(e).__name__}: {e}"))
 
     try:
         sol = solve(problem, options)
-        _certificate_row("Hessian PD at Theta* (certificate)", sol.Theta)
-        rows.append(_structured_row(ops, lam, mask, sol.Theta, rng))
     except DimensionMismatchError:  # a theta_init that does not fit the problem
         raise
     except ValidationError as e:
         rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved (validation: {e})"))
     except WsteerError as e:
         rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved: {e}"))
+    else:
+        try:  # solve's certificate is spectral unless dominance held, Lanczos above the size rule
+            cert, kernel = sol.certificate, sol.report.kernel
+            spectral = cert if cert.lambda_min_hessian is not None else convexity_certificate(
+                ops, lam, sol.Theta, "spectral", kernel)
+            rows.append(_certificate_row("Hessian PD at Theta* (certificate)", lam, cert, spectral))
+            rows.append(_structured_row(ops, lam, mask, kernel, rng,
+                                        spectral.lambda_min_hessian if _structured(ops) else None))
+        except WsteerError as e:
+            rows.append(("certificate and curvature at Theta*", False, f"{type(e).__name__}: {e}"))
 
     _print_check_table(rows)
     failed = [name for name, ok, _ in rows if ok is False]

@@ -39,15 +39,15 @@ E_t = (I + A Q_t / 2)^-1 A / 2.  `_StructuredCurvature` adds Z by Woodbury
 through S = I + Z H_U^-1 Z^T, built from G_t = Q_t (I - E_t Q_t), and decides
 positive definiteness by inertia (Haynsworth).  A nearly singular block of
 H_U takes A_+, the positive part of A, so it is >= 2I, and H_U' - H_U = P^T P
-joins Z in the border with the sign -1.  Both solves take one refinement
-step.  `_hessian_block`'s dense causal block is the test oracle and the
-reference of `wsteer check`; the spectral certificate takes lambda_min from
-its eigvalsh below the size rule.  Above it the kind is the inertia count,
-and lambda_min the Rayleigh quotient, with the exact H, of a Ritz vector of
-plain Lanczos on the unrefined H^-1.  `_terminal` and `_values` (J1..J4, W2)
-also take a stack of policies along leading axes, each member's bits equal
-to a lone policy's; `line_scan` evaluates its grid that way.  `_ray` gives
-J's change along a Newton step in difference form, for its line search.
+joins Z in the border with the sign -1.  Both solves take one refinement step.
+`_hessian_block`'s dense causal block is the test oracle, and `wsteer check`'s
+on a few entries; the spectral certificate takes lambda_min from its eigvalsh
+below the size rule.  Above it the kind is the inertia count, and lambda_min
+the Rayleigh quotient, with the exact H, of a Ritz vector of plain Lanczos on
+the unrefined H^-1.  `_terminal` and `_values` (J1..J4, W2) also take a stack
+of policies along leading axes, each member's bits equal to a lone policy's;
+`line_scan` evaluates its grid that way.  `_ray` gives J's change along a
+Newton step in difference form, for its line search.
 """
 
 from dataclasses import dataclass, field

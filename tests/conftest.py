@@ -77,6 +77,18 @@ def long_horizon_problem(rng, N, n_x=4, n_u=2, lam=10.0):
     )
 
 
+def per_step_config(problem):
+    """problem as a config of `wsteer.cli.load_config`, with per-step A/B/G."""
+    sysm = problem.system
+    return {"N": sysm.horizon,
+            "A": [M.tolist() for M in sysm.A], "B": [M.tolist() for M in sysm.B],
+            "G": [M.tolist() for M in sysm.G],
+            "mu0": problem.initial.mean.tolist(), "S0": problem.initial.cov.tolist(),
+            "Sw": np.asarray(problem.noise_cov).tolist(),
+            "mud": problem.desired.mean.tolist(), "Sd": problem.desired.cov.tolist(),
+            "lambda": problem.lam}
+
+
 def rand_causal_theta(rng, mask, scale=0.3):
     return mask.project(scale * rng.standard_normal(mask.theta_shape))
 

@@ -10,12 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import SD_TIGHT, SD_WIDE, rand_problem
+from conftest import SD_TIGHT, SD_WIDE, rand_problem, rel_err
 from test_solver import saddle_start
 import wsteer as w
 import wsteer.cli as cli
 from wsteer.cli import load_config, main, solver_options_from_config
-from wsteer.objective import Policy, evaluate, grad_theta, grad_uff, hessian_theta
+from wsteer.objective import Policy, _curvature, _hessian_block, evaluate, grad_theta, grad_uff
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -452,48 +452,80 @@ def test_bad_theta_init_names_the_field_exit_one(tmp_path, capsys, command, thet
     assert captured.out == ""
 
 
+CHECK_ROWS = ("Stilde positive definite",
+              "grad_uff vs finite differences",
+              "grad_theta vs finite differences",
+              "Hessian matvec vs finite differences",
+              "Hessian matvec vs dense principal block",
+              "Hessian PD at Theta=0 (certificate)",
+              "Hessian PD at Theta* (certificate)",
+              "structured curvature at Theta*")
+
+
+def check_rows(out):
+    """The rows of a `check` table, as (name, status, detail) tuples."""
+    width = max(len(r) for r in CHECK_ROWS) + 2
+    return [(line[:width].rstrip(), line[width + 1:width + 5], line[width + 7:])
+            for line in out.splitlines()]
+
+
 def test_check_benchmark_passes(tmp_path, capsys):
     cfg = write_config(tmp_path / "p.json")
     assert main(["check", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    for row in ("Stilde positive definite",
-                "grad_uff vs finite differences",
-                "grad_theta vs finite differences",
-                "hessian_theta vs finite differences",
-                "structured curvature vs dense causal block"):
-        line = next(l for l in out.splitlines() if l.startswith(row))
-        assert "PASS" in line
+    rows = check_rows(capsys.readouterr().out)
+    assert [name for name, _, _ in rows] == list(CHECK_ROWS)
+    # the wide target does not dominate: both certificate rows are informational
+    assert [status for _, status, _ in rows] == ["PASS"] * 5 + ["INFO"] * 2 + ["PASS"]
+    for name, _, detail in rows[1:4]:
+        assert detail.endswith(" along 8 directions")
+        assert float(detail.split()[2]) <= (1e-5 if name.startswith("Hessian") else 1e-6)
+    assert rows[4][2].endswith(" on 32 of 110 free entries")
+
+
+def test_check_tight_config_passes_every_row(capsys):
+    # the tight target dominates at Theta = 0 and at Theta*, so both certificates count
+    assert main(["check", str(CONFIGS / "double_integrator_tight.json")]) == 0
+    rows = check_rows(capsys.readouterr().out)
+    assert [name for name, _, _ in rows] == list(CHECK_ROWS)
+    assert [status for _, status, _ in rows] == ["PASS"] * len(CHECK_ROWS)
 
 
 def test_check_reports_inertia_decision(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path / "p.json")
-    row = "structured curvature vs dense causal block"
+    row = "structured curvature at Theta*"
     assert main(["check", str(cfg)]) == 0
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(row))
-    assert "neg(H_U) 0, neg(S) 0, PD True vs dense Cholesky True" in line
+    assert " PASS  Newton solve backward error " in line
+    assert "neg(H_U) 0, neg(S) 0, PD True vs Lanczos min eig " in line
     assert line.endswith(", 0 shifted border rows")
 
-    # a dense Cholesky that fails on this clearly PD block: the decisions
-    # disagree outside the margin, and the row fails
-    monkeypatch.setattr(cli, "_cholesky_succeeds", lambda H: False)
+    # a Lanczos lambda_min of the wrong sign on this clearly PD Hessian: the
+    # decisions disagree outside the margin, and the row fails
+    monkeypatch.setattr(cli._StructuredCurvature, "lambda_min", lambda self: -1.0)
     assert main(["check", str(cfg)]) == 1
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(row))
-    assert "FAIL" in line and "PD True vs dense Cholesky False" in line
+    assert " FAIL  " in line and "PD True vs Lanczos min eig -1.000000000e+00" in line
 
 
 def test_check_at_a_saddle_reports_no_newton_solve(tmp_path, capsys):
     # one CCP step from the saddle of the lambda = 2000 tight target leaves an
-    # indefinite block that both decisions call not PD
+    # indefinite Hessian that both decisions call not PD
     lam, Theta = saddle_start()
     cfg = write_config(tmp_path / "p.json", Sd=SD_TIGHT, **{"lambda": lam}, solver={
         "theta_init": Theta.tolist(), "max_ccp_iters": 1, "newton": "off"})
     assert main(["check", str(cfg)]) == 0
     line = next(l for l in capsys.readouterr().out.splitlines()
-                if l.startswith("structured curvature vs dense causal block"))
-    assert " PASS  neg(H_U) 20, neg(S) 1, PD False vs dense Cholesky False, min eig " in line
+                if l.startswith("structured curvature at Theta*"))
+    assert " PASS  neg(H_U) 20, neg(S) 1, PD False vs Lanczos min eig " in line
     assert line.endswith(", not PD: no Newton solve, 0 shifted border rows")
-    lmin, dense = line.split("min eig ")[1].split(",")[0].split(" vs dense ")
-    assert lmin == dense and float(lmin) < 0.0
+    # Lanczos's lambda_min against the dense causal block's, the test oracle
+    problem, raw = load_config(str(cfg))
+    sol = w.solve(problem, solver_options_from_config(raw))
+    ops = w.assemble(problem)
+    mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
+    dense = np.linalg.eigvalsh(_hessian_block(ops, lam, mask.free_entries, sol.report.kernel))[0]
+    lmin = line.split("min eig ")[1].split(",")[0]
+    assert lmin == f"{dense:.9e}" and dense < 0.0
 
 
 def test_check_reports_an_unsolved_start(tmp_path, capsys):
@@ -535,39 +567,30 @@ def test_check_singular_sd_fails_rows_exit_one(tmp_path, capsys):
     assert "desired covariance not PD" in out
 
 
-def pointwise_central_diff(f, x):
-    """The oracle: `cli._central_diff` evaluating f one perturbed point at a time."""
-    cols = []
-    for i in range(x.size):
-        h = max(1e-6, 1e-6 * abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((f(xp) - f(xm)) / (2 * h))
-    return np.stack(cols, axis=-1)
+def pointwise_central(f, x, D):
+    """The oracle: `cli._central` evaluating f one perturbed point at a time."""
+    h = 1e-6 * max(1.0, float(np.abs(x).max()))
+    return np.array([(f(x + h * d) - f(x - h * d)) / (2 * h) for d in D])
 
 
-def pointwise_fd_grad_check(ops, lam, mask, rng):
-    """The oracle: `cli._fd_grad_check` through lone `evaluate` and `grad_theta` calls."""
+def pointwise_rows(ops, lam, mask, rng):
+    """The oracle: the finite-difference errors of `cli._derivative_errors`,
+    through lone `evaluate` and `grad_theta` calls."""
     u = 0.5 * rng.standard_normal(ops.N * ops.n_u)
     Theta = mask.project(0.2 * rng.standard_normal(mask.theta_shape))
-    shape = Theta.shape
+    Du, DT, D = (cli._directions(rng, x.shape) for x in (u, Theta, mask.free_entries))
 
     def J_of(u_vec, T):
         return evaluate(ops, lam, Policy(u_vec, T)).J
 
-    def vec_grad(flat):
-        return grad_theta(ops, lam, flat.reshape(shape, order="F")).reshape(-1, order="F")
-
-    def rel(exact, approx):
-        return np.linalg.norm(exact - approx) / max(1.0, np.linalg.norm(exact))
-
-    fd_u = pointwise_central_diff(lambda v: J_of(v, Theta), u)
-    fd_t = pointwise_central_diff(lambda v: J_of(u, v.reshape(shape)), Theta.ravel())
-    fd_h = pointwise_central_diff(vec_grad, Theta.reshape(-1, order="F"))
-    return (rel(grad_uff(ops, lam, u), fd_u),
-            rel(grad_theta(ops, lam, Theta), fd_t.reshape(shape)),
-            rel(hessian_theta(ops, lam, Theta), fd_h))
+    fd_u = pointwise_central(lambda v: J_of(v, Theta), u, Du)
+    fd_t = pointwise_central(lambda T: J_of(u, T), Theta, DT)
+    fd_h = pointwise_central(lambda x: mask.gather(grad_theta(ops, lam, mask.scatter(x))),
+                             mask.gather(Theta), D)
+    curv = _curvature(ops, lam, mask, w.objective._terminal(ops, Theta))
+    return (rel_err(fd_u, Du @ grad_uff(ops, lam, u)),
+            rel_err(fd_t, np.tensordot(DT, grad_theta(ops, lam, Theta))),
+            rel_err(fd_h, np.stack([curv.matvec(d) for d in D])))
 
 
 def fd_check_inputs(source):
@@ -580,24 +603,24 @@ def fd_check_inputs(source):
 
 
 @pytest.mark.parametrize("source", ["tight", "wide", "time-varying"])
-def test_fd_grad_check_equals_pointwise_loop(source):
+def test_directional_rows_equal_pointwise_loop(source):
     # each stacked member is bit-identical to a lone evaluation, so the
     # relative errors, not only the printed table, equal the loop's
     ops, lam, mask = fd_check_inputs(source)
-    assert (cli._fd_grad_check(ops, lam, mask, np.random.default_rng(0))
-            == pointwise_fd_grad_check(ops, lam, mask, np.random.default_rng(0)))
+    assert (cli._derivative_errors(ops, lam, mask, np.random.default_rng(0))[:3]
+            == pointwise_rows(ops, lam, mask, np.random.default_rng(0)))
 
 
-def test_fd_grad_check_runs_few_terminal_kernels(monkeypatch):
-    # one kernel pass per stack, 2 + 8 + 8 for this config's 10 + 220 + 220
-    # coordinates, and one each for the exact gradient and Hessian
+def test_derivative_rows_run_few_terminal_kernels(monkeypatch):
+    # one kernel pass per stack of 16 points (u_ff, Theta and the projected
+    # gradient), one for the exact gradient and one for the curvature
     ops, lam, mask = fd_check_inputs("tight")
     calls = []
     real = w.objective._terminal
-    monkeypatch.setattr(w.objective, "_terminal",
-                        lambda *args: calls.append(1) or real(*args))
-    cli._fd_grad_check(ops, lam, mask, np.random.default_rng(0))
-    assert 0 < len(calls) <= 30
+    for module in (w.objective, cli):
+        monkeypatch.setattr(module, "_terminal", lambda *args: calls.append(1) or real(*args))
+    cli._derivative_errors(ops, lam, mask, np.random.default_rng(0))
+    assert len(calls) == 5
 
 
 def test_simulate_roundtrip_and_determinism(tmp_path, capsys):

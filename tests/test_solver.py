@@ -868,5 +868,5 @@ def test_spectral_certificate_never_imports_scipy():
         assert structured and termination == "stationarity"
         assert kind == "HessianPD" and lmin > 0.0
     assert out["check"] == 0
-    assert "structured curvature vs dense causal block" in out["table"]
+    assert "structured curvature at Theta*" in out["table"]
     assert out["scipy"] == []
