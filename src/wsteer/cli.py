@@ -22,7 +22,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import simulate as sim
-from .errors import DimensionMismatchError, ValidationError, WsteerError
+from .errors import CertificateMismatchError, DimensionMismatchError, ValidationError, WsteerError
 from .objective import (
     Policy,
     _curvature,
@@ -404,6 +404,8 @@ def cmd_check(args):
         raise
     except ValidationError as e:
         rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved (validation: {e})"))
+    except CertificateMismatchError as e:  # solve's own certificate contradicts itself
+        rows.append(("Hessian PD at Theta* (certificate)", False, f"{type(e).__name__}: {e}"))
     except WsteerError as e:
         rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved: {e}"))
     else:

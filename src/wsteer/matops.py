@@ -59,20 +59,30 @@ def check_symmetric(S, sym_tol=None, name="S"):
     return S
 
 
-def require_conditioned(vals, what, error=NotPDError, rcond=RCOND_GUARD):
-    """Raise `error` unless min(vals) > rcond * max(max(vals), 0).
-
-    The one positive-definiteness, conditioning and rank rule of the package.
-    vals is a spectrum the caller already has, sorted either way (eigvalsh
-    returns it ascending, svd descending), or a stack of them along the last
-    axis, tested in order; rcond = 0 is the plain positive definiteness test,
-    and a NaN in either end always fails.
-    """
+def ill_conditioned(vals, rcond=RCOND_GUARD):
+    """[(index, "min <lo> <= rcond * max <hi>")] of each member failing
+    min(vals) > rcond * max(max(vals), 0), 0 <= rcond < 1, in order: the one
+    positive-definiteness, conditioning and rank rule of the package.  vals is
+    a spectrum the caller already has, sorted either way (eigvalsh ascending,
+    svd descending), or a stack of them along the last axis (flat index),
+    judged in one vectorized pass; a NaN in either end always fails."""
     vals = np.asarray(vals, dtype=float)
-    for a, b in zip(vals[..., 0].ravel().tolist(), vals[..., -1].ravel().tolist()):
-        lo, hi = (a, b) if a <= b else (b, a)
-        if not lo > rcond * max(hi, 0.0):
-            raise error(f"{what}: min {lo:.3e} <= {rcond:g} * max {hi:.3e}")
+    ends = vals[..., ::max(vals.shape[-1] - 1, 1)]
+    # for 0 < rcond < 1 the rule holds iff each end exceeds rcond times the
+    # other, and for rcond = 0 (0 * inf is NaN) iff both lie in (0, inf)
+    ok = ends > rcond * ends[..., ::-1] if rcond else (ends > 0.0) & (ends < np.inf)
+    if np.count_nonzero(ok) == ok.size:
+        return []
+    good = ok.reshape(-1, ok.shape[-1]).all(axis=1).tolist()
+    ends = [(a, b) if a <= b else (b, a) for a, b in vals[..., [0, -1]].reshape(-1, 2).tolist()]
+    return [(i, f"min {lo:.3e} <= {rcond:g} * max {hi:.3e}")
+            for i, (lo, hi) in enumerate(ends) if not good[i]]
+
+
+def require_conditioned(vals, what, error=NotPDError, rcond=RCOND_GUARD):
+    """Raise `error` naming the first member of vals that fails `ill_conditioned`."""
+    for _, why in ill_conditioned(vals, rcond):
+        raise error(f"{what}: {why}")
 
 
 def as_spd_matrix(S, name="S"):

@@ -47,7 +47,8 @@ the Rayleigh quotient, with the exact H, of a Ritz vector of plain Lanczos on
 the unrefined H^-1.  `_terminal` and `_values` (J1..J4, W2) also take a stack
 of policies along leading axes, each member's bits equal to a lone policy's;
 `line_scan` evaluates its grid that way.  `_ray` gives J's change along a
-Newton step in difference form, for its line search.
+Newton step in difference form, for its line search, at one `_terminal` per
+trial; the accepted trial's kernel is the new iterate's.
 """
 
 from dataclasses import dataclass, field
@@ -200,16 +201,6 @@ class _Terminal(NamedTuple):
         return symmetrize((self.W / self.r[..., None, :]) @ _mT(self.W))
 
 
-def _spectra(ops, Y):
-    """The eigenvalues y of Y, and c and V of C = Sd^(1/2) Y Sd^(1/2) = V diag(c) V^T,
-    after the conditioning guards of `_terminal`."""
-    y = np.linalg.eigvalsh(Y)
-    require_conditioned(y, "terminal covariance is singular", SingularTerminalCovarianceError)
-    c, V = np.linalg.eigh(symmetrize(ops.sqrt_Sd @ Y @ ops.sqrt_Sd))
-    require_conditioned(c, "Sd^1/2 Y Sd^1/2 is not PD", SingularTerminalCovarianceError, rcond=0.0)
-    return y, c, V
-
-
 def _terminal(ops, Theta):
     """Every terminal quantity of J, its gradient and its Hessian at Theta,
     from one eigendecomposition of C = Sd^(1/2) Y Sd^(1/2).
@@ -226,7 +217,10 @@ def _terminal(ops, Theta):
     Om = omega(ops, Theta)
     OmS = Om @ ops.Stilde
     Y = symmetrize(OmS @ _mT(Om))
-    y, c, V = _spectra(ops, Y)
+    y = np.linalg.eigvalsh(Y)
+    require_conditioned(y, "terminal covariance is singular", SingularTerminalCovarianceError)
+    c, V = np.linalg.eigh(symmetrize(ops.sqrt_Sd @ Y @ ops.sqrt_Sd))
+    require_conditioned(c, "Sd^1/2 Y Sd^1/2 is not PD", SingularTerminalCovarianceError, rcond=0.0)
     r = np.sqrt(c)
     return _Terminal(OmS=OmS, Y=Y, Y_eigvals=y, trace_root=np.sum(r, axis=-1),
                      W=ops.sqrt_Sd @ V, r=r, V=V)
@@ -254,16 +248,17 @@ def _dot(x, y):
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _values(ops, lam, u, Theta):
+def _values(ops, lam, u, Theta, term=None):
     """J1..J4, J and the squared W2 distance at the policy (u, Theta), or at
     each member of stacks u (..., N n_u) and Theta (..., N n_u, (N+1) n_x).
 
     Applies every guard of `evaluate` to every member: lam >= 0, the two
-    conditioning guards of `_terminal` and the W2 round-off check.
+    conditioning guards of `_terminal` (or term, its kernel at Theta, passed
+    them) and the W2 round-off check.
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    term = _terminal(ops, Theta)
+    term = _terminal(ops, Theta) if term is None else term
 
     mean = ops.FGamma_mu0 + (ops.FHu @ u[..., None])[..., 0]  # matmul's gemv path, as FHu @ u
     dmu = mean - ops.mud
@@ -389,9 +384,7 @@ class _ConvexCurvature:
     pd = True
 
     def __init__(self, ops, lam, mask, term=None):
-        p, qq = ops.N * ops.n_u, ops.N * ops.n_x
-        self.cols, self.rows = np.divmod(mask.free_entries, p)
-        self.free = np.arange(qq) // ops.n_x <= (np.arange(p) // ops.n_u)[:, None]
+        self.rows, self.cols, self.free = mask.layout
         self.FHu = ops.FHu
         self.L, self.Linv = ops.causal_cholesky
         self.A = self.A_t = _coupling_weight(lam, ops.n_x, term)
@@ -528,8 +521,9 @@ class _StructuredCurvature(_ConvexCurvature):
             A_plus = symmetrize((V * np.maximum(a, 0.0)) @ V.T)
             self.A_t = np.where(shift[:, None, None], A_plus, self.A)
         # S = J + B H_U'^-1 B^T from <U(Y), H_U'^-1 U(Y')> = sum_c Y_c^T G_t Y'_c / 2,
-        # G_t = Q_t (I - E_t Q_t): Z's rows have Y = R_ab, P's Wn on a column of sc
-        G = self.Q @ (np.eye(n_x) - self.E @ self.Q)
+        # G_t = Q_t (I - EQ_t), EQ_t = E_t Q_t: Z's rows have Y = R_ab, P's Wn on sc
+        self.EQ = self.E @ self.Q
+        G = self.Q @ (np.eye(n_x) - self.EQ)
         R = self._Zt(np.eye(m).reshape(m, n_x, n_x))
         GR = self._blocks(G, R)
         S = np.eye(m) + 0.5 * R.reshape(m, -1) @ GR.reshape(m, -1).T
@@ -575,7 +569,7 @@ class _StructuredCurvature(_ConvexCurvature):
         Y = self._Zt(w[:self.sg.size].reshape(self.sg.shape))
         if self.k:
             Y[:, self.shifted] += self.Wn @ w[self.sg.size:].reshape(self.shifted.size, -1).T
-        return (self.FHu.T @ (EF + 0.5 * (Y - self._blocks(self.E @ self.Q, Y)))) * self.free
+        return (self.FHu.T @ (EF + 0.5 * (Y - self._blocks(self.EQ, Y)))) * self.free
 
 
 def _curvature(ops, lam, mask, term=None):
@@ -597,15 +591,16 @@ def hessian_theta(ops, lam, Theta, mask=None):
     return _hessian_block(ops, lam, idx, term)
 
 
-def evaluate(ops, lam, policy, mask=None):
+def evaluate(ops, lam, policy, mask=None, kernel=None):
     """Evaluate J, its decomposition, the terminal law, and the gradients.
 
     When a CausalityMask is supplied the policy must already satisfy it.
+    `kernel`, `_terminal` at policy.Theta, is used instead of computing it.
     """
     if mask is not None and not mask.is_causal(policy.Theta):
         raise ValueError("policy violates the causality pattern")
 
-    v = _values(ops, lam, policy.u_ff, policy.Theta)
+    v = _values(ops, lam, policy.u_ff, policy.Theta, kernel)
     return ObjectiveReport(
         J=float(v.J), J1=float(v.J1), J2=float(v.J2), J3=float(v.J3), J4=float(v.J4),
         W2_sq=float(v.W2_sq),
@@ -633,16 +628,17 @@ def stationarity_residual(ops, lam, policy, mask, grad=None):
 
 
 def _ray(ops, lam, Theta, Delta, term):
-    """dJ(t) = J(Theta - t Delta) - J(Theta), u_ff fixed, in difference form
-    from term, the terminal kernel at Theta.  With D = FHu Delta, B = D Stilde
-    Omega^T and C = D Stilde D^T, the terminal covariance moves by
-    dY = -t (B + B^T) + t^2 C, J2 and J3 change by polynomials in t, and
-    J4 by 2 lam tr X, where R(t) X + X R = Sd^(1/2) dY Sd^(1/2) with
-    R(t) = (Sd^(1/2) Y(t) Sd^(1/2))^(1/2), solved in the eigenbases of R and
-    R(t).  Every term's round-off scales with t Delta, not with J, so dJ
-    resolves changes far below J's evaluation noise.  dJ(t) is inf where Y(t)
-    fails `_terminal`'s conditioning guards.  Costs one product of evaluate's
-    size, Delta Stilde, and then two n_x x n_x eigendecompositions per t.
+    """Line-search trials along Theta_t = Theta - t Delta, term the terminal
+    kernel at Theta: trial(t) is (dJ(t), Theta_t, kernel_t), kernel_t the
+    kernel `_terminal(ops, Theta_t)` that evaluate builds there, and dJ(t) =
+    J(Theta_t) - J(Theta), u_ff fixed, in difference form.  With D = FHu Delta,
+    B = D Stilde Omega^T and C = D Stilde D^T, Y moves by dY = -t (B + B^T) +
+    t^2 C, J2 and J3 by polynomials in t, and J4 by 2 lam tr X, R(t) X + X R =
+    Sd^(1/2) dY Sd^(1/2), R(t) = (Sd^(1/2) Y(t) Sd^(1/2))^(1/2), solved in the
+    eigenbases of R and of R(t), from kernel_t.  Round-off scales with t Delta,
+    not with J, so dJ resolves changes far below J's evaluation noise.  dJ is
+    inf, kernel_t None, where `_terminal` rejects Theta_t.  Costs Delta Stilde,
+    then one `_terminal` per t; the accepted trial's kernel is the iterate's.
     """
     DS = Delta @ ops.Stilde
     D = ops.FHu @ Delta
@@ -650,16 +646,17 @@ def _ray(ops, lam, Theta, Delta, term):
     C = symmetrize(ops.FHu @ DS @ D.T)
     lin, quad = float(np.vdot(Theta, DS)), float(np.vdot(Delta, DS))
 
-    def dJ(t):
-        dY = t * t * C - t * (B + B.T)
+    def trial(t):
+        Theta_t = Theta - t * Delta
         try:
-            _, c, U = _spectra(ops, symmetrize(term.Y + dY))
+            kt = _terminal(ops, Theta_t)
         except SingularTerminalCovarianceError:
-            return np.inf  # a point evaluate rejects is never a step's end
-        X = ((ops.sqrt_Sd @ U).T @ dY @ term.W) / np.add.outer(np.sqrt(c), term.r)
-        return float(t * (t * quad - 2.0 * lin) + lam * np.trace(dY)
-                     - 2.0 * lam * np.sum(X * (U.T @ term.V)))
-    return dJ
+            return np.inf, Theta_t, None  # a point evaluate rejects is never a step's end
+        dY = t * t * C - t * (B + B.T)
+        X = (kt.W.T @ dY @ term.W) / np.add.outer(kt.r, term.r)
+        return (float(t * (t * quad - 2.0 * lin) + lam * np.trace(dY)
+                      - 2.0 * lam * np.sum(X * (kt.V.T @ term.V))), Theta_t, kt)
+    return trial
 
 
 def convexity_certificate(ops, lam, Theta, mode="dominance", kernel=None):

@@ -9,7 +9,7 @@ error when S0 or Sw has no Cholesky factor (`checked_stilde`).
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     NotPDError,
     NotSymmetricError,
 )
-from .matops import check_symmetric, require_conditioned, symmetrize
+from .matops import check_symmetric, ill_conditioned, require_conditioned, symmetrize
 
 # Relative singular-value threshold for the G_k full-rank requirement.
 RANK_TOL = 1e-10
@@ -216,6 +216,7 @@ class CausalityMask:
     blocks theta_{i,j} with j <= i, ordered block row-major over (i, j) and
     column-major within each block.  The complement gathers every entry that
     the causality constraints force to zero, including the final block column.
+    `causality_mask` builds one per shape, its arrays read-only.
     """
 
     N: int
@@ -227,6 +228,16 @@ class CausalityMask:
     @property
     def theta_shape(self):
         return (self.N * self.n_u, (self.N + 1) * self.n_x)
+
+    @cached_property
+    def layout(self):
+        """(rows, cols, pattern), read-only: each free entry's row and column
+        of Theta, and the causal pattern of Theta's first N n_x columns."""
+        p, qq = self.N * self.n_u, self.N * self.n_x
+        cols, rows = np.divmod(self.free_entries, p)
+        pattern = np.arange(qq) // self.n_x <= (np.arange(p) // self.n_u)[:, None]
+        rows.flags.writeable = cols.flags.writeable = pattern.flags.writeable = False
+        return rows, cols, pattern
 
     def gather(self, M, name="Theta"):
         """The free entries of vec(M), column-stacked, in free_entries order;
@@ -269,8 +280,10 @@ def state_transition(system, k, n):
     return Phi
 
 
+@lru_cache(maxsize=16)
 def causality_mask(N, n_u, n_x):
-    """Build the free/constrained index split of vec(Theta).
+    """The free/constrained index split of vec(Theta), built once per shape
+    (the same object for equal shapes, its arrays read-only).
 
     Free blocks are theta_{i,j} with 0 <= j <= i <= N-1, giving
     n_u*n_x*N*(N+1)/2 free scalars; ordering is block row-major over (i, j)
@@ -284,6 +297,7 @@ def causality_mask(N, n_u, n_x):
     comp_mask = np.ones(total, dtype=bool)
     comp_mask[free] = False
     complement = np.nonzero(comp_mask)[0]
+    free.flags.writeable = complement.flags.writeable = False
     return CausalityMask(N=N, n_u=n_u, n_x=n_x, free_entries=free, complement=complement)
 
 
@@ -379,10 +393,6 @@ def validate(problem):
     if not (problem.lam > 0.0):
         violations.append(f"lambda must be > 0, got {problem.lam}")
 
-    for k, sv in enumerate(np.linalg.svd(np.stack(problem.system.G), compute_uv=False)):
-        try:
-            require_conditioned(sv, f"G[{k}] is rank deficient", rcond=RANK_TOL)
-        except NotPDError as e:
-            violations.append(str(e))
-
+    sv = np.linalg.svd(np.stack(problem.system.G), compute_uv=False)
+    violations += [f"G[{k}] is rank deficient: {why}" for k, why in ill_conditioned(sv, RANK_TOL)]
     return violations

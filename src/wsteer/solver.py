@@ -13,16 +13,17 @@ monotone descent of J, but only a linear rate, which at large lambda is a
 crawl.  So `ccp_solve` takes one step per iterate: a damped Newton step,
 guarded by a positive definite reduced Hessian and an Armijo line search on
 J's change along the step, which `objective._ray` evaluates in difference
-form, free of J's own round-off; the convex-concave step only where Newton
-gives no iterate.  `_evaluate_iterate` evaluates every iterate the solve
-records, whichever step made it.
+form, free of J's own round-off, from the terminal kernel of each trial
+point; the convex-concave step only where Newton gives no iterate.
+`_evaluate_iterate` evaluates every iterate the solve records, whichever
+step made it, reusing the accepted trial's kernel.
 `objective._curvature` inverts H0 in closed form, and each Newton step's
 H = H_U + Z^T Z by the same block closed form plus a signed Woodbury border
 for Z and the shifted nearly singular blocks, at every horizon.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -176,11 +177,11 @@ def ccp_subproblem(ops, lam, Theta_k, mask, factor=None, grad=None):
     return mask.scatter(mask.gather(Theta_k) - _curvature_solve(factor, mask.gather(grad)))
 
 
-def _evaluate_iterate(ops, lam, Theta, mask, u_ff):
+def _evaluate_iterate(ops, lam, Theta, mask, u_ff, kernel=None):
     """(Theta, its ObjectiveReport, its projected stationarity residual):
-    what the solve records of every iterate, Theta causal."""
+    what the solve records of every iterate, Theta causal, kernel its kernel."""
     policy = Policy(u_ff, Theta)
-    rep = evaluate(ops, lam, policy)
+    rep = evaluate(ops, lam, policy, kernel=kernel)
     return Theta, rep, stationarity_residual(ops, lam, policy, mask, grad=rep.grad_theta)
 
 
@@ -254,10 +255,11 @@ def newton_refine(ops, lam, Theta, mask, u_ff, rep):
     from rep's, and its length from a backtracking line search that judges J
     along the step in difference form (`objective._ray`): the first of
     t = 1, 1/2, ..., 2^-7 with dJ(t) <= -ARMIJO t g^T step, g the projected
-    gradient, is taken, and only that point is evaluated.  Returns the new
-    iterate's (Theta, report, residual), as `_evaluate_iterate` gives them,
-    or None when the line search accepts no step.  Raises HessianNotPDError
-    when the reduced Hessian is not positive definite.
+    gradient, is taken, and only that point is evaluated, from the terminal
+    kernel its trial built.  Returns the new iterate's (Theta, report,
+    residual), as `_evaluate_iterate` gives them, or None when the line
+    search accepts no step.  Raises HessianNotPDError when the reduced
+    Hessian is not positive definite.
     """
     Theta = mask.project(np.asarray(Theta, dtype=float))
     g = mask.gather(rep.grad_theta)
@@ -267,12 +269,12 @@ def newton_refine(ops, lam, Theta, mask, u_ff, rep):
     step = _curvature_solve(factor, g)
     del factor  # the ray and the new iterate are built without it alive
 
-    dJ = _ray(ops, lam, Theta, mask.scatter(step), rep.kernel)
+    trial = _ray(ops, lam, Theta, mask.scatter(step), rep.kernel)
     slope = ARMIJO * float(g @ step)
     for t in 0.5 ** np.arange(LINE_SEARCH_TRIALS):
-        if dJ(t) <= -t * slope:
-            return _evaluate_iterate(ops, lam, mask.scatter(mask.gather(Theta) - t * step),
-                                     mask, u_ff)
+        dJ, Theta_t, kernel = trial(t)
+        if dJ <= -t * slope:
+            return _evaluate_iterate(ops, lam, Theta_t, mask, u_ff, kernel)
     return None
 
 
@@ -306,8 +308,7 @@ def solve(problem, options=None):
     return Solution(u_ff=u_star, Theta=Theta, K=K, report=report, trace=trace)
 
 
-@dataclass(frozen=True)
-class LineScanSample:
+class LineScanSample(NamedTuple):
     gamma: float
     J: float
     J1: float

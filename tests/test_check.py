@@ -13,6 +13,7 @@ import wsteer.cli as cli
 import wsteer.objective as objective
 import wsteer.solver as solver
 from wsteer.cli import load_config, main
+from wsteer.errors import CertificateMismatchError
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 INSTANCES = ["tight N=10", "long horizon N=100"]
@@ -107,3 +108,18 @@ def test_a_contradicting_certificate_at_the_solution_fails(tmp_path, monkeypatch
     line = next(l for l in capsys.readouterr().out.splitlines()
                 if l.startswith("certificate and curvature at Theta*"))
     assert " FAIL  CertificateMismatchError: Lanczos lambda_min -1.000000e+00 contradicts" in line
+
+
+def test_a_certificate_mismatch_inside_solve_fails(monkeypatch, capsys):
+    # solve's own certificate raises: the Theta* row fails, not "not solved"
+    def contradicting(*args, **kwargs):
+        raise CertificateMismatchError("Lanczos lambda_min -1.000000e+00 contradicts "
+                                       "the inertia count (PD True)")
+    monkeypatch.setattr(solver, "convexity_certificate", contradicting)
+    assert main(["check", str(CONFIGS / "double_integrator_tight.json")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    zero, star = (next(l for l in lines if l.startswith(f"Hessian PD at {at} (certificate)"))
+                  for at in ("Theta=0", "Theta*"))
+    assert " PASS  dominance gap " in zero
+    assert star.endswith(" FAIL  CertificateMismatchError: Lanczos lambda_min -1.000000e+00 "
+                         "contradicts the inertia count (PD True)")

@@ -1,5 +1,6 @@
 """Kronecker-calculus identities, PSD primitives, and Jacobian kernels."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -353,6 +354,47 @@ def test_require_conditioned_sign_and_nan():
             assert rejects(vals, rcond)
     with pytest.raises(SingularMatrixError, match="^what: min 0.000e[+]00"):
         mo.require_conditioned([0.0, 1.0], "what", SingularMatrixError)
+
+
+def loop_failures(vals, rcond):
+    """The member-by-member loop that `ill_conditioned` vectorizes: the reference."""
+    out = []
+    for i, (a, b) in enumerate(zip(vals[..., 0].ravel().tolist(), vals[..., -1].ravel().tolist())):
+        lo, hi = (a, b) if a <= b else (b, a)
+        if not lo > rcond * max(hi, 0.0):
+            out.append((i, f"min {lo:.3e} <= {rcond:g} * max {hi:.3e}"))
+    return out
+
+
+END = st.one_of(st.floats(-1e8, 1e8), st.sampled_from(
+    [0.0, -0.0, 1e-300, 5e-324, -5e-324, np.nan, np.inf, -np.inf, 1.7e308]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(ends=st.lists(st.tuples(END, END), min_size=1, max_size=70),
+       rcond=st.sampled_from(RCONDS), width=st.integers(1, 3))
+def test_ill_conditioned_equals_the_member_loop(ends, rcond, width):
+    # stacks of spectra of width 1 to 3 (the middle is not read), with
+    # signed zeros, subnormals, NaN and infinities at either end
+    a, b = np.array(ends).T
+    vals = np.column_stack({1: [a], 2: [a, b], 3: [a, np.ones_like(a), b]}[width])
+    for stack in (vals, vals[:, None, :], vals[0]):
+        assert mo.ill_conditioned(stack, rcond) == loop_failures(stack, rcond)
+
+
+@pytest.mark.parametrize("nan_at", [17, 40])
+def test_require_conditioned_names_the_first_failing_member_of_a_stack(nan_at):
+    # a 64-member stack, ascending and descending spectra, with members 17
+    # and 40 failing, one of them through a NaN
+    vals = np.stack([np.linspace(1.0, 2.0 + k, 3)[::1 - 2 * (k % 2)] for k in range(64)])
+    vals[17, -1], vals[40, 0] = -1.0, 0.0
+    vals[nan_at, -1 if nan_at == 17 else 0] = np.nan
+    assert [i for i, _ in mo.ill_conditioned(vals, 1e-13)] == [17, 40]
+    why = "min nan <= 1e-13 * max 1.900e+01" if nan_at == 17 else \
+        "min -1.000e+00 <= 1e-13 * max 1.900e+01"
+    with pytest.raises(NotPDError, match=re.escape(f"M: {why}") + "$"):
+        mo.require_conditioned(vals, "M")
+    assert mo.require_conditioned(np.delete(vals, [17, 40], axis=0), "M") is None
 
 
 def _scaled(ratio):

@@ -223,6 +223,19 @@ def test_causality_mask_ordering_deterministic():
     assert list(a.free_entries[:4]) == expected_first
 
 
+def test_causality_mask_is_built_once_per_shape_and_read_only():
+    mask = w.causality_mask(4, 2, 3)
+    assert w.causality_mask(4, 2, 3) is mask and w.causality_mask(4, 3, 2) is not mask
+    rows, cols, pattern = mask.layout
+    for a in (mask.free_entries, mask.complement, rows, cols, pattern):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    # the layout: each free entry's row and column, and the causal pattern
+    p = mask.theta_shape[0]
+    assert np.array_equal(cols * p + rows, mask.free_entries)
+    assert np.array_equal(np.flatnonzero(pattern.ravel(order="F")), np.sort(mask.free_entries))
+
+
 def _loop_causality_mask(N, n_u, n_x):
     """The index split by explicit loops over blocks and entries."""
     rows = N * n_u

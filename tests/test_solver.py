@@ -23,6 +23,7 @@ from conftest import (
 import wsteer as w
 import wsteer.solver
 from wsteer import matops as mo
+from wsteer.cli import load_config, solver_options_from_config
 from wsteer.errors import (
     DimensionMismatchError,
     HessianNotPDError,
@@ -41,6 +42,7 @@ from wsteer.objective import (
 )
 from wsteer.solver import (
     LINE_SEARCH_TRIALS,
+    LineScanSample,
     SolverOptions,
     _curvature_solve,
     _reduced_curvature_factor,
@@ -301,13 +303,13 @@ def exhausted_rays(monkeypatch, exhaust=lambda call: True):
     real_ray = wsteer.solver._ray
 
     def ray(*args):
-        dJ = real_ray(*args)
+        trial = real_ray(*args)
         trials.append(0)
         call, failing = len(trials) - 1, exhaust(len(trials) - 1)
 
         def counted(t):
             trials[call] += 1
-            return np.inf if failing else dJ(t)
+            return (np.inf, None, None) if failing else trial(t)
         return counted
     monkeypatch.setattr(wsteer.solver, "_ray", ray)
     return trials
@@ -327,6 +329,41 @@ def test_exhausted_line_search_ends_as_pure_ccp(monkeypatch):
     assert "newton" not in [r.kind for r in sol.trace.records]
     assert sol.trace.termination == ccp_only.trace.termination
     assert abs(sol.report.J - ccp_only.report.J) <= 1e-10 * abs(ccp_only.report.J)
+
+
+KERNEL_REUSE_CASES = ["tight lambda=2000", "wide lambda=2000", "random n_u=2 n_w=3"]
+
+
+@pytest.mark.parametrize("case", KERNEL_REUSE_CASES)
+def test_newton_iterates_kernel_reuse_is_invisible(monkeypatch, case):
+    # each Newton iterate is evaluated from the terminal kernel its line
+    # search's trial built; its report equals a fresh evaluate bit for bit
+    if case.startswith("random"):
+        prob, opts = rand_problem(np.random.default_rng(1), N=4, n_x=2, n_u=2, n_w=3,
+                                  lam=50.0), None
+    else:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        prob, cfg = load_config(os.path.join(root, "configs",
+                                             f"double_integrator_{case.split()[0]}.json"))
+        prob, opts = replace(prob, lam=2000.0), solver_options_from_config(cfg)
+    reused = []
+
+    def recording(ops, lam, policy, mask=None, kernel=None):
+        rep = evaluate(ops, lam, policy, mask, kernel)
+        if kernel is not None:
+            reused.append((ops, lam, policy, rep))
+        return rep
+    monkeypatch.setattr(wsteer.solver, "evaluate", recording)
+    sol = solve(prob, opts)
+    newton = [r for r in sol.trace.records if r.kind == "newton"]
+    assert newton and [r.J for r in newton] == [rep.J for *_, rep in reused]
+    for ops, lam, policy, rep in reused:
+        fresh = evaluate(ops, lam, policy)
+        for name in ("J", "J1", "J2", "J3", "J4"):
+            assert getattr(rep, name) == getattr(fresh, name)
+        assert np.array_equal(rep.grad_theta, fresh.grad_theta)
+        for name in ("Y", "W", "r"):
+            assert np.array_equal(getattr(rep.kernel, name), getattr(fresh.kernel, name))
 
 
 def test_newton_from_zero_takes_no_ccp_step(monkeypatch):
@@ -676,6 +713,15 @@ def test_line_scan_bit_identical_to_evaluate(seed, N, n_x, n_u, extra_w, log_lam
         for g, *values in ref:
             pol = Policy((1.0 - g) * pa.u_ff + g * pb.u_ff, (1.0 - g) * pa.Theta + g * pb.Theta)
             assert tuple(values) == lone_values(ops, prob.lam, pol)
+
+
+def test_line_scan_samples_are_named_immutable_tuples():
+    assert LineScanSample._fields == ("gamma", "J", "J1", "J2", "J3", "J4")
+    rng, prob, ops, mask = setup_random(23, N=2, n_x=2, n_u=1)
+    sample = line_scan(ops, prob.lam, *random_policies(rng, ops, mask), [0.5])[0]
+    assert type(sample) is LineScanSample
+    with pytest.raises(AttributeError):
+        sample.J = 0.0
 
 
 def test_line_scan_chunks_identical(monkeypatch):
