@@ -22,12 +22,13 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import simulate as sim
-from .errors import CertificateMismatchError, DimensionMismatchError, ValidationError, WsteerError
+from .errors import DimensionMismatchError, ValidationError, WsteerError
 from .objective import (
     Policy,
     _curvature,
     _hessian_block,
-    _structured,
+    _lambda_min,
+    _poles,
     _StructuredCurvature,
     _terminal,
     _values,
@@ -335,18 +336,25 @@ def _derivative_errors(ops, lam, mask, rng):
 
 
 def _structured_row(ops, lam, mask, term, rng, lmin=None):
-    """H = H_U + Z^T Z at the kernel term: inertia PD against the sign of the Lanczos
-    lambda_min lmin (counted when |lmin| > 1e-8 ||H||_2), a Newton solve's backward
-    error (an upper bound: power iteration's ||H||_2 is a lower one), border rows k."""
+    """H = H_U + Z^T Z at the kernel term, in the coordinates Phi: the inertia PD decision, a
+    Newton solve's backward error (an upper bound: power iteration's ||H||_2 is a lower one),
+    border rows k, and lmin (else `_lambda_min`'s) bracketed by the same count: for mu < 2,
+    H - mu I = (1 - mu/2) H(s lam), s = 2 / (2 - mu), PD at lmin - delta and not at lmin +
+    delta, delta = 1e-8 max(1, |lmin|); from 2 up only 2 - delta, and H's eigenvalue-2 space
+    (its dimension printed) caps lmin at 2."""
     curv = _StructuredCurvature(ops, lam, mask, term)
-    lmin = float(curv.lambda_min() if lmin is None else lmin)
+    lmin = _lambda_min(ops, lam, term) if lmin is None else lmin
+    delta, n_2 = 1e-8 * max(1.0, abs(lmin)), _poles(ops, lam, term)[2]
+    pd = [_StructuredCurvature(ops, 2.0 * lam / (2.0 - mu), mask, term).pd
+          for mu in (min(lmin, 2.0) - delta, lmin + delta) if mu < 2.0]
+    ok = pd[0] and not any(pd[1:]) and (lmin <= 2.0 or n_2 == 0)
+    bracket = (f"lambda_min {lmin:.9e}, H - mu I PD at mu = lambda_min -/+ {delta:.1e}: {pd}, "
+               f"eigenvalue 2 on {n_2} dimensions")
     v = np.random.default_rng(1).standard_normal(mask.free_entries.size)
     for _ in range(20):  # ||H v|| <= ||H||_2 for a unit v
         v = curv.matvec(v / np.linalg.norm(v))
     norm = np.linalg.norm(v)
-    ok = curv.pd == (lmin > 0.0) or abs(lmin) <= 1e-8 * norm
-    detail = (f"neg(H_U) {curv.neg_U}, neg(S) {curv.neg_S}, PD {curv.pd} "
-              f"vs Lanczos min eig {lmin:.9e}")
+    detail = f"neg(H_U) {curv.neg_U}, neg(S) {curv.neg_S}, PD {curv.pd}, {bracket}"
     if curv.pd:
         b = rng.standard_normal(v.size)
         x = curv.solve(b)
@@ -404,18 +412,15 @@ def cmd_check(args):
         raise
     except ValidationError as e:
         rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved (validation: {e})"))
-    except CertificateMismatchError as e:  # solve's own certificate contradicts itself
-        rows.append(("Hessian PD at Theta* (certificate)", False, f"{type(e).__name__}: {e}"))
     except WsteerError as e:
         rows.append(("Hessian PD at Theta* (certificate)", None, f"not solved: {e}"))
     else:
-        try:  # solve's certificate is spectral unless dominance held, Lanczos above the size rule
+        try:  # solve's certificate is spectral unless dominance held
             cert, kernel = sol.certificate, sol.report.kernel
             spectral = cert if cert.lambda_min_hessian is not None else convexity_certificate(
                 ops, lam, sol.Theta, "spectral", kernel)
             rows.append(_certificate_row("Hessian PD at Theta* (certificate)", lam, cert, spectral))
-            rows.append(_structured_row(ops, lam, mask, kernel, rng,
-                                        spectral.lambda_min_hessian if _structured(ops) else None))
+            rows.append(_structured_row(ops, lam, mask, kernel, rng, spectral.lambda_min_hessian))
         except WsteerError as e:
             rows.append(("certificate and curvature at Theta*", False, f"{type(e).__name__}: {e}"))
 

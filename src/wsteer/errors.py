@@ -41,11 +41,6 @@ class HessianNotPDError(WsteerError):
     """The reduced Hessian is not positive definite at the current iterate."""
 
 
-class CertificateMismatchError(WsteerError):
-    """The spectral certificate's lambda_min contradicts the inertia count of
-    the same Hessian: a defect in one of the two, not a property of the data."""
-
-
 class NonFiniteError(WsteerError):
     """An operand holds an infinite or NaN entry."""
 

@@ -41,14 +41,15 @@ positive definiteness by inertia (Haynsworth).  A nearly singular block of
 H_U takes A_+, the positive part of A, so it is >= 2I, and H_U' - H_U = P^T P
 joins Z in the border with the sign -1.  Both solves take one refinement step.
 `_hessian_block`'s dense causal block is the test oracle, and `wsteer check`'s
-on a few entries; the spectral certificate takes lambda_min from its eigvalsh
-below the size rule.  Above it the kind is the inertia count, and lambda_min
-the Rayleigh quotient, with the exact H, of a Ritz vector of plain Lanczos on
-the unrefined H^-1.  `_terminal` and `_values` (J1..J4, W2) also take a stack
-of policies along leading axes, each member's bits equal to a lone policy's;
-`line_scan` evaluates its grid that way.  `_ray` gives J's change along a
-Newton step in difference form, for its line search, at one `_terminal` per
-trial; the accepted trial's kernel is the new iterate's.
+on a few entries.  The spectral certificate's lambda_min is H's in Phi, on
+one path at every size: H_U's block spectrum is closed form, so H is 2I on a
+known space and a diagonal plus a rank-n_x(n_x + 1)/2 update on the rest, and
+the inertia of H - mu I is a secular matrix's (`_poles`, `_lambda_min`).
+`_terminal` and `_values` (J1..J4, W2) also take a stack of policies along
+leading axes, each member's bits equal to a lone policy's; `line_scan`
+evaluates its grid that way.  `_ray` gives J's change along a Newton step in
+difference form, for its line search, at one `_terminal` per trial; the
+accepted trial's kernel is the new iterate's.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +59,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import (
-    CertificateMismatchError,
     DimensionMismatchError,
     NotPDError,
     SingularTerminalCovarianceError,
@@ -71,7 +71,7 @@ from .matops import (
     sqrtm_psd,
     symmetrize,
 )
-from .problem import Gaussian, causality_mask
+from .problem import Gaussian
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,10 @@ class Certificate:
     kind is "DominatedCovariance" when the terminal covariance dominates Sd in
     the Loewner order, "HessianPD" when the Hessian over the causal entries of
     Theta is positive definite, or None when neither test passed.  dominance_gap
-    is lambda_min(terminal covariance - Sd); lambda_min_hessian is filled when
-    the spectral test ran.
+    is lambda_min(terminal covariance - Sd); lambda_min_hessian, filled when
+    the spectral test ran, is that Hessian's smallest eigenvalue in the
+    coordinates Phi = X L, L = chol(Stilde), congruent to Theta's and so of its
+    sign (Sylvester); the spectral kind is "HessianPD" iff it is > 0.
     """
 
     kind: Optional[str]
@@ -336,20 +338,6 @@ def _hessian_block(ops, lam, idx, term=None):
     return H
 
 
-# The spectral certificate's size rule: Lanczos on the structured curvature
-# when the free entries outnumber STRUCTURED_RATIO times the coupling rank
-# n_x * N n_x + n_x^2, eigvalsh of the dense causal block below.  On the wide
-# double integrator at its solution at lam = 10, one BLAS thread (ms,
-# dense/Lanczos): N = 10 0.6/3.9, 14 2.4/2.6, 16 4.1/3.7, 18 9.1/6.3,
-# 20 13.5/6.2, 24 32.7/5.9; the rule switches at N = 17.
-STRUCTURED_RATIO = 4
-
-
-# Lanczos stops when its Ritz residual |beta_j s_j| is below this share of the
-# Ritz value, which bounds the relative error of that eigenvalue by the same
-# share; the Rayleigh quotient that `lambda_min` returns squares that error.
-LANCZOS_TOL = 1e-10
-
 # A block I + K_t of H_U, K_t = C_t^T A C_t, is shifted (takes A_+ for A) when
 # an eigenvalue is within BLOCK_TOL, or eigvalsh's error n_x eps (1 + ||K_t||),
 # of zero.  Refined backward errors against the dense block, over 3000 draws of
@@ -357,21 +345,14 @@ LANCZOS_TOL = 1e-10
 # eigenvalue at +-10^U(-4, -2), where the closed form kept down to 1e-4 reached
 # 8.6e-7, and 6.4e-15 with one at +-10^U(-8, -1).
 BLOCK_TOL = 1e-2
+EPS = np.finfo(float).eps
 
 
-def _structured(ops):
-    n_free = ops.n_u * ops.n_x * ops.N * (ops.N + 1) // 2
-    return n_free > STRUCTURED_RATIO * ops.n_x * (ops.N + 1) * ops.n_x
-
-
-def _top_ritz_pair(alpha, beta):
-    """The largest eigenvalue of the Lanczos tridiagonal with diagonal alpha
-    and off-diagonal beta, and its unit eigenvector; only T and its
-    eigenvectors are ever held, and are freed on return."""
-    T = np.diag(alpha)  # eigh reads the lower triangle
-    T[np.arange(1, len(alpha)), np.arange(len(alpha) - 1)] = beta
-    theta, S = np.linalg.eigh(T)
-    return theta[-1], S[:, -1].copy()
+def _frechet(ops, lam, term):
+    """(sg, Aw): row (a, b) of Z is U(W X_ab Aw), X_ab = sg_ab (e_a e_b^T + e_b e_a^T)."""
+    r = term.r
+    return (np.sqrt(lam / (np.outer(r, r) * np.add.outer(r, r))),
+            (term.W.T @ term.OmS)[:, :ops.N * ops.n_x] @ ops.causal_cholesky[1].T)
 
 
 class _ConvexCurvature:
@@ -442,54 +423,6 @@ class _ConvexCurvature:
         X += self._inverse(B - self._apply(X))
         return X[self.rows, self.cols]
 
-    def lambda_min(self):
-        """lambda_min(H): the Rayleigh quotient x^T H x / x^T x, taken with
-        the exact `matvec`, of the Ritz vector x of the largest eigenvalue of
-        the unrefined H^-1 when H is PD, else of -H.
-
-        Plain three-term Lanczos from a fixed start vector, without
-        reorthogonalization: the extreme Ritz pair still converges (Paige
-        1976), and the quotient's error is quadratic in x's, so H^-1 needs no
-        refinement step (Parlett 1998); a quotient is never below
-        lambda_min.  Convergence, |beta_j s_j| <= LANCZOS_TOL |theta|, is
-        tested at geometrically spaced steps, where the blocks of the basis
-        end, so the basis is never copied and holds just the steps taken.  A
-        run still short of it after n steps has lost orthogonality, and
-        eigvalsh of H's n columns answers instead."""
-        n = self.rows.size
-        if self.pd:
-            def op(v):
-                return self._inverse(self._matrix(v))[self.rows, self.cols]
-        else:
-            def op(v):
-                return -self.matvec(v)
-        v = np.random.default_rng(0).standard_normal(n)
-        v /= np.linalg.norm(v)
-        v_prev, alpha, beta, basis = np.zeros(n), [], [0.0], []
-        while True:
-            Q = np.empty((min(n, max(20, 5 * len(alpha) // 4)) - len(alpha), n))
-            for i, q in enumerate(Q):
-                q[:] = v
-                w = op(q)
-                alpha.append(q @ w)
-                w -= alpha[-1] * q + beta[-1] * v_prev
-                beta.append(float(np.linalg.norm(w)))
-                if beta[-1] == 0.0:  # an invariant subspace: its Ritz values are exact
-                    Q = Q[:i + 1]
-                    break
-                v_prev, v = q, w / beta[-1]
-            basis.append(Q)
-            theta, s = _top_ritz_pair(alpha, beta[1:-1])
-            if abs(beta[-1] * s[-1]) <= LANCZOS_TOL * abs(theta):
-                break
-            if len(alpha) == n:  # unconverged: the basis has lost orthogonality
-                return np.linalg.eigvalsh(np.column_stack([self.matvec(e) for e in np.eye(n)]))[0]
-        x = np.zeros(n)
-        for Q in basis:
-            x += Q.T @ s[:len(Q)]
-            s = s[len(Q):]
-        return (x @ self.matvec(x)) / (x @ x)
-
 
 class _StructuredCurvature(_ConvexCurvature):
     """The causal Hessian H = H_U + Z^T Z of J at the terminal kernel term,
@@ -500,14 +433,12 @@ class _StructuredCurvature(_ConvexCurvature):
     def __init__(self, ops, lam, mask, term):
         super().__init__(ops, lam, mask, term)
         n_x, m = ops.n_x, ops.n_x * ops.n_x
-        # row (a, b) of Z is U(W X_ab Aw), X_ab = sg_ab (e_a e_b^T + e_b e_a^T)
-        self.sg = np.sqrt(lam / (np.outer(term.r, term.r) * np.add.outer(term.r, term.r)))
-        self.W, self.Aw = term.W, (term.W.T @ term.OmS)[:, :self.free.shape[1]] @ self.Linv.T
+        self.W, (self.sg, self.Aw) = term.W, _frechet(ops, lam, term)
         # H_U is block-diagonal: its block at column c of Phi has, besides
         # eigenvalues 2, those of 2 (I + C_t^T A C_t), t = c // n_x
         C = ops.input_grams[1]
         self.sig = np.linalg.eigvalsh(np.eye(n_x) + _mT(C) @ self.A @ C)
-        tol = np.maximum(BLOCK_TOL, n_x * np.finfo(float).eps
+        tol = np.maximum(BLOCK_TOL, n_x * EPS
                          * (1.0 + np.abs(self.sig - 1.0).max(axis=-1, keepdims=True)))
         shift = (np.abs(self.sig) <= tol).any(axis=-1)
         self.shifted = sc = np.flatnonzero(np.repeat(shift, n_x))
@@ -579,6 +510,79 @@ def _curvature(ops, lam, mask, term=None):
     if term is None or lam == 0.0:
         return _ConvexCurvature(ops, lam, mask)
     return _StructuredCurvature(ops, lam, mask, term)
+
+
+def _poles(ops, lam, term=None):
+    """(d, Z, n_2): in the coordinates Phi the causal Hessian at the kernel term
+    (with term None, H0) is 2I on n_2 dimensions and diag(d) + Z Z^T on the
+    rest, a row of Z a symmetric n_x x n_x matrix in the orthonormal basis
+    e_a e_a^T, (e_a e_b^T + e_b e_a^T) / sqrt(2), a < b.  Column c of Phi,
+    t = c // n_x, has H_U's block 2I + F_t^T A F_t, F_t = sqrt(2) C_t O_t^T,
+    O_t^T O_t = I: 2 sigma, the eigenvalues of 2 (I + C_t^T A C_t), on O_t y,
+    where Z is sg * (a b^T + b a^T), a = sqrt(2) W^T C_t y, b = Aw[:, c], else
+    2.  C_t = R_t^T / sqrt(2), R_t from the QR of [F_t, ..., F_(N-1)]^T padded
+    with zero rows, is stable in FHu, where `input_grams`' eigh of Q_t squares
+    its condition; its zero columns, past n_u (N - t), give no pole."""
+    N, n_x, m = ops.N, ops.n_x, max(ops.N * ops.n_u, ops.n_x)
+    G = np.vstack([ops.FHu.T, np.zeros((m, n_x))])[ops.n_u * np.arange(N)[:, None] + np.arange(m)]
+    C = _mT(np.linalg.qr(G, mode="r")) / np.sqrt(2.0)
+    true = np.arange(n_x) < np.minimum(ops.n_u * (N - np.arange(N)), n_x)[:, None]
+    M = _mT(C) @ _coupling_weight(lam, n_x, term) @ C
+    # the other columns are decoupled: put above the rest (Gershgorin), eigh sorts them last
+    M[:, np.arange(n_x), np.arange(n_x)] += np.where(
+        true, 1.0, 2.0 + 2.0 * np.abs(M).sum(axis=(1, 2))[:, None])
+    sig, Y = np.linalg.eigh(M)
+    pole = np.broadcast_to(true[:, None, :], (N, n_x, n_x))
+    d = np.broadcast_to(2.0 * sig[:, None, :], pole.shape)[pole]  # over (t, column, y)
+    i, j = np.triu_indices(n_x)
+    Z = np.zeros((d.size, i.size))
+    if term is not None:
+        sg, Aw = _frechet(ops, lam, term)
+        a, b = np.sqrt(2.0) * term.W.T @ C @ Y, Aw.reshape(n_x, N, n_x).transpose(1, 2, 0)
+        ab = a[:, None, i, :] * b[:, :, j, None] + a[:, None, j, :] * b[:, :, i, None]
+        Z = _mT((sg[i, j] * np.where(i == j, 1.0, np.sqrt(2.0)))[:, None] * ab)[pole]
+    return d, Z, ops.n_u * n_x * N * (N + 1) // 2 - d.size
+
+
+def _lambda_min(ops, lam, term=None):
+    """lambda_min of the causal Hessian H at the kernel term (with term None,
+    of H0) in the coordinates Phi: the sup of the mu with neg(H - mu I) = 0.
+    With `_poles`, for mu < 2 (any mu if n_2 = 0) off the poles, neg(H - mu I)
+    = k - neg(S(mu)), k the poles below mu, S(mu) = I + Z^T (diag(d) - mu)^-1 Z
+    of side m = n_x (n_x + 1) / 2 (Haynsworth; the secular form of Golub 1973
+    and Bunch, Nielsen and Sorensen 1978).  The bracket starts from H >= H_U,
+    H's diagonal d + |z|^2 (and 2), and rank Z <= m; each probe's count moves
+    an end.  Probes are Newton steps on x y s_k, s_k the eigenvalue of S that
+    crosses zero, x and y mu's distances to the poles around it, guarded by
+    bisection; the first is 0 if bracketed: the sign is that of the count at 0."""
+    d, Z, n_2 = _poles(ops, lam, term)
+    m, p = Z.shape[1], np.sort(d)
+    lo = p.min(initial=2.0) if n_2 else p[0]
+    hi = min(np.min(d + np.einsum("pk,pk->p", Z, Z), initial=2.0 if n_2 else np.inf),
+             p[m] if p.size > m else np.inf)
+    tol = 4.0 * EPS * max(abs(lo), abs(hi), np.abs(p).max(initial=0.0))
+    mu, k_lo, steps = (0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)), None, [np.inf, np.inf]
+    while hi - lo > 2.0 * tol:
+        w = 1.0 / (d - mu)
+        s, V = np.linalg.eigh(np.eye(m) + (Z.T * w) @ Z)
+        k = int(np.searchsorted(p, mu))
+        if k > np.count_nonzero(s < 0.0):
+            hi = mu
+        else:
+            lo, k_lo = mu, k
+        c = 0.5 * (lo + hi)
+        if k == k_lo:  # s_k has poles at x below mu and y above it, h = x y s_k none
+            zw = (Z @ V[:, k - 1]) * w
+            x, f = mu - p[k - 1], s[k - 1]
+            y, dy = (p[k] - mu, -1.0) if k < p.size else (1.0, 0.0)
+            slope = (y + x * dy) * f + x * y * (zw @ zw)
+            # at least tol from both ends: a converged step crosses the root
+            t = min(max(mu - x * y * f / slope, lo + tol), hi - tol) if slope > 0.0 else c
+            if abs(t - mu) <= 0.5 * abs(steps[-2]):
+                c = t
+        steps.append(c - mu)
+        mu = c
+    return float(lo + 0.5 * (hi - lo))
 
 
 def hessian_theta(ops, lam, Theta, mask=None):
@@ -666,8 +670,10 @@ def convexity_certificate(ops, lam, Theta, mode="dominance", kernel=None):
     tol = 1e-10 max(1, lambda_max(Omega Stilde Omega^T)) (terminal covariance
     dominates Sd in the Loewner order, which implies a PD Hessian); mode
     "spectral" reports the minimum eigenvalue of the Hessian over the causal
-    entries of Theta, the matrix Newton factors.  `kernel`, the terminal
-    kernel of an `evaluate` report at Theta, is used instead of computing it.
+    entries of Theta in the coordinates Phi (see `Certificate`), from
+    `_lambda_min`'s secular count at every size, and "HessianPD" exactly when
+    it is positive.  `kernel`, the terminal kernel of an `evaluate` report at
+    Theta, is used instead of computing it.
     """
     if mode not in ("dominance", "spectral"):
         raise ValueError(f"unknown certificate mode {mode!r}")
@@ -677,15 +683,6 @@ def convexity_certificate(ops, lam, Theta, mode="dominance", kernel=None):
         tol = 1e-10 * max(1.0, float(term.Y_eigvals[-1]))
         kind = "DominatedCovariance" if gap >= -tol else None
         return Certificate(kind=kind, dominance_gap=gap)
-    mask = causality_mask(ops.N, ops.n_u, ops.n_x)
-    if _structured(ops):
-        # the kind comes from the exact inertia count; Lanczos only measures
-        curv = _StructuredCurvature(ops, lam, mask, term)
-        Hmin, pd = float(curv.lambda_min()), curv.pd
-        if (Hmin > 0.0) != pd:
-            raise CertificateMismatchError(
-                f"Lanczos lambda_min {Hmin:.6e} contradicts the inertia count (PD {pd})")
-    else:
-        Hmin = float(np.linalg.eigvalsh(_hessian_block(ops, lam, mask.free_entries, term))[0])
-        pd = Hmin > 0.0
-    return Certificate(kind="HessianPD" if pd else None, dominance_gap=gap, lambda_min_hessian=Hmin)
+    Hmin = _lambda_min(ops, lam, term)
+    return Certificate(kind="HessianPD" if Hmin > 0.0 else None, dominance_gap=gap,
+                       lambda_min_hessian=Hmin)

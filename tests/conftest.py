@@ -1,9 +1,12 @@
 """Shared test helpers: random problem generators, finite-difference oracles,
 and the double-integrator benchmark instance used across the suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 import wsteer as w
+from wsteer.objective import _hessian_block
 
 # 2-D discretized double integrator (dt = 0.1), horizon 10, with the two
 # steering targets exercised throughout: a wide correlated covariance and a
@@ -102,6 +105,18 @@ def singular_block_kernel(ops, lam, term, t, sigma=0.0):
     K = np.diag([sigma - 1.0] + [0.0] * (ops.n_x - 1))
     m, Vm = np.linalg.eigh(np.eye(ops.n_x) - Cinv.T @ K @ Cinv / (2.0 * lam))
     return term._replace(W=Vm * np.sqrt(m * term.r))
+
+
+def phi_block(ops, lam, mask, term=None):
+    """`_hessian_block` on the free entries in the coordinates Phi = X L, L =
+    chol(Stilde), X the causal block of Theta, where J2's curvature is 2I: the
+    same formula with Stilde -> I and Omega Stilde -> Omega Stilde L^-T, which
+    is T^-T H T^-1 for the map T: vec X -> vec(X L), without forming T."""
+    qq = ops.N * ops.n_x
+    if term is not None:
+        term = term._replace(OmS=term.OmS[:, :qq] @ ops.causal_cholesky[1].T)
+    return _hessian_block(SimpleNamespace(FHu=ops.FHu, n_x=ops.n_x, Stilde=np.eye(qq)),
+                          lam, mask.free_entries, term)
 
 
 # finite-difference oracles ---------------------------------------------------

@@ -8,8 +8,9 @@ per solve, the bytes of Theta, every record's (k, kind, J, residual), the
 termination and the certificate, and every scan sample.  Two trees that print
 the same digest produce the same bits on all of these; a change meant to
 alter no number is checked by running this at both, under the same BLAS
-thread count (the N = 40 solves' bits depend on it).  Run from the
-repository root:
+thread count (the N = 40 solves' bits depend on it).  A second digest leaves
+out the certificates' lambda_min_hessian, for a change that alters only how
+that number is found.  Run from the repository root:
 
     PYTHONPATH=src python tests/fingerprint.py [-v]
 
@@ -45,14 +46,15 @@ def with_changes(prob, lam, horizon=None):
                            desired=prob.desired, lam=lam)
 
 
-def solve_bytes(sol):
+def solve_bytes(sol, lambda_min=True):
     """The bytes of Theta, each record's (k, kind, J, residual), the
-    termination and the certificate; floats by repr, which round-trips."""
+    termination and the certificate, with its lambda_min_hessian or without;
+    floats by repr, which round-trips."""
     c = sol.certificate
     parts = [sol.Theta.tobytes()]
     parts += [repr((r.k, r.kind, r.J, r.residual)).encode() for r in sol.trace.records]
-    parts.append(repr((sol.trace.termination, c.kind, c.dominance_gap,
-                       c.lambda_min_hessian)).encode())
+    parts.append(repr((sol.trace.termination, c.kind, c.dominance_gap)
+                      + ((c.lambda_min_hessian,) if lambda_min else ())).encode())
     return b"".join(parts)
 
 
@@ -61,33 +63,38 @@ def scan_bytes(samples):
 
 
 def items():
-    """(label, bytes) of every solve, then of every scan."""
+    """(label, bytes, bytes without lambda_min_hessian) of every solve, then
+    of every scan."""
     configs = {name: load_config(os.path.join(ROOT, "configs", f"double_integrator_{name}.json"))
                for name in CONFIGS}
     sols = {}
     for lam in LAMBDAS:
         for name, (prob, cfg) in configs.items():
             sols[name, lam] = sol = solve(with_changes(prob, lam), solver_options_from_config(cfg))
-            yield f"{name}/lambda={lam:g}", solve_bytes(sol)
+            yield f"{name}/lambda={lam:g}", solve_bytes(sol), solve_bytes(sol, False)
     for N in HORIZONS:
         for name, (prob, _) in configs.items():
             sol = solve(with_changes(prob, HORIZON_LAMBDA, N), HORIZON_OPTIONS)
-            yield f"{name}/N={N}/lambda={HORIZON_LAMBDA:g}", solve_bytes(sol)
+            yield f"{name}/N={N}/lambda={HORIZON_LAMBDA:g}", solve_bytes(sol), solve_bytes(sol, False)
     for lam in LAMBDAS:
         a, b = sols["tight", lam], sols["wide", lam]
         samples = line_scan(assemble(with_changes(configs["tight"][0], lam)), lam,
                             Policy(a.u_ff, a.Theta), Policy(b.u_ff, b.Theta), GRID)
-        yield f"scan/lambda={lam:g}", scan_bytes(samples)
+        data = scan_bytes(samples)
+        yield f"scan/lambda={lam:g}", data, data
 
 
 def main(argv):
     verbose = "-v" in argv
-    total = hashlib.sha256()
-    for label, data in items():
+    total, without = hashlib.sha256(), hashlib.sha256()
+    for label, data, data_without in items():
         total.update(label.encode() + b"\0" + data)
+        without.update(label.encode() + b"\0" + data_without)
         if verbose:
-            print(f"{hashlib.sha256(data).hexdigest()[:16]}  {label}")
+            print(f"{hashlib.sha256(data).hexdigest()[:16]}  "
+                  f"{hashlib.sha256(data_without).hexdigest()[:16]}  {label}")
     print(total.hexdigest())
+    print(without.hexdigest(), "without lambda_min_hessian")
     return 0
 
 

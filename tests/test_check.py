@@ -13,7 +13,6 @@ import wsteer.cli as cli
 import wsteer.objective as objective
 import wsteer.solver as solver
 from wsteer.cli import load_config, main
-from wsteer.errors import CertificateMismatchError
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 INSTANCES = ["tight N=10", "long horizon N=100"]
@@ -97,29 +96,35 @@ def test_check_at_n40_forms_no_dense_vec_theta_hessian(tmp_path, monkeypatch, ca
     assert sizes == [32] and dense == []
 
 
+def planted_lambda_min(monkeypatch):
+    """Every spectral certificate reports 1.5 times its true lambda_min."""
+    real = objective._lambda_min
+    monkeypatch.setattr(objective, "_lambda_min", lambda *args: 1.5 * real(*args))
+
+
 def test_a_contradicting_certificate_at_the_solution_fails(tmp_path, monkeypatch, capsys):
-    # the tight target at N = 20, above the size rule: solve issues the
-    # dominance certificate, and check's spectral one contradicts the inertia count
+    # the tight target at N = 20: solve issues the dominance certificate, and
+    # check's spectral one reports lambda_min 3, above H's eigenvalue 2
     cfg = json.loads((CONFIGS / "double_integrator_tight.json").read_text())
     path = tmp_path / "tight20.json"
     path.write_text(json.dumps(dict(cfg, N=20)))
-    monkeypatch.setattr(objective._StructuredCurvature, "lambda_min", lambda self: -1.0)
+    planted_lambda_min(monkeypatch)
     assert main(["check", str(path)]) == 1
     line = next(l for l in capsys.readouterr().out.splitlines()
-                if l.startswith("certificate and curvature at Theta*"))
-    assert " FAIL  CertificateMismatchError: Lanczos lambda_min -1.000000e+00 contradicts" in line
+                if l.startswith("structured curvature at Theta*"))
+    assert " FAIL  Newton solve backward error " in line
+    assert ("lambda_min 3.000000000e+00, H - mu I PD at mu = lambda_min -/+ 3.0e-08: [True], "
+            "eigenvalue 2 on 342 dimensions") in line
 
 
 def test_a_certificate_mismatch_inside_solve_fails(monkeypatch, capsys):
-    # solve's own certificate raises: the Theta* row fails, not "not solved"
-    def contradicting(*args, **kwargs):
-        raise CertificateMismatchError("Lanczos lambda_min -1.000000e+00 contradicts "
-                                       "the inertia count (PD True)")
-    monkeypatch.setattr(solver, "convexity_certificate", contradicting)
-    assert main(["check", str(CONFIGS / "double_integrator_tight.json")]) == 1
+    # solve's own spectral certificate on the wide target, lambda_min 1.962
+    # planted as 2.943: H - mu I is not PD just below 2, and the row fails
+    planted_lambda_min(monkeypatch)
+    assert main(["check", str(CONFIGS / "double_integrator_wide.json")]) == 1
     lines = capsys.readouterr().out.splitlines()
-    zero, star = (next(l for l in lines if l.startswith(f"Hessian PD at {at} (certificate)"))
-                  for at in ("Theta=0", "Theta*"))
-    assert " PASS  dominance gap " in zero
-    assert star.endswith(" FAIL  CertificateMismatchError: Lanczos lambda_min -1.000000e+00 "
-                         "contradicts the inertia count (PD True)")
+    star, row = (next(l for l in lines if l.startswith(name))
+                 for name in ("Hessian PD at Theta* (certificate)", "structured curvature at Theta*"))
+    assert " INFO  dominance gap " in star and "min eig Hess 2.943e+00 (not dominated)" in star
+    assert " FAIL  Newton solve backward error " in row
+    assert "lambda_min 2.943113195e+00, H - mu I PD at mu = lambda_min -/+ 2.9e-08: [False]" in row

@@ -10,10 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import SD_TIGHT, SD_WIDE, rand_problem, rel_err
+from conftest import SD_TIGHT, SD_WIDE, phi_block, rand_problem, rel_err
 from test_solver import saddle_start
 import wsteer as w
 import wsteer.cli as cli
+import wsteer.objective
 from wsteer.cli import load_config, main, solver_options_from_config
 from wsteer.objective import Policy, _curvature, _hessian_block, evaluate, grad_theta, grad_uff
 
@@ -63,8 +64,8 @@ def test_solve_rerun_byte_identical(tmp_path):
 
 
 def test_solve_rerun_byte_identical_on_structured_curvature(tmp_path):
-    # N = 30 is above the size rule, and the wide target takes the spectral
-    # certificate, whose Lanczos run starts from a fixed vector
+    # N = 30 on the structured curvature, and the wide target takes the
+    # spectral certificate
     cfg = write_config(tmp_path / "p.json", N=30)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["solve", str(cfg), "-o", str(out1)]) == 0
@@ -496,15 +497,18 @@ def test_check_reports_inertia_decision(tmp_path, capsys, monkeypatch):
     assert main(["check", str(cfg)]) == 0
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(row))
     assert " PASS  Newton solve backward error " in line
-    assert "neg(H_U) 0, neg(S) 0, PD True vs Lanczos min eig " in line
+    assert ("neg(H_U) 0, neg(S) 0, PD True, lambda_min 1.962075463e+00, H - mu I PD at "
+            "mu = lambda_min -/+ 2.0e-08: [True, False], eigenvalue 2 on 72 dimensions") in line
     assert line.endswith(", 0 shifted border rows")
 
-    # a Lanczos lambda_min of the wrong sign on this clearly PD Hessian: the
-    # decisions disagree outside the margin, and the row fails
-    monkeypatch.setattr(cli._StructuredCurvature, "lambda_min", lambda self: -1.0)
+    # the certificate's lambda_min planted at 1.5 times its value: the same
+    # inertia count finds H - mu I not PD just below 2, and the row fails
+    real = wsteer.objective._lambda_min
+    monkeypatch.setattr(wsteer.objective, "_lambda_min", lambda *args: 1.5 * real(*args))
     assert main(["check", str(cfg)]) == 1
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(row))
-    assert " FAIL  " in line and "PD True vs Lanczos min eig -1.000000000e+00" in line
+    assert " FAIL  " in line and "lambda_min 2.943113195e+00, H - mu I PD at " in line
+    assert ": [False], eigenvalue 2 on 72 dimensions" in line
 
 
 def test_check_at_a_saddle_reports_no_newton_solve(tmp_path, capsys):
@@ -516,16 +520,19 @@ def test_check_at_a_saddle_reports_no_newton_solve(tmp_path, capsys):
     assert main(["check", str(cfg)]) == 0
     line = next(l for l in capsys.readouterr().out.splitlines()
                 if l.startswith("structured curvature at Theta*"))
-    assert " PASS  neg(H_U) 20, neg(S) 1, PD False vs Lanczos min eig " in line
-    assert line.endswith(", not PD: no Newton solve, 0 shifted border rows")
-    # Lanczos's lambda_min against the dense causal block's, the test oracle
+    assert " PASS  neg(H_U) 20, neg(S) 1, PD False, lambda_min " in line
+    assert ": [True, False], eigenvalue 2 on 72 dimensions, not PD: no Newton solve" in line
+    assert line.endswith(", 0 shifted border rows")
+    # lambda_min against the dense causal block's in Phi, the test oracle, and
+    # the sign of the block in Theta
     problem, raw = load_config(str(cfg))
     sol = w.solve(problem, solver_options_from_config(raw))
     ops = w.assemble(problem)
     mask = w.causality_mask(ops.N, ops.n_u, ops.n_x)
-    dense = np.linalg.eigvalsh(_hessian_block(ops, lam, mask.free_entries, sol.report.kernel))[0]
-    lmin = line.split("min eig ")[1].split(",")[0]
+    dense = np.linalg.eigvalsh(phi_block(ops, lam, mask, sol.report.kernel))[0]
+    lmin = line.split("lambda_min ")[1].split(",")[0]
     assert lmin == f"{dense:.9e}" and dense < 0.0
+    assert np.linalg.eigvalsh(_hessian_block(ops, lam, mask.free_entries, sol.report.kernel))[0] < 0.0
 
 
 def test_check_reports_an_unsolved_start(tmp_path, capsys):

@@ -19,6 +19,7 @@ from conftest import (
     fd_grad_matrix,
     fd_grad_scalar,
     fd_hessian_from_grad,
+    phi_block,
     rand_causal_theta,
     rand_problem,
     rel_err,
@@ -427,8 +428,10 @@ def test_certificate_fails_on_wide_target_at_tight_optimum():
 
 
 def test_spectral_certificate_bounds_full_hessian_eigenvalue():
-    # the certificate eigensolves the Hessian over the causal entries only;
-    # by Cauchy interlacing its lambda_min is at least the full Hessian's
+    # the certificate measures the Hessian over the causal entries only, in
+    # the coordinates Phi: its lambda_min is eigvalsh's of that block, and its
+    # sign is that of the block in Theta, whose lambda_min is at least the
+    # full Hessian's by Cauchy interlacing
     for seed in range(40, 52):
         rng, prob, ops, mask = setup_random(seed, n_u=int(1 + seed % 2))
         Theta = rand_causal_theta(rng, mask, 0.6)
@@ -440,8 +443,12 @@ def test_spectral_certificate_bounds_full_hessian_eigenvalue():
         assert convexity_certificate(wops, prob.lam, Theta).kind is None
         cert = convexity_certificate(wops, prob.lam, Theta, mode="spectral")
         eig = np.linalg.eigvalsh(hessian_theta(wops, prob.lam, Theta))
+        causal = np.linalg.eigvalsh(hessian_theta(wops, prob.lam, Theta, mask))
+        phi = np.linalg.eigvalsh(phi_block(wops, prob.lam, mask, _terminal(wops, Theta)))
         # eigvalsh is backward stable: allow its round-off, 1e-13 ||H||_2
-        assert cert.lambda_min_hessian >= eig[0] - 1e-13 * abs(eig).max()
+        assert causal[0] >= eig[0] - 1e-13 * abs(eig).max()
+        assert abs(cert.lambda_min_hessian - phi[0]) <= 1e-13 * abs(phi).max()
+        assert (cert.lambda_min_hessian > 0.0) == (causal[0] > 0.0) == (cert.kind == "HessianPD")
     # the shipped wide target is certified by the spectral test
     root = pathlib.Path(__file__).resolve().parents[1] / "configs"
     problem, cfg = load_config(str(root / "double_integrator_wide.json"))
