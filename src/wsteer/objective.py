@@ -10,8 +10,9 @@ The total cost splits as J = J1(u_ff) + J2(Theta) + J3(Theta) - J4(Theta):
 with Omega = F(I + Hu Theta).  J1 + J2 + J3 is convex quadratic and J4 is
 convex (a nuclear norm of an affine map), so J is a difference of convex
 functions.  Every terminal quantity at an iterate comes from one kernel,
-`_terminal`, which takes a single eigendecomposition C = Sd^(1/2) Y Sd^(1/2) =
-V diag(r^2) V^T with Y the terminal covariance; with W = Sd^(1/2) V it gives
+`_terminal`, which takes two symmetric eigenproblems: the eigenvalues of the
+terminal covariance Y, for its conditioning guard, and the eigendecomposition
+C = Sd^(1/2) Y Sd^(1/2) = V diag(r^2) V^T; with W = Sd^(1/2) V the second gives
 trace C^(1/2) = sum(r) (J4, W2) and the geometric mean Mt = Sd # Y^(-1) =
 W diag(1/r) W^T of the J4 gradient.  The gradient of J in Theta and its
 Hessian in vec(Theta) share the weight A = 2 lam (I - Mt):
@@ -37,9 +38,11 @@ of Phi is free on the rows of the input blocks F_t, ..., F_(N-1) of FHu
 columns, and `_ConvexCurvature` inverts it as (I - F^T E_t F) / 2 with
 E_t = (I + A Q_t / 2)^-1 A / 2.  `_StructuredCurvature` adds Z by Woodbury
 through S = I + Z H_U^-1 Z^T, built from G_t = Q_t (I - E_t Q_t), and decides
-positive definiteness by inertia (Haynsworth).  A nearly singular block of
-H_U takes A_+, the positive part of A, so it is >= 2I, and H_U' - H_U = P^T P
-joins Z in the border with the sign -1.  Both solves take one refinement step.
+positive definiteness by inertia (Haynsworth), or without S by interlacing
+when H_U has more negative eigenvalues than rank Z <= n_x (n_x + 1) / 2.  A
+nearly singular block of H_U takes A_+, the positive part of A, so it is >= 2I,
+and H_U' - H_U = P^T P joins Z in the border with the sign -1.  Both solves
+take one refinement step.
 `_hessian_block`'s dense causal block is the test oracle, and `wsteer check`'s
 on a few entries.  The spectral certificate's lambda_min is H's in Phi, on
 one path at every size: H_U's block spectrum is closed form, so H is 2I on a
@@ -205,7 +208,8 @@ class _Terminal(NamedTuple):
 
 def _terminal(ops, Theta):
     """Every terminal quantity of J, its gradient and its Hessian at Theta,
-    from one eigendecomposition of C = Sd^(1/2) Y Sd^(1/2).
+    from two symmetric eigenproblems: eigvalsh of Y for its conditioning
+    guard, then eigh of C = Sd^(1/2) Y Sd^(1/2).
 
     Theta may be a stack of gains along its leading axes; every product is a
     stacked matmul and every decomposition a stacked LAPACK call, so each
@@ -428,11 +432,12 @@ class _StructuredCurvature(_ConvexCurvature):
     """The causal Hessian H = H_U + Z^T Z of J at the terminal kernel term,
     solved by Woodbury on the signed border B = [Z; P], neither formed:
     shifted lists the columns of Phi whose blocks take A_+, k counts P's rows,
-    and neg_U and neg_S, the negative eigenvalues of H_U' and S, decide pd."""
+    and neg_U and neg_S, the negative eigenvalues of H_U' and S, decide pd.
+    S, E and EQ are built when first read."""
 
     def __init__(self, ops, lam, mask, term):
         super().__init__(ops, lam, mask, term)
-        n_x, m = ops.n_x, ops.n_x * ops.n_x
+        n_x = ops.n_x
         self.W, (self.sg, self.Aw) = term.W, _frechet(ops, lam, term)
         # H_U is block-diagonal: its block at column c of Phi has, besides
         # eigenvalues 2, those of 2 (I + C_t^T A C_t), t = c // n_x
@@ -451,9 +456,34 @@ class _StructuredCurvature(_ConvexCurvature):
             self.k = sc.size * self.Wn.shape[1]
             A_plus = symmetrize((V * np.maximum(a, 0.0)) @ V.T)
             self.A_t = np.where(shift[:, None, None], A_plus, self.A)
-        # S = J + B H_U'^-1 B^T from <U(Y), H_U'^-1 U(Y')> = sum_c Y_c^T G_t Y'_c / 2,
-        # G_t = Q_t (I - EQ_t), EQ_t = E_t Q_t: Z's rows have Y = R_ab, P's Wn on sc
-        self.EQ = self.E @ self.Q
+        self.neg_U = n_x * int(np.count_nonzero(self.sig[~shift] < 0.0))
+
+    @cached_property
+    def pd(self):
+        """Haynsworth on [[H_U', B^T], [B, -J]]: neg(H) = neg(H_U') + k - neg(S).
+        H = H_U' + Z^T Z - P^T P, A_+ keeps the shifted blocks of H_U' >= 2I
+        and rank Z <= n_x (n_x + 1) / 2 (its rows are symmetric), so neg(H)
+        >= neg_U - n_x (n_x + 1) / 2 (interlacing): past that, not PD, and S
+        is not built."""
+        n_x = self.sg.shape[0]
+        if self.neg_U > n_x * (n_x + 1) // 2:
+            return False
+        return self.neg_S == self.neg_U + self.k and bool(np.all(self._border[0] != 0.0))
+
+    @cached_property
+    def neg_S(self):
+        return int(np.count_nonzero(self._border[0] < 0.0))
+
+    @cached_property
+    def EQ(self):
+        return self.E @ self.Q
+
+    @cached_property
+    def _border(self):
+        """(s, SV), the eigendecomposition of S = J + B H_U'^-1 B^T, from
+        <U(Y), H_U'^-1 U(Y')> = sum_c Y_c^T G_t Y'_c / 2, G_t = Q_t (I - EQ_t),
+        EQ_t = E_t Q_t: Z's rows have Y = R_ab, P's Wn on the shifted columns."""
+        n_x, m, sc = self.sg.shape[0], self.sg.size, self.shifted
         G = self.Q @ (np.eye(n_x) - self.EQ)
         R = self._Zt(np.eye(m).reshape(m, n_x, n_x))
         GR = self._blocks(G, R)
@@ -463,11 +493,7 @@ class _StructuredCurvature(_ConvexCurvature):
             S = np.block([[S, ZP], [ZP.T, -np.eye(self.k)]])
             d = m + np.arange(self.k).reshape(sc.size, -1)  # P's rows, by column
             S[d[:, :, None], d[:, None, :]] += 0.5 * self.Wn.T @ G[sc // n_x] @ self.Wn
-        self.s, self.SV = np.linalg.eigh(symmetrize(S))
-        # Haynsworth on [[H_U', B^T], [B, -J]]: neg(H) = neg(H_U') + k - neg(S)
-        self.neg_U = n_x * int(np.count_nonzero(self.sig[~shift] < 0.0))
-        self.neg_S = int(np.count_nonzero(self.s < 0.0))
-        self.pd = self.neg_S == self.neg_U + self.k and bool(np.all(self.s != 0.0))
+        return np.linalg.eigh(symmetrize(S))
 
     @cached_property
     def E(self):
@@ -496,7 +522,8 @@ class _StructuredCurvature(_ConvexCurvature):
         By = self._Z(Fy).ravel()
         if self.k:
             By = np.concatenate([By, (Fy[:, self.shifted].T @ self.Wn).ravel()])
-        w = self.SV @ ((self.SV.T @ By) / self.s)
+        s, SV = self._border
+        w = SV @ ((SV.T @ By) / s)
         Y = self._Zt(w[:self.sg.size].reshape(self.sg.shape))
         if self.k:
             Y[:, self.shifted] += self.Wn @ w[self.sg.size:].reshape(self.shifted.size, -1).T
@@ -520,13 +547,10 @@ def _poles(ops, lam, term=None):
     t = c // n_x, has H_U's block 2I + F_t^T A F_t, F_t = sqrt(2) C_t O_t^T,
     O_t^T O_t = I: 2 sigma, the eigenvalues of 2 (I + C_t^T A C_t), on O_t y,
     where Z is sg * (a b^T + b a^T), a = sqrt(2) W^T C_t y, b = Aw[:, c], else
-    2.  C_t = R_t^T / sqrt(2), R_t from the QR of [F_t, ..., F_(N-1)]^T padded
-    with zero rows, is stable in FHu, where `input_grams`' eigh of Q_t squares
-    its condition; its zero columns, past n_u (N - t), give no pole."""
-    N, n_x, m = ops.N, ops.n_x, max(ops.N * ops.n_u, ops.n_x)
-    G = np.vstack([ops.FHu.T, np.zeros((m, n_x))])[ops.n_u * np.arange(N)[:, None] + np.arange(m)]
-    C = _mT(np.linalg.qr(G, mode="r")) / np.sqrt(2.0)
-    true = np.arange(n_x) < np.minimum(ops.n_u * (N - np.arange(N)), n_x)[:, None]
+    2.  C_t is `input_qr`'s, stable in FHu, where `input_grams`' eigh of Q_t
+    squares its condition; its zero columns, past n_u (N - t), give no pole."""
+    N, n_x = ops.N, ops.n_x
+    C, true = ops.input_qr
     M = _mT(C) @ _coupling_weight(lam, n_x, term) @ C
     # the other columns are decoupled: put above the rest (Gershgorin), eigh sorts them last
     M[:, np.arange(n_x), np.arange(n_x)] += np.where(

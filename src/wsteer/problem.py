@@ -3,11 +3,16 @@
 The horizon-N system x_{k+1} = A_k x_k + B_k u_k + G_k w_k is lifted to
 x = Gamma x0 + Hu u + Hw w over the stacked state/input/noise vectors, and the
 total state covariance factor Stilde = Gamma S0 Gamma^T + Hw (I_N kron Sw) Hw^T is
-assembled once and shared immutably by the objective and solver.  A rollout
-needs only the lifted maps (`lifted_maps`), and forms Stilde only to word its
-error when S0 or Sw has no Cholesky factor (`checked_stilde`).
+assembled once and shared immutably by the objective and solver.  None of it
+depends on lam, so `assemble` keeps the lifting of the last DATA_MEMO problem
+data it saw, and `validate` their verdicts, keyed by content: a lambda sweep
+lifts and checks each system once.  A rollout needs only the lifted maps
+(`lifted_maps`), and forms Stilde only to word its error when S0 or Sw has no
+Cholesky factor (`checked_stilde`).
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -28,6 +33,18 @@ RANK_TOL = 1e-10
 RCOND_DATA = 1e-12
 # what assemble, and a rollout that checks Stilde without forming it, report
 STILDE_NOT_PD = "Stilde is not PD (are S0, Sw PD and every G_k of full row rank?)"
+# Distinct problem data whose lifting `assemble` keeps, and whose verdicts
+# `validate` keeps: a sweep over a few systems at many lambdas builds each once.
+# A kept lifting holds about 22 MB at N = 200, n_x = 4, n_u = 2 (Stilde, Hw, Hu
+# and the Cholesky factor of Stilde with its inverse), so 8 hold about 180 MB.
+DATA_MEMO = 8
+
+
+def _read_only(*arrays):
+    """arrays, each made read-only; for arrays this module built, never a caller's."""
+    for M in arrays:
+        M.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -165,7 +182,8 @@ class BlockOperators:
     Gamma maps x0 to the stacked state, Hu/Hw map stacked inputs/noises, F
     selects the terminal state, and Stilde = Gamma S0 Gamma^T +
     Hw (I_N kron Sw) Hw^T is the (always PD) covariance factor of the
-    uncontrolled stacked state.
+    uncontrolled stacked state.  `assemble` shares one instance between equal
+    problem data, so its arrays, and those of its cached factors, are read-only.
     """
 
     N: int
@@ -195,7 +213,7 @@ class BlockOperators:
         the curvature's dual whitening relies on."""
         qq = self.N * self.n_x
         L = np.linalg.cholesky(self.Stilde[:qq, :qq])
-        return L, np.tril(np.linalg.inv(L))
+        return _read_only(L, np.tril(np.linalg.inv(L)))
 
     @cached_property
     def input_grams(self):
@@ -205,7 +223,20 @@ class BlockOperators:
         F = self.FHu.reshape(n_x, N, n_u).transpose(1, 0, 2)
         Q = np.cumsum((F @ F.transpose(0, 2, 1))[::-1], axis=0)[::-1]
         q, V = np.linalg.eigh(0.5 * Q)
-        return Q, V * np.sqrt(np.maximum(q, 0.0))[:, None, :]
+        return _read_only(Q, V * np.sqrt(np.maximum(q, 0.0))[:, None, :])
+
+    @cached_property
+    def input_qr(self):
+        """(C, true), stacked over t < N: C_t = R_t^T / sqrt(2), R_t from the
+        QR of [F_t, ..., F_(N-1)]^T padded with zero rows to n_x, so that
+        C_t C_t^T = Q_t / 2 without squaring the condition of the F_i; true[t, j]
+        is False on the zero columns of C_t, those past n_u (N - t)."""
+        N, n_x, m = self.N, self.n_x, max(self.N * self.n_u, self.n_x)
+        G = np.vstack([self.FHu.T, np.zeros((m, n_x))])[self.n_u * np.arange(N)[:, None]
+                                                         + np.arange(m)]
+        C = np.linalg.qr(G, mode="r").transpose(0, 2, 1) / np.sqrt(2.0)
+        true = np.arange(n_x) < np.minimum(self.n_u * (N - np.arange(N)), n_x)[:, None]
+        return _read_only(C, true)
 
 
 @dataclass(frozen=True)
@@ -340,13 +371,48 @@ def checked_stilde(problem, Gamma, Hw):
     return Stilde
 
 
-def assemble(problem):
-    """Assemble the lifted block operators for a steering problem.
+class _ContentMemo:
+    """The values built for the DATA_MEMO most recently used keys.  A build
+    that raises keeps nothing, so the next call with its key builds again."""
 
-    Raises NotPDError if the assembled Stilde is not numerically positive
-    definite (it is PD when S0, Sw are PD and the G_k have full row rank,
-    but the open-loop chain can make it too ill-conditioned over the horizon).
-    """
+    def __init__(self):
+        self._values = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            if key in self._values:
+                self._values.move_to_end(key)
+                return self._values[key]
+        value = build()
+        with self._lock:
+            self._values[key] = value
+            if len(self._values) > DATA_MEMO:
+                self._values.popitem(last=False)
+        return value
+
+    def clear(self):
+        with self._lock:
+            self._values.clear()
+
+
+_LIFTINGS = _ContentMemo()
+_VERDICTS = _ContentMemo()
+
+
+def _data_key(problem):
+    """Every array of problem but lam: the dimensions, which fix each shape,
+    and the bytes.  Equal keys are equal numbers, from which every build
+    gives the same result; an in-place edit of an array changes the key."""
+    sysm = problem.system
+    arrays = (*sysm.A, *sysm.B, *sysm.G, problem.initial.mean, problem.initial.cov,
+              problem.noise_cov, problem.desired.mean, problem.desired.cov)
+    return (sysm.horizon, sysm.n_x, sysm.n_u, sysm.n_w,
+            b"".join([M.tobytes() for M in arrays]))
+
+
+def _lift(problem):
+    """The lifted block operators of problem, in arrays of their own, read-only."""
     sysm = problem.system
     N, n_x, n_u, n_w = sysm.horizon, sysm.n_x, sysm.n_u, sysm.n_w
     Gamma, Hu, Hw = lifted_maps(sysm)
@@ -355,31 +421,46 @@ def assemble(problem):
     F = np.zeros((n_x, (N + 1) * n_x))
     F[:, N * n_x:] = np.eye(n_x)
 
-    Sd = problem.desired.cov
+    Sd = problem.desired.cov.copy()  # the caller's array, which may change after this
     sd_eigvals, sd_V = np.linalg.eigh(symmetrize(Sd))
     sqrt_Sd = None
     if sd_eigvals[0] > 0.0:
         sqrt_Sd = symmetrize((sd_V * np.sqrt(sd_eigvals)) @ sd_V.T)
 
-    return BlockOperators(
+    ops = BlockOperators(
         N=N, n_x=n_x, n_u=n_u, n_w=n_w,
         Gamma=Gamma, Hu=Hu, Hw=Hw, Stilde=Stilde, F=F,
         mu0=problem.initial.mean.copy(),
         mud=problem.desired.mean.copy(),
-        Sd=np.asarray(Sd, dtype=float),
+        Sd=Sd,
         FHu=Hu[N * n_x:, :].copy(),
         FGamma_mu0=Gamma[N * n_x:, :] @ problem.initial.mean,
         sqrt_Sd=sqrt_Sd,
     )
+    _read_only(*(M for M in vars(ops).values() if isinstance(M, np.ndarray)))
+    return ops
 
 
-def validate(problem):
-    """Return the list of formulation violations (empty means valid).
+def assemble(problem):
+    """Assemble the lifted block operators for a steering problem.
 
-    Checks that S0, Sw, Sd are symmetric and PD at rcond RCOND_DATA, that
-    lambda is positive, and that every G_k has full rank at rcond RANK_TOL.
+    Raises NotPDError if the assembled Stilde is not numerically positive
+    definite (it is PD when S0, Sw are PD and the G_k have full row rank,
+    but the open-loop chain can make it too ill-conditioned over the horizon).
+
+    Nothing lifted depends on lam, so the operators are shared: problems
+    whose arrays other than lam (A_k, B_k, G_k, mu0, S0, Sw, mud, Sd) have the
+    same shapes and bytes get the same read-only BlockOperators, with its
+    cached factors, while theirs is among the DATA_MEMO most recently
+    assembled data.  A lambda sweep therefore lifts each system once.  Data
+    that raises is not kept, and raises again on every call.
     """
-    violations = []
+    return _LIFTINGS.get(_data_key(problem), lambda: _lift(problem))
+
+
+def _data_verdicts(problem):
+    """(covariance violations, G_k violations) of `validate`, as tuples."""
+    covariances = []
     for what, M in (("initial covariance", problem.initial.cov),
                     ("noise covariance", problem.noise_cov),
                     ("desired covariance", problem.desired.cov)):
@@ -388,11 +469,22 @@ def validate(problem):
             eigvals = np.linalg.eigvalsh(symmetrize(M))
             require_conditioned(eigvals, f"{what} not PD", rcond=RCOND_DATA)
         except (NotSymmetricError, NotPDError) as e:
-            violations.append(str(e))
-
-    if not (problem.lam > 0.0):
-        violations.append(f"lambda must be > 0, got {problem.lam}")
-
+            covariances.append(str(e))
     sv = np.linalg.svd(np.stack(problem.system.G), compute_uv=False)
-    violations += [f"G[{k}] is rank deficient: {why}" for k, why in ill_conditioned(sv, RANK_TOL)]
-    return violations
+    return tuple(covariances), tuple(f"G[{k}] is rank deficient: {why}"
+                                     for k, why in ill_conditioned(sv, RANK_TOL))
+
+
+def validate(problem):
+    """Return the list of formulation violations (empty means valid).
+
+    Checks that S0, Sw, Sd are symmetric and PD at rcond RCOND_DATA, that
+    lambda is positive, and that every G_k has full rank at rcond RANK_TOL;
+    the list names them in that order.  The verdicts on the data are kept
+    under the key `assemble` uses, for the DATA_MEMO most recently validated
+    data, so a lambda sweep checks each system once; lambda is checked on
+    every call, and every call returns a list of its own.
+    """
+    covariances, gains = _VERDICTS.get(_data_key(problem), lambda: _data_verdicts(problem))
+    lam = [] if problem.lam > 0.0 else [f"lambda must be > 0, got {problem.lam}"]
+    return [*covariances, *lam, *gains]

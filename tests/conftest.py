@@ -6,7 +6,16 @@ from types import SimpleNamespace
 import numpy as np
 
 import wsteer as w
+from wsteer import problem
 from wsteer.objective import _hessian_block
+
+
+def pytest_runtest_setup(item):
+    """Every test starts with nothing lifted or validated: what a test counts or
+    patches inside `assemble` and `validate` runs whatever ran before it.  A
+    hook, not a fixture, so that scripts importing this module need no pytest."""
+    problem._LIFTINGS.clear()
+    problem._VERDICTS.clear()
 
 # 2-D discretized double integrator (dt = 0.1), horizon 10, with the two
 # steering targets exercised throughout: a wide correlated covariance and a

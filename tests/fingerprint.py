@@ -10,7 +10,13 @@ the same digest produce the same bits on all of these; a change meant to
 alter no number is checked by running this at both, under the same BLAS
 thread count (the N = 40 solves' bits depend on it).  A second digest leaves
 out the certificates' lambda_min_hessian, for a change that alters only how
-that number is found.  Run from the repository root:
+that number is found.
+
+The solves and scans run twice in one process.  The first pass starts with
+nothing kept, so each system is lifted at its first lambda (`assemble` keeps
+liftings by content); the second finds every lifting kept.  Both passes'
+digests are printed, and the exit code is 1 when they differ.  Run from the
+repository root:
 
     PYTHONPATH=src python tests/fingerprint.py [-v]
 
@@ -62,30 +68,38 @@ def scan_bytes(samples):
     return b"".join(repr((s.gamma, s.J, s.J1, s.J2, s.J3, s.J4)).encode() for s in samples)
 
 
+def solves():
+    """(label, problem, options) of every solve: the lambda sweep, then the horizons."""
+    configs = {name: load_config(os.path.join(ROOT, "configs", f"double_integrator_{name}.json"))
+               for name in CONFIGS}
+    for lam in LAMBDAS:
+        for name, (prob, cfg) in configs.items():
+            yield f"{name}/lambda={lam:g}", with_changes(prob, lam), solver_options_from_config(cfg)
+    for N in HORIZONS:
+        for name, (prob, _) in configs.items():
+            yield (f"{name}/N={N}/lambda={HORIZON_LAMBDA:g}", with_changes(prob, HORIZON_LAMBDA, N),
+                   HORIZON_OPTIONS)
+
+
 def items():
     """(label, bytes, bytes without lambda_min_hessian) of every solve, then
     of every scan."""
-    configs = {name: load_config(os.path.join(ROOT, "configs", f"double_integrator_{name}.json"))
-               for name in CONFIGS}
-    sols = {}
+    probs, sols = {}, {}
+    for label, prob, options in solves():
+        sol = solve(prob, options)
+        probs[label], sols[label] = prob, sol
+        yield label, solve_bytes(sol), solve_bytes(sol, False)
     for lam in LAMBDAS:
-        for name, (prob, cfg) in configs.items():
-            sols[name, lam] = sol = solve(with_changes(prob, lam), solver_options_from_config(cfg))
-            yield f"{name}/lambda={lam:g}", solve_bytes(sol), solve_bytes(sol, False)
-    for N in HORIZONS:
-        for name, (prob, _) in configs.items():
-            sol = solve(with_changes(prob, HORIZON_LAMBDA, N), HORIZON_OPTIONS)
-            yield f"{name}/N={N}/lambda={HORIZON_LAMBDA:g}", solve_bytes(sol), solve_bytes(sol, False)
-    for lam in LAMBDAS:
-        a, b = sols["tight", lam], sols["wide", lam]
-        samples = line_scan(assemble(with_changes(configs["tight"][0], lam)), lam,
+        tight, wide = f"tight/lambda={lam:g}", f"wide/lambda={lam:g}"
+        a, b = sols[tight], sols[wide]
+        samples = line_scan(assemble(probs[tight]), lam,
                             Policy(a.u_ff, a.Theta), Policy(b.u_ff, b.Theta), GRID)
         data = scan_bytes(samples)
         yield f"scan/lambda={lam:g}", data, data
 
 
-def main(argv):
-    verbose = "-v" in argv
+def digests(verbose):
+    """(digest, digest without lambda_min_hessian) over `items`."""
     total, without = hashlib.sha256(), hashlib.sha256()
     for label, data, data_without in items():
         total.update(label.encode() + b"\0" + data)
@@ -93,8 +107,20 @@ def main(argv):
         if verbose:
             print(f"{hashlib.sha256(data).hexdigest()[:16]}  "
                   f"{hashlib.sha256(data_without).hexdigest()[:16]}  {label}")
-    print(total.hexdigest())
-    print(without.hexdigest(), "without lambda_min_hessian")
+    return total.hexdigest(), without.hexdigest()
+
+
+def main(argv):
+    verbose = "-v" in argv
+    passes = {}
+    # the second pass finds each system lifted and validated by the first
+    for memo in ("cold", "warm"):
+        passes[memo] = total, without = digests(verbose)
+        print(total, f"{memo} memo")
+        print(without, f"without lambda_min_hessian, {memo} memo")
+    if passes["cold"] != passes["warm"]:
+        print("the passes differ")
+        return 1
     return 0
 
 

@@ -13,6 +13,7 @@ import wsteer.cli as cli
 import wsteer.objective as objective
 import wsteer.solver as solver
 from wsteer.cli import load_config, main
+from wsteer.errors import WsteerError
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 INSTANCES = ["tight N=10", "long horizon N=100"]
@@ -128,3 +129,17 @@ def test_a_certificate_mismatch_inside_solve_fails(monkeypatch, capsys):
     assert " INFO  dominance gap " in star and "min eig Hess 2.943e+00 (not dominated)" in star
     assert " FAIL  Newton solve backward error " in row
     assert "lambda_min 2.943113195e+00, H - mu I PD at mu = lambda_min -/+ 2.9e-08: [False]" in row
+
+
+def test_an_error_in_the_solution_rows_fails_one_row(monkeypatch, capsys):
+    # a WsteerError raised while the rows at Theta* are built ends in one FAIL
+    # row that names it, after the rows before it
+    def planted(*args):
+        raise WsteerError("planted")
+
+    monkeypatch.setattr(cli, "_structured_row", planted)
+    assert main(["check", str(CONFIGS / "double_integrator_tight.json")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("certificate and curvature at Theta*")
+    assert lines[-1].endswith(" FAIL  WsteerError: planted")
+    assert lines[-2].startswith("Hessian PD at Theta* (certificate)")

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvature_sweep
+import fingerprint
 import long_horizon_sweep
 from conftest import (
     SD_TIGHT,
@@ -584,3 +585,37 @@ def test_structured_certificate_kind_is_the_inertia_count(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(wsteer.objective, "_lambda_min", lambda *args: -cert.lambda_min_hessian)
             assert convexity_certificate(ops, lam, Theta, mode="spectral").kind is None
+
+
+def test_not_pd_past_the_interlacing_bound_builds_no_border(monkeypatch):
+    # H = H_U' + Z^T Z - P^T P, A_+ keeps the shifted blocks >= 2I and rank Z
+    # <= n_x (n_x + 1) / 2 = 3, so past 3 negative eigenvalues of H_U' the
+    # guard says not PD without building E, EQ or S.  The wide target's solves
+    # at lambda = 100 and 2000 start there; reading neg_S still builds S
+    built = []
+
+    class Spy(_StructuredCurvature):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(wsteer.objective, "_StructuredCurvature", Spy)
+    for label, prob, opts in fingerprint.solves():
+        if label in ("wide/lambda=100", "wide/lambda=2000"):
+            w.solve(prob, opts)
+    early = [c for c in built if c.neg_U > 3]
+    assert sorted(c.neg_U for c in early) == [18, 20]
+    for c in early:
+        assert not c.pd and not {"_border", "E", "EQ"} & set(vars(c))
+        assert c.neg_S < c.neg_U + c.k and "_border" in vars(c)
+    assert all(c.pd and "_border" in vars(c) for c in built if c.neg_U <= 3)
+
+
+def test_block_qr_is_built_once_per_problem(monkeypatch):
+    ops = w.assemble(double_integrator_problem(SD_WIDE, lam=10.0, N=20))
+    term = _terminal(ops, np.zeros((ops.N * ops.n_u, (ops.N + 1) * ops.n_x)))
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    for lam in (0.1, 10.0, 2000.0):
+        _lambda_min(ops, lam, term)
+    assert len(calls) == 1

@@ -20,11 +20,13 @@ from conftest import (
     rand_problem,
     rand_system,
 )
+import fingerprint
 import wsteer as w
+from wsteer import problem as wp
 from wsteer.errors import DimensionMismatchError, IndexOrderError, NonFiniteError, NotPDError
 from wsteer.objective import Policy
 from wsteer.matops import require_conditioned
-from wsteer.problem import RANK_TOL, RCOND_DATA
+from wsteer.problem import DATA_MEMO, RANK_TOL, RCOND_DATA
 from wsteer.simulate import rollout
 
 
@@ -72,8 +74,9 @@ def test_assemble_zero_b_gives_zero_hu():
 
 
 def test_assemble_deterministic_bit_identical():
+    # two builds, the second past the memo that shares the first
     prob = double_integrator_problem(SD_WIDE)
-    ops1, ops2 = w.assemble(prob), w.assemble(prob)
+    ops1, ops2 = w.assemble(prob), wp._lift(prob)
     for a, b in ((ops1.Gamma, ops2.Gamma), (ops1.Hu, ops2.Hu),
                  (ops1.Hw, ops2.Hw), (ops1.Stilde, ops2.Stilde)):
         assert np.array_equal(a, b)
@@ -417,3 +420,162 @@ def test_non_finite_data_rejected_at_construction(name, bad):
         w.SteeringProblem(w.TimeVaryingLinearSystem(A, B, G),
                           w.Gaussian(data["mu0"], data["S0"]), data["Sw"],
                           w.Gaussian(data["mud"], data["Sd"]), 1.0)
+
+
+# the data memo: `assemble` and `validate` keyed on every array but lambda ----
+
+
+def spy(monkeypatch, name):
+    """The problems passed to wsteer.problem's name, a builder behind the memo."""
+    calls, real = [], getattr(wp, name)
+    monkeypatch.setattr(wp, name, lambda prob: calls.append(prob) or real(prob))
+    return calls
+
+
+def assert_same_operators(ops, want):
+    """ops and want hold bit-equal arrays, their cached factors included."""
+    for name in ("Gamma", "Hu", "Hw", "Stilde", "F", "mu0", "mud", "Sd", "FHu",
+                 "FGamma_mu0", "sqrt_Sd"):
+        assert np.array_equal(getattr(ops, name), getattr(want, name)), name
+    for name in ("causal_cholesky", "input_grams", "input_qr"):
+        for a, b in zip(getattr(ops, name), getattr(want, name)):
+            assert np.array_equal(a, b), name
+
+
+def test_lambda_sweep_lifts_and_validates_each_system_once(monkeypatch):
+    lifts, verdicts = spy(monkeypatch, "_lift"), spy(monkeypatch, "_data_verdicts")
+    sweep = [(label, prob, opts) for label, prob, opts in fingerprint.solves()
+             if "/N=" not in label]
+    assert len(sweep) == 10
+    for _, prob, opts in sweep:
+        w.solve(prob, opts)
+    assert len(lifts) == len(verdicts) == 2
+    shared = {}
+    for label, prob, _ in sweep:  # what a scan's assemble gets: the solves' lifting
+        assert shared.setdefault(label.split("/")[0], w.assemble(prob)) is w.assemble(prob)
+    assert len(shared) == len(lifts) == 2
+
+
+def test_one_changed_entry_is_lifted_again(monkeypatch):
+    # a time-varying A_k, S0 and Sd, each changed in one entry, by a new array
+    # or in place; the new lifting is a cold build's, and the old one stays
+    lifts = spy(monkeypatch, "_lift")
+    prob = rand_problem(np.random.default_rng(5), N=4, n_x=2, n_u=1, lam=3.0)
+    ops = w.assemble(prob)
+    A = [M.copy() for M in prob.system.A]
+    A[2][1, 0] += 1e-3
+    system = w.TimeVaryingLinearSystem(A, prob.system.B, prob.system.G)
+    S0 = prob.initial.cov.copy()
+    S0[0, 0] *= 2.0
+    Sd = prob.desired.cov.copy()
+    Sd[1, 1] += 0.5
+    changed = [
+        w.SteeringProblem(system, prob.initial, prob.noise_cov, prob.desired, prob.lam),
+        w.SteeringProblem(prob.system, w.Gaussian(prob.initial.mean, S0), prob.noise_cov,
+                          prob.desired, prob.lam),
+        w.SteeringProblem(prob.system, prob.initial, prob.noise_cov,
+                          w.Gaussian(prob.desired.mean, Sd), prob.lam),
+    ]
+    for new, field in zip(changed, ("Stilde", "Stilde", "Sd")):
+        got = w.assemble(new)
+        assert got is not ops and not np.array_equal(getattr(got, field), getattr(ops, field))
+        assert_same_operators(got, wp._lift(new))
+    assert len(lifts) == 1 + 2 * len(changed)
+    # an in-place edit of the caller's array changes the key
+    prob.system.A[1][0, 0] += 1e-3
+    edited = w.assemble(prob)
+    assert edited is not ops and not np.array_equal(edited.Stilde, ops.Stilde)
+    assert_same_operators(edited, wp._lift(prob))
+    prob.system.A[1][0, 0] -= 1e-3
+    assert w.assemble(prob) is ops
+
+
+def test_assemble_raises_again_on_every_call(monkeypatch):
+    lifts = spy(monkeypatch, "_lift")
+    sysm = w.TimeVaryingLinearSystem.time_invariant(np.eye(2), [[0.0], [1.0]], [[1.0], [0.0]], 1)
+    prob = w.SteeringProblem(sysm, w.Gaussian([0.0, 0.0], 1e-30 * np.eye(2)), [[1.0]],
+                             w.Gaussian([0.0, 0.0], np.eye(2)), 1.0)
+    for _ in range(3):
+        with pytest.raises(NotPDError):
+            w.assemble(prob)
+    assert len(lifts) == 3
+
+
+def test_shared_operators_are_read_only_and_the_callers_arrays_are_not():
+    prob = long_horizon_problem(np.random.default_rng(2), N=6)
+    ops = w.assemble(prob)
+    arrays = [v for v in vars(ops).values() if isinstance(v, np.ndarray)]
+    arrays += [*ops.causal_cholesky, *ops.input_grams, *ops.input_qr]
+    assert len(arrays) == 11 + 6
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    sysm = prob.system
+    for a in (*sysm.A, *sysm.B, *sysm.G, prob.initial.mean, prob.initial.cov,
+              prob.noise_cov, prob.desired.mean, prob.desired.cov):
+        assert a.flags.writeable
+
+
+def test_assemble_copies_the_desired_covariance():
+    # Gaussian keeps the caller's array; assemble's Sd is its own, so an edit
+    # of the caller's matrix after assembly leaves Sd and sqrt_Sd in agreement
+    Sd = np.array(SD_WIDE)
+    prob = double_integrator_problem(Sd)
+    ops = w.assemble(prob)
+    prob.desired.cov[0, 0] += 1.0
+    assert prob.desired.cov.flags.writeable
+    assert_allclose(ops.sqrt_Sd @ ops.sqrt_Sd, ops.Sd, rtol=0, atol=1e-14)
+    assert np.array_equal(ops.Sd, SD_WIDE)
+
+
+def test_memo_evicts_the_least_recently_used_data(monkeypatch):
+    lifts, verdicts = spy(monkeypatch, "_lift"), spy(monkeypatch, "_data_verdicts")
+    probs = [double_integrator_problem(SD_WIDE, sw_scale=0.01 * (k + 1))
+             for k in range(DATA_MEMO + 1)]
+    first = [w.assemble(p) for p in probs[:DATA_MEMO]]
+    assert w.validate(probs[0]) == []
+    assert w.assemble(probs[0]) is first[0]  # now the most recently used
+    w.assemble(probs[DATA_MEMO])  # evicts probs[1], the least recently used
+    assert w.assemble(probs[0]) is first[0] and len(lifts) == DATA_MEMO + 1
+    again = w.assemble(probs[1])
+    assert again is not first[1] and len(lifts) == DATA_MEMO + 2
+    assert_same_operators(again, first[1])
+    for p in probs + probs[:1]:
+        assert w.validate(p) == []
+    assert len(verdicts) == DATA_MEMO + 2  # probs[0] evicted by the last, then again
+
+
+def test_validate_checks_lambda_on_every_call_and_returns_a_fresh_list(monkeypatch):
+    verdicts = spy(monkeypatch, "_data_verdicts")
+    ranksys = w.TimeVaryingLinearSystem.time_invariant(
+        np.eye(2), [[0.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]], 2)
+    prob = double_integrator_problem(SD_WIDE)
+    bad = w.Gaussian([0.0, 0.0], np.zeros((2, 2)))
+    lists = [w.validate(w.SteeringProblem(ranksys, bad, prob.noise_cov, prob.desired, lam))
+             for lam in (0.0, 1.0, 0.0)]
+    assert len(verdicts) == 1
+    assert [len(v) for v in lists] == [4, 3, 4]
+    assert "initial covariance" in lists[0][0] and lists[0][1] == "lambda must be > 0, got 0.0"
+    assert lists[0][2].startswith("G[0]") and lists[0][3].startswith("G[1]")
+    assert lists[1] == lists[0][:1] + lists[0][2:] and lists[0] == lists[2]
+    lists[0].append("x")
+    assert len(lists[2]) == 4 and lists[0] is not lists[2]
+
+
+def test_benchmark_solves_are_bit_identical_with_a_cold_and_a_warm_memo(monkeypatch):
+    lifts = spy(monkeypatch, "_lift")
+
+    def solution_bytes(sol):
+        return fingerprint.solve_bytes(sol) + sol.u_ff.tobytes() + sol.K.tobytes()
+
+    cold = []
+    for _, prob, opts in fingerprint.solves():
+        wp._LIFTINGS.clear()
+        cold.append(solution_bytes(w.solve(prob, opts)))
+    assert len(cold) == len(lifts) == 14
+    wp._LIFTINGS.clear()
+    for _, prob, opts in fingerprint.solves():  # 6 systems, each lifted once
+        w.solve(prob, opts)
+    assert len(lifts) == 14 + 6
+    warm = [solution_bytes(w.solve(prob, opts)) for _, prob, opts in fingerprint.solves()]
+    assert len(lifts) == 14 + 6 and warm == cold
