@@ -9,12 +9,14 @@ Rollouts simulate the step dynamics with the K-form feedback acting on state
 deviations from the analytically propagated mean trajectory.  That is linear
 in a sample's per = n_x + N*n_w normals z, so its terminal state is xbar_N +
 M z: a rollout runs the recursion once, on the per x per identity, for M.
-Blocks of BLOCK samples run on a thread pool, one worker per CPU; block b
-draws its noise Z from a stream of its own, child b of the seed's
-SeedSequence (see _sample_noise), and writes its terminal states Z M^T.  So
-the result is bitwise reproducible given (seed, samples) whatever the CPU
-count, and sample i's draws depend only on (seed, i).  Memory is about
-samples*n_x + workers*BLOCK*(n_x + N*n_w) + per*(N+1)*n_x doubles.
+Blocks of BLOCK samples run on a thread pool, one worker per CPU, each
+worker taking the next block until none is left; block b draws its noise Z
+from a stream of its own, child b of the seed's SeedSequence (see
+_sample_noise), and reduces its deviations D = Z M^T from xbar_N to their sum
+and Gram matrix D^T D in slots of its own.  The slots are added in block
+order, so the result is bitwise reproducible given (seed, samples) whatever
+the CPU count, and sample i's draws depend only on (seed, i).  Memory is
+about workers*BLOCK*per + per*(N+1)*n_x + blocks*(n_x + n_x^2) doubles.
 
 The predicted terminal Gaussian that a rollout is judged against comes from
 the lifted maps (`problem.lifted_maps`) and products with n_x rows alone; a
@@ -25,6 +27,7 @@ no Cholesky factor (see _cholesky).
 
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -236,7 +239,11 @@ def rollout(problem, policy, samples, seed):
     terminal rows of the step recursion run once on the identity with xbar
     zeroed, from A_k, B_k, G_k Lw, L0 and K = theta_to_k(Theta, Hu), not
     from the lifted maps the prediction uses, so the rollout still checks
-    the step simulation against the lifted prediction.
+    the step simulation against the lifted prediction.  The moments come
+    from the deviations d_i = z_i M^T alone: with dbar their mean, the
+    empirical mean is xbar_N + dbar and the covariance
+    (sum_i d_i^T d_i - samples dbar^T dbar) / (samples - 1), so neither
+    depends on the size of xbar_N.
 
     Returns a RolloutReport comparing the empirical terminal moments with the
     analytic prediction; the 5-sigma sampling bands are
@@ -269,25 +276,43 @@ def rollout(problem, policy, samples, seed):
     eye = np.eye(per)
     MT = _closed_loop_states(loop._replace(xbar=np.zeros_like(loop.xbar)), eye[:, :n_x],
                              eye[:, n_x:].reshape(per, N, n_w))[:, N * n_x:]
-    XN = np.empty((samples, n_x))
+    blocks = -(-samples // BLOCK)
+    sums = np.empty((blocks, n_x))
+    grams = np.empty((blocks, n_x, n_x))
+    lock = threading.Lock()
+    pending = iter(range(blocks))
 
-    def block(first):
+    def reduce_block(b):
+        # block b's deviations D = Z M^T to their sum and Gram matrix; the
+        # block's noise is freed on return, before the next block is drawn
+        first = b * BLOCK
         count = min(BLOCK, samples - first)
         Z0, Zw = _sample_noise(seed, count, n_x, N, n_w, first=first)
-        XNb = XN[first:first + count]
-        np.matmul(Zw.reshape(count, N * n_w), MT[n_x:], out=XNb)
-        XNb += Z0 @ MT[:n_x]
+        D = Zw.reshape(count, N * n_w) @ MT[n_x:]
+        D += Z0 @ MT[:n_x]
+        D.sum(axis=0, out=sums[b])
+        np.matmul(D.T, D, out=grams[b])
+
+    def work():
+        # one task per worker: take the next block until none is left
+        while True:
+            with lock:
+                b = next(pending, None)
+            if b is None:
+                return
+            reduce_block(b)
 
     from concurrent.futures import ThreadPoolExecutor
-    firsts = range(0, samples, BLOCK)
-    with ThreadPoolExecutor(min(_cpus(), len(firsts))) as pool:
-        for done in [pool.submit(block, first) for first in firsts]:
+    workers = min(_cpus(), blocks)
+    with ThreadPoolExecutor(workers) as pool:
+        for done in [pool.submit(work) for _ in range(workers)]:
             done.result()
-    XN += loop.xbar[N]
 
-    mean = XN.sum(axis=0) / samples
-    Xc = XN - mean
-    cov = (Xc.T @ Xc) / (samples - 1)
+    # the blocks' slots are added in block order, whatever worker filled
+    # them; D has mean zero in expectation, so the Gram sum cancels no large mean
+    dbar = sums.sum(axis=0) / samples
+    mean = loop.xbar[N] + dbar
+    cov = (grams.sum(axis=0) - samples * np.outer(dbar, dbar)) / (samples - 1)
     cov = 0.5 * (cov + cov.T)
 
     mean_err = float(np.linalg.norm(mean - predicted.mean))

@@ -20,8 +20,13 @@ repository root:
 
     PYTHONPATH=src python tests/fingerprint.py [-v]
 
-With -v each solve and scan prints its own digest first, so a difference can
-be located.
+With -v each solve, scan and rollout prints its own digest first, so a
+difference can be located.
+
+A third digest covers the bytes of the empirical mean and covariance of the
+benchmark's Monte Carlo rollouts: the tight config's solved policy at N = 10
+with 100k samples and at N = 40 with 25k, seed 1.  It is taken with one
+rollout worker and with two, and the exit code is 1 when they differ.
 """
 
 import hashlib
@@ -30,7 +35,7 @@ import sys
 
 import numpy as np
 
-from wsteer import Policy, SolverOptions, assemble, line_scan, solve
+from wsteer import Policy, SolverOptions, assemble, line_scan, simulate, solve
 from wsteer.cli import load_config, solver_options_from_config
 from wsteer.problem import SteeringProblem, TimeVaryingLinearSystem
 
@@ -41,6 +46,7 @@ HORIZONS, HORIZON_LAMBDA = (20, 40), 10.0
 HORIZON_OPTIONS = SolverOptions(max_ccp_iters=2000, obj_rel_tol=1e-14,
                                 stationarity_tol=1e-6, newton="when_certified")
 GRID = np.linspace(-0.5, 1.5, 401)
+ROLLOUTS, ROLLOUT_SEED = ((10, 100_000), (40, 25_000)), 1
 
 
 def with_changes(prob, lam, horizon=None):
@@ -110,6 +116,34 @@ def digests(verbose):
     return total.hexdigest(), without.hexdigest()
 
 
+def rollouts():
+    """(label, problem, policy, samples) of every rollout, each policy
+    solved with the tight config's own options."""
+    prob, cfg = load_config(os.path.join(ROOT, "configs", "double_integrator_tight.json"))
+    for N, samples in ROLLOUTS:
+        p = with_changes(prob, prob.lam, N)
+        sol = solve(p, solver_options_from_config(cfg))
+        yield f"tight/N={N}/samples={samples}", p, Policy(sol.u_ff, sol.Theta), samples
+
+
+def rollout_digest(cases, workers, verbose):
+    """The digest over the rollouts' mean and covariance bytes, with the
+    rollout's worker count set to workers."""
+    total = hashlib.sha256()
+    cpus = simulate._cpus
+    simulate._cpus = lambda: workers
+    try:
+        for label, prob, policy, samples in cases:
+            rep = simulate.rollout(prob, policy, samples, ROLLOUT_SEED)
+            data = rep.empirical_mean.tobytes() + rep.empirical_cov.tobytes()
+            total.update(label.encode() + b"\0" + data)
+            if verbose:
+                print(f"{hashlib.sha256(data).hexdigest()[:16]}  {label}, {workers} worker(s)")
+    finally:
+        simulate._cpus = cpus
+    return total.hexdigest()
+
+
 def main(argv):
     verbose = "-v" in argv
     passes = {}
@@ -118,10 +152,19 @@ def main(argv):
         passes[memo] = total, without = digests(verbose)
         print(total, f"{memo} memo")
         print(without, f"without lambda_min_hessian, {memo} memo")
+    cases = list(rollouts())
+    rolled = {}
+    for workers in (1, 2):
+        rolled[workers] = rollout_digest(cases, workers, verbose)
+        print(rolled[workers], f"rollouts, {workers} worker(s)")
+    failed = False
     if passes["cold"] != passes["warm"]:
         print("the passes differ")
-        return 1
-    return 0
+        failed = True
+    if rolled[1] != rolled[2]:
+        print("the rollouts differ with the worker count")
+        failed = True
+    return int(failed)
 
 
 if __name__ == "__main__":

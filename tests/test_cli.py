@@ -881,8 +881,8 @@ def test_scan_rejects_bad_input_before_any_solve(tmp_path, capsys, monkeypatch, 
      "error: field 'N' is too large to build the system, got 1e+300"),
     ({"N": 10 ** 18}, ["solve", "{cfg}", "-o", "{out}"],
      "error: field 'N' is too large to build the system, got 1000000000000000000"),
-    ({}, ["simulate", "{cfg}", "{sol}", "--samples", "100000000000000"],
-     "error: Unable to allocate 1.42 PiB for an array with shape (100000000000000, 2) "
+    ({}, ["simulate", "{cfg}", "{sol}", "--samples", "100000000000000000000"],
+     "error: Unable to allocate 694. PiB for an array with shape (48828125000000000, 2) "
      "and data type float64"),
     ({}, ["scan", "{cfg}", "{cfg}", "--points", "100000000000000", "-o", "{out}"],
      "error: Unable to allocate 728. TiB for an array with shape (100000000000000,) "

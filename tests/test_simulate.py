@@ -322,7 +322,8 @@ def test_rollout_bitwise_independent_of_worker_count(monkeypatch, tight_policy, 
         monkeypatch.setattr(simulate, "_cpus", lambda: workers)
         reps[workers] = rollout(prob, pol, samples, 5)
     assert _moments(reps[1]) == _moments(reps[2]) == _moments(reps[3])
-    # blocking changes the order of no sum: the one-batch rollout agrees to round-off
+    # each block is reduced to its deviations' sum and Gram matrix, and the
+    # blocks are added in block order: the one-batch moments agree to round-off
     ops = w.assemble(prob)
     Z0, Zw = _sample_noise(5, samples, ops.n_x, ops.N, ops.n_w)
     XN = _closed_loop_states(_closed_loop(prob, pol, ops.Hu), Z0, Zw)[:, -ops.n_x:]
@@ -400,6 +401,46 @@ def test_rollout_never_holds_whole_trajectories(monkeypatch):
         tracemalloc.stop()
     assert rep.within_band
     assert peak < 0.5 * samples * (N + 1) * 2 * 8
+
+
+def test_rollout_memory_flat_in_samples(monkeypatch, tight_policy):
+    # each block is reduced to n_x + n_x^2 numbers inside its worker: 8x the
+    # samples adds 56 blocks' slots (2.7 KB), where terminal states and their
+    # centered copy would add 2 * 56 * BLOCK * n_x doubles (3.7 MB).  A peak
+    # also depends on whether the two workers held their noise at one time,
+    # so it is the least of three runs at the larger size and the most of
+    # three at the smaller
+    prob, pol = tight_policy
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    rollout(prob, pol, 100, 0)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            rollout(prob, pol, samples, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = max(peak(8 * simulate.BLOCK) for _ in range(3))
+    large = min(peak(64 * simulate.BLOCK) for _ in range(3))
+    assert large - small < 64 * 1024
+
+
+def test_rollout_cov_invariant_to_shift_of_mean(tight_policy):
+    # the blocks' deviations D = Z M^T depend on neither mu0 nor u_ff, so a
+    # shift of both moves the mean alone and leaves every bit of the covariance
+    prob, pol = tight_policy
+    shift = 1e6
+    moved = w.SteeringProblem(prob.system, w.Gaussian(prob.initial.mean + shift, prob.initial.cov),
+                              prob.noise_cov, prob.desired, prob.lam)
+    rep = rollout(prob, pol, 3 * simulate.BLOCK + 7, 4)
+    far = rollout(moved, Policy(pol.u_ff + shift, pol.Theta), 3 * simulate.BLOCK + 7, 4)
+    assert np.array_equal(far.empirical_cov, rep.empirical_cov)
+    err, far_err = rep.empirical_mean - rep.predicted.mean, far.empirical_mean - far.predicted.mean
+    # the shifted means, ~2e6, are rounded at their own size
+    scale = np.abs(far.predicted.mean).max()
+    assert_allclose(far_err, err, rtol=0, atol=64 * np.finfo(float).eps * scale)
 
 
 def test_import_leaves_thread_pool_unloaded():
