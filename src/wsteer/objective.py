@@ -373,7 +373,7 @@ class _ConvexCurvature:
         self.FHu = ops.FHu
         self.L, self.Linv = ops.causal_cholesky
         self.A = self.A_t = _coupling_weight(lam, ops.n_x, term)
-        self.Q = ops.input_grams[0]
+        self.Q = ops.input_grams
 
     @cached_property
     def E(self):
@@ -440,8 +440,9 @@ class _StructuredCurvature(_ConvexCurvature):
         n_x = ops.n_x
         self.W, (self.sg, self.Aw) = term.W, _frechet(ops, lam, term)
         # H_U is block-diagonal: its block at column c of Phi has, besides
-        # eigenvalues 2, those of 2 (I + C_t^T A C_t), t = c // n_x
-        C = ops.input_grams[1]
+        # eigenvalues 2, those of 2 (I + C_t^T A C_t), t = c // n_x, with
+        # `input_qr`'s C_t (see _poles)
+        C = ops.input_qr[0]
         self.sig = np.linalg.eigvalsh(np.eye(n_x) + _mT(C) @ self.A @ C)
         tol = np.maximum(BLOCK_TOL, n_x * EPS
                          * (1.0 + np.abs(self.sig - 1.0).max(axis=-1, keepdims=True)))
@@ -547,8 +548,8 @@ def _poles(ops, lam, term=None):
     t = c // n_x, has H_U's block 2I + F_t^T A F_t, F_t = sqrt(2) C_t O_t^T,
     O_t^T O_t = I: 2 sigma, the eigenvalues of 2 (I + C_t^T A C_t), on O_t y,
     where Z is sg * (a b^T + b a^T), a = sqrt(2) W^T C_t y, b = Aw[:, c], else
-    2.  C_t is `input_qr`'s, stable in FHu, where `input_grams`' eigh of Q_t
-    squares its condition; its zero columns, past n_u (N - t), give no pole."""
+    2.  C_t is `input_qr`'s, stable in FHu, where an eigh of Q_t would square
+    its condition; its zero columns, past n_u (N - t), give no pole."""
     N, n_x = ops.N, ops.n_x
     C, true = ops.input_qr
     M = _mT(C) @ _coupling_weight(lam, n_x, term) @ C

@@ -3,12 +3,11 @@
 The horizon-N system x_{k+1} = A_k x_k + B_k u_k + G_k w_k is lifted to
 x = Gamma x0 + Hu u + Hw w over the stacked state/input/noise vectors, and the
 total state covariance factor Stilde = Gamma S0 Gamma^T + Hw (I_N kron Sw) Hw^T is
-assembled once and shared immutably by the objective and solver.  None of it
-depends on lam, so `assemble` keeps the lifting of the last DATA_MEMO problem
-data it saw, and `validate` their verdicts, keyed by content: a lambda sweep
-lifts and checks each system once.  A rollout needs only the lifted maps
-(`lifted_maps`), and forms Stilde only to word its error when S0 or Sw has no
-Cholesky factor (`checked_stilde`).
+assembled and checked once (`_lift`) and shared immutably by the objective,
+the solver and the rollout.  None of it depends on lam, so `assemble` keeps
+the lifting of the last DATA_MEMO problem data it saw, and `validate` their
+verdicts, keyed by content: a lambda sweep lifts and checks each system once,
+and a rollout of a solved policy reads the lifting its solve kept.
 """
 
 import threading
@@ -31,12 +30,11 @@ from .matops import check_symmetric, ill_conditioned, require_conditioned, symme
 RANK_TOL = 1e-10
 # Reciprocal-condition threshold for the covariance data S0, Sw, Sd and Stilde.
 RCOND_DATA = 1e-12
-# what assemble, and a rollout that checks Stilde without forming it, report
-STILDE_NOT_PD = "Stilde is not PD (are S0, Sw PD and every G_k of full row rank?)"
 # Distinct problem data whose lifting `assemble` keeps, and whose verdicts
 # `validate` keeps: a sweep over a few systems at many lambdas builds each once.
-# A kept lifting holds about 22 MB at N = 200, n_x = 4, n_u = 2 (Stilde, Hw, Hu
-# and the Cholesky factor of Stilde with its inverse), so 8 hold about 180 MB.
+# A kept lifting holds about 18 MB after a solve at N = 200, n_x = 4, n_u = 2
+# (Stilde, Hu and the Cholesky factor of Stilde with its inverse), so 8 hold
+# about 145 MB.
 DATA_MEMO = 8
 
 
@@ -179,11 +177,12 @@ class SteeringProblem:
 class BlockOperators:
     """Lifted operators of a steering problem plus caches reused downstream.
 
-    Gamma maps x0 to the stacked state, Hu/Hw map stacked inputs/noises, F
-    selects the terminal state, and Stilde = Gamma S0 Gamma^T +
-    Hw (I_N kron Sw) Hw^T is the (always PD) covariance factor of the
-    uncontrolled stacked state.  `assemble` shares one instance between equal
-    problem data, so its arrays, and those of its cached factors, are read-only.
+    Gamma maps x0 to the stacked state, Hu the stacked inputs, F selects the
+    terminal state, and Stilde = Gamma S0 Gamma^T + Hw (I_N kron Sw) Hw^T is
+    the (always PD) covariance factor of the uncontrolled stacked state; the
+    noise map Hw (`lifted_maps`) is not kept once Stilde is formed.
+    `assemble` shares one instance between equal problem data, so its
+    arrays, and those of its cached factors, are read-only.
     """
 
     N: int
@@ -192,7 +191,6 @@ class BlockOperators:
     n_w: int
     Gamma: np.ndarray
     Hu: np.ndarray
-    Hw: np.ndarray
     Stilde: np.ndarray
     F: np.ndarray
     # problem data carried along for objective/solver formulas
@@ -217,13 +215,13 @@ class BlockOperators:
 
     @cached_property
     def input_grams(self):
-        """(Q, C), stacked over t < N: Q_t = sum_(i >= t) F_i F_i^T over the
-        input blocks F_i of FHu, and a square C_t with C_t C_t^T = Q_t / 2."""
+        """Q, stacked over t < N: Q_t = sum_(i >= t) F_i F_i^T over the input
+        blocks F_i of FHu; `input_qr` holds its square-root factor."""
         N, n_x, n_u = self.N, self.n_x, self.n_u
         F = self.FHu.reshape(n_x, N, n_u).transpose(1, 0, 2)
         Q = np.cumsum((F @ F.transpose(0, 2, 1))[::-1], axis=0)[::-1]
-        q, V = np.linalg.eigh(0.5 * Q)
-        return _read_only(Q, V * np.sqrt(np.maximum(q, 0.0))[:, None, :])
+        Q.flags.writeable = False
+        return Q
 
     @cached_property
     def input_qr(self):
@@ -350,27 +348,6 @@ def lifted_maps(system):
     return Gamma, Hu, Hw
 
 
-def require_stilde_conditioned(eig):
-    """Raise NotPDError unless Stilde's spectrum eig, sorted either way, passes rcond
-    RCOND_DATA; a PD Stilde can fail only on its conditioning, which the message names."""
-    lo, hi = sorted((eig[0], eig[-1]))
-    what = (f"Stilde is not PD at rcond {RCOND_DATA:g}: its condition number "
-            f"{hi / lo:.3e} exceeds {1.0 / RCOND_DATA:g}, with largest eigenvalue "
-            f"{hi:.3e} (how far the open-loop chain grows)") if lo > 0.0 else STILDE_NOT_PD
-    require_conditioned(eig, what, rcond=RCOND_DATA)
-
-
-def checked_stilde(problem, Gamma, Hw):
-    """Stilde = Gamma S0 Gamma^T + Hw (I_N kron Sw) Hw^T from the lifted maps,
-    judged by `require_stilde_conditioned` on its eigenvalues."""
-    # Hw (I_N kron Sw): each n_w-wide block column of Hw times Sw
-    HwSw = (Hw.reshape(-1, problem.system.n_w) @ problem.noise_cov).reshape(Hw.shape)
-    S0 = problem.initial.cov
-    Stilde = symmetrize(Gamma @ S0 @ Gamma.T + HwSw @ Hw.T)
-    require_stilde_conditioned(np.linalg.eigvalsh(Stilde))
-    return Stilde
-
-
 class _ContentMemo:
     """The values built for the DATA_MEMO most recently used keys.  A build
     that raises keeps nothing, so the next call with its key builds again."""
@@ -412,11 +389,24 @@ def _data_key(problem):
 
 
 def _lift(problem):
-    """The lifted block operators of problem, in arrays of their own, read-only."""
+    """The lifted block operators of problem, in arrays of their own, read-only.
+
+    Raises NotPDError unless Stilde's eigenvalues pass rcond RCOND_DATA; a PD
+    Stilde can fail only on its conditioning, which the message names."""
     sysm = problem.system
     N, n_x, n_u, n_w = sysm.horizon, sysm.n_x, sysm.n_u, sysm.n_w
     Gamma, Hu, Hw = lifted_maps(sysm)
-    Stilde = checked_stilde(problem, Gamma, Hw)
+    # Hw (I_N kron Sw): each n_w-wide block column of Hw times Sw
+    HwSw = (Hw.reshape(-1, n_w) @ problem.noise_cov).reshape(Hw.shape)
+    Stilde = symmetrize(Gamma @ problem.initial.cov @ Gamma.T + HwSw @ Hw.T)
+    eig = np.linalg.eigvalsh(Stilde)
+    lo, hi = eig[0], eig[-1]
+    what = "Stilde is not PD (are S0, Sw PD and every G_k of full row rank?)"
+    if lo > 0.0:
+        what = (f"Stilde is not PD at rcond {RCOND_DATA:g}: its condition number "
+                f"{hi / lo:.3e} exceeds {1.0 / RCOND_DATA:g}, with largest eigenvalue "
+                f"{hi:.3e} (how far the open-loop chain grows)")
+    require_conditioned(eig, what, rcond=RCOND_DATA)
 
     F = np.zeros((n_x, (N + 1) * n_x))
     F[:, N * n_x:] = np.eye(n_x)
@@ -429,7 +419,7 @@ def _lift(problem):
 
     ops = BlockOperators(
         N=N, n_x=n_x, n_u=n_u, n_w=n_w,
-        Gamma=Gamma, Hu=Hu, Hw=Hw, Stilde=Stilde, F=F,
+        Gamma=Gamma, Hu=Hu, Stilde=Stilde, F=F,
         mu0=problem.initial.mean.copy(),
         mud=problem.desired.mean.copy(),
         Sd=Sd,

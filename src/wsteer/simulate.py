@@ -18,11 +18,9 @@ order, so the result is bitwise reproducible given (seed, samples) whatever
 the CPU count, and sample i's draws depend only on (seed, i).  Memory is
 about workers*BLOCK*per + per*(N+1)*n_x + blocks*(n_x + n_x^2) doubles.
 
-The predicted terminal Gaussian that a rollout is judged against comes from
-the lifted maps (`problem.lifted_maps`) and products with n_x rows alone; a
-rollout checks Stilde through the singular values of a factor (see
-_predicted_terminal), and forms it only to word the error when S0 or Sw has
-no Cholesky factor (see _cholesky).
+The predicted terminal Gaussian that a rollout is judged against is
+`objective.terminal_gaussian` of `assemble`'s lifting, the one the solve of
+the policy checked and kept, so Stilde has one check and one message.
 """
 
 import operator
@@ -34,17 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NotPDError, SingularTransformError
-from .matops import require_conditioned, symmetrize
-from .objective import wasserstein_sq_gaussian
-from .problem import (
-    STILDE_NOT_PD,
-    Gaussian,
-    assemble,  # noqa: F401  (unused here; the benchmark tracer wraps this name)
-    causality_mask,
-    checked_stilde,
-    lifted_maps,
-    require_stilde_conditioned,
-)
+from .matops import require_conditioned
+from .objective import terminal_gaussian, wasserstein_sq_gaussian
+from .problem import Gaussian, assemble, causality_mask
 
 # samples per rollout block, and per noise stream: sample i is row i % BLOCK
 # of block i // BLOCK's stream, so changing BLOCK changes every rollout
@@ -135,17 +125,13 @@ class _ClosedLoop(NamedTuple):
     Lw: np.ndarray
 
 
-def _cholesky(problem, S, name):
-    """chol(S) of problem's covariance S.  When S has no Cholesky factor,
-    raises NotPDError with `assemble`'s text if Stilde fails its check (the
-    only path on which a rollout forms Stilde), else naming S."""
+def _cholesky(S, name):
+    """chol(S) of a problem covariance S; raises NotPDError naming S when S
+    has no Cholesky factor."""
     try:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        pass
-    Gamma, _, Hw = lifted_maps(problem.system)
-    checked_stilde(problem, Gamma, Hw)
-    raise NotPDError(f"{STILDE_NOT_PD}: {name} has no Cholesky factor")
+        raise NotPDError(f"{name} has no Cholesky factor") from None
 
 
 def _closed_loop(problem, policy, Hu):
@@ -157,36 +143,10 @@ def _closed_loop(problem, policy, Hu):
     for k in range(N):
         uk = policy.u_ff[k * n_u:(k + 1) * n_u]
         xbar[k + 1] = sysm.A[k] @ xbar[k] + sysm.B[k] @ uk
-    L0 = _cholesky(problem, problem.initial.cov, "S0")
-    Lw = _cholesky(problem, problem.noise_cov, "Sw")
+    L0 = _cholesky(problem.initial.cov, "S0")
+    Lw = _cholesky(problem.noise_cov, "Sw")
     return _ClosedLoop(A=sysm.A, B=sysm.B, GLw=tuple(G @ Lw for G in sysm.G),
                        K=theta_to_k(policy.Theta, Hu), xbar=xbar, L0=L0, Lw=Lw)
-
-
-def _predicted_terminal(problem, policy, loop, Gamma, Hu, Hw):
-    """The terminal Gaussian that policy predicts, from the lifted maps and
-    products with n_x rows; Stilde is never formed.
-
-    Stilde = R R^T with R = [Gamma L0, Hw (I_N kron Lw)], so the terminal
-    covariance Omega Stilde Omega^T, Omega = F + FHu Theta, is C C^T with
-    C = Omega R.  Stilde's eigenvalues are the squared singular values of R,
-    plus a zero for each row of R beyond its columns, and
-    `require_stilde_conditioned` judges them as it does for `assemble`.
-    """
-    N, n_x, n_w = problem.system.horizon, problem.system.n_x, problem.system.n_w
-    q = (N + 1) * n_x
-    R = np.hstack([Gamma @ loop.L0, (Hw.reshape(q * N, n_w) @ loop.Lw).reshape(q, N * n_w)])
-    eig = np.zeros(q)
-    sv = np.linalg.svd(R, compute_uv=False)
-    eig[:sv.size] = sv * sv
-    require_stilde_conditioned(eig)
-
-    FHu = Hu[N * n_x:]
-    Om = FHu @ policy.Theta
-    Om[:, N * n_x:] += np.eye(n_x)
-    C = Om @ R
-    return Gaussian(mean=Gamma[N * n_x:] @ problem.initial.mean + FHu @ policy.u_ff,
-                    cov=symmetrize(C @ C.T))
 
 
 def _closed_loop_states(loop, Z0, Zw):
@@ -238,8 +198,8 @@ def rollout(problem, policy, samples, seed):
     N*n_w standard normals (see _sample_noise).  M^T, per x n_x, is the
     terminal rows of the step recursion run once on the identity with xbar
     zeroed, from A_k, B_k, G_k Lw, L0 and K = theta_to_k(Theta, Hu), not
-    from the lifted maps the prediction uses, so the rollout still checks
-    the step simulation against the lifted prediction.  The moments come
+    from Stilde, which the prediction uses, so the rollout still checks the
+    step simulation against the lifted prediction.  The moments come
     from the deviations d_i = z_i M^T alone: with dbar their mean, the
     empirical mean is xbar_N + dbar and the covariance
     (sum_i d_i^T d_i - samples dbar^T dbar) / (samples - 1), so neither
@@ -249,9 +209,9 @@ def rollout(problem, policy, samples, seed):
     analytic prediction; the 5-sigma sampling bands are
     5*sqrt(trace(cov)/samples) for the mean and 5*sqrt(2/samples)*||cov||_F
     for the covariance.  Raises DimensionMismatchError when u_ff or Theta has
-    the wrong shape, ValueError when Theta is not causal, and NotPDError when
-    Stilde fails `assemble`'s check, with `assemble`'s message, before any
-    sample is drawn.
+    the wrong shape, ValueError when Theta is not causal, and NotPDError
+    when `assemble` rejects the problem or S0 or Sw has no Cholesky factor,
+    before any sample is drawn.
     """
     samples = _integer("rollout samples", samples)
     if samples < 2:
@@ -269,9 +229,9 @@ def rollout(problem, policy, samples, seed):
     if not causality_mask(N, n_u, n_x).is_causal(policy.Theta):
         raise ValueError("policy violates the causality pattern")
 
-    Gamma, Hu, Hw = lifted_maps(sysm)
-    loop = _closed_loop(problem, policy, Hu)
-    predicted = _predicted_terminal(problem, policy, loop, Gamma, Hu, Hw)
+    ops = assemble(problem)
+    loop = _closed_loop(problem, policy, ops.Hu)
+    predicted = terminal_gaussian(ops, policy)
     per = n_x + N * n_w
     eye = np.eye(per)
     MT = _closed_loop_states(loop._replace(xbar=np.zeros_like(loop.xbar)), eye[:, :n_x],

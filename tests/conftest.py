@@ -108,8 +108,10 @@ def rand_causal_theta(rng, mask, scale=0.3):
 def singular_block_kernel(ops, lam, term, t, sigma=0.0):
     """term with W changed so that A = 2 lam (I - Mt) gives the block
     I + C_t^T A C_t of H_U the eigenvalue sigma: C_t^T A C_t =
-    diag(sigma - 1, 0, ..., 0)."""
-    _, C = ops.input_grams
+    diag(sigma - 1, 0, ..., 0), for the square C_t with C_t C_t^T = Q_t / 2
+    from an eigh of Q_t (the curvature's own C_t is `input_qr`'s)."""
+    q, V = np.linalg.eigh(0.5 * ops.input_grams)
+    C = V * np.sqrt(np.maximum(q, 0.0))[:, None, :]
     Cinv = np.linalg.inv(C[t])
     K = np.diag([sigma - 1.0] + [0.0] * (ops.n_x - 1))
     m, Vm = np.linalg.eigh(np.eye(ops.n_x) - Cinv.T @ K @ Cinv / (2.0 * lam))

@@ -26,7 +26,9 @@ difference can be located.
 A third digest covers the bytes of the empirical mean and covariance of the
 benchmark's Monte Carlo rollouts: the tight config's solved policy at N = 10
 with 100k samples and at N = 40 with 25k, seed 1.  It is taken with one
-rollout worker and with two, and the exit code is 1 when they differ.
+rollout worker and with two, and the exit code is 1 when they differ.  A
+fourth covers the bytes of the same rollouts' predicted terminal mean and
+covariance.
 """
 
 import hashlib
@@ -126,22 +128,26 @@ def rollouts():
         yield f"tight/N={N}/samples={samples}", p, Policy(sol.u_ff, sol.Theta), samples
 
 
-def rollout_digest(cases, workers, verbose):
-    """The digest over the rollouts' mean and covariance bytes, with the
-    rollout's worker count set to workers."""
-    total = hashlib.sha256()
+def rollout_digests(cases, workers, verbose):
+    """(digest over the rollouts' mean and covariance bytes, digest over
+    their predicted mean and covariance bytes), with the rollout's worker
+    count set to workers."""
+    moments, predicted = hashlib.sha256(), hashlib.sha256()
     cpus = simulate._cpus
     simulate._cpus = lambda: workers
     try:
         for label, prob, policy, samples in cases:
             rep = simulate.rollout(prob, policy, samples, ROLLOUT_SEED)
             data = rep.empirical_mean.tobytes() + rep.empirical_cov.tobytes()
-            total.update(label.encode() + b"\0" + data)
+            pred = rep.predicted.mean.tobytes() + rep.predicted.cov.tobytes()
+            moments.update(label.encode() + b"\0" + data)
+            predicted.update(label.encode() + b"\0" + pred)
             if verbose:
-                print(f"{hashlib.sha256(data).hexdigest()[:16]}  {label}, {workers} worker(s)")
+                print(f"{hashlib.sha256(data).hexdigest()[:16]}  "
+                      f"{hashlib.sha256(pred).hexdigest()[:16]}  {label}, {workers} worker(s)")
     finally:
         simulate._cpus = cpus
-    return total.hexdigest()
+    return moments.hexdigest(), predicted.hexdigest()
 
 
 def main(argv):
@@ -155,8 +161,9 @@ def main(argv):
     cases = list(rollouts())
     rolled = {}
     for workers in (1, 2):
-        rolled[workers] = rollout_digest(cases, workers, verbose)
-        print(rolled[workers], f"rollouts, {workers} worker(s)")
+        rolled[workers] = rollout_digests(cases, workers, verbose)
+        print(rolled[workers][0], f"rollouts, {workers} worker(s)")
+    print(rolled[1][1], "rollout predictions")
     failed = False
     if passes["cold"] != passes["warm"]:
         print("the passes differ")

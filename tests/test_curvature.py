@@ -184,7 +184,7 @@ def test_lambda_min_counts_no_pole_for_a_short_input_gram(N, n_x, lam):
     prob = rand_problem(rng, N=N, n_x=n_x, n_u=1, lam=lam)
     ops = w.assemble(prob)
     mask = w.causality_mask(N, 1, n_x)
-    assert np.linalg.matrix_rank(ops.input_grams[0][-1]) < n_x
+    assert np.linalg.matrix_rank(ops.input_grams[-1]) < n_x
     for scale in (0.3, 1.0, 3.0):
         term = _terminal(ops, rand_causal_theta(rng, mask, scale))
         H = _hessian_block(ops, lam, mask.free_entries, term)
@@ -272,7 +272,7 @@ def test_exactly_singular_block_is_never_inverted(seed, t):
     term = singular_block_kernel(ops, prob.lam, _terminal(ops, rand_causal_theta(rng, mask)), t)
     A = _coupling_weight(prob.lam, 1, term)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(np.eye(1) + 0.5 * A @ ops.input_grams[0][t])
+        np.linalg.inv(np.eye(1) + 0.5 * A @ ops.input_grams[t])
     curv = _StructuredCurvature(ops, prob.lam, mask, term)
     H = _hessian_block(ops, prob.lam, mask.free_entries, term)
     assert t in curv.shifted // ops.n_x and curv.pd == cholesky_succeeds(H)

@@ -56,10 +56,11 @@ def test_state_transition_time_invariant_power():
 
 def test_assemble_scalar_oracle():
     # scalar system A=B=G=1, S0=Sw=1, N=2, expanded by hand
-    ops = w.assemble(scalar_problem())
+    prob = scalar_problem()
+    ops = w.assemble(prob)
     assert_allclose(ops.Gamma, [[1.0], [1.0], [1.0]])
     assert_allclose(ops.Hu, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    assert_allclose(ops.Hw, ops.Hu)
+    assert_allclose(wp.lifted_maps(prob.system)[2], ops.Hu)
     assert_allclose(ops.Stilde, [[1, 1, 1], [1, 2, 2], [1, 2, 3]])
     assert_allclose(ops.F, [[0.0, 0.0, 1.0]])
 
@@ -77,8 +78,9 @@ def test_assemble_deterministic_bit_identical():
     # two builds, the second past the memo that shares the first
     prob = double_integrator_problem(SD_WIDE)
     ops1, ops2 = w.assemble(prob), wp._lift(prob)
+    Hw1, Hw2 = wp.lifted_maps(prob.system)[2], wp.lifted_maps(prob.system)[2]
     for a, b in ((ops1.Gamma, ops2.Gamma), (ops1.Hu, ops2.Hu),
-                 (ops1.Hw, ops2.Hw), (ops1.Stilde, ops2.Stilde)):
+                 (Hw1, Hw2), (ops1.Stilde, ops2.Stilde)):
         assert np.array_equal(a, b)
 
 
@@ -113,7 +115,7 @@ def test_assemble_names_the_condition_number_of_a_pd_stilde():
     cond, hi = map(float, re.search(r"condition number (\S+) exceeds 1e\+12, "
                                     r"with largest eigenvalue (\S+) ", msg).groups())
     assert 1.0 / RCOND_DATA < cond < 2e12 and 3e9 < hi < 4e9
-    # rollout reads the same spectrum from a factor of Stilde and says the same
+    # rollout reads assemble's lifting, so it says the same
     N, n_u, n_x = prob.system.horizon, prob.system.n_u, prob.system.n_x
     with pytest.raises(NotPDError) as rolled:
         rollout(prob, Policy(np.zeros(N * n_u), np.zeros((N * n_u, (N + 1) * n_x))), 16, 0)
@@ -125,12 +127,13 @@ def test_assemble_block_structure_invariants():
     for _ in range(5):
         prob = rand_problem(rng)
         ops = w.assemble(prob)
+        Hw = wp.lifted_maps(prob.system)[2]
         n_x = ops.n_x
         assert np.all(ops.Hu[:n_x, :] == 0.0)
-        assert np.all(ops.Hw[:n_x, :] == 0.0)
+        assert np.all(Hw[:n_x, :] == 0.0)
         assert_allclose(ops.Gamma[:n_x, :], np.eye(n_x))
         W = np.kron(np.eye(ops.N), prob.noise_cov)
-        rebuilt = ops.Gamma @ prob.initial.cov @ ops.Gamma.T + ops.Hw @ W @ ops.Hw.T
+        rebuilt = ops.Gamma @ prob.initial.cov @ ops.Gamma.T + Hw @ W @ Hw.T
         assert_allclose(ops.Stilde, 0.5 * (rebuilt + rebuilt.T), rtol=0, atol=0)
         # F picks the last n_x entries
         v = rng.standard_normal((ops.N + 1) * n_x)
@@ -144,6 +147,7 @@ def test_lifting_consistency_random():
         sysm = prob.system
         N, n_x, n_u, n_w = sysm.horizon, sysm.n_x, sysm.n_u, sysm.n_w
         ops = w.assemble(prob)
+        Hw = wp.lifted_maps(sysm)[2]
         x0 = rng.standard_normal(n_x)
         u = rng.standard_normal(N * n_u)
         wn = rng.standard_normal(N * n_w)
@@ -155,7 +159,7 @@ def test_lifting_consistency_random():
                 + sysm.B[k] @ u[k * n_u:(k + 1) * n_u]
                 + sysm.G[k] @ wn[k * n_w:(k + 1) * n_w]
             )
-        lifted = ops.Gamma @ x0 + ops.Hu @ u + ops.Hw @ wn
+        lifted = ops.Gamma @ x0 + ops.Hu @ u + Hw @ wn
         assert np.linalg.norm(lifted - x) <= 1e-12 * max(1.0, np.linalg.norm(x))
 
 
@@ -174,7 +178,7 @@ def test_assemble_blocks_match_state_transition_products():
                 Phi = w.state_transition(sysm, k, j + 1)
                 Hu[k * n_x:(k + 1) * n_x, j * n_u:(j + 1) * n_u] = Phi @ sysm.B[j]
                 Hw[k * n_x:(k + 1) * n_x, j * n_w:(j + 1) * n_w] = Phi @ sysm.G[j]
-        for got, want in ((ops.Gamma, Gamma), (ops.Hu, Hu), (ops.Hw, Hw)):
+        for got, want in ((ops.Gamma, Gamma), (ops.Hu, Hu), (wp.lifted_maps(sysm)[2], Hw)):
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -191,8 +195,9 @@ def test_assemble_stilde_matches_noise_kron_oracle(monkeypatch):
     probs.append(double_integrator_problem(SD_WIDE, lam=10.0, N=40))
     for prob in probs:
         ops = w.assemble(prob)
+        Hw = wp.lifted_maps(prob.system)[2]
         W = kron(np.eye(ops.N), prob.noise_cov)
-        want = ops.Gamma @ prob.initial.cov @ ops.Gamma.T + ops.Hw @ W @ ops.Hw.T
+        want = ops.Gamma @ prob.initial.cov @ ops.Gamma.T + Hw @ W @ Hw.T
         want = 0.5 * (want + want.T)
         assert np.abs(ops.Stilde - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -434,10 +439,10 @@ def spy(monkeypatch, name):
 
 def assert_same_operators(ops, want):
     """ops and want hold bit-equal arrays, their cached factors included."""
-    for name in ("Gamma", "Hu", "Hw", "Stilde", "F", "mu0", "mud", "Sd", "FHu",
-                 "FGamma_mu0", "sqrt_Sd"):
+    for name in ("Gamma", "Hu", "Stilde", "F", "mu0", "mud", "Sd", "FHu",
+                 "FGamma_mu0", "sqrt_Sd", "input_grams"):
         assert np.array_equal(getattr(ops, name), getattr(want, name)), name
-    for name in ("causal_cholesky", "input_grams", "input_qr"):
+    for name in ("causal_cholesky", "input_qr"):
         for a, b in zip(getattr(ops, name), getattr(want, name)):
             assert np.array_equal(a, b), name
 
@@ -505,8 +510,8 @@ def test_shared_operators_are_read_only_and_the_callers_arrays_are_not():
     prob = long_horizon_problem(np.random.default_rng(2), N=6)
     ops = w.assemble(prob)
     arrays = [v for v in vars(ops).values() if isinstance(v, np.ndarray)]
-    arrays += [*ops.causal_cholesky, *ops.input_grams, *ops.input_qr]
-    assert len(arrays) == 11 + 6
+    arrays += [*ops.causal_cholesky, ops.input_grams, *ops.input_qr]
+    assert len(arrays) == 10 + 5
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0

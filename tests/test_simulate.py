@@ -20,6 +20,7 @@ from conftest import (
     rand_problem,
 )
 import wsteer as w
+from wsteer import problem as wp
 from wsteer import simulate
 from wsteer.cli import load_config
 from wsteer.errors import DimensionMismatchError, NotPDError, SingularTransformError
@@ -161,11 +162,12 @@ def test_closed_loop_matches_lifted_parametrization():
         X = _closed_loop_states(_closed_loop(prob, pol, ops.Hu), Z0, Zw)
         L0 = np.linalg.cholesky(prob.initial.cov)
         Lw = np.linalg.cholesky(prob.noise_cov)
+        Hw = wp.lifted_maps(prob.system)[2]
         IHuT = np.eye(ops.Hu.shape[0]) + ops.Hu @ Theta
         for i in range(S):
             x0 = prob.initial.mean + L0 @ Z0[i]
             wn = (Zw[i] @ Lw.T).reshape(-1)
-            lifted = (IHuT @ (ops.Gamma @ (x0 - ops.mu0) + ops.Hw @ wn)
+            lifted = (IHuT @ (ops.Gamma @ (x0 - ops.mu0) + Hw @ wn)
                       + ops.Gamma @ ops.mu0 + ops.Hu @ u)
             assert np.linalg.norm(X[i] - lifted) <= 1e-10 * max(1.0, np.linalg.norm(lifted))
 
@@ -186,11 +188,12 @@ def test_closed_loop_lifted_form_zero_mean():
     X = _closed_loop_states(_closed_loop(prob, Policy(u, Theta), ops.Hu), Z0, Zw)
     L0 = np.linalg.cholesky(prob.initial.cov)
     Lw = np.linalg.cholesky(prob.noise_cov)
+    Hw = wp.lifted_maps(prob.system)[2]
     IHuT = np.eye(ops.Hu.shape[0]) + ops.Hu @ Theta
     for i in range(4):
         x0 = L0 @ Z0[i]
         wn = (Zw[i] @ Lw.T).reshape(-1)
-        lifted = IHuT @ (ops.Gamma @ x0 + ops.Hw @ wn) + ops.Hu @ u
+        lifted = IHuT @ (ops.Gamma @ x0 + Hw @ wn) + ops.Hu @ u
         assert np.linalg.norm(X[i] - lifted) <= 1e-10 * max(1.0, np.linalg.norm(lifted))
 
 
@@ -277,8 +280,9 @@ def test_closed_loop_matches_lifted_form_property(seed, N, n_x, n_u, extra_w):
     X = _closed_loop_states(_closed_loop(prob, Policy(u, Theta), ops.Hu), Z0, Zw)
     x0 = prob.initial.mean + Z0 @ np.linalg.cholesky(prob.initial.cov).T
     wn = (Zw @ np.linalg.cholesky(prob.noise_cov).T).reshape(S, -1)
+    Hw = wp.lifted_maps(prob.system)[2]
     IHuT = np.eye(ops.Hu.shape[0]) + ops.Hu @ Theta
-    lifted = ((x0 - ops.mu0) @ ops.Gamma.T + wn @ ops.Hw.T) @ IHuT.T \
+    lifted = ((x0 - ops.mu0) @ ops.Gamma.T + wn @ Hw.T) @ IHuT.T \
         + ops.Gamma @ ops.mu0 + ops.Hu @ u
     assert np.linalg.norm(X - lifted) <= 1e-10 * max(1.0, np.linalg.norm(lifted))
 
@@ -454,17 +458,20 @@ def test_import_leaves_thread_pool_unloaded():
     assert run.stdout.strip() == "[False, False]"
 
 
-def test_rollout_never_assembles(monkeypatch, tight_policy):
-    prob, pol = tight_policy
-    expect = _moments(rollout(prob, pol, 3000, 2))
-
-    def refuse(problem):
-        raise AssertionError("rollout called assemble")
-
-    monkeypatch.setattr("wsteer.problem.assemble", refuse)
-    monkeypatch.setattr("wsteer.simulate.assemble", refuse)
+def test_rollout_reads_the_solves_lifting(monkeypatch):
+    # the solve lifts the problem once; the rollout after it lifts nothing,
+    # and its prediction is terminal_gaussian of the lifting the solve kept
+    lifts, lift = [], wp._lift
+    monkeypatch.setattr(wp, "_lift", lambda prob: lifts.append(prob) or lift(prob))
+    prob = double_integrator_problem(SD_TIGHT)
+    sol = w.solve(prob)
+    pol = Policy(sol.u_ff, sol.Theta)
+    assert len(lifts) == 1
     rep = rollout(prob, pol, 3000, 2)
-    assert rep.within_band and _moments(rep) == expect
+    assert len(lifts) == 1 and rep.within_band
+    want = terminal_gaussian(w.assemble(prob), pol)
+    assert np.array_equal(rep.predicted.mean, want.mean)
+    assert np.array_equal(rep.predicted.cov, want.cov)
 
 
 def _random_time_varying_policy():
@@ -485,12 +492,12 @@ def _solved_tight(N):
                                   _random_time_varying_policy],
                          ids=["tight-N10", "tight-N40", "time-varying"])
 def test_rollout_prediction_matches_dense_terminal_gaussian(case):
-    # the dense formula Omega Stilde Omega^T survives as the oracle
+    # the prediction is the dense formula Omega Stilde Omega^T, bit for bit
     prob, pol = case()
     oracle = terminal_gaussian(w.assemble(prob), pol)
     predicted = rollout(prob, pol, 2, 0).predicted
-    assert np.linalg.norm(predicted.mean - oracle.mean) <= 1e-13 * np.linalg.norm(oracle.mean)
-    assert np.linalg.norm(predicted.cov - oracle.cov) <= 1e-13 * np.linalg.norm(oracle.cov)
+    assert np.array_equal(predicted.mean, oracle.mean)
+    assert np.array_equal(predicted.cov, oracle.cov)
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -509,12 +516,12 @@ SUPERPOSITION_CASES = pytest.mark.parametrize(
 
 
 def _lifted_terminal_map(prob, pol):
-    # C = Omega R of _predicted_terminal, from the dense lifted operators:
-    # R = [Gamma L0, Hw (I_N kron Lw)], Omega = F + FHu Theta
+    # C = Omega R, C C^T the terminal covariance, from the dense lifted maps:
+    # R = [Gamma L0, Hw (I_N kron Lw)], R R^T = Stilde, Omega = F + FHu Theta
     ops = w.assemble(prob)
     L0 = np.linalg.cholesky(prob.initial.cov)
     Lw = np.linalg.cholesky(prob.noise_cov)
-    R = np.hstack([ops.Gamma @ L0, ops.Hw @ np.kron(np.eye(ops.N), Lw)])
+    R = np.hstack([ops.Gamma @ L0, wp.lifted_maps(prob.system)[2] @ np.kron(np.eye(ops.N), Lw)])
     Om = ops.FHu @ pol.Theta
     Om[:, ops.N * ops.n_x:] += np.eye(ops.n_x)
     return Om @ R
@@ -585,22 +592,19 @@ def test_rollout_keeps_assemble_stilde_threshold():
     assert str(rolled.value) == str(assembled.value)
 
 
-@pytest.mark.parametrize("prob, same_text", [(_starved_problem(1e-30 * np.eye(2)), False),
-                                             (_starved_problem(np.zeros((2, 2))), True),
-                                             (_scalar_problem(-1.0), True)],
+@pytest.mark.parametrize("prob", [_starved_problem(1e-30 * np.eye(2)),
+                                  _starved_problem(np.zeros((2, 2))), _scalar_problem(-1.0)],
                          ids=["singular-stilde", "S0-zero", "Sw-negative"])
-def test_rollout_rejects_what_assemble_rejects(prob, same_text):
+def test_rollout_rejects_what_assemble_rejects(prob):
     with pytest.raises(NotPDError) as assembled:
         w.assemble(prob)
     n_x, N = prob.system.n_x, prob.system.horizon
     pol = Policy(np.zeros(N * prob.system.n_u), np.zeros((N * prob.system.n_u, (N + 1) * n_x)))
     with pytest.raises(NotPDError, match="Stilde is not PD") as rolled:
         rollout(prob, pol, 16, 0)
-    # an S0 or Sw with no Cholesky factor stops rollout with assemble's text;
-    # rollout reads a singular Stilde from R's singular values, so its
-    # minimum differs from that of eigvalsh(Stilde)
-    if same_text:
-        assert str(rolled.value) == str(assembled.value)
+    # an S0 or Sw with no Cholesky factor, or a singular Stilde, stops rollout
+    # in assemble, with its text
+    assert str(rolled.value) == str(assembled.value)
 
 
 def test_rollout_names_a_noise_covariance_without_cholesky_factor():
@@ -610,8 +614,10 @@ def test_rollout_names_a_noise_covariance_without_cholesky_factor():
     prob = w.SteeringProblem(sysm, w.Gaussian([0.0], [[1.0]]), np.diag([1.0, 0.0]),
                              w.Gaussian([0.0], [[1.0]]), 1.0)
     w.assemble(prob)
-    with pytest.raises(NotPDError, match="Sw has no Cholesky factor"):
+    with pytest.raises(NotPDError, match="Sw has no Cholesky factor") as rolled:
         rollout(prob, Policy(np.zeros(1), np.zeros((1, 2))), 16, 0)
+    # Stilde is PD, so the message names only the covariance
+    assert "Stilde is not PD" not in str(rolled.value)
 
 
 def test_rollout_rejects_non_causal_policy_before_drawing(monkeypatch, tight_policy):
