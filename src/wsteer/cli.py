@@ -336,33 +336,42 @@ def _derivative_errors(ops, lam, mask, rng):
 
 
 def _structured_row(ops, lam, mask, term, rng, lmin=None):
-    """H = H_U + Z^T Z at the kernel term, in the coordinates Phi: the inertia PD decision, a
-    Newton solve's backward error (an upper bound: power iteration's ||H||_2 is a lower one),
-    border rows k, and lmin (else `_lambda_min`'s) bracketed by the same count: for mu < 2,
+    """H = H_U + Z^T Z at the kernel term, in the coordinates Phi: the inertia PD decision, the
+    backward error of a solve with `newton_refine`'s factor, at lam / (1 + s) near a singular
+    block (an upper bound: power iteration's ||H||_2 is a lower one), and lmin (else
+    `_lambda_min`'s) bracketed by the same count: for mu < 2,
     H - mu I = (1 - mu/2) H(s lam), s = 2 / (2 - mu), PD at lmin - delta and not at lmin +
     delta, delta = 1e-8 max(1, |lmin|); from 2 up only 2 - delta, and H's eigenvalue-2 space
-    (its dimension printed) caps lmin at 2."""
+    (its dimension printed) caps lmin at 2.  A probe at a singular block decides by
+    `_lambda_min`'s sign, not independently of the certificate, and the row names it."""
     curv = _StructuredCurvature(ops, lam, mask, term)
     lmin = _lambda_min(ops, lam, term) if lmin is None else lmin
     delta, n_2 = 1e-8 * max(1.0, abs(lmin)), _poles(ops, lam, term)[2]
-    pd = [_StructuredCurvature(ops, 2.0 * lam / (2.0 - mu), mask, term).pd
-          for mu in (min(lmin, 2.0) - delta, lmin + delta) if mu < 2.0]
+    probes = [_StructuredCurvature(ops, 2.0 * lam / (2.0 - mu), mask, term)
+              for mu in (min(lmin, 2.0) - delta, lmin + delta) if mu < 2.0]
+    pd = [p.pd for p in probes]
     ok = pd[0] and not any(pd[1:]) and (lmin <= 2.0 or n_2 == 0)
     bracket = (f"lambda_min {lmin:.9e}, H - mu I PD at mu = lambda_min -/+ {delta:.1e}: {pd}, "
                f"eigenvalue 2 on {n_2} dimensions")
-    v = np.random.default_rng(1).standard_normal(mask.free_entries.size)
-    for _ in range(20):  # ||H v|| <= ||H||_2 for a unit v
-        v = curv.matvec(v / np.linalg.norm(v))
-    norm = np.linalg.norm(v)
-    detail = f"neg(H_U) {curv.neg_U}, neg(S) {curv.neg_S}, PD {curv.pd}, {bracket}"
+    if any(p.singular for p in probes):
+        bracket += f", decided by lambda_min: {[p.singular for p in probes]}"
+    neg_S = "- (singular block)" if curv.singular else curv.neg_S
+    detail = f"neg(H_U) {curv.neg_U}, neg(S) {neg_S}, PD {curv.pd}, {bracket}"
     if curv.pd:
+        factor = (_StructuredCurvature(ops, lam / (1.0 + curv.shift), mask, term)
+                  if curv.near else curv)
+        v = np.random.default_rng(1).standard_normal(mask.free_entries.size)
+        for _ in range(20):  # ||H v|| <= ||H||_2 for a unit v
+            v = factor.matvec(v / np.linalg.norm(v))
         b = rng.standard_normal(v.size)
-        x = curv.solve(b)
-        err = np.linalg.norm(curv.matvec(x) - b) / (norm * np.linalg.norm(x) + np.linalg.norm(b))
-        ok, detail = ok and err <= 1e-14, f"Newton solve backward error {err:.3e}, {detail}"
+        x = factor.solve(b)
+        err = np.linalg.norm(factor.matvec(x) - b) / (np.linalg.norm(v) * np.linalg.norm(x)
+                                                      + np.linalg.norm(b))
+        at = f" at lambda/(1 + s), s = {curv.shift:.3e}," if curv.near else ""
+        ok, detail = ok and err <= 1e-14, f"Newton solve{at} backward error {err:.3e}, {detail}"
     else:
         detail += ", not PD: no Newton solve"
-    return ("structured curvature at Theta*", bool(ok), f"{detail}, {curv.k} shifted border rows")
+    return ("structured curvature at Theta*", bool(ok), detail)
 
 
 def _certificate_row(label, lam, cert, spectral):

@@ -39,10 +39,10 @@ columns, and `_ConvexCurvature` inverts it as (I - F^T E_t F) / 2 with
 E_t = (I + A Q_t / 2)^-1 A / 2.  `_StructuredCurvature` adds Z by Woodbury
 through S = I + Z H_U^-1 Z^T, built from G_t = Q_t (I - E_t Q_t), and decides
 positive definiteness by inertia (Haynsworth), or without S by interlacing
-when H_U has more negative eigenvalues than rank Z <= n_x (n_x + 1) / 2.  A
-nearly singular block of H_U takes A_+, the positive part of A, so it is >= 2I,
-and H_U' - H_U = P^T P joins Z in the border with the sign -1.  Both solves
-take one refinement step.
+when H_U has more negative eigenvalues than rank Z <= n_x (n_x + 1) / 2, and
+at a block with no E_t by the sign of `_lambda_min`.  A and Z^T Z are linear
+in lam, so a Newton step near a singular block solves with H + 2 s I =
+(1 + s) H(lam / (1 + s)) instead.  Both solves take one refinement step.
 `_hessian_block`'s dense causal block is the test oracle, and `wsteer check`'s
 on a few entries.  The spectral certificate's lambda_min is H's in Phi, on
 one path at every size: H_U's block spectrum is closed form, so H is 2I on a
@@ -342,12 +342,13 @@ def _hessian_block(ops, lam, idx, term=None):
     return H
 
 
-# A block I + K_t of H_U, K_t = C_t^T A C_t, is shifted (takes A_+ for A) when
-# an eigenvalue is within BLOCK_TOL, or eigvalsh's error n_x eps (1 + ||K_t||),
-# of zero.  Refined backward errors against the dense block, over 3000 draws of
-# each family of tests/curvature_sweep.py: at most 5.8e-16 with one block
-# eigenvalue at +-10^U(-4, -2), where the closed form kept down to 1e-4 reached
-# 8.6e-7, and 6.4e-15 with one at +-10^U(-8, -1).
+# A block I + K_t of H_U, K_t = C_t^T A C_t, is near singular when an eigenvalue
+# is within BLOCK_TOL, or eigvalsh's error n_x eps (1 + ||K_t||), of zero; a PD
+# Newton step then solves at lam / (1 + s).  Its refined backward error against
+# the dense block, over 3000 draws per family of tests/curvature_sweep.py: at
+# most 2.1e-15 with a block eigenvalue at +-10^U(-8, -1); with one at
+# +-10^U(-4, -2), where the blocks cancel against a large A, above 1e-14 on 3
+# of 1962 PD draws (1.3e-10, 2.7e-12, 8.8e-13).
 BLOCK_TOL = 1e-2
 EPS = np.finfo(float).eps
 
@@ -366,19 +367,19 @@ class _ConvexCurvature:
     closed form; see the module docstring.  With term None it is the CCP
     curvature H0, which is PD."""
 
-    pd = True
+    pd, near = True, False
 
     def __init__(self, ops, lam, mask, term=None):
         self.rows, self.cols, self.free = mask.layout
         self.FHu = ops.FHu
         self.L, self.Linv = ops.causal_cholesky
-        self.A = self.A_t = _coupling_weight(lam, ops.n_x, term)
+        self.A = _coupling_weight(lam, ops.n_x, term)
         self.Q = ops.input_grams
 
     @cached_property
     def E(self):
-        """E_t = (I + A_t Q_t / 2)^-1 A_t / 2, A_t = A, or A_+ on a shifted block."""
-        return 0.5 * np.linalg.inv(np.eye(self.A.shape[0]) + 0.5 * self.A_t @ self.Q) @ self.A_t
+        """E_t = (I + A Q_t / 2)^-1 A / 2, stacked over t."""
+        return 0.5 * np.linalg.inv(np.eye(self.A.shape[0]) + 0.5 * self.A @ self.Q) @ self.A
 
     def _weight(self, FPhi):
         """The V with (H - D) Phi = U(V), from F Phi = FHu Phi: A F Phi for H_U."""
@@ -430,46 +431,41 @@ class _ConvexCurvature:
 
 class _StructuredCurvature(_ConvexCurvature):
     """The causal Hessian H = H_U + Z^T Z of J at the terminal kernel term,
-    solved by Woodbury on the signed border B = [Z; P], neither formed:
-    shifted lists the columns of Phi whose blocks take A_+, k counts P's rows,
-    and neg_U and neg_S, the negative eigenvalues of H_U' and S, decide pd.
-    S, E and EQ are built when first read."""
+    solved by Woodbury through S = I + Z H_U^-1 Z^T, neither formed: neg_U
+    and neg_S, the negative eigenvalues of H_U and S, decide pd.  near marks
+    a block within BLOCK_TOL of singular: H's blocks at lam / (1 + shift) are
+    2 (sigma + shift) / (1 + shift) >= 4 BLOCK_TOL.  S, E and EQ are built
+    when first read."""
 
     def __init__(self, ops, lam, mask, term):
         super().__init__(ops, lam, mask, term)
         n_x = ops.n_x
         self.W, (self.sg, self.Aw) = term.W, _frechet(ops, lam, term)
+        self._at = ops, lam, term
         # H_U is block-diagonal: its block at column c of Phi has, besides
         # eigenvalues 2, those of 2 (I + C_t^T A C_t), t = c // n_x, with
         # `input_qr`'s C_t (see _poles)
         C = ops.input_qr[0]
         self.sig = np.linalg.eigvalsh(np.eye(n_x) + _mT(C) @ self.A @ C)
-        tol = np.maximum(BLOCK_TOL, n_x * EPS
-                         * (1.0 + np.abs(self.sig - 1.0).max(axis=-1, keepdims=True)))
-        shift = (np.abs(self.sig) <= tol).any(axis=-1)
-        self.shifted = sc = np.flatnonzero(np.repeat(shift, n_x))
-        self.k = 0
-        if sc.size:
-            # A = V diag(a) V^T: a shifted block takes A_+ = V max(a, 0) V^T,
-            # and its columns the rows Wn^T F of P, Wn = V sqrt(-a) over a < 0
-            a, V = np.linalg.eigh(self.A)
-            self.Wn = V[:, a < 0.0] * np.sqrt(-a[a < 0.0])
-            self.k = sc.size * self.Wn.shape[1]
-            A_plus = symmetrize((V * np.maximum(a, 0.0)) @ V.T)
-            self.A_t = np.where(shift[:, None, None], A_plus, self.A)
-        self.neg_U = n_x * int(np.count_nonzero(self.sig[~shift] < 0.0))
+        err = n_x * EPS * (1.0 + np.abs(self.sig - 1.0).max(axis=-1, keepdims=True))
+        self.singular = bool((np.abs(self.sig) <= err).any())
+        self.near = bool((np.abs(self.sig) <= np.maximum(BLOCK_TOL, err)).any())
+        self.neg_U = n_x * int(np.count_nonzero(self.sig < 0.0))
+        self.shift = (2.0 * BLOCK_TOL - float(self.sig.min())) / (1.0 - 2.0 * BLOCK_TOL)
 
     @cached_property
     def pd(self):
-        """Haynsworth on [[H_U', B^T], [B, -J]]: neg(H) = neg(H_U') + k - neg(S).
-        H = H_U' + Z^T Z - P^T P, A_+ keeps the shifted blocks of H_U' >= 2I
-        and rank Z <= n_x (n_x + 1) / 2 (its rows are symmetric), so neg(H)
-        >= neg_U - n_x (n_x + 1) / 2 (interlacing): past that, not PD, and S
-        is not built."""
+        """The sign of `_lambda_min` at a block singular to eigvalsh's error,
+        which has no E_t; else Haynsworth on [[H_U, Z^T], [Z, -I]]: neg(H) =
+        neg(H_U) - neg(S) for S nonsingular.  rank Z <= n_x (n_x + 1) / 2 (its
+        rows are symmetric), so neg(H) >= neg_U - n_x (n_x + 1) / 2
+        (interlacing): past that, not PD, and S is not built."""
         n_x = self.sg.shape[0]
+        if self.singular:
+            return _lambda_min(*self._at) > 0.0
         if self.neg_U > n_x * (n_x + 1) // 2:
             return False
-        return self.neg_S == self.neg_U + self.k and bool(np.all(self._border[0] != 0.0))
+        return self.neg_S == self.neg_U and bool(np.all(self._border[0] != 0.0))
 
     @cached_property
     def neg_S(self):
@@ -481,19 +477,13 @@ class _StructuredCurvature(_ConvexCurvature):
 
     @cached_property
     def _border(self):
-        """(s, SV), the eigendecomposition of S = J + B H_U'^-1 B^T, from
-        <U(Y), H_U'^-1 U(Y')> = sum_c Y_c^T G_t Y'_c / 2, G_t = Q_t (I - EQ_t),
-        EQ_t = E_t Q_t: Z's rows have Y = R_ab, P's Wn on the shifted columns."""
-        n_x, m, sc = self.sg.shape[0], self.sg.size, self.shifted
+        """(s, SV), the eigendecomposition of S = I + Z H_U^-1 Z^T, from
+        <U(Y), H_U^-1 U(Y')> = sum_c Y_c^T G_t Y'_c / 2, G_t = Q_t (I - EQ_t),
+        EQ_t = E_t Q_t, with Y = R_ab for Z's rows."""
+        n_x, m = self.sg.shape[0], self.sg.size
         G = self.Q @ (np.eye(n_x) - self.EQ)
         R = self._Zt(np.eye(m).reshape(m, n_x, n_x))
-        GR = self._blocks(G, R)
-        S = np.eye(m) + 0.5 * R.reshape(m, -1) @ GR.reshape(m, -1).T
-        if self.k:
-            ZP = 0.5 * (_mT(GR[:, :, sc]) @ self.Wn).reshape(m, -1)
-            S = np.block([[S, ZP], [ZP.T, -np.eye(self.k)]])
-            d = m + np.arange(self.k).reshape(sc.size, -1)  # P's rows, by column
-            S[d[:, :, None], d[:, None, :]] += 0.5 * self.Wn.T @ G[sc // n_x] @ self.Wn
+        S = np.eye(m) + 0.5 * R.reshape(m, -1) @ self._blocks(G, R).reshape(m, -1).T
         return np.linalg.eigh(symmetrize(S))
 
     @cached_property
@@ -514,20 +504,15 @@ class _StructuredCurvature(_ConvexCurvature):
         return super()._weight(FPhi) + self._Zt(self._Z(FPhi))
 
     def _correction(self, Bw):
-        """Woodbury: with y = Bw - (H_U's correction of Bw) and w = S^-1 B y,
-        H's is H_U's plus (B^T w - H_U's correction of B^T w) / 2.  B y comes
-        from FHu y, and B^T w = U(Y) has H_U's correction U(E_t Q_t Y_c)."""
+        """Woodbury: with y = Bw - (H_U's correction of Bw) and w = S^-1 Z y,
+        H's is H_U's plus (Z^T w - H_U's correction of Z^T w) / 2.  Z y comes
+        from FHu y, and Z^T w = U(Y) has H_U's correction U(E_t Q_t Y_c)."""
         Fx = self.FHu @ Bw
         EF = self._blocks(self.E, Fx)
         Fy = Fx - self._blocks(self.Q, EF)
-        By = self._Z(Fy).ravel()
-        if self.k:
-            By = np.concatenate([By, (Fy[:, self.shifted].T @ self.Wn).ravel()])
         s, SV = self._border
-        w = SV @ ((SV.T @ By) / s)
-        Y = self._Zt(w[:self.sg.size].reshape(self.sg.shape))
-        if self.k:
-            Y[:, self.shifted] += self.Wn @ w[self.sg.size:].reshape(self.shifted.size, -1).T
+        w = SV @ ((SV.T @ self._Z(Fy).ravel()) / s)
+        Y = self._Zt(w.reshape(self.sg.shape))
         return (self.FHu.T @ (EF + 0.5 * (Y - self._blocks(self.EQ, Y)))) * self.free
 
 

@@ -18,8 +18,8 @@ point; the convex-concave step only where Newton gives no iterate.
 `_evaluate_iterate` evaluates every iterate the solve records, whichever
 step made it, reusing the accepted trial's kernel.
 `objective._curvature` inverts H0 in closed form, and each Newton step's
-H = H_U + Z^T Z by the same block closed form plus a signed Woodbury border
-for Z and the shifted nearly singular blocks, at every horizon.
+H = H_U + Z^T Z by the same block closed form plus a Woodbury border for Z,
+at every horizon.
 """
 
 from dataclasses import dataclass, field, replace
@@ -256,9 +256,11 @@ def newton_refine(ops, lam, Theta, mask, u_ff, rep):
     along the step in difference form (`objective._ray`): the first of
     t = 1, 1/2, ..., 2^-7 with dJ(t) <= -ARMIJO t g^T step, g the projected
     gradient, is taken, and only that point is evaluated, from the terminal
-    kernel its trial built.  Returns the new iterate's (Theta, report,
-    residual), as `_evaluate_iterate` gives them, or None when the line
-    search accepts no step.  Raises HessianNotPDError when the reduced
+    kernel its trial built.  Near a singular block of H_U the step solves
+    with H + 2 s I = (1 + s) H(lam / (1 + s)), s the curvature's `shift`:
+    Newton's step on J + s ||Phi - Phi_k||^2.  Returns the new iterate's
+    (Theta, report, residual), as `_evaluate_iterate` gives them, or None
+    when the line search accepts no step.  Raises HessianNotPDError when the reduced
     Hessian is not positive definite.
     """
     Theta = mask.project(np.asarray(Theta, dtype=float))
@@ -266,7 +268,10 @@ def newton_refine(ops, lam, Theta, mask, u_ff, rep):
     factor = _curvature(ops, lam, mask, rep.kernel)
     if not factor.pd:
         raise HessianNotPDError("reduced Hessian not PD at the Newton iterate")
-    step = _curvature_solve(factor, g)
+    s = factor.shift if factor.near else 0.0
+    if factor.near:
+        factor = _curvature(ops, lam / (1.0 + s), mask, rep.kernel)
+    step = _curvature_solve(factor, g) / (1.0 + s)
     del factor  # the ray and the new iterate are built without it alive
 
     trial = _ray(ops, lam, Theta, mask.scatter(step), rep.kernel)

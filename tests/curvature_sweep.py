@@ -12,13 +12,18 @@ Three families of draws d, each from its own seeded generator:
   lam = 10^U(-1, 4), and block t given the eigenvalue +-10^U(-4, -2).
 
 Each draw is binned by the smallest |eigenvalue| of the blocks
-I + C_t^T A C_t that the curvature computed.  For each bin the sweep prints
-the worst backward error of a refined solve on a PD draw, measured against
-the dense causal block `_hessian_block` and against the curvature's own
-`matvec`, and each family the number of PD decisions that disagree with
-dense Cholesky where lambda_min(H) is not within 1e-8 of ||H||_2 of zero.
-Draws above 1e-14 on either measure are listed.  Run from the repository
-root, with one BLAS thread for reproducible bits:
+I + C_t^T A C_t that the curvature computed.  On a PD draw the sweep solves
+as `solver.newton_refine` does: with the curvature at lam, or, where a block
+is within BLOCK_TOL of singular ("near"), with the curvature at lam / (1 + s),
+s its `shift`.  For each bin it prints the worst backward error of that
+refined solve, measured against the dense causal block `_hessian_block` at
+the same lam and against the solving curvature's own `matvec`, in the
+columns "at lam" or "at lam/(1+s)".  Each family prints the number of PD
+decisions that disagree with dense Cholesky where lambda_min(H) is not within
+1e-8 of ||H||_2 of zero, and the number of draws with a block singular to
+eigvalsh's error, whose decision is `_lambda_min`'s sign.  Draws above 1e-14
+on either measure are listed.  Run from the repository root, with one BLAS
+thread for reproducible bits:
 
     OMP_NUM_THREADS=1 PYTHONPATH=src python tests/curvature_sweep.py [DRAWS]
 """
@@ -63,11 +68,11 @@ FAMILIES = {
 
 
 def sweep(family, draws):
-    """Draws 0..draws-1 of a family: {"bins": {bin: [PD draws, worst against
-    the oracle, its d, worst against matvec, its d]}, "pd", "skipped",
-    "mismatches" and "above": [(d, oracle, matvec)] over BOUND}."""
+    """Draws 0..draws-1 of a family: {"bins": {(bin, near): [PD draws, worst
+    against the oracle, its d, worst against matvec, its d]}, "pd", "skipped",
+    "mismatches", "singular" and "above": [(d, near, oracle, matvec)] over BOUND}."""
     key, draw = FAMILIES[family]
-    out = {"bins": {}, "pd": 0, "skipped": 0, "mismatches": 0, "above": []}
+    out = {"bins": {}, "pd": 0, "skipped": 0, "mismatches": 0, "singular": 0, "above": []}
     for d in range(draws):
         rng = np.random.default_rng([key, d])
         try:
@@ -85,22 +90,32 @@ def sweep(family, draws):
             dense_pd = False
         if abs(eig[0]) > 1e-8 * np.abs(eig).max() and curv.pd != dense_pd:
             out["mismatches"] += 1
+        out["singular"] += curv.singular
         if not curv.pd:
             continue
+        factor = curv
+        if curv.near:  # the solve newton_refine takes, at lam / (1 + s)
+            lam_s = lam / (1.0 + curv.shift)
+            factor = _StructuredCurvature(ops, lam_s, mask, term)
+            H = _hessian_block(ops, lam_s, mask.free_entries, term)
+            eig = np.linalg.eigvalsh(H)
         b = rng.standard_normal(H.shape[0])
-        x = curv.solve(b)
+        x = factor.solve(b)
         scale = np.abs(eig).max() * np.linalg.norm(x) + np.linalg.norm(b)
-        errs = (np.linalg.norm(H @ x - b) / scale, np.linalg.norm(curv.matvec(x) - b) / scale)
+        errs = (np.linalg.norm(H @ x - b) / scale, np.linalg.norm(factor.matvec(x) - b) / scale)
         out["pd"] += 1
-        row = out["bins"].setdefault(int(np.searchsorted(EDGES, np.abs(curv.sig).min())),
-                                     [0, 0.0, None, 0.0, None])
+        row = out["bins"].setdefault((int(np.searchsorted(EDGES, np.abs(curv.sig).min())),
+                                      curv.near), [0, 0.0, None, 0.0, None])
         row[0] += 1
         for i, e in zip((1, 3), errs):
             if e > row[i]:
                 row[i:i + 2] = [e, d]
         if max(errs) > BOUND:
-            out["above"].append((d, *errs))
+            out["above"].append((d, curv.near, *errs))
     return out
+
+
+_AT = {False: "lam", True: "lam/(1+s)"}
 
 
 def _bin_label(i):
@@ -113,12 +128,12 @@ def main(draws):
     for family in FAMILIES:
         r = sweep(family, draws)
         print(f"{family}: {draws} draws, {r['pd']} PD, {r['skipped']} skipped, "
-              f"{r['mismatches']} PD mismatches")
-        for i, (n, eo, do, em, dm) in sorted(r["bins"].items()):
-            print(f"  {_bin_label(i):>13}  {n:5d} PD  oracle {eo:.2e} (d = {do})"
-                  f"  matvec {em:.2e} (d = {dm})")
-        for d, eo, em in r["above"]:
-            print(f"  above {BOUND:g}: d = {d}  oracle {eo:.2e}  matvec {em:.2e}")
+              f"{r['mismatches']} PD mismatches, {r['singular']} numerically singular")
+        for (i, near), (n, eo, do, em, dm) in sorted(r["bins"].items()):
+            print(f"  {_bin_label(i):>13}  {n:5d} PD  at {_AT[near]:<9}  oracle {eo:.2e} "
+                  f"(d = {do})  matvec {em:.2e} (d = {dm})")
+        for d, near, eo, em in r["above"]:
+            print(f"  above {BOUND:g}: d = {d} at {_AT[near]}  oracle {eo:.2e}  matvec {em:.2e}")
 
 
 if __name__ == "__main__":

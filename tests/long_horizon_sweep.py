@@ -4,8 +4,10 @@ long horizons.
 Solves `conftest.long_horizon_problem` at N in {100, 120, ..., 200} and
 seeds 0-2 with default options and default BLAS threads, each instance in a
 fresh interpreter, and prints one row per instance: the termination (or the
-class of the error that ended the solve), CCP + Newton steps, the final
-projected residual, J, the solve's wall time and the process's peak RSS.
+class of the error that ended the solve), CCP + Newton steps, the Newton
+steps taken at lam / (1 + s) near a singular block of H_U (counted from the
+lam that `solver._curvature` receives), the final projected residual, J, the
+solve's wall time and the process's peak RSS.
 Run from the repository root:
 
     PYTHONPATH=src python tests/long_horizon_sweep.py [N ...]
@@ -22,6 +24,7 @@ import numpy as np
 
 from conftest import long_horizon_problem
 import wsteer as w
+import wsteer.solver
 from wsteer.errors import WsteerError
 
 HORIZONS = tuple(range(100, 201, 20))
@@ -31,9 +34,16 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def instance(N, seed):
     """The row of long_horizon_problem(default_rng(seed), N), solved in this process."""
+    problem = long_horizon_problem(np.random.default_rng(seed), N)
+    curvature, lams = wsteer.solver._curvature, []
+
+    def spy(ops, lam, *args):
+        lams.append(lam)
+        return curvature(ops, lam, *args)
+    wsteer.solver._curvature = spy
     start = time.perf_counter()
     try:
-        sol = w.solve(long_horizon_problem(np.random.default_rng(seed), N))
+        sol = w.solve(problem)
     except WsteerError as e:
         row = {"termination": type(e).__name__}
     else:
@@ -42,6 +52,8 @@ def instance(N, seed):
                "newton": kinds.count("newton"), "residual": sol.trace.records[-1].residual,
                "J": sol.report.J}
     row["seconds"] = time.perf_counter() - start
+    wsteer.solver._curvature = curvature
+    row["damped"] = sum(lam != problem.lam for lam in lams)
     row["peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
     return row
 
@@ -58,15 +70,15 @@ def run(N, seed):
 def format_row(N, seed, row):
     text = f"{N:4d} {seed:5d}  {row['termination']:<17}"
     if "J" in row:
-        text += (f"{row['ccp']:4d} + {row['newton']:<3d} {row['residual']:9.2e}"
-                 f"  {row['J']!r:<20}")
+        text += (f"{row['ccp']:4d} + {row['newton']:<3d} {row['damped']:6d}"
+                 f" {row['residual']:9.2e}  {row['J']!r:<20}")
     else:
-        text += " " * 42
+        text += " " * 49
     return text + f"{row['seconds']:6.1f} s {row['peak_mb']:6.0f} MB"
 
 
 def main(horizons):
-    print("   N  seed  termination       steps       residual  J"
+    print("   N  seed  termination       steps      damped residual  J"
           "                     time       peak RSS")
     for N in horizons:
         for seed in SEEDS:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import SD_TIGHT, SD_WIDE, phi_block, rand_problem, rel_err
+from conftest import SD_TIGHT, SD_WIDE, phi_block, rand_problem, rel_err, singular_block_kernel
 from test_solver import saddle_start
 import wsteer as w
 import wsteer.cli as cli
@@ -499,7 +499,7 @@ def test_check_reports_inertia_decision(tmp_path, capsys, monkeypatch):
     assert " PASS  Newton solve backward error " in line
     assert ("neg(H_U) 0, neg(S) 0, PD True, lambda_min 1.962075463e+00, H - mu I PD at "
             "mu = lambda_min -/+ 2.0e-08: [True, False], eigenvalue 2 on 72 dimensions") in line
-    assert line.endswith(", 0 shifted border rows")
+    assert line.endswith(" eigenvalue 2 on 72 dimensions")
 
     # the certificate's lambda_min planted at 1.5 times its value: the same
     # inertia count finds H - mu I not PD just below 2, and the row fails
@@ -521,8 +521,7 @@ def test_check_at_a_saddle_reports_no_newton_solve(tmp_path, capsys):
     line = next(l for l in capsys.readouterr().out.splitlines()
                 if l.startswith("structured curvature at Theta*"))
     assert " PASS  neg(H_U) 20, neg(S) 1, PD False, lambda_min " in line
-    assert ": [True, False], eigenvalue 2 on 72 dimensions, not PD: no Newton solve" in line
-    assert line.endswith(", 0 shifted border rows")
+    assert line.endswith(": [True, False], eigenvalue 2 on 72 dimensions, not PD: no Newton solve")
     # lambda_min against the dense causal block's in Phi, the test oracle, and
     # the sign of the block in Theta
     problem, raw = load_config(str(cfg))
@@ -533,6 +532,33 @@ def test_check_at_a_saddle_reports_no_newton_solve(tmp_path, capsys):
     lmin = line.split("lambda_min ")[1].split(",")[0]
     assert lmin == f"{dense:.9e}" and dense < 0.0
     assert np.linalg.eigvalsh(_hessian_block(ops, lam, mask.free_entries, sol.report.kernel))[0] < 0.0
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.0])
+def test_structured_row_solves_at_the_damped_lambda_near_a_singular_block(sigma):
+    # a block of H_U with the eigenvalue sigma (1e-3, or 0 to eigvalsh's
+    # error): the row solves with the factor newton_refine takes, at
+    # lam / (1 + s), and prints s; at a singular block S is not read
+    rng = np.random.default_rng(2)
+    prob = rand_problem(rng, N=3, n_x=2, n_u=2, n_w=2, lam=10.0)
+    ops = w.assemble(prob)
+    mask = w.causality_mask(3, 2, 2)
+    Theta = mask.project(0.3 * rng.standard_normal(mask.theta_shape))
+    term = singular_block_kernel(ops, prob.lam, wsteer.objective._terminal(ops, Theta), 0, sigma)
+    curv = wsteer.objective._StructuredCurvature(ops, prob.lam, mask, term)
+    assert curv.pd and curv.near and curv.singular == (sigma == 0.0)
+    name, ok, detail = cli._structured_row(ops, prob.lam, mask, term, np.random.default_rng(0))
+    assert name == "structured curvature at Theta*" and ok
+    assert detail.startswith(f"Newton solve at lambda/(1 + s), s = {curv.shift:.3e}, backward error ")
+    neg_S = "- (singular block)" if sigma == 0.0 else "0"
+    assert f", neg(S) {neg_S}, PD True, lambda_min " in detail
+    assert detail.endswith(": [True, False], eigenvalue 2 on 12 dimensions")
+
+    # a planted lambda_min of 1e-8 puts the lower probe at lam itself: at the
+    # singular block its decision is lambda_min's sign, and the row says so
+    _, ok, detail = cli._structured_row(ops, prob.lam, mask, term, np.random.default_rng(0), 1e-8)
+    assert not ok and ": [True, True], eigenvalue 2 on 12 dimensions" in detail
+    assert detail.endswith(", decided by lambda_min: [True, False]") == (sigma == 0.0)
 
 
 def test_check_reports_an_unsolved_start(tmp_path, capsys):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
 import wsteer as w
 import wsteer.objective
 import wsteer.solver
+from wsteer.errors import HessianNotPDError
 from wsteer.objective import (
     BLOCK_TOL,
     _ConvexCurvature,
@@ -43,6 +45,7 @@ from wsteer.objective import (
     _terminal,
     convexity_certificate,
 )
+from wsteer.solver import newton_refine
 
 EPS = np.finfo(float).eps
 
@@ -195,33 +198,42 @@ def test_lambda_min_counts_no_pole_for_a_short_input_gram(N, n_x, lam):
             assert lmin == 2.0
 
 
-def assert_singular_block_agrees(ops, lam, mask, term, t, pd, rng):
-    """The structured curvature at a kernel whose block t of H_U is (nearly)
-    singular: block t is shifted into the border exactly when an eigenvalue
-    the curvature computed for it is within BLOCK_TOL of zero; the PD
-    decision agrees with dense Cholesky, a solve meets a backward error of
-    1e-14 and lambda_min agrees with eigvalsh of the block in Phi and has the
-    sign of the decision.  Returns H's eigenvalues (Theta's coordinates)."""
+def damped_solve(ops, lam, mask, term, curv, b):
+    """The solve `newton_refine` takes where curv is PD with a nearly singular
+    block: the curvature at lam / (1 + s), s = curv.shift, and b's solution
+    with it, which times 1 / (1 + s) solves (H + 2 s I) x = b.  Returns
+    (lam / (1 + s), that solution)."""
+    lam_s = lam / (1.0 + curv.shift)
+    return lam_s, _StructuredCurvature(ops, lam_s, mask, term).solve(b)
+
+
+def assert_singular_block_agrees(ops, lam, mask, term, pd, rng):
+    """The structured curvature at a kernel whose block of H_U is (nearly)
+    singular: the PD decision agrees with dense Cholesky and with pd, and
+    lambda_min agrees with eigvalsh of the block in Phi and has the sign of
+    the decision.  Returns (H's eigenvalues in Theta's coordinates, the
+    curvature, and for a PD H with a block within BLOCK_TOL of singular the
+    backward error of `damped_solve` against `_hessian_block` at its lam,
+    else None)."""
     curv = _StructuredCurvature(ops, lam, mask, term)
     H = _hessian_block(ops, lam, mask.free_entries, term)
-    eig = np.linalg.eigvalsh(H)
-    shifted = np.abs(curv.sig[t]).min() <= BLOCK_TOL
-    assert (t in curv.shifted // ops.n_x) == shifted
-    assert curv.k > 0 or not shifted
     assert curv.pd == cholesky_succeeds(H) == pd
-    if pd:
-        b = rng.standard_normal(H.shape[0])
-        assert backward_error(H, curv.solve(b), b) <= 1e-14
     lmin = _lambda_min(ops, lam, term)
     assert_lambda_min_agrees(lmin, np.linalg.eigvalsh(phi_block(ops, lam, mask, term)))
     assert (lmin > 0.0) == pd
-    return eig
+    err = None
+    if pd and curv.near:
+        b = rng.standard_normal(H.shape[0])
+        lam_s, x = damped_solve(ops, lam, mask, term, curv, b)
+        err = backward_error(_hessian_block(ops, lam_s, mask.free_entries, term), x, b)
+    return np.linalg.eigvalsh(H), curv, err
 
 
 # with block 0 singular the later blocks are PD, and so is H; with block 2
-# singular the blocks before it are negative, and H is not PD.  Eigenvalues
-# up to 1e-2 (BLOCK_TOL) in size are shifted into the signed border; the rows
-# at +-1e-2 sit on the tolerance, and take the path the computed eigenvalue gives
+# singular the blocks before it are negative, and H is not PD.  A PD H with a
+# block eigenvalue up to 1e-2 (BLOCK_TOL) in size takes the Newton step at
+# lam / (1 + s); the rows at +-1e-2 sit on the tolerance.  (The name is from
+# the signed Woodbury border that such blocks once joined.)
 @pytest.mark.parametrize("n_x,t,sigma,pd", [(1, 0, 0.0, True), (2, 0, 0.0, True), (3, 0, 0.0, True),
                                             (1, 2, 0.0, False), (2, 2, 0.0, False), (3, 2, 0.0, False),
                                             (2, 0, 1e-6, True), (2, 2, -1e-6, False),
@@ -238,15 +250,21 @@ def test_singular_block_shifts_into_signed_border(n_x, t, sigma, pd):
     ops = w.assemble(prob)
     mask = w.causality_mask(3, n_x, n_x)
     term = singular_block_kernel(ops, prob.lam, _terminal(ops, rand_causal_theta(rng, mask)), t, sigma)
-    eig = assert_singular_block_agrees(ops, prob.lam, mask, term, t, pd, rng)
+    eig, curv, err = assert_singular_block_agrees(ops, prob.lam, mask, term, pd, rng)
     assert abs(eig[0]) > 1e-8 * np.abs(eig).max()
+    assert curv.near == (np.abs(curv.sig).min() <= BLOCK_TOL)
+    if pd and curv.near:
+        assert err <= 1e-14
 
 
 # draws d of a seeded sweep (N <= 2, n_x = n_u = n_w = 3, lam = 10^U(-1, 4),
 # one block eigenvalue +-10^U(-4, -2)) on which the closed form of a block
 # just above the old BLOCK_TOL of 1e-4, refined once, left backward errors of
 # 8.6e-7 (d = 4411, sigma 6.2e-4, lam 2648), 8.0e-12 (d = 520, sigma 6.1e-4,
-# lam 400) and 3.3e-13 (d = 2784, sigma 1.3e-4, lam 1.1)
+# lam 400) and 3.3e-13 (d = 2784, sigma 1.3e-4, lam 1.1).  The step at
+# lam / (1 + s) is a descent direction on each; its solve, where H_U's blocks
+# are lifted to 2 BLOCK_TOL by cancellation against a coupling weight A of
+# norm up to 2.7e8, leaves 1.1e-5, 1.3e-10 and 8.8e-13
 @pytest.mark.parametrize("d", [4411, 520, 2784])
 def test_singular_block_sweep_draws_shift_into_border(d):
     rng = np.random.default_rng([3, d])
@@ -258,27 +276,67 @@ def test_singular_block_sweep_draws_shift_into_border(d):
     ops = w.assemble(prob)
     mask = w.causality_mask(N, 3, 3)
     term = singular_block_kernel(ops, lam, _terminal(ops, rand_causal_theta(rng, mask)), t, sigma)
-    assert_singular_block_agrees(ops, lam, mask, term, t, True, rng)
+    _, curv, _ = assert_singular_block_agrees(ops, lam, mask, term, True, rng)
+    assert curv.near
+    g = rng.standard_normal(mask.free_entries.size)
+    assert g @ damped_solve(ops, lam, mask, term, curv, g)[1] > 0.0
 
 
 @pytest.mark.parametrize("seed, t", [(39, 0), (10, 1), (8, 2)])
-def test_exactly_singular_block_is_never_inverted(seed, t):
+def test_exactly_singular_block_is_never_inverted(monkeypatch, seed, t):
     # on these draws I + A Q_t / 2 is singular in floating point, so the
-    # closed form's E_t does not exist for A; the block is shifted to A_+
+    # closed form's E_t does not exist for A: the PD decision reads the sign of
+    # lambda_min, and a Newton step solves at lam / (1 + s), where the block
+    # is >= 2 BLOCK_TOL
     rng = np.random.default_rng(seed)
     prob = rand_problem(rng, N=3, n_x=1, n_u=1, n_w=1, lam=10.0)
     ops = w.assemble(prob)
     mask = w.causality_mask(3, 1, 1)
-    term = singular_block_kernel(ops, prob.lam, _terminal(ops, rand_causal_theta(rng, mask)), t)
+    Theta = rand_causal_theta(rng, mask)
+    term = singular_block_kernel(ops, prob.lam, _terminal(ops, Theta), t)
     A = _coupling_weight(prob.lam, 1, term)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(np.eye(1) + 0.5 * A @ ops.input_grams[t])
     curv = _StructuredCurvature(ops, prob.lam, mask, term)
     H = _hessian_block(ops, prob.lam, mask.free_entries, term)
-    assert t in curv.shifted // ops.n_x and curv.pd == cholesky_succeeds(H)
-    if curv.pd:
-        b = rng.standard_normal(H.shape[0])
-        assert backward_error(H, curv.solve(b), b) <= 1e-14
+    assert curv.singular and curv.near
+    assert curv.pd == cholesky_succeeds(H) == (_lambda_min(ops, prob.lam, term) > 0.0)
+
+    lams, steps = [], []
+    curvature, solve = wsteer.solver._curvature, wsteer.solver._curvature_solve
+    monkeypatch.setattr(wsteer.solver, "_curvature",
+                        lambda ops, lam, *a: lams.append(lam) or curvature(ops, lam, *a))
+    monkeypatch.setattr(wsteer.solver, "_curvature_solve",
+                        lambda f, rhs: steps.append(solve(f, rhs)) or steps[-1])
+    u_ff = np.zeros(ops.N * ops.n_u)
+    rep = replace(w.evaluate(ops, prob.lam, w.Policy(u_ff, Theta)), kernel=term)
+    if not curv.pd:
+        with pytest.raises(HessianNotPDError):
+            newton_refine(ops, prob.lam, Theta, mask, u_ff, rep)
+        return
+    newton_refine(ops, prob.lam, Theta, mask, u_ff, rep)
+    assert lams == [prob.lam, prob.lam / (1.0 + curv.shift)]
+    assert len(steps) == 1 and np.isfinite(steps[0]).all()
+    b = rng.standard_normal(H.shape[0])
+    lam_s, x = damped_solve(ops, prob.lam, mask, term, curv, b)
+    assert backward_error(_hessian_block(ops, lam_s, mask.free_entries, term), x, b) <= 1e-14
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_s=st.floats(-3.0, 1.0))
+def test_damped_hessian_is_the_hessian_at_a_smaller_lambda(seed, log_s):
+    # A and Z^T Z are linear in lambda and the kernel does not depend on it,
+    # so H(lam) + 2 s I = (1 + s) H(lam / (1 + s)) in Phi: the Newton step at
+    # lam / (1 + s) over 1 + s is the one of J + s ||Phi - Phi_k||^2
+    rng = np.random.default_rng(seed)
+    N, n_x, n_u = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    lam, s = 10.0 ** rng.uniform(-1, 3), 10.0 ** log_s
+    prob = rand_problem(rng, N=N, n_x=n_x, n_u=n_u, lam=lam)
+    ops, mask = w.assemble(prob), w.causality_mask(N, n_u, n_x)
+    term = _terminal(ops, rand_causal_theta(rng, mask, 1.0))
+    damped = phi_block(ops, lam, mask, term) + 2.0 * s * np.eye(mask.free_entries.size)
+    scaled = (1.0 + s) * phi_block(ops, lam / (1.0 + s), mask, term)
+    assert np.linalg.norm(damped - scaled) <= 1e-14 * np.linalg.norm(damped)
 
 
 @pytest.mark.parametrize("seed", [443, 1336, 1771])
@@ -320,6 +378,8 @@ def test_curvature_is_closed_form_for_ccp_and_structured_for_newton():
 class DenseCurvature:
     """The dense causal block of `_hessian_block`, Cholesky-factored: the
     oracle for `objective._curvature`, with its signature."""
+
+    near = False
 
     def __init__(self, ops, lam, mask, term=None):
         H = _hessian_block(ops, lam, mask.free_entries, term if lam != 0.0 else None)
@@ -479,35 +539,35 @@ import numpy as np
 from conftest import long_horizon_problem
 import wsteer as w
 import wsteer.solver
-curvature, rows = wsteer.solver._curvature, []
-def counted(*args, **kwargs):
-    curv = curvature(*args, **kwargs)
-    rows.append(getattr(curv, "k", 0))
-    return curv
+prob = long_horizon_problem(np.random.default_rng(0), N=130)
+curvature, lams = wsteer.solver._curvature, []
+def counted(ops, lam, *args):
+    lams.append(lam)
+    return curvature(ops, lam, *args)
 wsteer.solver._curvature = counted
-sol = w.solve(long_horizon_problem(np.random.default_rng(0), N=130))
+sol = w.solve(prob)
 records = sol.trace.records
-print(sum(k > 0 for k in rows), sol.trace.termination, sum(r.kind == "ccp" for r in records),
-      sum(r.kind == "newton" for r in records), repr(sol.report.J),
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+print(sum(lam != prob.lam for lam in lams), sol.trace.termination,
+      sum(r.kind == "ccp" for r in records), sum(r.kind == "newton" for r in records),
+      repr(sol.report.J), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
       any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
 """
 
 
 def test_shifted_block_long_horizon_solve_stays_small():
     # N = 130, seed 0: a Newton step meets a block of H_U within BLOCK_TOL of
-    # singular, which the signed border takes in closed form.  The dense
-    # small space that decided such a block before peaked at 363 MB here.
+    # singular, and solves at lam / (1 + s) instead, with no border.  The
+    # dense small space that decided such a block once peaked at 363 MB here.
     # The reduced Hessian is indefinite for 22 CCP steps from Theta = 0;
-    # then 12 Newton steps take the residual from 990 to 3e-8, the same on
-    # one BLAS thread and on two
+    # then 10 Newton steps take the residual from 990 to below tol, the same
+    # on one BLAS thread and on two
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     out = subprocess.run([sys.executable, "-c", SHIFT_SCRIPT, here, src], check=True,
                          capture_output=True, text=True).stdout.split()
-    shifted, termination, ccp, newton, J, peak_kb, scipy_loaded = out
-    assert int(shifted) >= 1
-    assert (termination, int(ccp), int(newton)) == ("stationarity", 22, 12)
+    damped, termination, ccp, newton, J, peak_kb, scipy_loaded = out
+    assert int(damped) >= 1
+    assert (termination, int(ccp), int(newton)) == ("stationarity", 22, 10)
     assert abs(float(J) - 15.59123263329724) <= 1e-10 * 15.59123263329724
     assert int(peak_kb) < 200 * 1024  # ru_maxrss is in KB on Linux
     assert scipy_loaded == "False"
@@ -588,10 +648,10 @@ def test_structured_certificate_kind_is_the_inertia_count(monkeypatch):
 
 
 def test_not_pd_past_the_interlacing_bound_builds_no_border(monkeypatch):
-    # H = H_U' + Z^T Z - P^T P, A_+ keeps the shifted blocks >= 2I and rank Z
-    # <= n_x (n_x + 1) / 2 = 3, so past 3 negative eigenvalues of H_U' the
-    # guard says not PD without building E, EQ or S.  The wide target's solves
-    # at lambda = 100 and 2000 start there; reading neg_S still builds S
+    # H = H_U + Z^T Z and rank Z <= n_x (n_x + 1) / 2 = 3, so past 3 negative
+    # eigenvalues of H_U the guard says not PD without building E, EQ or S.
+    # The wide target's solves at lambda = 100 and 2000 start there; reading
+    # neg_S still builds S
     built = []
 
     class Spy(_StructuredCurvature):
@@ -607,8 +667,8 @@ def test_not_pd_past_the_interlacing_bound_builds_no_border(monkeypatch):
     assert sorted(c.neg_U for c in early) == [18, 20]
     for c in early:
         assert not c.pd and not {"_border", "E", "EQ"} & set(vars(c))
-        assert c.neg_S < c.neg_U + c.k and "_border" in vars(c)
-    assert all(c.pd and "_border" in vars(c) for c in built if c.neg_U <= 3)
+        assert c.neg_S < c.neg_U and "_border" in vars(c)
+    assert all(c.pd and not c.near and "_border" in vars(c) for c in built if c.neg_U <= 3)
 
 
 def test_block_qr_is_built_once_per_problem(monkeypatch):
