@@ -12,11 +12,17 @@ M z: a rollout runs the recursion once, on the per x per identity, for M.
 Blocks of BLOCK samples run on a thread pool, one worker per CPU, each
 worker taking the next block until none is left; block b draws its noise Z
 from a stream of its own, child b of the seed's SeedSequence (see
-_sample_noise), and reduces its deviations D = Z M^T from xbar_N to their sum
-and Gram matrix D^T D in slots of its own.  The slots are added in block
+_sample_noise).  A worker reads the stream in order, in slices of at most
+SLICE doubles, so a block draws exactly the numbers one whole draw would;
+each slice's deviations D = Z M^T from xbar_N are added to the block's sum
+and Gram matrix D^T D, in slots of its own.  The slots are added in block
 order, so the result is bitwise reproducible given (seed, samples) whatever
-the CPU count, and sample i's draws depend only on (seed, i).  Memory is
-about workers*BLOCK*per + per*(N+1)*n_x + blocks*(n_x + n_x^2) doubles.
+the CPU count, and sample i's draws depend only on (seed, i).  The slices
+and their deviations go into buffers made once per worker, so memory is
+about per*(per + (N+1)*n_x) doubles while M is found, and then
+workers*(SLICE + rows*n_x) + blocks*(n_x + n_x^2), with rows =
+min(BLOCK, max(1, SLICE // per)) samples to a slice: the noise grows with
+neither N nor the samples.
 
 The predicted terminal Gaussian that a rollout is judged against is
 `objective.terminal_gaussian` of `assemble`'s lifting, the one the solve of
@@ -40,8 +46,15 @@ from .problem import Gaussian, assemble, causality_mask
 # of block i // BLOCK's stream, so changing BLOCK changes every rollout
 # number for a given seed.  On a 2-core x86_64 host blocks of 1024, 2048 and
 # 4096 ran the benchmark's N = 10 and N = 40 rollouts equally fast within
-# noise, and 2048 holds half the memory of 4096 per worker
+# noise; a worker holds one SLICE of noise whatever BLOCK is
 BLOCK = 2048
+# doubles of noise a rollout worker holds at a time (512 KB), a whole number
+# of samples to a slice and at least one.  It changes no sample's draws, only
+# the order in which a block's deviations are summed.  It keeps N = 10
+# blocks (22 normals a sample) whole and splits N = 40 blocks (82) in three;
+# on a 2-core x86_64 host slices of 256 samples, eight to an N = 10 block,
+# ran the benchmark's rollouts about 10 % slower
+SLICE = 2 ** 16
 
 
 def theta_to_k(Theta, Hu):
@@ -82,6 +95,12 @@ class RolloutReport:
         return self.mean_err <= self.mean_band and self.cov_err <= self.cov_band
 
 
+def _stream(seed, b):
+    """Block b's normals: NumPy's Generator on SFC64 seeded by
+    SeedSequence(seed, spawn_key=(b,)), child b of SeedSequence(seed)."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
 def _sample_noise(seed, n_samples, n_x, N, n_w, first=0):
     """Standard-normal draws of samples [first, first + n_samples), one
     stream per block of BLOCK samples.
@@ -101,7 +120,7 @@ def _sample_noise(seed, n_samples, n_x, N, n_w, first=0):
     row = 0
     while row < n_samples:
         b, skip = divmod(first + row, BLOCK)
-        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        gen = _stream(seed, b)
         if skip:
             gen.standard_normal(skip * per)
         count = min(BLOCK - skip, n_samples - row)
@@ -233,39 +252,50 @@ def rollout(problem, policy, samples, seed):
     loop = _closed_loop(problem, policy, ops.Hu)
     predicted = terminal_gaussian(ops, policy)
     per = n_x + N * n_w
+    # M^T is copied out, so the identity and its trajectories, 2 per^2
+    # doubles, are freed before the workers' buffers are made
     eye = np.eye(per)
     MT = _closed_loop_states(loop._replace(xbar=np.zeros_like(loop.xbar)), eye[:, :n_x],
-                             eye[:, n_x:].reshape(per, N, n_w))[:, N * n_x:]
+                             eye[:, n_x:].reshape(per, N, n_w))[:, N * n_x:].copy()
+    del eye
     blocks = -(-samples // BLOCK)
-    sums = np.empty((blocks, n_x))
-    grams = np.empty((blocks, n_x, n_x))
+    sums = np.zeros((blocks, n_x))
+    grams = np.zeros((blocks, n_x, n_x))
     lock = threading.Lock()
     pending = iter(range(blocks))
+    rows = min(BLOCK, max(1, SLICE // per))
+    workers = min(_cpus(), blocks)
+    # each worker's slice of noise Z, its deviations D, and a slice's sum
+    # and Gram matrix
+    buffers = [(np.empty((rows, per)), np.empty((rows, n_x)), np.empty(n_x),
+                np.empty((n_x, n_x))) for _ in range(workers)]
 
-    def reduce_block(b):
-        # block b's deviations D = Z M^T to their sum and Gram matrix; the
-        # block's noise is freed on return, before the next block is drawn
-        first = b * BLOCK
-        count = min(BLOCK, samples - first)
-        Z0, Zw = _sample_noise(seed, count, n_x, N, n_w, first=first)
-        D = Zw.reshape(count, N * n_w) @ MT[n_x:]
-        D += Z0 @ MT[:n_x]
-        D.sum(axis=0, out=sums[b])
-        np.matmul(D.T, D, out=grams[b])
+    def reduce_block(b, Z, D, s, G):
+        # block b's stream, read in order a slice at a time: each slice's
+        # deviations D = Z M^T are added to the block's sum and Gram matrix
+        gen = _stream(seed, b)
+        left = min(BLOCK, samples - b * BLOCK)
+        while left:
+            count = min(rows, left)
+            z, d = Z[:count], D[:count]
+            gen.standard_normal(out=z)
+            np.matmul(z, MT, out=d)
+            sums[b] += d.sum(axis=0, out=s)
+            grams[b] += np.matmul(d.T, d, out=G)
+            left -= count
 
-    def work():
+    def work(buffer):
         # one task per worker: take the next block until none is left
         while True:
             with lock:
                 b = next(pending, None)
             if b is None:
                 return
-            reduce_block(b)
+            reduce_block(b, *buffer)
 
     from concurrent.futures import ThreadPoolExecutor
-    workers = min(_cpus(), blocks)
     with ThreadPoolExecutor(workers) as pool:
-        for done in [pool.submit(work) for _ in range(workers)]:
+        for done in [pool.submit(work, buffer) for buffer in buffers]:
             done.result()
 
     # the blocks' slots are added in block order, whatever worker filled

@@ -1,12 +1,14 @@
 """Wall time and peak RSS of `wsteer check` against `wsteer solve` on the
-same config, over horizons.
+same config, over horizons, and of `wsteer simulate` on the solved policy.
 
 For each N the config is `conftest.long_horizon_problem(default_rng(0), N)`
 written with per-step matrices, or with --tight the shipped tight double
 integrator with N changed.  Each command runs REPEATS times, each time in a
 fresh interpreter; a row prints the medians of each command's wall time and
 peak RSS (the child's own maximum resident set), their check/solve ratios,
-and check's exit code.  Run from the repository root:
+check's exit code, and the same medians for `simulate` with its default
+100k samples, reading the policy the last solve wrote.  Run from the
+repository root:
 
     PYTHONPATH=src python tests/check_scaling.py [--tight] [N ...]
 """
@@ -56,7 +58,8 @@ def medians(argv):
 
 
 def main(horizons, tight):
-    print("   N  check s  check MB  solve s  solve MB  time x  RSS x  check exit")
+    print("   N  check s  check MB  solve s  solve MB  time x  RSS x  check exit"
+          "  simulate s  simulate MB")
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "solution.json")
         for N in horizons:
@@ -64,8 +67,10 @@ def main(horizons, tight):
                 json.dump(config(N, tight), fh)
             c_s, c_mb, code = medians(["check", cfg])
             s_s, s_mb, _ = medians(["solve", cfg, "-o", out])
+            r_s, r_mb, _ = medians(["simulate", cfg, out])
             print(f"{N:4d} {c_s:8.2f} {c_mb:9.0f} {s_s:8.2f} {s_mb:9.0f} "
-                  f"{c_s / s_s:7.1f} {c_mb / s_mb:6.2f} {code:11d}", flush=True)
+                  f"{c_s / s_s:7.1f} {c_mb / s_mb:6.2f} {code:11d} {r_s:11.2f} {r_mb:12.0f}",
+                  flush=True)
 
 
 if __name__ == "__main__":

@@ -317,10 +317,19 @@ def _moments(rep):
     return rep.empirical_mean.tobytes() + rep.empirical_cov.tobytes()
 
 
-@pytest.mark.parametrize("samples", [2, simulate.BLOCK - 1, simulate.BLOCK,
-                                     simulate.BLOCK + 1, 3 * simulate.BLOCK + 7])
-def test_rollout_bitwise_independent_of_worker_count(monkeypatch, tight_policy, samples):
-    prob, pol = tight_policy
+# the tight policy at N = 10, whose blocks are one slice each, and at N = 40,
+# whose blocks span several slices
+WORKER_COUNT_CASES = [(10, s) for s in (2, simulate.BLOCK - 1, simulate.BLOCK,
+                                        simulate.BLOCK + 1, 3 * simulate.BLOCK + 7)]
+WORKER_COUNT_CASES.append((40, 2 * simulate.BLOCK + 7))
+
+
+@pytest.mark.parametrize("N, samples", WORKER_COUNT_CASES,
+                         ids=[str(s) if N == 10 else f"N{N}-{s}" for N, s in WORKER_COUNT_CASES])
+def test_rollout_bitwise_independent_of_worker_count(monkeypatch, tight_policy, N, samples):
+    prob, pol = tight_policy if N == 10 else _solved_tight(N)
+    per = prob.system.n_x + N * prob.system.n_w
+    assert (simulate.SLICE // per < simulate.BLOCK) == (N == 40)
     reps = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(simulate, "_cpus", lambda: workers)
@@ -339,13 +348,13 @@ def test_rollout_leaves_no_thread_behind(monkeypatch, tight_policy):
     prob, pol = tight_policy
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
     ran_on = set()
-    noise = simulate._sample_noise
+    stream = simulate._stream
 
-    def recording_noise(*args, **kwargs):
+    def recording_stream(*args, **kwargs):
         ran_on.add(threading.get_ident())
-        return noise(*args, **kwargs)
+        return stream(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "_sample_noise", recording_noise)
+    monkeypatch.setattr(simulate, "_stream", recording_stream)
     before = set(threading.enumerate())
     rollout(prob, pol, 3 * simulate.BLOCK + 7, 1)
     assert set(threading.enumerate()) == before
@@ -410,10 +419,10 @@ def test_rollout_never_holds_whole_trajectories(monkeypatch):
 def test_rollout_memory_flat_in_samples(monkeypatch, tight_policy):
     # each block is reduced to n_x + n_x^2 numbers inside its worker: 8x the
     # samples adds 56 blocks' slots (2.7 KB), where terminal states and their
-    # centered copy would add 2 * 56 * BLOCK * n_x doubles (3.7 MB).  A peak
-    # also depends on whether the two workers held their noise at one time,
-    # so it is the least of three runs at the larger size and the most of
-    # three at the smaller
+    # centered copy would add 2 * 56 * BLOCK * n_x doubles (3.7 MB).  Both
+    # workers' buffers are made before the pool starts, so only the blocks'
+    # generators come and go with the threads' timing; the peak is the least
+    # of three runs at the larger size and the most of three at the smaller
     prob, pol = tight_policy
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
     rollout(prob, pol, 100, 0)
@@ -429,6 +438,30 @@ def test_rollout_memory_flat_in_samples(monkeypatch, tight_policy):
     small = max(peak(8 * simulate.BLOCK) for _ in range(3))
     large = min(peak(64 * simulate.BLOCK) for _ in range(3))
     assert large - small < 64 * 1024
+
+
+def test_rollout_memory_flat_in_horizon(monkeypatch):
+    # a worker holds at most SLICE doubles of noise at any horizon, and the
+    # identity's run for M^T, 2 per^2 doubles, is freed before the slices
+    # are made.  From N = 20 to 80 what grows is the K-form gain the rollout
+    # keeps, N n_u x (N+1) n_x doubles (97 KB more), M^T and xbar (3 KB),
+    # while a slice's deviations shrink (18 KB): the peak grows by less than
+    # K at N = 80 (104 KB), where whole blocks of noise would add
+    # BLOCK * 60 * n_w doubles (1.97 MB)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 1)
+
+    def peak(N):
+        prob = double_integrator_problem(SD_TIGHT, N=N)
+        pol = Policy(np.zeros(N), np.zeros((N, 2 * (N + 1))))
+        rollout(prob, pol, 100, 0)
+        tracemalloc.start()
+        try:
+            rollout(prob, pol, 2 * simulate.BLOCK, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(80) - peak(20) < 8 * 80 * (81 * 2)
 
 
 def test_rollout_cov_invariant_to_shift_of_mean(tight_policy):
@@ -630,7 +663,7 @@ def test_rollout_rejects_non_causal_policy_before_drawing(monkeypatch, tight_pol
 
     def drawn(*args, **kwargs):
         raise AssertionError("a sample was drawn")
-    monkeypatch.setattr(simulate, "_sample_noise", drawn)
+    monkeypatch.setattr(simulate, "_stream", drawn)
     with pytest.raises(ValueError, match="^policy violates the causality pattern$"):
         rollout(prob, Policy(pol.u_ff, Theta), 20_000, 1)
 
