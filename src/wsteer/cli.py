@@ -25,11 +25,9 @@ from . import simulate as sim
 from .errors import DimensionMismatchError, ValidationError, WsteerError
 from .objective import (
     Policy,
-    _curvature,
+    _Curvature,
     _hessian_block,
     _lambda_min,
-    _poles,
-    _StructuredCurvature,
     _terminal,
     _values,
     convexity_certificate,
@@ -325,7 +323,7 @@ def _derivative_errors(ops, lam, mask, rng):
     fd_h = _central(lambda X: np.stack([mask.gather(g) for g in grad_theta(
         ops, lam, np.stack([mask.scatter(x) for x in X]))]), mask.gather(Theta), D)
     term = _terminal(ops, Theta)
-    curv = _curvature(ops, lam, mask, term)
+    curv = _Curvature(ops, lam, mask, term)
     n = mask.free_entries.size
     idx = np.sort(rng.choice(n, min(BLOCK_INDICES, n), replace=False))
     block = np.stack([curv.matvec(np.eye(1, n, i)[0])[idx] for i in idx])
@@ -336,38 +334,40 @@ def _derivative_errors(ops, lam, mask, rng):
 
 
 def _structured_row(ops, lam, mask, term, rng, lmin=None):
-    """H = H_U + Z^T Z at the kernel term, in the coordinates Phi: the inertia PD decision, the
-    backward error of a solve with `newton_refine`'s factor, at lam / (1 + s) near a singular
-    block (an upper bound: power iteration's ||H||_2 is a lower one), and lmin (else
-    `_lambda_min`'s) bracketed by the same count: for mu < 2,
-    H - mu I = (1 - mu/2) H(s lam), s = 2 / (2 - mu), PD at lmin - delta and not at lmin +
-    delta, delta = 1e-8 max(1, |lmin|); from 2 up only 2 - delta, and H's eigenvalue-2 space
-    (its dimension printed) caps lmin at 2.  A probe at a singular block decides by
-    `_lambda_min`'s sign, not independently of the certificate, and the row names it."""
-    curv = _StructuredCurvature(ops, lam, mask, term)
+    """H = H_U + Z^T Z at the kernel term, in the coordinates Phi: the inertia PD decision,
+    the backward error of `newton_refine`'s solve, with H + 2 s I near a singular block (an
+    upper bound: power iteration's ||H + 2 s I||_2 is a lower one), and lmin (else
+    `_lambda_min`'s) bracketed by the same count at the shifts mu = lmin -/+ delta, delta =
+    1e-8 max(1, |lmin|): H - mu I PD at lmin - delta and not at lmin + delta; from 2 up only
+    2 - delta, and H's eigenvalue-2 space (its dimension printed) caps lmin at 2.  The count
+    and `_lambda_min` read the same poles, so the bracket checks only that `_lambda_min`
+    converged; the representation itself is anchored by the finite-difference and the
+    dense-block rows of `matvec`.  A probe within eigvalsh's error of a pole decides by
+    `_lambda_min`'s sign, and the row names it."""
+    curv = _Curvature(ops, lam, mask, term)
     lmin = _lambda_min(ops, lam, term) if lmin is None else lmin
-    delta, n_2 = 1e-8 * max(1.0, abs(lmin)), _poles(ops, lam, term)[2]
-    probes = [_StructuredCurvature(ops, 2.0 * lam / (2.0 - mu), mask, term)
-              for mu in (min(lmin, 2.0) - delta, lmin + delta) if mu < 2.0]
-    pd = [p.pd for p in probes]
-    ok = pd[0] and not any(pd[1:]) and (lmin <= 2.0 or n_2 == 0)
+    delta = 1e-8 * max(1.0, abs(lmin))
+    mus = [mu for mu in (min(lmin, 2.0) - delta, lmin + delta) if mu < 2.0]
+    pd = [curv.definite(mu) for mu in mus]
+    ok = pd[0] and not any(pd[1:]) and (lmin <= 2.0 or curv.n_2 == 0)
     bracket = (f"lambda_min {lmin:.9e}, H - mu I PD at mu = lambda_min -/+ {delta:.1e}: {pd}, "
-               f"eigenvalue 2 on {n_2} dimensions")
-    if any(p.singular for p in probes):
-        bracket += f", decided by lambda_min: {[p.singular for p in probes]}"
-    neg_S = "- (singular block)" if curv.singular else curv.neg_S
+               f"eigenvalue 2 on {curv.n_2} dimensions")
+    at_pole = [curv.at_pole(mu) for mu in mus]
+    if any(at_pole):
+        bracket += f", decided by lambda_min: {at_pole}"
+    neg_S = ("- (singular block)" if curv.singular
+             else int(np.count_nonzero(curv._border(0.0)[0] < 0.0)))
     detail = f"neg(H_U) {curv.neg_U}, neg(S) {neg_S}, PD {curv.pd}, {bracket}"
     if curv.pd:
-        factor = (_StructuredCurvature(ops, lam / (1.0 + curv.shift), mask, term)
-                  if curv.near else curv)
+        s = curv.shift if curv.near else 0.0
         v = np.random.default_rng(1).standard_normal(mask.free_entries.size)
-        for _ in range(20):  # ||H v|| <= ||H||_2 for a unit v
-            v = factor.matvec(v / np.linalg.norm(v))
+        for _ in range(20):  # ||(H + 2 s I) v|| <= ||H + 2 s I||_2 for a unit v
+            v = curv.matvec(v / np.linalg.norm(v), s)
         b = rng.standard_normal(v.size)
-        x = factor.solve(b)
-        err = np.linalg.norm(factor.matvec(x) - b) / (np.linalg.norm(v) * np.linalg.norm(x)
-                                                      + np.linalg.norm(b))
-        at = f" at lambda/(1 + s), s = {curv.shift:.3e}," if curv.near else ""
+        x = curv.solve(b, s)
+        err = np.linalg.norm(curv.matvec(x, s) - b) / (np.linalg.norm(v) * np.linalg.norm(x)
+                                                       + np.linalg.norm(b))
+        at = f" with H + 2sI, s = {s:.3e}," if curv.near else ""
         ok, detail = ok and err <= 1e-14, f"Newton solve{at} backward error {err:.3e}, {detail}"
     else:
         detail += ", not PD: no Newton solve"

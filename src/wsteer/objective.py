@@ -30,24 +30,23 @@ J2's curvature is D = 2I and
 
     H = H_U + Z^T Z,  H_U = D + U (I kron A) U^T,
 
-U(Y) = FHu^T Y on the free entries.  Row (a, b) of Z is U(W X_ab Aw) with
-X_ab = sqrt(lam g_ab) (e_a e_b^T + e_b e_a^T) and Aw = W^T Omega Stilde L^-T,
-so Z acts like H_U through n_x x N n_x products; neither is formed.  Column c
-of Phi is free on the rows of the input blocks F_t, ..., F_(N-1) of FHu
-(t = c // n_x), whose Gram matrix is Q_t, so H_U is block-diagonal over the
-columns, and `_ConvexCurvature` inverts it as (I - F^T E_t F) / 2 with
-E_t = (I + A Q_t / 2)^-1 A / 2.  `_StructuredCurvature` adds Z by Woodbury
-through S = I + Z H_U^-1 Z^T, built from G_t = Q_t (I - E_t Q_t), and decides
-positive definiteness by inertia (Haynsworth), or without S by interlacing
-when H_U has more negative eigenvalues than rank Z <= n_x (n_x + 1) / 2, and
-at a block with no E_t by the sign of `_lambda_min`.  A and Z^T Z are linear
-in lam, so a Newton step near a singular block solves with H + 2 s I =
-(1 + s) H(lam / (1 + s)) instead.  Both solves take one refinement step.
-`_hessian_block`'s dense causal block is the test oracle, and `wsteer check`'s
-on a few entries.  The spectral certificate's lambda_min is H's in Phi, on
-one path at every size: H_U's block spectrum is closed form, so H is 2I on a
-known space and a diagonal plus a rank-n_x(n_x + 1)/2 update on the rest, and
-the inertia of H - mu I is a secular matrix's (`_poles`, `_lambda_min`).
+U(Y) = FHu^T Y on the free entries.  Row (a, b) of Z is U(W X_ab Aw) with X_ab
+= sqrt(lam g_ab) (e_a e_b^T + e_b e_a^T) and Aw = W^T Omega Stilde L^-T.
+Column c of Phi is free on the rows of the input blocks F_t, ..., F_(N-1) of
+FHu (t = c // n_x), sqrt(2) C_t O_t^T by one block QR (`input_qr`), so H_U is
+block-diagonal over the columns, 2 sigma on O_t y, with I + C_t^T A C_t = Y
+diag(sigma) Y^T, and 2 elsewhere, and Z^T maps into the span of the O_t y.  H is
+therefore 2I on a known space and diag(d) + Z Z^T on the poles d = 2 sigma, Z
+of n_x (n_x + 1) / 2 columns; `_Curvature` holds that one spectral form, from
+one eigh of the blocks: its solve (Woodbury on the poles, one refinement step
+in Phi through its matvec's form), its positive-definiteness decision (the inertia of H - mu
+I is k - neg(S(mu)), k the poles below mu, S(mu) = I + Z^T (diag(d) - mu)^-1
+Z: Haynsworth) and its lambda_min (the same count, by secular iteration).  A
+and Z^T Z are linear in lam, so a Newton step near a singular block solves
+with H + 2 s I = (1 + s) H(lam / (1 + s)), the poles d + 2 s and 2 + 2 s.  H0
+is the same form with Z = 0.  `_hessian_block`'s dense causal block is the
+test oracle, and `wsteer check`'s on a few entries.
+
 `_terminal` and `_values` (J1..J4, W2) also take a stack of policies along
 leading axes, each member's bits equal to a lone policy's; `line_scan`
 evaluates its grid that way.  `_ray` gives J's change along a Newton step in
@@ -56,7 +55,7 @@ accepted trial's kernel is the new iterate's.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -74,7 +73,7 @@ from .matops import (
     sqrtm_psd,
     symmetrize,
 )
-from .problem import Gaussian
+from .problem import Gaussian, _read_only, causality_mask
 
 
 @dataclass(frozen=True)
@@ -301,10 +300,12 @@ def grad_theta_j4(ops, lam, Theta):
 
 
 def _grad_theta(ops, lam, ThS, term):
-    """grad J = 2 ThS + FHu^T A Omega Stilde, ThS = Theta Stilde; term unused at lam = 0."""
-    if lam == 0.0:
-        return 2.0 * ThS
-    return 2.0 * ThS + ops.FHu.T @ (_coupling_weight(lam, ops.n_x, term) @ term.OmS)
+    """grad J = 2 ThS + FHu^T A Omega Stilde, ThS = Theta Stilde, formed in ThS's
+    own array, which the caller gives up; term unused at lam = 0."""
+    ThS *= 2.0
+    if lam != 0.0:
+        ThS += ops.FHu.T @ (_coupling_weight(lam, ops.n_x, term) @ term.OmS)
+    return ThS
 
 
 def grad_theta(ops, lam, Theta):
@@ -342,257 +343,212 @@ def _hessian_block(ops, lam, idx, term=None):
     return H
 
 
-# A block I + K_t of H_U, K_t = C_t^T A C_t, is near singular when an eigenvalue
-# is within BLOCK_TOL, or eigvalsh's error n_x eps (1 + ||K_t||), of zero; a PD
-# Newton step then solves at lam / (1 + s).  Its refined backward error against
-# the dense block, over 3000 draws per family of tests/curvature_sweep.py: at
-# most 2.1e-15 with a block eigenvalue at +-10^U(-8, -1); with one at
-# +-10^U(-4, -2), where the blocks cancel against a large A, above 1e-14 on 3
-# of 1962 PD draws (1.3e-10, 2.7e-12, 8.8e-13).
+# A pole of H is near singular when its block's eigenvalue sigma is within
+# BLOCK_TOL, or eigvalsh's error n_x eps (1 + ||C_t^T A C_t||), of zero; a PD
+# Newton step then solves with H + 2 s I.  Its refined backward error against
+# the dense block plus 2 s I, over 3000 draws per family of
+# tests/curvature_sweep.py: at most 3.0e-15 with a block eigenvalue at
+# +-10^U(-8, -1), and 5.7e-16 with one at +-10^U(-4, -2), where the blocks
+# cancel against a large A.
 BLOCK_TOL = 1e-2
 EPS = np.finfo(float).eps
 
 
-def _frechet(ops, lam, term):
-    """(sg, Aw): row (a, b) of Z is U(W X_ab Aw), X_ab = sg_ab (e_a e_b^T + e_b e_a^T)."""
-    r = term.r
-    return (np.sqrt(lam / (np.outer(r, r) * np.add.outer(r, r))),
-            (term.W.T @ term.OmS)[:, :ops.N * ops.n_x] @ ops.causal_cholesky[1].T)
+@lru_cache(maxsize=16)
+def _pairs(n_x):
+    """(i, j, unit), read-only: the pairs a <= b that index a symmetric n_x x
+    n_x matrix, and the weights that make e_a e_a^T, (e_a e_b^T + e_b e_a^T)
+    / sqrt(2) orthonormal; built once per n_x, as triu_indices is slow."""
+    i, j = np.triu_indices(n_x)
+    return _read_only(i, j, np.where(i == j, 1.0, np.sqrt(2.0)))
 
 
-class _ConvexCurvature:
-    """H_U = D + U (I kron A) U^T, A = `_coupling_weight(lam, n_x, term)`, on
-    causal matrices X of N n_u x N n_x (the last block column of Theta is
-    never free) in the coordinates Phi = X L, inverted block by block in
-    closed form; see the module docstring.  With term None it is the CCP
-    curvature H0, which is PD."""
-
-    pd, near = True, False
+class _Curvature:
+    """The causal Hessian H of J at the terminal kernel term, or with term None
+    the CCP curvature H0 of J2 + J3, on causal matrices X of N n_u x N n_x (the
+    last block column of Theta is never free), in the coordinates Phi = X L:
+    2I on n_2 dimensions and diag(d) + Z Z^T on the pole basis, one eigh of
+    the blocks I + C_t^T A C_t = Y diag(sigma) Y^T.  Column c of Phi, t = c //
+    n_x, is free on the rows of the input blocks F_t, ..., F_(N-1) of FHu,
+    sqrt(2) C_t O_t^T with O_t^T O_t = I (`input_qr`), so H_U's block there is
+    2 sigma on O_t y and 2 elsewhere, and Z^T Z lies in the span of O_t.  The
+    poles run over (t, column, y); the columns y of Y past n_u (N - t) are
+    none (their sigma is set to 1, their basis vector and row of Z are zero).
+    neg_U counts H_U's negative eigenvalues; near marks a block within
+    BLOCK_TOL of singular, and shift is the s that lifts the poles of
+    H + 2 s I, 2 (sigma + s), to >= 4 BLOCK_TOL (1 + s), so those of
+    H(lam / (1 + s)) to >= 4 BLOCK_TOL.  Z and the pole basis are built when
+    first read, and S(mu) once at each mu."""
 
     def __init__(self, ops, lam, mask, term=None):
+        N, n_x = ops.N, ops.n_x
         self.rows, self.cols, self.free = mask.layout
-        self.FHu = ops.FHu
         self.L, self.Linv = ops.causal_cholesky
-        self.A = _coupling_weight(lam, ops.n_x, term)
-        self.Q = ops.input_grams
+        C, O, true = ops.input_qr
+        M = _mT(C) @ _coupling_weight(lam, n_x, term) @ C
+        # the zero columns of C_t are decoupled: put above the rest (Gershgorin), eigh sorts them last
+        M[:, np.arange(n_x), np.arange(n_x)] += np.where(
+            true, 1.0, 2.0 + 2.0 * np.abs(M).sum(axis=(1, 2))[:, None])
+        sig, self.Y = np.linalg.eigh(M)
+        self.sig = np.where(true, sig, 1.0)
+        self.pole = np.repeat(true, n_x, axis=0).ravel()
+        self.d = np.repeat(2.0 * self.sig, n_x, axis=0).ravel()
+        self.n_2 = ops.n_u * n_x * N * (N + 1) // 2 - n_x * int(true.sum())
+        self.err = n_x * EPS * (1.0 + np.abs(self.sig - 1.0).max(axis=-1, keepdims=True))
+        self.singular = self.at_pole(0.0)
+        self.near = self.singular or bool((np.abs(self.sig) <= BLOCK_TOL).any())
+        self.neg_U = n_x * int(np.count_nonzero(self.sig < 0.0))
+        self.shift = (2.0 * BLOCK_TOL - float(self.sig.min())) / (1.0 - 2.0 * BLOCK_TOL)
+        self._at, self._O, self._borders = (ops, lam, term, C), O, {}
 
     @cached_property
-    def E(self):
-        """E_t = (I + A Q_t / 2)^-1 A / 2, stacked over t."""
-        return 0.5 * np.linalg.inv(np.eye(self.A.shape[0]) + 0.5 * self.A @ self.Q) @ self.A
+    def OY(self):
+        """The pole basis O_t y, stacked over t: N x N n_u x n_x."""
+        return self._O @ self.Y
 
-    def _weight(self, FPhi):
-        """The V with (H - D) Phi = U(V), from F Phi = FHu Phi: A F Phi for H_U."""
-        return self.A @ FPhi
+    @cached_property
+    def Z(self):
+        """Z, a row per pole and a column per pair a <= b (`_pairs`): column
+        (a, b) holds the coordinates on the poles of the Frechet row U(W X_ab
+        Aw), X_ab = sg_ab (e_a e_b^T + e_b e_a^T), Aw = W^T Omega Stilde L^-T,
+        which on the pole O_t y of column c of Phi read sg_ab (a_a b_b +
+        a_b b_a), a = sqrt(2) W^T C_t y, b = Aw[:, c].  Zero with term None."""
+        ops, lam, term, C = self._at
+        N, n_x = ops.N, ops.n_x
+        i, j, unit = _pairs(n_x)
+        if term is None:
+            return np.zeros((self.d.size, i.size))
+        r = term.r
+        sg = np.sqrt(lam / (np.outer(r, r) * np.add.outer(r, r)))[i, j] * unit
+        Aw = (term.W.T @ term.OmS)[:, :N * n_x] @ ops.causal_cholesky[1].T
+        a, b = _mT(np.sqrt(2.0) * term.W.T @ C @ self.Y), Aw.reshape(n_x, N, n_x).transpose(1, 2, 0)
+        Z = a[:, None, :, i] * (sg * b[:, :, j])[:, :, None, :]
+        Z += a[:, None, :, j] * (sg * b[:, :, i])[:, :, None, :]
+        return Z.reshape(-1, i.size)
 
-    def _VMVt(self, Phi):
-        return (self.FHu.T @ self._weight(self.FHu @ Phi)) * self.free
+    def at_pole(self, mu):
+        """Whether a pole lies within eigvalsh's error of mu < 2."""
+        return bool((np.abs(self.sig - 0.5 * mu) <= self.err).any())
 
-    def _blocks(self, M, Y):
-        """M_t times column t n_x + j of Y, n_x x N n_x, or of each member of a stack."""
-        N, n_x = M.shape[:2]
-        Yt = Y.reshape(-1, n_x, N, n_x).transpose(2, 1, 0, 3).reshape(N, n_x, -1)
-        return (M @ Yt).reshape(N, n_x, -1, n_x).transpose(2, 1, 0, 3).reshape(Y.shape)
+    def _border(self, mu):
+        """(s, w, wZV), mu off the poles, kept per mu: the eigendecomposition
+        V diag(s) V^T of S(mu) = I + Z^T diag(w) Z, w = 1 / (d - mu), and
+        diag(w) Z V, with which diag(w) - wZV diag(1 / s) wZV^T is the
+        inverse of diag(d) - mu + Z Z^T (Woodbury)."""
+        if mu not in self._borders:
+            Z, w = self.Z, 1.0 / (self.d - mu)
+            s, V = np.linalg.eigh(np.eye(Z.shape[1]) + (Z.T * w) @ Z)
+            self._borders[mu] = s, w, (Z * w[:, None]) @ V
+        return self._borders[mu]
 
-    def _correction(self, Bw):
-        """H_U^-1 = (I - _correction) D^-1 in Phi, D = 2I."""
-        return (self.FHu.T @ self._blocks(self.E, self.FHu @ Bw)) * self.free
+    def definite(self, mu=0.0):
+        """Whether H - mu I is PD, mu < 2: at a pole within eigvalsh's error
+        of mu, the sign of lambda_min - mu; else Haynsworth on [[diag(d) - mu,
+        Z], [Z^T, -I]]: neg(H - mu I) = k - neg(S(mu)), k the poles below mu,
+        for S(mu) nonsingular.  rank Z <= m = n_x (n_x + 1) / 2, so neg(H - mu I)
+        >= k - m (interlacing): past that, not PD, and Z is not built."""
+        if self.at_pole(mu):
+            return self.lambda_min() > mu
+        n_x = self.sig.shape[1]
+        k = n_x * int(np.count_nonzero(self.sig < 0.5 * mu))
+        if k > n_x * (n_x + 1) // 2:
+            return False
+        s = self._border(mu)[0]
+        return int(np.count_nonzero(s < 0.0)) == k and bool(np.all(s != 0.0))
 
-    def _dual_whiten(self, B):
-        """The B~ with <B~, X L> = <B, X> for every causal X: on its prefix, row
-        r of B~ is b_r L_l^-T, with L_l the leading block of L."""
-        return (B @ self.Linv.T) * self.free
+    @cached_property
+    def pd(self):
+        return self.definite(0.0)
 
-    def _apply(self, X):
-        Phi = X @ self.L
-        return ((2.0 * Phi + self._VMVt(Phi)) @ self.L.T) * self.free
+    def lambda_min(self):
+        """lambda_min of H in the coordinates Phi: the sup of the mu with
+        neg(H - mu I) = 0.  For mu < 2 (any mu if n_2 = 0) off the poles,
+        neg(H - mu I) = k - neg(S(mu)), k the poles below mu, S(mu) of side m
+        (Haynsworth; the secular form of Golub 1973 and Bunch, Nielsen and
+        Sorensen 1978).  The bracket starts from H >= H_U, H's diagonal
+        d + |z|^2 (and 2), and rank Z <= m; each probe's count moves an end.
+        Probes are Newton steps on x y s_k, s_k the eigenvalue of S that
+        crosses zero, x and y mu's distances to the poles around it, guarded
+        by bisection; the first is 0 if bracketed: the sign is that of the
+        count at 0."""
+        d, Z, n_2 = self.d[self.pole], self.Z[self.pole], self.n_2
+        m, p = Z.shape[1], np.sort(d)
+        lo = p.min(initial=2.0) if n_2 else p[0]
+        hi = min(np.min(d + np.einsum("pk,pk->p", Z, Z), initial=2.0 if n_2 else np.inf),
+                 p[m] if p.size > m else np.inf)
+        tol = 4.0 * EPS * max(abs(lo), abs(hi), np.abs(p).max(initial=0.0))
+        mu, k_lo, steps = (0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)), None, [np.inf, np.inf]
+        while hi - lo > 2.0 * tol:
+            w = 1.0 / (d - mu)
+            s, V = np.linalg.eigh(np.eye(m) + (Z.T * w) @ Z)
+            k = int(np.searchsorted(p, mu))
+            if k > np.count_nonzero(s < 0.0):
+                hi = mu
+            else:
+                lo, k_lo = mu, k
+            c = 0.5 * (lo + hi)
+            if k == k_lo:  # s_k has poles at x below mu and y above it, h = x y s_k none
+                zw = (Z @ V[:, k - 1]) * w
+                x, f = mu - p[k - 1], s[k - 1]
+                y, dy = (p[k] - mu, -1.0) if k < p.size else (1.0, 0.0)
+                slope = (y + x * dy) * f + x * y * (zw @ zw)
+                # at least tol from both ends: a converged step crosses the root
+                t = min(max(mu - x * y * f / slope, lo + tol), hi - tol) if slope > 0.0 else c
+                if abs(t - mu) <= 0.5 * abs(steps[-2]):
+                    c = t
+            steps.append(c - mu)
+            mu = c
+        return float(lo + 0.5 * (hi - lo))
 
-    def _inverse(self, B):
-        Bw = 0.5 * self._dual_whiten(B)
-        return (Bw - self._correction(Bw)) @ self.Linv
+    def _coords(self, Phi):
+        """Phi's coordinates on the pole basis, over (t, column, y)."""
+        return (Phi.T.reshape(self.OY.shape[0], -1, Phi.shape[0]) @ self.OY).ravel()
+
+    def _span(self, P):
+        """The Phi with coordinates P on the pole basis."""
+        N, q, n_x = self.OY.shape
+        return (P.reshape(N, n_x, n_x) @ _mT(self.OY)).reshape(-1, q).T
+
+    def _apply(self, Phi, shift):
+        """(H + 2 shift I) Phi for causal Phi."""
+        P = self._coords(Phi)
+        HP = (self.d - 2.0) * P + self.Z @ (P @ self.Z)
+        return (2.0 + 2.0 * shift) * Phi + self._span(HP)
+
+    def _inverse(self, B, shift):
+        """(H + 2 shift I)^-1 B for causal B: Woodbury on the poles (`_border`
+        at mu = -2 shift) and 1 / (2 + 2 shift) off them."""
+        P, c = self._coords(B), 2.0 + 2.0 * shift
+        s, w, wZV = self._border(-2.0 * shift)
+        x = w * P - wZV @ ((P @ wZV) / s)
+        return B / c + self._span(x - P / c)
 
     def _matrix(self, v):
         X = np.zeros(self.free.shape)
         X[self.rows, self.cols] = v
         return X
 
-    def matvec(self, v):
-        """H v, for v in mask.free_entries order."""
-        return self._apply(self._matrix(v))[self.rows, self.cols]
+    def matvec(self, v, shift=0.0):
+        """T^T (H + 2 shift I) T v, T: X -> X L, v on the free entries of
+        Theta in mask.free_entries order: the Hessian of J there at shift 0."""
+        return (self._apply(self._matrix(v) @ self.L, shift) @ self.L.T)[self.rows, self.cols]
 
-    def solve(self, v):
-        """H^-1 v and one step of iterative refinement, which restores a
-        backward error of order eps when the low-rank part of H is large."""
-        B = self._matrix(v)
-        X = self._inverse(B)
-        X += self._inverse(B - self._apply(X))
-        return X[self.rows, self.cols]
-
-
-class _StructuredCurvature(_ConvexCurvature):
-    """The causal Hessian H = H_U + Z^T Z of J at the terminal kernel term,
-    solved by Woodbury through S = I + Z H_U^-1 Z^T, neither formed: neg_U
-    and neg_S, the negative eigenvalues of H_U and S, decide pd.  near marks
-    a block within BLOCK_TOL of singular: H's blocks at lam / (1 + shift) are
-    2 (sigma + shift) / (1 + shift) >= 4 BLOCK_TOL.  S, E and EQ are built
-    when first read."""
-
-    def __init__(self, ops, lam, mask, term):
-        super().__init__(ops, lam, mask, term)
-        n_x = ops.n_x
-        self.W, (self.sg, self.Aw) = term.W, _frechet(ops, lam, term)
-        self._at = ops, lam, term
-        # H_U is block-diagonal: its block at column c of Phi has, besides
-        # eigenvalues 2, those of 2 (I + C_t^T A C_t), t = c // n_x, with
-        # `input_qr`'s C_t (see _poles)
-        C = ops.input_qr[0]
-        self.sig = np.linalg.eigvalsh(np.eye(n_x) + _mT(C) @ self.A @ C)
-        err = n_x * EPS * (1.0 + np.abs(self.sig - 1.0).max(axis=-1, keepdims=True))
-        self.singular = bool((np.abs(self.sig) <= err).any())
-        self.near = bool((np.abs(self.sig) <= np.maximum(BLOCK_TOL, err)).any())
-        self.neg_U = n_x * int(np.count_nonzero(self.sig < 0.0))
-        self.shift = (2.0 * BLOCK_TOL - float(self.sig.min())) / (1.0 - 2.0 * BLOCK_TOL)
-
-    @cached_property
-    def pd(self):
-        """The sign of `_lambda_min` at a block singular to eigvalsh's error,
-        which has no E_t; else Haynsworth on [[H_U, Z^T], [Z, -I]]: neg(H) =
-        neg(H_U) - neg(S) for S nonsingular.  rank Z <= n_x (n_x + 1) / 2 (its
-        rows are symmetric), so neg(H) >= neg_U - n_x (n_x + 1) / 2
-        (interlacing): past that, not PD, and S is not built."""
-        n_x = self.sg.shape[0]
-        if self.singular:
-            return _lambda_min(*self._at) > 0.0
-        if self.neg_U > n_x * (n_x + 1) // 2:
-            return False
-        return self.neg_S == self.neg_U and bool(np.all(self._border[0] != 0.0))
-
-    @cached_property
-    def neg_S(self):
-        return int(np.count_nonzero(self._border[0] < 0.0))
-
-    @cached_property
-    def EQ(self):
-        return self.E @ self.Q
-
-    @cached_property
-    def _border(self):
-        """(s, SV), the eigendecomposition of S = I + Z H_U^-1 Z^T, from
-        <U(Y), H_U^-1 U(Y')> = sum_c Y_c^T G_t Y'_c / 2, G_t = Q_t (I - EQ_t),
-        EQ_t = E_t Q_t, with Y = R_ab for Z's rows."""
-        n_x, m = self.sg.shape[0], self.sg.size
-        G = self.Q @ (np.eye(n_x) - self.EQ)
-        R = self._Zt(np.eye(m).reshape(m, n_x, n_x))
-        S = np.eye(m) + 0.5 * R.reshape(m, -1) @ self._blocks(G, R).reshape(m, -1).T
-        return np.linalg.eigh(symmetrize(S))
-
-    @cached_property
-    def E(self):
-        # symmetric, but not as formed from an indefinite A (a 1.6e-12 backward error)
-        return symmetrize(super().E)
-
-    def _Z(self, FPhi):
-        """Z Phi as an n_x x n_x matrix, from F Phi = FHu Phi."""
-        M = self.W.T @ FPhi @ self.Aw.T
-        return self.sg * (M + M.T)
-
-    def _Zt(self, w):
-        """The Y with Z^T w = U(Y), for one n_x x n_x w or a stack."""
-        return self.W @ (self.sg * (w + _mT(w))) @ self.Aw
-
-    def _weight(self, FPhi):
-        return super()._weight(FPhi) + self._Zt(self._Z(FPhi))
-
-    def _correction(self, Bw):
-        """Woodbury: with y = Bw - (H_U's correction of Bw) and w = S^-1 Z y,
-        H's is H_U's plus (Z^T w - H_U's correction of Z^T w) / 2.  Z y comes
-        from FHu y, and Z^T w = U(Y) has H_U's correction U(E_t Q_t Y_c)."""
-        Fx = self.FHu @ Bw
-        EF = self._blocks(self.E, Fx)
-        Fy = Fx - self._blocks(self.Q, EF)
-        s, SV = self._border
-        w = SV @ ((SV.T @ self._Z(Fy).ravel()) / s)
-        Y = self._Zt(w.reshape(self.sg.shape))
-        return (self.FHu.T @ (EF + 0.5 * (Y - self._blocks(self.EQ, Y)))) * self.free
-
-
-def _curvature(ops, lam, mask, term=None):
-    """The causal Hessian of J at the terminal kernel term, or with term None
-    the CCP curvature H0 of J2 + J3, ready to solve with at every horizon: H0
-    in closed form, also at lam = 0 where H = H0, else H = H_U + Z^T Z."""
-    if term is None or lam == 0.0:
-        return _ConvexCurvature(ops, lam, mask)
-    return _StructuredCurvature(ops, lam, mask, term)
-
-
-def _poles(ops, lam, term=None):
-    """(d, Z, n_2): in the coordinates Phi the causal Hessian at the kernel term
-    (with term None, H0) is 2I on n_2 dimensions and diag(d) + Z Z^T on the
-    rest, a row of Z a symmetric n_x x n_x matrix in the orthonormal basis
-    e_a e_a^T, (e_a e_b^T + e_b e_a^T) / sqrt(2), a < b.  Column c of Phi,
-    t = c // n_x, has H_U's block 2I + F_t^T A F_t, F_t = sqrt(2) C_t O_t^T,
-    O_t^T O_t = I: 2 sigma, the eigenvalues of 2 (I + C_t^T A C_t), on O_t y,
-    where Z is sg * (a b^T + b a^T), a = sqrt(2) W^T C_t y, b = Aw[:, c], else
-    2.  C_t is `input_qr`'s, stable in FHu, where an eigh of Q_t would square
-    its condition; its zero columns, past n_u (N - t), give no pole."""
-    N, n_x = ops.N, ops.n_x
-    C, true = ops.input_qr
-    M = _mT(C) @ _coupling_weight(lam, n_x, term) @ C
-    # the other columns are decoupled: put above the rest (Gershgorin), eigh sorts them last
-    M[:, np.arange(n_x), np.arange(n_x)] += np.where(
-        true, 1.0, 2.0 + 2.0 * np.abs(M).sum(axis=(1, 2))[:, None])
-    sig, Y = np.linalg.eigh(M)
-    pole = np.broadcast_to(true[:, None, :], (N, n_x, n_x))
-    d = np.broadcast_to(2.0 * sig[:, None, :], pole.shape)[pole]  # over (t, column, y)
-    i, j = np.triu_indices(n_x)
-    Z = np.zeros((d.size, i.size))
-    if term is not None:
-        sg, Aw = _frechet(ops, lam, term)
-        a, b = np.sqrt(2.0) * term.W.T @ C @ Y, Aw.reshape(n_x, N, n_x).transpose(1, 2, 0)
-        ab = a[:, None, i, :] * b[:, :, j, None] + a[:, None, j, :] * b[:, :, i, None]
-        Z = _mT((sg[i, j] * np.where(i == j, 1.0, np.sqrt(2.0)))[:, None] * ab)[pole]
-    return d, Z, ops.n_u * n_x * N * (N + 1) // 2 - d.size
+    def solve(self, v, shift=0.0):
+        """(T^T (H + 2 shift I) T)^-1 v, v as in `matvec`, with one step of
+        iterative refinement in Phi through `matvec`'s form, which restores a
+        backward error of order eps when Z Z^T is large."""
+        # T^-T: the Bw with <Bw, X L> = <B, X> for every causal X; on its
+        # prefix, row r of Bw is b_r L_l^-T, with L_l the leading block of L
+        Bw = (self._matrix(v) @ self.Linv.T) * self.free
+        Phi = self._inverse(Bw, shift)
+        Phi += self._inverse(Bw - self._apply(Phi, shift), shift)
+        return (Phi @ self.Linv)[self.rows, self.cols]
 
 
 def _lambda_min(ops, lam, term=None):
-    """lambda_min of the causal Hessian H at the kernel term (with term None,
-    of H0) in the coordinates Phi: the sup of the mu with neg(H - mu I) = 0.
-    With `_poles`, for mu < 2 (any mu if n_2 = 0) off the poles, neg(H - mu I)
-    = k - neg(S(mu)), k the poles below mu, S(mu) = I + Z^T (diag(d) - mu)^-1 Z
-    of side m = n_x (n_x + 1) / 2 (Haynsworth; the secular form of Golub 1973
-    and Bunch, Nielsen and Sorensen 1978).  The bracket starts from H >= H_U,
-    H's diagonal d + |z|^2 (and 2), and rank Z <= m; each probe's count moves
-    an end.  Probes are Newton steps on x y s_k, s_k the eigenvalue of S that
-    crosses zero, x and y mu's distances to the poles around it, guarded by
-    bisection; the first is 0 if bracketed: the sign is that of the count at 0."""
-    d, Z, n_2 = _poles(ops, lam, term)
-    m, p = Z.shape[1], np.sort(d)
-    lo = p.min(initial=2.0) if n_2 else p[0]
-    hi = min(np.min(d + np.einsum("pk,pk->p", Z, Z), initial=2.0 if n_2 else np.inf),
-             p[m] if p.size > m else np.inf)
-    tol = 4.0 * EPS * max(abs(lo), abs(hi), np.abs(p).max(initial=0.0))
-    mu, k_lo, steps = (0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)), None, [np.inf, np.inf]
-    while hi - lo > 2.0 * tol:
-        w = 1.0 / (d - mu)
-        s, V = np.linalg.eigh(np.eye(m) + (Z.T * w) @ Z)
-        k = int(np.searchsorted(p, mu))
-        if k > np.count_nonzero(s < 0.0):
-            hi = mu
-        else:
-            lo, k_lo = mu, k
-        c = 0.5 * (lo + hi)
-        if k == k_lo:  # s_k has poles at x below mu and y above it, h = x y s_k none
-            zw = (Z @ V[:, k - 1]) * w
-            x, f = mu - p[k - 1], s[k - 1]
-            y, dy = (p[k] - mu, -1.0) if k < p.size else (1.0, 0.0)
-            slope = (y + x * dy) * f + x * y * (zw @ zw)
-            # at least tol from both ends: a converged step crosses the root
-            t = min(max(mu - x * y * f / slope, lo + tol), hi - tol) if slope > 0.0 else c
-            if abs(t - mu) <= 0.5 * abs(steps[-2]):
-                c = t
-        steps.append(c - mu)
-        mu = c
-    return float(lo + 0.5 * (hi - lo))
+    """lambda_min of the causal Hessian at the kernel term (with term None, of
+    H0) in the coordinates Phi: `_Curvature.lambda_min`."""
+    return _Curvature(ops, lam, causality_mask(ops.N, ops.n_u, ops.n_x), term).lambda_min()
 
 
 def hessian_theta(ops, lam, Theta, mask=None):

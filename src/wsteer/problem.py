@@ -32,9 +32,9 @@ RANK_TOL = 1e-10
 RCOND_DATA = 1e-12
 # Distinct problem data whose lifting `assemble` keeps, and whose verdicts
 # `validate` keeps: a sweep over a few systems at many lambdas builds each once.
-# A kept lifting holds about 18 MB after a solve at N = 200, n_x = 4, n_u = 2
-# (Stilde, Hu and the Cholesky factor of Stilde with its inverse), so 8 hold
-# about 145 MB.
+# A kept lifting holds 20.6 MB after a solve at N = 200, n_x = 4, n_u = 2
+# (Stilde, Hu, the Cholesky factor of Stilde with its inverse, and the 2.6 MB
+# orthonormal factor of `input_qr`), so 8 hold about 165 MB.
 DATA_MEMO = 8
 
 
@@ -214,27 +214,21 @@ class BlockOperators:
         return _read_only(L, np.tril(np.linalg.inv(L)))
 
     @cached_property
-    def input_grams(self):
-        """Q, stacked over t < N: Q_t = sum_(i >= t) F_i F_i^T over the input
-        blocks F_i of FHu; `input_qr` holds its square-root factor."""
-        N, n_x, n_u = self.N, self.n_x, self.n_u
-        F = self.FHu.reshape(n_x, N, n_u).transpose(1, 0, 2)
-        Q = np.cumsum((F @ F.transpose(0, 2, 1))[::-1], axis=0)[::-1]
-        Q.flags.writeable = False
-        return Q
-
-    @cached_property
     def input_qr(self):
-        """(C, true), stacked over t < N: C_t = R_t^T / sqrt(2), R_t from the
-        QR of [F_t, ..., F_(N-1)]^T padded with zero rows to n_x, so that
-        C_t C_t^T = Q_t / 2 without squaring the condition of the F_i; true[t, j]
-        is False on the zero columns of C_t, those past n_u (N - t)."""
-        N, n_x, m = self.N, self.n_x, max(self.N * self.n_u, self.n_x)
-        G = np.vstack([self.FHu.T, np.zeros((m, n_x))])[self.n_u * np.arange(N)[:, None]
-                                                         + np.arange(m)]
-        C = np.linalg.qr(G, mode="r").transpose(0, 2, 1) / np.sqrt(2.0)
-        true = np.arange(n_x) < np.minimum(self.n_u * (N - np.arange(N)), n_x)[:, None]
-        return _read_only(C, true)
+        """(C, O, true), stacked over t < N, from one QR of [F_t, ..., F_(N-1)]^T
+        over the input blocks F_i of FHu, padded with zero rows to n_x: C_t =
+        R_t^T / sqrt(2), so that C_t C_t^T = sum_(i >= t) F_i F_i^T / 2 without
+        squaring the condition of the F_i; O_t, N n_u x n_x, its orthonormal
+        factor on Theta's rows, zero above row n_u t; true[t, j] is False on
+        the zero columns of C_t, those past n_u (N - t), where O_t is zero."""
+        N, n_x, n_u, m = self.N, self.n_x, self.n_u, max(self.N * self.n_u, self.n_x)
+        Q, R = np.linalg.qr(np.vstack([self.FHu.T, np.zeros((m, n_x))])[
+            n_u * np.arange(N)[:, None] + np.arange(m)])
+        O = np.zeros((N, N * n_u, n_x))
+        for t in range(N):
+            O[t, n_u * t:] = Q[t, :n_u * (N - t)]
+        true = np.arange(n_x) < np.minimum(n_u * (N - np.arange(N)), n_x)[:, None]
+        return _read_only(R.transpose(0, 2, 1) / np.sqrt(2.0), O, true)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,11 @@ form, free of J's own round-off, from the terminal kernel of each trial
 point; the convex-concave step only where Newton gives no iterate.
 `_evaluate_iterate` evaluates every iterate the solve records, whichever
 step made it, reusing the accepted trial's kernel.
-`objective._curvature` inverts H0 in closed form, and each Newton step's
-H = H_U + Z^T Z by the same block closed form plus a Woodbury border for Z,
-at every horizon.
+`objective._Curvature` holds H0 and each Newton step's H = H_U + Z^T Z in
+one spectral form at every horizon: 2I off a pole basis from the block QR
+of FHu, a diagonal plus a rank-n_x(n_x + 1)/2 term on it, solved by
+Woodbury.  One is built per Newton step; near a singular block the step
+solves with H + 2 s I, the same poles shifted.
 """
 
 from dataclasses import dataclass, field, replace
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .objective import (
     Policy,
-    _curvature,
+    _Curvature,
     _ray,
     _values,
     convexity_certificate,
@@ -146,18 +148,18 @@ LINE_SEARCH_TRIALS = 8
 ARMIJO = 1e-4
 
 
-def _curvature_solve(factor, rhs):
-    """Solve with a curvature factor from `objective._curvature`; only the
+def _curvature_solve(factor, rhs, shift=0.0):
+    """Solve with an `objective._Curvature` plus 2 shift I in Phi; only the
     O(n) right-hand side is scanned for non-finite entries."""
     if not np.isfinite(rhs).all():
         raise NonFiniteError("right-hand side of the reduced normal equations is not finite")
-    return factor.solve(rhs)
+    return factor.solve(rhs, shift)
 
 
 def _reduced_curvature_factor(ops, lam, mask):
     """The causal restriction of the CCP curvature Stilde kron 2(I + lam FHu^T FHu),
     the Hessian of J without the J4 terms, ready for `_curvature_solve`."""
-    return _curvature(ops, lam, mask)
+    return _Curvature(ops, lam, mask)
 
 
 def ccp_subproblem(ops, lam, Theta_k, mask, factor=None, grad=None):
@@ -257,21 +259,19 @@ def newton_refine(ops, lam, Theta, mask, u_ff, rep):
     t = 1, 1/2, ..., 2^-7 with dJ(t) <= -ARMIJO t g^T step, g the projected
     gradient, is taken, and only that point is evaluated, from the terminal
     kernel its trial built.  Near a singular block of H_U the step solves
-    with H + 2 s I = (1 + s) H(lam / (1 + s)), s the curvature's `shift`:
-    Newton's step on J + s ||Phi - Phi_k||^2.  Returns the new iterate's
-    (Theta, report, residual), as `_evaluate_iterate` gives them, or None
-    when the line search accepts no step.  Raises HessianNotPDError when the reduced
-    Hessian is not positive definite.
+    with H + 2 s I = (1 + s) H(lam / (1 + s)), s the curvature's `shift`,
+    on the same curvature: Newton's step on J + s ||Phi - Phi_k||^2.
+    Returns the new iterate's (Theta, report, residual), as
+    `_evaluate_iterate` gives them, or None when the line search accepts no
+    step.  Raises HessianNotPDError when the reduced Hessian is not positive
+    definite.
     """
     Theta = mask.project(np.asarray(Theta, dtype=float))
     g = mask.gather(rep.grad_theta)
-    factor = _curvature(ops, lam, mask, rep.kernel)
+    factor = _Curvature(ops, lam, mask, rep.kernel)
     if not factor.pd:
         raise HessianNotPDError("reduced Hessian not PD at the Newton iterate")
-    s = factor.shift if factor.near else 0.0
-    if factor.near:
-        factor = _curvature(ops, lam / (1.0 + s), mask, rep.kernel)
-    step = _curvature_solve(factor, g) / (1.0 + s)
+    step = _curvature_solve(factor, g, factor.shift if factor.near else 0.0)
     del factor  # the ray and the new iterate are built without it alive
 
     trial = _ray(ops, lam, Theta, mask.scatter(step), rep.kernel)

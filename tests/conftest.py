@@ -105,12 +105,20 @@ def rand_causal_theta(rng, mask, scale=0.3):
     return mask.project(scale * rng.standard_normal(mask.theta_shape))
 
 
+def input_grams(ops):
+    """Q, stacked over t < N: Q_t = sum_(i >= t) F_i F_i^T over the input
+    blocks F_i of FHu, whose square-root factor `input_qr` holds."""
+    N, n_x, n_u = ops.N, ops.n_x, ops.n_u
+    F = ops.FHu.reshape(n_x, N, n_u).transpose(1, 0, 2)
+    return np.cumsum((F @ F.transpose(0, 2, 1))[::-1], axis=0)[::-1]
+
+
 def singular_block_kernel(ops, lam, term, t, sigma=0.0):
     """term with W changed so that A = 2 lam (I - Mt) gives the block
     I + C_t^T A C_t of H_U the eigenvalue sigma: C_t^T A C_t =
     diag(sigma - 1, 0, ..., 0), for the square C_t with C_t C_t^T = Q_t / 2
     from an eigh of Q_t (the curvature's own C_t is `input_qr`'s)."""
-    q, V = np.linalg.eigh(0.5 * ops.input_grams)
+    q, V = np.linalg.eigh(0.5 * input_grams(ops))
     C = V * np.sqrt(np.maximum(q, 0.0))[:, None, :]
     Cinv = np.linalg.inv(C[t])
     K = np.diag([sigma - 1.0] + [0.0] * (ops.n_x - 1))

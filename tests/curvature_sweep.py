@@ -13,17 +13,18 @@ Three families of draws d, each from its own seeded generator:
 
 Each draw is binned by the smallest |eigenvalue| of the blocks
 I + C_t^T A C_t that the curvature computed.  On a PD draw the sweep solves
-as `solver.newton_refine` does: with the curvature at lam, or, where a block
-is within BLOCK_TOL of singular ("near"), with the curvature at lam / (1 + s),
-s its `shift`.  For each bin it prints the worst backward error of that
-refined solve, measured against the dense causal block `_hessian_block` at
-the same lam and against the solving curvature's own `matvec`, in the
-columns "at lam" or "at lam/(1+s)".  Each family prints the number of PD
-decisions that disagree with dense Cholesky where lambda_min(H) is not within
-1e-8 of ||H||_2 of zero, and the number of draws with a block singular to
-eigvalsh's error, whose decision is `_lambda_min`'s sign.  Draws above 1e-14
-on either measure are listed.  Run from the repository root, with one BLAS
-thread for reproducible bits:
+as `solver.newton_refine` does: with H, or, where a block is within
+BLOCK_TOL of singular ("near"), with H + 2 s I, s the curvature's `shift`.
+For each bin it prints the worst backward error of that refined solve,
+measured against the dense causal block `_hessian_block` (plus s times J2's
+curvature, which is 2 s I in Phi) and against the curvature's own `matvec`
+at the same shift, in the columns "at H" or "at H+2sI".  Each family prints
+the number of PD decisions that disagree with dense Cholesky where
+lambda_min(H) is not within 1e-8 of ||H||_2 of zero, the number that
+disagree with the sign of `_lambda_min` on draws with no block singular to
+eigvalsh's error, and the number of draws with such a block, whose decision
+is `_lambda_min`'s sign.  Draws above 1e-14 on either measure are listed.
+Run from the repository root, with one BLAS thread for reproducible bits:
 
     OMP_NUM_THREADS=1 PYTHONPATH=src python tests/curvature_sweep.py [DRAWS]
 """
@@ -35,7 +36,7 @@ import numpy as np
 from conftest import rand_causal_theta, rand_problem, singular_block_kernel
 import wsteer as w
 from wsteer.errors import WsteerError
-from wsteer.objective import _hessian_block, _StructuredCurvature, _terminal
+from wsteer.objective import _Curvature, _hessian_block, _lambda_min, _terminal
 
 EDGES = (1e-6, 1e-5, 2e-5, 1e-4, 1.5e-4, 1e-3, 1e-2)
 BOUND = 1e-14
@@ -70,9 +71,11 @@ FAMILIES = {
 def sweep(family, draws):
     """Draws 0..draws-1 of a family: {"bins": {(bin, near): [PD draws, worst
     against the oracle, its d, worst against matvec, its d]}, "pd", "skipped",
-    "mismatches", "singular" and "above": [(d, near, oracle, matvec)] over BOUND}."""
+    "mismatches", "lambda_min_mismatches", "singular" and "above": [(d, near,
+    oracle, matvec)] over BOUND}."""
     key, draw = FAMILIES[family]
-    out = {"bins": {}, "pd": 0, "skipped": 0, "mismatches": 0, "singular": 0, "above": []}
+    out = {"bins": {}, "pd": 0, "skipped": 0, "mismatches": 0, "lambda_min_mismatches": 0,
+           "singular": 0, "above": []}
     for d in range(draws):
         rng = np.random.default_rng([key, d])
         try:
@@ -80,7 +83,7 @@ def sweep(family, draws):
         except WsteerError:  # a singular terminal covariance at this Theta
             out["skipped"] += 1
             continue
-        curv = _StructuredCurvature(ops, lam, mask, term)
+        curv = _Curvature(ops, lam, mask, term)
         H = _hessian_block(ops, lam, mask.free_entries, term)
         eig = np.linalg.eigvalsh(H)
         try:
@@ -91,18 +94,18 @@ def sweep(family, draws):
         if abs(eig[0]) > 1e-8 * np.abs(eig).max() and curv.pd != dense_pd:
             out["mismatches"] += 1
         out["singular"] += curv.singular
+        if not curv.singular and curv.pd != (_lambda_min(ops, lam, term) > 0.0):
+            out["lambda_min_mismatches"] += 1
         if not curv.pd:
             continue
-        factor = curv
-        if curv.near:  # the solve newton_refine takes, at lam / (1 + s)
-            lam_s = lam / (1.0 + curv.shift)
-            factor = _StructuredCurvature(ops, lam_s, mask, term)
-            H = _hessian_block(ops, lam_s, mask.free_entries, term)
+        s = curv.shift if curv.near else 0.0  # the solve newton_refine takes
+        if curv.near:
+            H = H + s * _hessian_block(ops, 0.0, mask.free_entries)
             eig = np.linalg.eigvalsh(H)
         b = rng.standard_normal(H.shape[0])
-        x = factor.solve(b)
+        x = curv.solve(b, s)
         scale = np.abs(eig).max() * np.linalg.norm(x) + np.linalg.norm(b)
-        errs = (np.linalg.norm(H @ x - b) / scale, np.linalg.norm(factor.matvec(x) - b) / scale)
+        errs = (np.linalg.norm(H @ x - b) / scale, np.linalg.norm(curv.matvec(x, s) - b) / scale)
         out["pd"] += 1
         row = out["bins"].setdefault((int(np.searchsorted(EDGES, np.abs(curv.sig).min())),
                                       curv.near), [0, 0.0, None, 0.0, None])
@@ -115,7 +118,7 @@ def sweep(family, draws):
     return out
 
 
-_AT = {False: "lam", True: "lam/(1+s)"}
+_AT = {False: "H", True: "H+2sI"}
 
 
 def _bin_label(i):
@@ -128,7 +131,8 @@ def main(draws):
     for family in FAMILIES:
         r = sweep(family, draws)
         print(f"{family}: {draws} draws, {r['pd']} PD, {r['skipped']} skipped, "
-              f"{r['mismatches']} PD mismatches, {r['singular']} numerically singular")
+              f"{r['mismatches']} PD mismatches, {r['lambda_min_mismatches']} against "
+              f"lambda_min, {r['singular']} numerically singular")
         for (i, near), (n, eo, do, em, dm) in sorted(r["bins"].items()):
             print(f"  {_bin_label(i):>13}  {n:5d} PD  at {_AT[near]:<9}  oracle {eo:.2e} "
                   f"(d = {do})  matvec {em:.2e} (d = {dm})")

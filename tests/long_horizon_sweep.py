@@ -5,9 +5,9 @@ Solves `conftest.long_horizon_problem` at N in {100, 120, ..., 200} and
 seeds 0-2 with default options and default BLAS threads, each instance in a
 fresh interpreter, and prints one row per instance: the termination (or the
 class of the error that ended the solve), CCP + Newton steps, the Newton
-steps taken at lam / (1 + s) near a singular block of H_U (counted from the
-lam that `solver._curvature` receives), the final projected residual, J, the
-solve's wall time and the process's peak RSS.
+steps taken with H + 2 s I near a singular block of H_U (counted from the
+shift that `solver._curvature_solve` receives), the final projected
+residual, J, the solve's wall time and the process's peak RSS.
 Run from the repository root:
 
     PYTHONPATH=src python tests/long_horizon_sweep.py [N ...]
@@ -35,12 +35,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 def instance(N, seed):
     """The row of long_horizon_problem(default_rng(seed), N), solved in this process."""
     problem = long_horizon_problem(np.random.default_rng(seed), N)
-    curvature, lams = wsteer.solver._curvature, []
+    solve, shifts = wsteer.solver._curvature_solve, []
 
-    def spy(ops, lam, *args):
-        lams.append(lam)
-        return curvature(ops, lam, *args)
-    wsteer.solver._curvature = spy
+    def spy(factor, rhs, shift=0.0):
+        shifts.append(shift)
+        return solve(factor, rhs, shift)
+    wsteer.solver._curvature_solve = spy
     start = time.perf_counter()
     try:
         sol = w.solve(problem)
@@ -52,8 +52,8 @@ def instance(N, seed):
                "newton": kinds.count("newton"), "residual": sol.trace.records[-1].residual,
                "J": sol.report.J}
     row["seconds"] = time.perf_counter() - start
-    wsteer.solver._curvature = curvature
-    row["damped"] = sum(lam != problem.lam for lam in lams)
+    wsteer.solver._curvature_solve = solve
+    row["damped"] = sum(s != 0.0 for s in shifts)
     row["peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
     return row
 

@@ -53,8 +53,8 @@ def test_z_dropped_from_the_weight_fails_the_hessian_row(instance, monkeypatch):
     ops, lam, mask, _ = instance
     _, _, err_h, err_b = derivative_errors(ops, lam, mask)
     assert err_h <= 1e-5 and err_b <= 1e-10
-    monkeypatch.setattr(objective._StructuredCurvature, "_weight",
-                        objective._ConvexCurvature._weight)
+    real = objective._Curvature.Z.func
+    monkeypatch.setattr(objective._Curvature, "Z", property(lambda self: 0.0 * real(self)))
     # matvec is H_U alone: the principal-block row fails as well
     _, _, err_h, err_b = derivative_errors(ops, lam, mask)
     assert err_h > 1e-5 and err_b > 1e-10
@@ -64,14 +64,13 @@ def test_one_wrong_block_of_h_u_fails_the_structured_row(instance, monkeypatch):
     ops, lam, mask, kernel = instance
     name, ok, detail = cli._structured_row(ops, lam, mask, kernel, np.random.default_rng(0))
     assert ok and detail.startswith("Newton solve backward error ")
-    real = objective._StructuredCurvature.E.func
+    real = objective._Curvature._border
 
-    def perturbed(self):  # E_t of the middle block, 1% off
-        E = np.array(np.broadcast_to(real(self), (ops.N, ops.n_x, ops.n_x)))
-        E[ops.N // 2] *= 1.01
-        return E
+    def perturbed(self, mu):  # S(mu)'s eigenvalues 1% off: a wrong Woodbury term
+        s, w, wZV = real(self, mu)
+        return 1.01 * s, w, wZV
 
-    monkeypatch.setattr(objective._StructuredCurvature, "E", property(perturbed))
+    monkeypatch.setattr(objective._Curvature, "_border", perturbed)
     name, ok, detail = cli._structured_row(ops, lam, mask, kernel, np.random.default_rng(0))
     assert name == "structured curvature at Theta*" and not ok
     assert float(detail.split()[4].rstrip(",")) > 1e-14  # the Newton solve's backward error

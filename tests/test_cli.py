@@ -16,7 +16,7 @@ import wsteer as w
 import wsteer.cli as cli
 import wsteer.objective
 from wsteer.cli import load_config, main, solver_options_from_config
-from wsteer.objective import Policy, _curvature, _hessian_block, evaluate, grad_theta, grad_uff
+from wsteer.objective import Policy, _Curvature, _hessian_block, evaluate, grad_theta, grad_uff
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -537,24 +537,24 @@ def test_check_at_a_saddle_reports_no_newton_solve(tmp_path, capsys):
 @pytest.mark.parametrize("sigma", [1e-3, 0.0])
 def test_structured_row_solves_at_the_damped_lambda_near_a_singular_block(sigma):
     # a block of H_U with the eigenvalue sigma (1e-3, or 0 to eigvalsh's
-    # error): the row solves with the factor newton_refine takes, at
-    # lam / (1 + s), and prints s; at a singular block S is not read
+    # error): the row solves as newton_refine does, with H + 2 s I, and
+    # prints s; at a singular block S is not read
     rng = np.random.default_rng(2)
     prob = rand_problem(rng, N=3, n_x=2, n_u=2, n_w=2, lam=10.0)
     ops = w.assemble(prob)
     mask = w.causality_mask(3, 2, 2)
     Theta = mask.project(0.3 * rng.standard_normal(mask.theta_shape))
     term = singular_block_kernel(ops, prob.lam, wsteer.objective._terminal(ops, Theta), 0, sigma)
-    curv = wsteer.objective._StructuredCurvature(ops, prob.lam, mask, term)
+    curv = wsteer.objective._Curvature(ops, prob.lam, mask, term)
     assert curv.pd and curv.near and curv.singular == (sigma == 0.0)
     name, ok, detail = cli._structured_row(ops, prob.lam, mask, term, np.random.default_rng(0))
     assert name == "structured curvature at Theta*" and ok
-    assert detail.startswith(f"Newton solve at lambda/(1 + s), s = {curv.shift:.3e}, backward error ")
+    assert detail.startswith(f"Newton solve with H + 2sI, s = {curv.shift:.3e}, backward error ")
     neg_S = "- (singular block)" if sigma == 0.0 else "0"
     assert f", neg(S) {neg_S}, PD True, lambda_min " in detail
     assert detail.endswith(": [True, False], eigenvalue 2 on 12 dimensions")
 
-    # a planted lambda_min of 1e-8 puts the lower probe at lam itself: at the
+    # a planted lambda_min of 1e-8 puts the lower probe at mu = 0: at the
     # singular block its decision is lambda_min's sign, and the row says so
     _, ok, detail = cli._structured_row(ops, prob.lam, mask, term, np.random.default_rng(0), 1e-8)
     assert not ok and ": [True, True], eigenvalue 2 on 12 dimensions" in detail
@@ -620,7 +620,7 @@ def pointwise_rows(ops, lam, mask, rng):
     fd_t = pointwise_central(lambda T: J_of(u, T), Theta, DT)
     fd_h = pointwise_central(lambda x: mask.gather(grad_theta(ops, lam, mask.scatter(x))),
                              mask.gather(Theta), D)
-    curv = _curvature(ops, lam, mask, w.objective._terminal(ops, Theta))
+    curv = _Curvature(ops, lam, mask, w.objective._terminal(ops, Theta))
     return (rel_err(fd_u, Du @ grad_uff(ops, lam, u)),
             rel_err(fd_t, np.tensordot(DT, grad_theta(ops, lam, Theta))),
             rel_err(fd_h, np.stack([curv.matvec(d) for d in D])))

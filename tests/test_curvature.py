@@ -1,6 +1,6 @@
-"""The closed-form CCP curvature H0 and the structured causal Hessian
-H = H_U + Z^T Z against the dense causal block: solves, the
-positive-definiteness decision, lambda_min (against the block in the
+"""The CCP curvature H0 and the causal Hessian H = H_U + Z^T Z, in their
+one spectral form, against the dense causal block: solves, shifted solves,
+the positive-definiteness decision, lambda_min (against the block in the
 coordinates Phi), which curvature a solve uses, memory at long horizons, and
 the Loewner direction of the dominance certificate."""
 
@@ -24,6 +24,7 @@ from conftest import (
     SD_TIGHT,
     SD_WIDE,
     double_integrator_problem,
+    input_grams,
     long_horizon_problem,
     phi_block,
     rand_causal_theta,
@@ -36,12 +37,10 @@ import wsteer.solver
 from wsteer.errors import HessianNotPDError
 from wsteer.objective import (
     BLOCK_TOL,
-    _ConvexCurvature,
     _coupling_weight,
-    _curvature,
+    _Curvature,
     _hessian_block,
     _lambda_min,
-    _StructuredCurvature,
     _terminal,
     convexity_certificate,
 )
@@ -80,12 +79,13 @@ def assert_lambda_min_agrees(lmin, eig):
     log_lam=st.floats(-3.0, 4.0),
     scale=st.sampled_from([0.3, 1.0, 3.0]),
 )
-# large lambda: Woodbury alone leaves backward errors of 7e-14 to 4e-13 on
+# large lambda: Woodbury alone leaves backward errors of 8e-14 to 7e-13 on
 # these two draws; its refinement step brings them to order eps
 @example(seed=0, N=1, n_x=3, n_u=1, extra_w=0, log_lam=3.7, scale=1.0)
 @example(seed=0, N=2, n_x=3, n_u=1, extra_w=0, log_lam=3.8, scale=1.0)
-# n_u < n_x at large lambda: the closed form of H0^-1 alone leaves a backward
-# error of 4e-8 on this draw, its refinement step 4e-15
+# n_u < n_x at large lambda: the solve of H0 alone leaves a backward error of
+# 1.1e-12 on this draw (a closed form of H0^-1 in Theta once left 4e-8), its
+# refinement step 1e-16
 @example(seed=42, N=1, n_x=2, n_u=1, extra_w=0, log_lam=3.8, scale=1.0)
 # not PD, with |lambda_min| far below ||H||_2
 @example(seed=2, N=2, n_x=2, n_u=2, extra_w=0, log_lam=0.75, scale=0.3)
@@ -99,8 +99,7 @@ def test_structured_curvature_matches_dense_block(seed, N, n_x, n_u, extra_w, lo
     b = rng.standard_normal(mask.free_entries.size)
     for kernel in (None, term):  # the CCP curvature, then the Newton Hessian
         H = _hessian_block(ops, prob.lam, mask.free_entries, kernel)
-        curv = (_ConvexCurvature(ops, prob.lam, mask) if kernel is None
-                else _StructuredCurvature(ops, prob.lam, mask, kernel))
+        curv = _Curvature(ops, prob.lam, mask, kernel)
         eig = np.linalg.eigvalsh(H)
         if abs(eig[0]) > 1e-8 * np.abs(eig).max():
             assert curv.pd == cholesky_succeeds(H)
@@ -125,8 +124,7 @@ def test_lambda_min_at_large_lambda_above_size_rule(Sd, lam):
     for scale in (0.3, 1.0):
         term = _terminal(ops, rand_causal_theta(rng, mask, scale))
         for kernel in (None, term):
-            curv = (_ConvexCurvature(ops, lam, mask) if kernel is None
-                    else _StructuredCurvature(ops, lam, mask, kernel))
+            curv = _Curvature(ops, lam, mask, kernel)
             eig = np.linalg.eigvalsh(_hessian_block(ops, lam, mask.free_entries, kernel))
             assert curv.pd == (eig[0] > 0.0)
             lmin, eig_phi = _lambda_min(ops, lam, kernel), np.linalg.eigvalsh(phi_block(ops, lam, mask, kernel))
@@ -153,7 +151,7 @@ def test_lambda_min_resolves_clustered_spectrum(clustered):
     assert eig_theta[1] - eig_theta[0] <= 2e-4 * eig_theta[0]
     eig = np.linalg.eigvalsh(phi_block(ops, 10.0, mask, term))
     assert eig[1] - eig[0] <= 2e-4 * eig[0]
-    curv = _StructuredCurvature(ops, 10.0, mask, term)
+    curv = _Curvature(ops, 10.0, mask, term)
     lmin = _lambda_min(ops, 10.0, term)
     assert curv.pd and lmin > 0.0
     assert_lambda_min_agrees(lmin, eig)
@@ -187,7 +185,7 @@ def test_lambda_min_counts_no_pole_for_a_short_input_gram(N, n_x, lam):
     prob = rand_problem(rng, N=N, n_x=n_x, n_u=1, lam=lam)
     ops = w.assemble(prob)
     mask = w.causality_mask(N, 1, n_x)
-    assert np.linalg.matrix_rank(ops.input_grams[-1]) < n_x
+    assert np.linalg.matrix_rank(input_grams(ops)[-1]) < n_x
     for scale in (0.3, 1.0, 3.0):
         term = _terminal(ops, rand_causal_theta(rng, mask, scale))
         H = _hessian_block(ops, lam, mask.free_entries, term)
@@ -198,13 +196,12 @@ def test_lambda_min_counts_no_pole_for_a_short_input_gram(N, n_x, lam):
             assert lmin == 2.0
 
 
-def damped_solve(ops, lam, mask, term, curv, b):
-    """The solve `newton_refine` takes where curv is PD with a nearly singular
-    block: the curvature at lam / (1 + s), s = curv.shift, and b's solution
-    with it, which times 1 / (1 + s) solves (H + 2 s I) x = b.  Returns
-    (lam / (1 + s), that solution)."""
-    lam_s = lam / (1.0 + curv.shift)
-    return lam_s, _StructuredCurvature(ops, lam_s, mask, term).solve(b)
+def shifted_block(ops, lam, mask, term, s):
+    """H + 2 s I in Phi as the causal block in Theta's coordinates: the dense
+    block at lam plus s times J2's curvature, Stilde kron 2I, which is 2 T^T T
+    for T: vec X -> vec(X L)."""
+    idx = mask.free_entries
+    return _hessian_block(ops, lam, idx, term) + s * _hessian_block(ops, 0.0, idx)
 
 
 def assert_singular_block_agrees(ops, lam, mask, term, pd, rng):
@@ -213,9 +210,9 @@ def assert_singular_block_agrees(ops, lam, mask, term, pd, rng):
     lambda_min agrees with eigvalsh of the block in Phi and has the sign of
     the decision.  Returns (H's eigenvalues in Theta's coordinates, the
     curvature, and for a PD H with a block within BLOCK_TOL of singular the
-    backward error of `damped_solve` against `_hessian_block` at its lam,
-    else None)."""
-    curv = _StructuredCurvature(ops, lam, mask, term)
+    backward error of the solve with H + 2 s I, s = curv.shift, that
+    `newton_refine` takes, against `shifted_block`, else None)."""
+    curv = _Curvature(ops, lam, mask, term)
     H = _hessian_block(ops, lam, mask.free_entries, term)
     assert curv.pd == cholesky_succeeds(H) == pd
     lmin = _lambda_min(ops, lam, term)
@@ -224,16 +221,16 @@ def assert_singular_block_agrees(ops, lam, mask, term, pd, rng):
     err = None
     if pd and curv.near:
         b = rng.standard_normal(H.shape[0])
-        lam_s, x = damped_solve(ops, lam, mask, term, curv, b)
-        err = backward_error(_hessian_block(ops, lam_s, mask.free_entries, term), x, b)
+        err = backward_error(shifted_block(ops, lam, mask, term, curv.shift),
+                             curv.solve(b, curv.shift), b)
     return np.linalg.eigvalsh(H), curv, err
 
 
 # with block 0 singular the later blocks are PD, and so is H; with block 2
 # singular the blocks before it are negative, and H is not PD.  A PD H with a
-# block eigenvalue up to 1e-2 (BLOCK_TOL) in size takes the Newton step at
-# lam / (1 + s); the rows at +-1e-2 sit on the tolerance.  (The name is from
-# the signed Woodbury border that such blocks once joined.)
+# block eigenvalue up to 1e-2 (BLOCK_TOL) in size takes the Newton step with
+# H + 2 s I; the rows at +-1e-2 sit on the tolerance.  (The name is from the
+# signed Woodbury border that such blocks once joined.)
 @pytest.mark.parametrize("n_x,t,sigma,pd", [(1, 0, 0.0, True), (2, 0, 0.0, True), (3, 0, 0.0, True),
                                             (1, 2, 0.0, False), (2, 2, 0.0, False), (3, 2, 0.0, False),
                                             (2, 0, 1e-6, True), (2, 2, -1e-6, False),
@@ -261,10 +258,10 @@ def test_singular_block_shifts_into_signed_border(n_x, t, sigma, pd):
 # one block eigenvalue +-10^U(-4, -2)) on which the closed form of a block
 # just above the old BLOCK_TOL of 1e-4, refined once, left backward errors of
 # 8.6e-7 (d = 4411, sigma 6.2e-4, lam 2648), 8.0e-12 (d = 520, sigma 6.1e-4,
-# lam 400) and 3.3e-13 (d = 2784, sigma 1.3e-4, lam 1.1).  The step at
-# lam / (1 + s) is a descent direction on each; its solve, where H_U's blocks
-# are lifted to 2 BLOCK_TOL by cancellation against a coupling weight A of
-# norm up to 2.7e8, leaves 1.1e-5, 1.3e-10 and 8.8e-13
+# lam 400) and 3.3e-13 (d = 2784, sigma 1.3e-4, lam 1.1), and a rebuild at
+# lam / (1 + s), where H_U's blocks cancel against a coupling weight A of
+# norm up to 2.7e8, 1.1e-5, 1.3e-10 and 8.8e-13.  The shifted poles
+# 2 (sigma + s) need no cancellation: 5.5e-17, 1.1e-16 and 1.6e-16
 @pytest.mark.parametrize("d", [4411, 520, 2784])
 def test_singular_block_sweep_draws_shift_into_border(d):
     rng = np.random.default_rng([3, d])
@@ -276,18 +273,17 @@ def test_singular_block_sweep_draws_shift_into_border(d):
     ops = w.assemble(prob)
     mask = w.causality_mask(N, 3, 3)
     term = singular_block_kernel(ops, lam, _terminal(ops, rand_causal_theta(rng, mask)), t, sigma)
-    _, curv, _ = assert_singular_block_agrees(ops, lam, mask, term, True, rng)
-    assert curv.near
+    _, curv, err = assert_singular_block_agrees(ops, lam, mask, term, True, rng)
+    assert curv.near and err <= 1e-14
     g = rng.standard_normal(mask.free_entries.size)
-    assert g @ damped_solve(ops, lam, mask, term, curv, g)[1] > 0.0
+    assert g @ curv.solve(g, curv.shift) > 0.0
 
 
 @pytest.mark.parametrize("seed, t", [(39, 0), (10, 1), (8, 2)])
 def test_exactly_singular_block_is_never_inverted(monkeypatch, seed, t):
-    # on these draws I + A Q_t / 2 is singular in floating point, so the
-    # closed form's E_t does not exist for A: the PD decision reads the sign of
-    # lambda_min, and a Newton step solves at lam / (1 + s), where the block
-    # is >= 2 BLOCK_TOL
+    # on these draws I + A Q_t / 2 is singular in floating point, and so is
+    # the pole 2 sigma: the PD decision reads the sign of lambda_min, and a
+    # Newton step solves with H + 2 s I, one curvature built
     rng = np.random.default_rng(seed)
     prob = rand_problem(rng, N=3, n_x=1, n_u=1, n_w=1, lam=10.0)
     ops = w.assemble(prob)
@@ -296,18 +292,18 @@ def test_exactly_singular_block_is_never_inverted(monkeypatch, seed, t):
     term = singular_block_kernel(ops, prob.lam, _terminal(ops, Theta), t)
     A = _coupling_weight(prob.lam, 1, term)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(np.eye(1) + 0.5 * A @ ops.input_grams[t])
-    curv = _StructuredCurvature(ops, prob.lam, mask, term)
+        np.linalg.inv(np.eye(1) + 0.5 * A @ input_grams(ops)[t])
+    curv = _Curvature(ops, prob.lam, mask, term)
     H = _hessian_block(ops, prob.lam, mask.free_entries, term)
     assert curv.singular and curv.near
     assert curv.pd == cholesky_succeeds(H) == (_lambda_min(ops, prob.lam, term) > 0.0)
 
-    lams, steps = [], []
-    curvature, solve = wsteer.solver._curvature, wsteer.solver._curvature_solve
-    monkeypatch.setattr(wsteer.solver, "_curvature",
+    lams, shifts, steps = [], [], []
+    curvature, solve = wsteer.solver._Curvature, wsteer.solver._curvature_solve
+    monkeypatch.setattr(wsteer.solver, "_Curvature",
                         lambda ops, lam, *a: lams.append(lam) or curvature(ops, lam, *a))
-    monkeypatch.setattr(wsteer.solver, "_curvature_solve",
-                        lambda f, rhs: steps.append(solve(f, rhs)) or steps[-1])
+    monkeypatch.setattr(wsteer.solver, "_curvature_solve", lambda f, rhs, s=0.0: (
+        shifts.append(s) or steps.append(solve(f, rhs, s)) or steps[-1]))
     u_ff = np.zeros(ops.N * ops.n_u)
     rep = replace(w.evaluate(ops, prob.lam, w.Policy(u_ff, Theta)), kernel=term)
     if not curv.pd:
@@ -315,11 +311,11 @@ def test_exactly_singular_block_is_never_inverted(monkeypatch, seed, t):
             newton_refine(ops, prob.lam, Theta, mask, u_ff, rep)
         return
     newton_refine(ops, prob.lam, Theta, mask, u_ff, rep)
-    assert lams == [prob.lam, prob.lam / (1.0 + curv.shift)]
+    assert lams == [prob.lam] and shifts == [curv.shift]
     assert len(steps) == 1 and np.isfinite(steps[0]).all()
     b = rng.standard_normal(H.shape[0])
-    lam_s, x = damped_solve(ops, prob.lam, mask, term, curv, b)
-    assert backward_error(_hessian_block(ops, lam_s, mask.free_entries, term), x, b) <= 1e-14
+    x = curv.solve(b, curv.shift)
+    assert backward_error(shifted_block(ops, prob.lam, mask, term, curv.shift), x, b) <= 1e-14
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=30)
@@ -351,23 +347,25 @@ def test_inertia_certifies_pd_hessian_with_indefinite_h_u(seed):
     ops = w.assemble(prob)
     mask = w.causality_mask(N, n_u, n_x)
     term = _terminal(ops, rand_causal_theta(rng, mask, 1.0))
-    curv = _StructuredCurvature(ops, lam, mask, term)
+    curv = _Curvature(ops, lam, mask, term)
     H = _hessian_block(ops, lam, mask.free_entries, term)
-    assert curv.neg_U > 0 and curv.neg_S == curv.neg_U
+    assert curv.neg_U > 0 and np.count_nonzero(curv._border(0.0)[0] < 0.0) == curv.neg_U
     assert curv.pd and cholesky_succeeds(H)
     b = rng.standard_normal(H.shape[0])
     assert backward_error(H, curv.solve(b), b) <= 1e-14
 
 
 def test_curvature_is_closed_form_for_ccp_and_structured_for_newton():
-    # one curvature per step at every horizon
+    # one curvature class at every horizon: the CCP curvature, and the
+    # Hessian at lambda = 0, are its form with Z = 0
     for N in (10, 16, 20, 40):
         ops = w.assemble(double_integrator_problem(SD_WIDE, lam=10.0, N=N))
         mask = w.causality_mask(N, ops.n_u, ops.n_x)
         term = _terminal(ops, np.zeros(mask.theta_shape))
-        assert type(_curvature(ops, 10.0, mask)) is _ConvexCurvature
-        assert type(_curvature(ops, 0.0, mask, term)) is _ConvexCurvature
-        assert type(_curvature(ops, 10.0, mask, term)) is _StructuredCurvature
+        assert type(wsteer.solver._reduced_curvature_factor(ops, 10.0, mask)) is _Curvature
+        assert not _Curvature(ops, 10.0, mask).Z.any()
+        assert not _Curvature(ops, 0.0, mask, term).Z.any()
+        assert _Curvature(ops, 10.0, mask, term).Z.any()
         # the dual whitening needs L^-1 exactly lower triangular; np.linalg.inv
         # pivots and leaves round-off above the diagonal, which tril removes
         L, Linv = ops.causal_cholesky
@@ -377,7 +375,8 @@ def test_curvature_is_closed_form_for_ccp_and_structured_for_newton():
 
 class DenseCurvature:
     """The dense causal block of `_hessian_block`, Cholesky-factored: the
-    oracle for `objective._curvature`, with its signature."""
+    oracle for `objective._Curvature`, with its signature; never near, so
+    its solves take no shift."""
 
     near = False
 
@@ -389,7 +388,8 @@ class DenseCurvature:
             self.factor = None
         self.pd = self.factor is not None
 
-    def solve(self, v):
+    def solve(self, v, shift=0.0):
+        assert shift == 0.0
         return scipy.linalg.cho_solve(self.factor, v)
 
 
@@ -402,7 +402,7 @@ def test_structured_and_dense_solves_agree(monkeypatch, Sd):
         prob = double_integrator_problem(Sd, lam=10.0, N=N)
         with monkeypatch.context() as m:
             fast = w.solve(prob, opts)
-            m.setattr(wsteer.solver, "_curvature", DenseCurvature)
+            m.setattr(wsteer.solver, "_Curvature", DenseCurvature)
             dense = w.solve(prob, opts)
         assert abs(fast.report.J - dense.report.J) <= 1e-10 * abs(dense.report.J)
         assert fast.trace.termination == dense.trace.termination == "stationarity"
@@ -446,7 +446,7 @@ def test_dense_block_weights_fhu_with_the_structured_a():
         ops = w.assemble(prob)
         mask = w.causality_mask(1, n_u, 1)
         term = _terminal(ops, rand_causal_theta(rng, mask))._replace(W=np.sqrt([[s]]), r=np.ones(1))
-        curv = _StructuredCurvature(ops, lam, mask, term)
+        curv = _Curvature(ops, lam, mask, term)
         assert curv.pd
         b = rng.standard_normal(mask.free_entries.size)
         H = _hessian_block(ops, lam, mask.free_entries, term)
@@ -470,17 +470,18 @@ def test_structured_solve_memory_stays_below_dense_block():
 
 def test_structured_build_holds_no_z_sized_array():
     # N = 100, n_x = 4, n_u = 2: Z, n_x^2 x (N n_u . N n_x), would be 10.2 MB,
-    # and the build peaked at 21.2 MB when it formed Z and FHu Z; its rows
-    # are U(W X_ab Aw), so it needs only n_x x N n_x products
+    # and the build peaked at 21.2 MB when it formed Z and FHu Z in Theta's
+    # coordinates; on the poles Z is N n_x^2 x 10, and the pole basis
+    # N . N n_u . n_x doubles (0.64 MB)
     N = 100
     prob = long_horizon_problem(np.random.default_rng(0), N=N)
     ops = w.assemble(prob)
     mask = w.causality_mask(N, ops.n_u, ops.n_x)
     term = _terminal(ops, np.zeros(mask.theta_shape))
-    ops.causal_cholesky, ops.input_grams  # factored once per problem, before any curvature
+    ops.causal_cholesky, ops.input_qr  # factored once per problem, before any curvature
     tracemalloc.start()
     try:
-        _StructuredCurvature(ops, prob.lam, mask, term)
+        _Curvature(ops, prob.lam, mask, term)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -491,10 +492,12 @@ def test_structured_build_holds_no_z_sized_array():
 def test_curvature_sweep_first_draws(family):
     # the first draws of each family of tests/curvature_sweep.py, which
     # measures BLOCK_TOL: no PD decision against dense Cholesky is wrong, and
-    # every refined solve meets 1e-14 against the curvature's own matvec
+    # every refined solve meets 1e-14 against the curvature's own matvec,
+    # and against the dense block (plus 2 s I near a singular block); off a
+    # singular block the PD decision is the sign of lambda_min
     result = curvature_sweep.sweep(family, 20)
-    assert result["mismatches"] == 0 and result["pd"] > 0
-    assert max(row[3] for row in result["bins"].values()) <= 1e-14
+    assert result["mismatches"] == result["lambda_min_mismatches"] == 0 and result["pd"] > 0
+    assert max(max(row[1], row[3]) for row in result["bins"].values()) <= 1e-14
 
 
 SCALE_SCRIPT = """
@@ -540,14 +543,25 @@ from conftest import long_horizon_problem
 import wsteer as w
 import wsteer.solver
 prob = long_horizon_problem(np.random.default_rng(0), N=130)
-curvature, lams = wsteer.solver._curvature, []
-def counted(ops, lam, *args):
-    lams.append(lam)
-    return curvature(ops, lam, *args)
-wsteer.solver._curvature = counted
+solve, shifts = wsteer.solver._curvature_solve, []
+def counted(factor, rhs, shift=0.0):
+    shifts.append(shift)
+    return solve(factor, rhs, shift)
+wsteer.solver._curvature_solve = counted
+curvature, refine, builds = wsteer.solver._Curvature, wsteer.solver.newton_refine, []
+def build(*args):  # counted inside newton_refine only
+    builds[-1:] = [b + 1 for b in builds[-1:]]
+    return curvature(*args)
+def step(*args):
+    builds.append(0)
+    try:
+        return refine(*args)
+    finally:
+        print(builds.pop(), end=",")
+wsteer.solver._Curvature, wsteer.solver.newton_refine = build, step
 sol = w.solve(prob)
 records = sol.trace.records
-print(sum(lam != prob.lam for lam in lams), sol.trace.termination,
+print("", sum(s != 0.0 for s in shifts), sol.trace.termination,
       sum(r.kind == "ccp" for r in records), sum(r.kind == "newton" for r in records),
       repr(sol.report.J), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
       any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
@@ -556,8 +570,10 @@ print(sum(lam != prob.lam for lam in lams), sol.trace.termination,
 
 def test_shifted_block_long_horizon_solve_stays_small():
     # N = 130, seed 0: a Newton step meets a block of H_U within BLOCK_TOL of
-    # singular, and solves at lam / (1 + s) instead, with no border.  The
-    # dense small space that decided such a block once peaked at 363 MB here.
+    # singular, and solves with H + 2 s I instead, with no border and with
+    # the one curvature each Newton step builds, where a rebuild at
+    # lam / (1 + s) once took a second.  The dense small space that decided
+    # such a block once peaked at 363 MB here.
     # The reduced Hessian is indefinite for 22 CCP steps from Theta = 0;
     # then 10 Newton steps take the residual from 990 to below tol, the same
     # on one BLAS thread and on two
@@ -565,8 +581,8 @@ def test_shifted_block_long_horizon_solve_stays_small():
     src = os.path.join(os.path.dirname(here), "src")
     out = subprocess.run([sys.executable, "-c", SHIFT_SCRIPT, here, src], check=True,
                          capture_output=True, text=True).stdout.split()
-    damped, termination, ccp, newton, J, peak_kb, scipy_loaded = out
-    assert int(damped) >= 1
+    builds, damped, termination, ccp, newton, J, peak_kb, scipy_loaded = out
+    assert int(damped) >= 1 and set(builds.rstrip(",").split(",")) == {"1"}
     assert (termination, int(ccp), int(newton)) == ("stationarity", 22, 10)
     assert abs(float(J) - 15.59123263329724) <= 1e-10 * 15.59123263329724
     assert int(peak_kb) < 200 * 1024  # ru_maxrss is in KB on Linux
@@ -605,7 +621,7 @@ def test_dominated_covariance_implies_pd_hessian(seed, n_x, n_u, log_lam, shrink
     ops, mask, Theta = dominated_instance(rng, n_x, n_u, lam, np.array(shrink[:n_x]))
     assert convexity_certificate(ops, lam, Theta).kind == "DominatedCovariance"
     term = _terminal(ops, Theta)
-    assert _StructuredCurvature(ops, lam, mask, term).pd and _lambda_min(ops, lam, term) > 0.0
+    assert _Curvature(ops, lam, mask, term).pd and _lambda_min(ops, lam, term) > 0.0
 
 
 def test_dominated_by_target_is_not_certified():
@@ -622,7 +638,7 @@ def test_dominated_by_target_is_not_certified():
         assert np.linalg.eigvalsh(ops.Sd - Y)[0] > 0.0
         term = _terminal(ops, Theta)
         assert not cholesky_succeeds(_hessian_block(ops, lam, mask.free_entries, term))
-        curv = _StructuredCurvature(ops, lam, mask, term)
+        curv = _Curvature(ops, lam, mask, term)
         assert not curv.pd and _lambda_min(ops, lam, term) < 0.0
         cert = convexity_certificate(ops, lam, Theta, mode="spectral")
         assert cert.kind is None and cert.lambda_min_hessian < 0.0
@@ -639,7 +655,7 @@ def test_structured_certificate_kind_is_the_inertia_count(monkeypatch):
         ops = w.assemble(double_integrator_problem(Sd, lam=lam, N=N))
         mask = w.causality_mask(N, ops.n_u, ops.n_x)
         Theta = w.solve(double_integrator_problem(Sd, lam=lam, N=N)).Theta
-        pd = _StructuredCurvature(ops, lam, mask, _terminal(ops, Theta)).pd
+        pd = _Curvature(ops, lam, mask, _terminal(ops, Theta)).pd
         cert = convexity_certificate(ops, lam, Theta, mode="spectral")
         assert pd and cert.kind == "HessianPD" and cert.lambda_min_hessian > 0.0
         with monkeypatch.context() as m:
@@ -649,26 +665,26 @@ def test_structured_certificate_kind_is_the_inertia_count(monkeypatch):
 
 def test_not_pd_past_the_interlacing_bound_builds_no_border(monkeypatch):
     # H = H_U + Z^T Z and rank Z <= n_x (n_x + 1) / 2 = 3, so past 3 negative
-    # eigenvalues of H_U the guard says not PD without building E, EQ or S.
+    # eigenvalues of H_U the guard says not PD without building Z or S.
     # The wide target's solves at lambda = 100 and 2000 start there; reading
-    # neg_S still builds S
+    # S's inertia still builds Z
     built = []
 
-    class Spy(_StructuredCurvature):
+    class Spy(_Curvature):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(wsteer.objective, "_StructuredCurvature", Spy)
+    monkeypatch.setattr(wsteer.solver, "_Curvature", Spy)
     for label, prob, opts in fingerprint.solves():
         if label in ("wide/lambda=100", "wide/lambda=2000"):
             w.solve(prob, opts)
     early = [c for c in built if c.neg_U > 3]
     assert sorted(c.neg_U for c in early) == [18, 20]
     for c in early:
-        assert not c.pd and not {"_border", "E", "EQ"} & set(vars(c))
-        assert c.neg_S < c.neg_U and "_border" in vars(c)
-    assert all(c.pd and not c.near and "_border" in vars(c) for c in built if c.neg_U <= 3)
+        assert not c.pd and "Z" not in vars(c) and not c._borders
+        assert np.count_nonzero(c._border(0.0)[0] < 0.0) < c.neg_U and "Z" in vars(c)
+    assert all(c.pd and not c.near and "Z" in vars(c) for c in built if c.neg_U <= 3)
 
 
 def test_block_qr_is_built_once_per_problem(monkeypatch):

@@ -36,7 +36,7 @@ from wsteer.errors import (
 )
 from wsteer.objective import (
     Policy,
-    _curvature,
+    _Curvature,
     _ray,
     _terminal,
     _w2_sq,
@@ -561,7 +561,7 @@ def newton_ray(Sd, lam):
     ops, mask = w.assemble(prob), w.causality_mask(DI_N, 1, 2)
     sol = w.solve(prob)
     g = mask.gather(sol.report.grad_theta)
-    step = _curvature(ops, lam, mask, sol.report.kernel).solve(g)
+    step = _Curvature(ops, lam, mask, sol.report.kernel).solve(g)
     return ops, lam, sol.u_ff, sol.Theta, mask.scatter(step)
 
 

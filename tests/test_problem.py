@@ -440,7 +440,7 @@ def spy(monkeypatch, name):
 def assert_same_operators(ops, want):
     """ops and want hold bit-equal arrays, their cached factors included."""
     for name in ("Gamma", "Hu", "Stilde", "F", "mu0", "mud", "Sd", "FHu",
-                 "FGamma_mu0", "sqrt_Sd", "input_grams"):
+                 "FGamma_mu0", "sqrt_Sd"):
         assert np.array_equal(getattr(ops, name), getattr(want, name)), name
     for name in ("causal_cholesky", "input_qr"):
         for a, b in zip(getattr(ops, name), getattr(want, name)):
@@ -510,7 +510,7 @@ def test_shared_operators_are_read_only_and_the_callers_arrays_are_not():
     prob = long_horizon_problem(np.random.default_rng(2), N=6)
     ops = w.assemble(prob)
     arrays = [v for v in vars(ops).values() if isinstance(v, np.ndarray)]
-    arrays += [*ops.causal_cholesky, ops.input_grams, *ops.input_qr]
+    arrays += [*ops.causal_cholesky, *ops.input_qr]
     assert len(arrays) == 10 + 5
     for a in arrays:
         with pytest.raises(ValueError):
